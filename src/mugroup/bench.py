@@ -149,9 +149,27 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(path_or_text) -> "ExperimentConfig":
-        """Build a config from the documented JSON schema (see README).
+        """Build a config from a JSON object; accepts a file path or a JSON string.
 
-        Accepts a file path or a JSON string.
+        Required keys: ``scenario`` ("user_sweep", "rho_sweep" or
+        "runtime_sweep"), ``m_values`` and ``nu_values`` (lists of ints).
+        Optional keys, with the field each sets:
+
+        * ``rho_values`` (list of floats), ``correlated_users`` (int);
+        * ``channel``: ``num_tx_antennas``, ``num_subcarriers``,
+          ``k_factor_db``;
+        * ``channel_file``: path of a channel file to draw users from;
+        * ``phy``: ``bandwidth_hz``, ``noise_power``, ``total_power``,
+          ``rate_mode`` ("shannon" or "mcs"), ``mac_overhead`` (bool),
+          ``mcs_table`` (list of ``[index, bits_per_subcarrier,
+          min_snr_db]``);
+        * ``algorithms`` (list of names from ``ALGORITHMS``);
+        * ``seeds``: ``{"count": n, "base": b}`` or a list of ints;
+        * ``output`` (CSV path), ``partition_cap`` (int);
+        * ``sus``: ``alpha``, ``sweep`` (list of floats).
+
+        Unknown keys are ignored.  Raises ConfigurationError on a missing
+        or invalid value.
         """
         if isinstance(path_or_text, Path):
             raw = json.loads(path_or_text.read_text())

@@ -71,23 +71,23 @@ def optimal_mu2_su(oracle, num_users: int) -> GroupingSolution:
 
 @dataclass
 class GmaPassState:
-    """Working sets of one merge round (kept mainly for introspection)."""
+    """Working sets of one merge round."""
 
-    current_groups: list[Group] = field(default_factory=list)
     s1: list[Group] = field(default_factory=list)
     s2: list[Group] = field(default_factory=list)
     committed: list[Group] = field(default_factory=list)
-    pass_target_size: int = 2
 
 
 def _group_metric(g: Group, oracle) -> float:
     return len(g) * oracle.rate(g)
 
 
-def _split_and_balance(groups: list[Group], oracle, target: int,
-                       max_group_size: int) -> GmaPassState:
-    """Sort, decompose the weakest groups, and balance |S1| with |S2|."""
-    state = GmaPassState(current_groups=list(groups), pass_target_size=target)
+def _split_and_balance(groups: list[Group], oracle, max_group_size: int) -> GmaPassState:
+    """Sort, decompose the weakest groups, and balance |S1| with |S2|.
+
+    Every group left in S1 is below ``max_group_size``.
+    """
+    state = GmaPassState()
     state.committed = [g for g in groups if len(g) >= max_group_size]
     s1 = [g for g in groups if len(g) < max_group_size]
     # strongest first; ties broken by smallest member for reproducibility
@@ -110,40 +110,29 @@ def _split_and_balance(groups: list[Group], oracle, target: int,
     return state
 
 
-def _merge_pass(groups: list[Group], oracle, target: int,
-                max_group_size: int) -> list[Group]:
-    state = _split_and_balance(groups, oracle, target, max_group_size)
+def _merge_pass(groups: list[Group], oracle, max_group_size: int) -> list[Group]:
+    state = _split_and_balance(groups, oracle, max_group_size)
     s1, s2 = state.s1, state.s2
     if not s2:
         return state.committed + s1
 
-    n_rows, n_cols = len(s1), len(s2)
-    benefit = np.zeros((max(n_rows, n_cols), n_cols))
+    # |S1| = |S2| and every S1 group has room for one more member
+    benefit = np.zeros((len(s1), len(s2)))
     finite_total = 1.0
     for i, g in enumerate(s1):
         for j, (u,) in enumerate(s2):
-            merged_size = len(g) + 1
-            rate = oracle.rate(g + (u,)) if merged_size <= max_group_size else 0.0
-            value = merged_size * rate
+            value = (len(g) + 1) * oracle.rate(g + (u,))
             benefit[i, j] = value
             finite_total += abs(value)
-    # zero-rate merges (rank-deficient groups) and over-cap merges get a
-    # sentinel so the assignment never prefers them; dummy rows mean the
-    # matched singleton simply stays single
+    # zero-rate merges (rank-deficient groups) get a sentinel so the
+    # assignment never prefers them
     sentinel = -finite_total
-    for i in range(n_rows):
-        for j in range(n_cols):
-            if benefit[i, j] <= 0.0:
-                benefit[i, j] = sentinel
+    benefit[benefit <= 0.0] = sentinel
 
     assign, _ = hungarian(benefit)
     result = list(state.committed)
     for i, j in enumerate(assign):
-        u = s2[j]
-        if i >= n_rows:  # dummy row
-            result.append(u)
-            continue
-        g = s1[i]
+        g, u = s1[i], s2[j]
         if benefit[i, j] <= sentinel or merge_gain(g, u[0], oracle) <= 0.0:
             result.append(g)
             result.append(u)
@@ -160,7 +149,7 @@ def gma(oracle, num_users: int, max_group_size: int) -> GroupingSolution:
         raise ValueError("max_group_size must be >= 2")
     solution = optimal_mu2_su(oracle, num_users)
     groups = list(solution.groups)
-    for target in range(3, max_group_size + 1):
-        groups = _merge_pass(groups, oracle, target, max_group_size)
+    for _ in range(max_group_size - 2):  # one round per size above two
+        groups = _merge_pass(groups, oracle, max_group_size)
     parts = canonical_partition(groups)
     return GroupingSolution(parts, num_users, objective(parts, oracle))

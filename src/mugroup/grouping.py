@@ -234,14 +234,12 @@ def _rates_by_mask(num_users: int, max_size: int, oracle):
 
 
 def exhaustive_search(num_users: int, max_size: int, oracle,
-                      cap: int = DEFAULT_PARTITION_CAP,
-                      backend: str = "auto") -> GroupingSolution:
+                      cap: int = DEFAULT_PARTITION_CAP) -> GroupingSolution:
     """Optimal partition by enumerating every candidate.
 
     Ties keep the first partition in canonical enumeration order.  Refuses
     to run when the partition count exceeds ``cap``; use the heuristics
-    for larger networks.  ``backend`` selects the enumeration kernel
-    ('auto' picks the JIT one when available).
+    for larger networks.
     """
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
@@ -257,7 +255,7 @@ def exhaustive_search(num_users: int, max_size: int, oracle,
             f"exceed the cap of {cap}; use gma or another heuristic"
         )
     rates = _rates_by_mask(num_users, max_size, oracle)
-    count, _, assign = search_best_partition(rates, num_users, max_size, backend=backend)
+    count, _, assign = search_best_partition(rates, num_users, max_size)
     if count != expected:
         raise AssertionError(
             f"kernel visited {count} partitions, recurrence predicts {expected}"

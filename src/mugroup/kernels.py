@@ -1,25 +1,17 @@
-"""Hot search kernel: best partition under a block-size cap.
+"""Search kernel: best partition under a block-size cap.
 
 The exhaustive grouping search walks every set partition of {0..n-1}
 whose blocks have at most ``max_block`` members, in restricted-growth
 lexicographic order, scoring each partition as the sum over blocks of
-``|B| * rates[bitmask(B)]``.  Millions of partitions are visited for
-n >= 12, so the walk is JIT compiled with numba when available.
-
-Setting the environment variable ``MUGROUP_DISABLE_NUMBA=1`` (or numba
-being absent) selects a pure-Python fallback with identical semantics;
-both backends perform the same float operations in the same order, so
-they return bit-identical results.  ``benchmarks/backend_bench.py``
-compares the two.
+``|B| * rates[bitmask(B)]``.  The walk is plain Python; its cost grows
+with the partition count, which ``grouping.exhaustive_search`` caps.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["search_best_partition", "active_backend", "NUMBA_AVAILABLE"]
+__all__ = ["search_best_partition", "active_backend"]
 
 
 def _search_best_partition(rates, n, max_block, choice, block_size, block_mask,
@@ -86,36 +78,17 @@ def _search_best_partition(rates, n, max_block, choice, block_size, block_mask,
     return count, best_score
 
 
-def _env_disabled() -> bool:
-    return os.environ.get("MUGROUP_DISABLE_NUMBA", "").strip().lower() in ("1", "true", "yes")
-
-
-NUMBA_AVAILABLE = False
-_search_jit = None
-if not _env_disabled():
-    try:
-        import numba
-
-        _search_jit = numba.njit(cache=True, nogil=True)(_search_best_partition)
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        pass
-
-
 def active_backend() -> str:
-    """Name of the default kernel backend: 'numba' or 'python'."""
-    return "numba" if NUMBA_AVAILABLE else "python"
+    """Name of the kernel implementation; always 'python'."""
+    return "python"
 
 
-def search_best_partition(rates: np.ndarray, n: int, max_block: int,
-                          backend: str = "auto"):
+def search_best_partition(rates: np.ndarray, n: int, max_block: int):
     """Best capped partition of {0..n-1} under bitmask rate table ``rates``.
 
     Returns (partition_count, best_score, block_index_per_element).
     ``rates`` must have length 2**n with entries for every non-empty
-    subset of size <= max_block.  ``backend`` is 'auto' (the default,
-    JIT when available), 'numba', or 'python'; both backends compute
-    bit-identical results.
+    subset of size <= max_block.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -123,11 +96,6 @@ def search_best_partition(rates: np.ndarray, n: int, max_block: int,
         raise ValueError("max_block must be >= 1")
     if len(rates) != 2 ** n:
         raise ValueError(f"rates must have length 2**{n}, got {len(rates)}")
-    if backend not in ("auto", "numba", "python"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "numba" and not NUMBA_AVAILABLE:
-        raise ValueError("numba backend requested but numba is not active")
-    use_jit = NUMBA_AVAILABLE if backend == "auto" else backend == "numba"
     rates = np.ascontiguousarray(rates, dtype=np.float64)
     choice = np.empty(n, dtype=np.int64)
     block_size = np.zeros(n, dtype=np.int64)
@@ -136,7 +104,7 @@ def search_best_partition(rates: np.ndarray, n: int, max_block: int,
     opened = np.zeros(n, dtype=np.bool_)
     contrib = np.zeros(n, dtype=np.float64)
     best_assign = np.zeros(n, dtype=np.int64)
-    impl = _search_jit if use_jit else _search_best_partition
-    count, best_score = impl(rates, n, max_block, choice, block_size, block_mask,
-                             prev_contrib, opened, contrib, best_assign)
+    count, best_score = _search_best_partition(rates, n, max_block, choice, block_size,
+                                               block_mask, prev_contrib, opened, contrib,
+                                               best_assign)
     return int(count), float(best_score), best_assign

@@ -9,13 +9,20 @@ with equal power split P_m = P/|G| and unit-norm zero-forcing steering
 columns.  Rates are averaged over subcarriers with the bandwidth applied
 once.  An optional mode maps per-user SINR through an 802.11ac-style
 MCS table instead of the Shannon log term.
+
+One vectorized implementation computes every rate: ``_zf_batch`` stacks
+the channels of a batch of same-size groups over all subcarriers and
+solves for their steering, and ``_zf_rates`` turns that into group rates
+in either rate mode.  ``zf_steering`` and ``group_rate`` are batches of
+one that raise on rank-deficient groups; ``RateOracle.rate`` is a batch
+of one that scores them 0, and ``RateOracle.precompute`` batches per
+group size.
 """
 
 from __future__ import annotations
 
-import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -119,6 +126,96 @@ def _canonical_group(group) -> tuple[int, ...]:
     return members
 
 
+def _zf_batch(channels: ChannelSet, groups: list[tuple[int, ...]]):
+    """Zero-forcing for same-size groups on every subcarrier at once.
+
+    Returns ``(h, w, ok)`` with one row per (group, subcarrier), group
+    major: ``h`` (n*sc, k, Nt) holds the stacked channels, ``w``
+    (n*sc, Nt, k) the steering H^H (H H^H)^-1 with unit-norm columns, and
+    ``ok`` (n*sc,) marks rows whose H H^H is well conditioned.  Rows that
+    are not ok are solved against the identity and mean nothing.  Every
+    row gets its own LAPACK call, so a group's values do not depend on
+    which other groups share the batch.
+    """
+    n, k = len(groups), len(groups[0])
+    sc, nt = channels.num_subcarriers, channels.num_tx_antennas
+    h = channels.entries[np.asarray(groups)]  # (n, k, Nt, sc)
+    # a contiguous copy whatever n is: a strided view would make matmul
+    # take another summation order for a batch of one
+    h = np.ascontiguousarray(np.moveaxis(h, 3, 1).reshape(n * sc, k, nt))
+    gram = h @ np.conj(np.swapaxes(h, 1, 2))
+    ok = np.linalg.cond(gram) <= _COND_LIMIT
+    if not ok.all():
+        gram[~ok] = np.eye(k)
+    w = np.conj(np.swapaxes(np.linalg.solve(gram, h), 1, 2))
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    return h, w, ok
+
+
+def _mcs_rates(sinr: np.ndarray, cfg: PhyConfig) -> np.ndarray:
+    """Elementwise ``phy_rate(map_sinr_to_mcs(dB(sinr)))``, 0 below MCS 0.
+
+    The entry chosen is the last one before the first unmet threshold, as
+    in ``map_sinr_to_mcs``, so tables that are not ascending map alike.
+    """
+    if not cfg.mcs_table:
+        raise ConfigurationError("MCS table must not be empty")
+    # the +inf sentinel is never met, so argmin finds a first unmet one
+    thresholds = np.array([e.min_snr_db for e in cfg.mcs_table] + [np.inf])
+    values = np.array([0.0] + [phy_rate(e, cfg) for e in cfg.mcs_table])
+    with np.errstate(divide="ignore"):
+        sinr_db = 10.0 * np.log10(sinr)
+    return values[np.argmin(sinr_db[..., None] >= thresholds, axis=-1)]
+
+
+def _zf_rates(h: np.ndarray, w: np.ndarray, ok: np.ndarray, num_groups: int,
+              cfg: PhyConfig) -> np.ndarray:
+    """Group rates from ``_zf_batch`` output, averaged over subcarriers;
+    0 for a group that is rank deficient on any subcarrier.
+
+    The interference sum is always evaluated in full even though exact ZF
+    drives it to numerical zero on flat channels.
+    """
+    k = h.shape[1]
+    gains = np.abs(h @ w) ** 2  # (n*sc, k, k): |h_m w_i|^2
+    p = cfg.total_power / k
+    signal = np.diagonal(gains, axis1=1, axis2=2)
+    interference = gains.sum(axis=2) - signal
+    sinr = (p * signal) / (cfg.noise_power + p * interference)
+    if cfg.rate_mode is RateMode.SHANNON:
+        per_sc = cfg.bandwidth_hz * np.log2(1.0 + sinr).sum(axis=1)
+    else:
+        # summed user by user in order, like a scalar loop over the users
+        per_sc = np.add.accumulate(_mcs_rates(sinr, cfg), axis=1)[:, -1]
+    rates = per_sc.reshape(num_groups, -1).mean(axis=1)
+    rates[~ok.reshape(num_groups, -1).all(axis=1)] = 0.0
+    return rates
+
+
+def _batch_rates(channels: ChannelSet, groups: list[tuple[int, ...]],
+                 cfg: PhyConfig) -> np.ndarray:
+    return _zf_rates(*_zf_batch(channels, groups), len(groups), cfg)
+
+
+def _zf_group(channels: ChannelSet, group):
+    """``_zf_batch`` for one validated group; raises SingularChannelError
+    if it is rank deficient on any subcarrier."""
+    members = _canonical_group(group)
+    if len(members) > channels.num_tx_antennas:
+        raise ValueError(
+            f"group size {len(members)} exceeds {channels.num_tx_antennas} transmit antennas"
+        )
+    for u in members:
+        if not 0 <= u < channels.num_users:
+            raise ValueError(f"user index {u} out of range")
+    h, w, ok = _zf_batch(channels, [members])
+    if not ok.all():
+        raise SingularChannelError(
+            f"rank-deficient channel for group {members} on subcarrier {int(np.argmin(ok))}"
+        )
+    return members, h, w, ok
+
+
 def zf_steering(channels: ChannelSet, group) -> SteeringMatrix:
     """Channel-inversion steering W = H^H (H H^H)^-1, columns renormalized.
 
@@ -126,103 +223,17 @@ def zf_steering(channels: ChannelSet, group) -> SteeringMatrix:
     Raises SingularChannelError if the stacked group channel is rank
     deficient on any subcarrier.
     """
-    members = _canonical_group(group)
-    k = len(members)
-    if k > channels.num_tx_antennas:
-        raise ValueError(
-            f"group size {k} exceeds {channels.num_tx_antennas} transmit antennas"
-        )
-    for u in members:
-        if not 0 <= u < channels.num_users:
-            raise ValueError(f"user index {u} out of range")
-
-    sc = channels.num_subcarriers
-    cols = np.empty((sc, channels.num_tx_antennas, k), dtype=np.complex128)
-    for s in range(sc):
-        h = channels.entries[members, :, s]  # (k, Nt)
-        gram = h @ h.conj().T
-        if np.linalg.cond(gram) > _COND_LIMIT:
-            raise SingularChannelError(
-                f"rank-deficient channel for group {members} on subcarrier {s}"
-            )
-        try:
-            w = np.linalg.solve(gram, h).conj().T  # (Nt, k) = H^H (HH^H)^-1
-        except np.linalg.LinAlgError as exc:
-            raise SingularChannelError(
-                f"singular channel for group {members} on subcarrier {s}"
-            ) from exc
-        w /= np.linalg.norm(w, axis=0, keepdims=True)
-        cols[s] = w
-    return SteeringMatrix(members, cols, per_subcarrier=sc > 1)
-
-
-def _sum_rate_from_gains(gains: np.ndarray, k: int, cfg: PhyConfig) -> float:
-    """Rate for one subcarrier from the |h_m w_i|^2 matrix (k x k)."""
-    p = cfg.total_power / k
-    signal = np.diag(gains)
-    interference = gains.sum(axis=1) - signal
-    sinr = (p * signal) / (cfg.noise_power + p * interference)
-    if cfg.rate_mode is RateMode.SHANNON:
-        return cfg.bandwidth_hz * float(np.log2(1.0 + sinr).sum())
-    total = 0.0
-    for value in sinr:
-        entry = map_sinr_to_mcs(10.0 * math.log10(value) if value > 0 else -math.inf,
-                                cfg.mcs_table)
-        if entry is not None:
-            total += phy_rate(entry, cfg)
-    return total
+    members, _, w, _ = _zf_group(channels, group)
+    return SteeringMatrix(members, w, per_subcarrier=channels.num_subcarriers > 1)
 
 
 def group_rate(channels: ChannelSet, group, cfg: PhyConfig) -> float:
     """Estimated group capacity in bits/s, averaged over subcarriers.
 
-    The interference sum is always evaluated in full even though exact ZF
-    drives it to numerical zero on flat channels.
+    Raises SingularChannelError for a rank-deficient group.
     """
-    steering = zf_steering(channels, group)
-    members = steering.group
-    k = len(members)
-    rates = np.empty(channels.num_subcarriers)
-    for s in range(channels.num_subcarriers):
-        h = channels.entries[members, :, s]
-        gains = np.abs(h @ steering.columns[s]) ** 2
-        rates[s] = _sum_rate_from_gains(gains, k, cfg)
-    return float(rates.mean())
-
-
-def _batch_shannon_rates(channels: ChannelSet, groups: list[tuple[int, ...]],
-                         cfg: PhyConfig) -> np.ndarray:
-    """Vectorized Shannon group rates for same-size groups; 0 when singular.
-
-    Uses the same per-item LAPACK routines as the scalar path so memoized
-    values do not depend on which path computed them.
-    """
-    k = len(groups[0])
-    sc = channels.num_subcarriers
-    n = len(groups)
-    idx = np.asarray(groups)  # (n, k)
-    # stack as (n*sc, k, Nt)
-    h = channels.entries[idx]  # (n, k, Nt, sc)
-    h = np.moveaxis(h, 3, 1).reshape(n * sc, k, channels.num_tx_antennas)
-    gram = h @ np.conj(np.swapaxes(h, 1, 2))
-    ok = np.linalg.cond(gram) <= _COND_LIMIT
-    safe = gram.copy()
-    safe[~ok] = np.eye(k)
-    w = np.conj(np.swapaxes(np.linalg.solve(safe, h), 1, 2))  # (n*sc, Nt, k)
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    gains = np.abs(h @ w) ** 2  # (n*sc, k, k)
-
-    p = cfg.total_power / k
-    signal = np.diagonal(gains, axis1=1, axis2=2)
-    interference = gains.sum(axis=2) - signal
-    sinr = (p * signal) / (cfg.noise_power + p * interference)
-    per_sc = cfg.bandwidth_hz * np.log2(1.0 + sinr).sum(axis=1)
-    per_sc[~ok] = 0.0
-    rates = per_sc.reshape(n, sc).mean(axis=1)
-    # a group is degenerate if any subcarrier is
-    degenerate = ~ok.reshape(n, sc).all(axis=1)
-    rates[degenerate] = 0.0
-    return rates
+    _, h, w, ok = _zf_group(channels, group)
+    return float(_zf_rates(h, w, ok, 1, cfg)[0])
 
 
 class RateOracle:
@@ -260,44 +271,30 @@ class RateOracle:
             raise ValueError(f"group {members} out of range for {self.num_users} users")
         return members
 
-    def _compute(self, members: tuple[int, ...]) -> float:
-        self.compute_count += 1
-        try:
-            return group_rate(self.channels, members, self.cfg)
-        except SingularChannelError:
-            return 0.0
-
     def rate(self, group) -> float:
         members = self._check(group)
         with self._lock:
             self.query_count += 1
             value = self._memo.get(members)
             if value is None:
-                value = self._compute(members)
+                self.compute_count += 1
+                value = float(_batch_rates(self.channels, [members], self.cfg)[0])
                 self._memo[members] = value
             return value
 
     def precompute(self, groups) -> None:
-        """Batch-fill the memo; only worthwhile in Shannon mode."""
-        todo: dict[int, list[tuple[int, ...]]] = {}
+        """Batch-fill the memo: one vectorized computation per group size."""
+        todo: dict[int, set[tuple[int, ...]]] = {}
         with self._lock:
             for group in groups:
                 members = self._check(group)
                 if members not in self._memo:
-                    todo.setdefault(len(members), []).append(members)
-            if not todo:
-                return
-            if self.cfg.rate_mode is not RateMode.SHANNON:
-                for size_groups in todo.values():
-                    for members in size_groups:
-                        self._memo.setdefault(members, self._compute(members))
-                return
+                    todo.setdefault(len(members), set()).add(members)
             for size_groups in todo.values():
-                unique = sorted(set(size_groups))
-                rates = _batch_shannon_rates(self.channels, unique, self.cfg)
+                unique = sorted(size_groups)
+                rates = _batch_rates(self.channels, unique, self.cfg)
                 self.compute_count += len(unique)
-                for members, value in zip(unique, rates):
-                    self._memo.setdefault(members, float(value))
+                self._memo.update(zip(unique, rates.tolist()))
 
 
 def make_rate_oracle(channels: ChannelSet, cfg: PhyConfig, max_group_size: int) -> RateOracle:

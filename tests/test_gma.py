@@ -123,10 +123,23 @@ class TestGma:
             m = int(rng.integers(3, 12))
             oracle = random_oracle(rng, m, 3)
             start = list(optimal_mu2_su(oracle, m).groups)
-            state = _split_and_balance(start, oracle, 3, 3)
+            state = _split_and_balance(start, oracle, 3)
             pre = objective(state.committed + state.s1 + state.s2, oracle)
-            merged = _merge_pass(start, oracle, 3, 3)
+            merged = _merge_pass(start, oracle, 3)
             assert objective(merged, oracle) >= pre - 1e-9
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: the second merge pass lowers the objective from 7.254e9 "
+        "to 6.946e9 on this instance, seed 3 of the exact_m10 benchmark config"))
+    def test_no_merge_pass_lowers_objective(self):
+        _, oracle = rician_oracle(10, 4, seed=3)
+        groups = list(optimal_mu2_su(oracle, 10).groups)
+        before = objective(groups, oracle)
+        for _ in range(2):
+            groups = _merge_pass(groups, oracle, 4)
+            after = objective(groups, oracle)
+            assert after >= before
+            before = after
 
     def test_never_below_all_singletons_from_split(self):
         _, oracle = rician_oracle(10, 3, seed=22)
@@ -139,7 +152,7 @@ class TestGma:
 class TestSplitBalance:
     def test_balances_cardinalities(self, twelve_station_oracle):
         groups = list(optimal_mu2_su(twelve_station_oracle, 12).groups)
-        state = _split_and_balance(groups, twelve_station_oracle, 3, 3)
+        state = _split_and_balance(groups, twelve_station_oracle, 3)
         assert isinstance(state, GmaPassState)
         assert len(state.s1) == len(state.s2)
         assert all(len(g) == 1 for g in state.s2)
@@ -150,6 +163,6 @@ class TestSplitBalance:
 
     def test_weakest_groups_are_decomposed(self, twelve_station_oracle):
         groups = list(optimal_mu2_su(twelve_station_oracle, 12).groups)
-        state = _split_and_balance(groups, twelve_station_oracle, 3, 3)
+        state = _split_and_balance(groups, twelve_station_oracle, 3)
         # the low-rate pair (F, I) and both singles C, L land in s2
         assert sorted(state.s2) == [(2,), (5,), (8,), (11,)]

@@ -21,10 +21,50 @@ from mugroup.phy import (
 
 from conftest import identity_channels, rician_oracle
 
+MCS_WITH_MAC = PhyConfig(rate_mode=RateMode.MCS_MAPPED, mac_overhead_enabled=True)
+
 
 def flat_channels(rows):
     h = np.asarray(rows, dtype=complex)
     return ChannelSet(h.shape[0], h.shape[1], 1, h[:, :, None])
+
+
+def channels_with_duplicate(m, sc, seed, nt=4):
+    """Rician channels in which the last user repeats the one before it,
+    so every group holding both is rank deficient."""
+    channels, _ = rician_oracle(m, 3, seed=seed, sc=sc, nt=nt)
+    entries = np.array(channels.entries)
+    entries[m - 1] = entries[m - 2]
+    return ChannelSet(m, channels.num_tx_antennas, sc, entries)
+
+
+def reference_rate(channels, group, cfg):
+    """Scalar reference: one subcarrier at a time, SINRs mapped one user
+    at a time through map_sinr_to_mcs and phy_rate; 0 when rank deficient."""
+    members = tuple(sorted(group))
+    p = cfg.total_power / len(members)
+    rates = []
+    for s in range(channels.num_subcarriers):
+        h = channels.entries[members, :, s]
+        gram = h @ h.conj().T
+        if np.linalg.cond(gram) > 1e12:
+            return 0.0
+        w = np.linalg.solve(gram, h).conj().T
+        w /= np.linalg.norm(w, axis=0, keepdims=True)
+        gains = np.abs(h @ w) ** 2
+        signal = np.diag(gains)
+        sinr = (p * signal) / (cfg.noise_power + p * (gains.sum(axis=1) - signal))
+        if cfg.rate_mode is RateMode.SHANNON:
+            rates.append(cfg.bandwidth_hz * float(np.log2(1.0 + sinr).sum()))
+            continue
+        total = 0.0
+        for value in sinr:
+            entry = map_sinr_to_mcs(10.0 * math.log10(value) if value > 0 else -math.inf,
+                                    cfg.mcs_table)
+            if entry is not None:
+                total += phy_rate(entry, cfg)
+        rates.append(total)
+    return float(np.mean(rates))
 
 
 class TestZfSteering:
@@ -168,15 +208,55 @@ class TestRateOracle:
         assert oracle.rate((0, 1)) == 0.0
         assert oracle.rate((0,)) > 0.0
 
-    def test_precompute_matches_scalar(self):
+    @pytest.mark.parametrize("cfg,sc,nt", [
+        (PhyConfig(), 1, 4), (PhyConfig(), 8, 4), (MCS_WITH_MAC, 1, 4), (MCS_WITH_MAC, 8, 4),
+        (PhyConfig(), 8, 8),
+    ], ids=["shannon-sc1", "shannon-sc8", "mcs_mac-sc1", "mcs_mac-sc8", "shannon-sc8-nt8"])
+    def test_precompute_matches_scalar(self, cfg, sc, nt):
         from itertools import combinations
 
-        channels, scalar = rician_oracle(8, 3, seed=8)
-        batched = make_rate_oracle(channels, PhyConfig(), 3)
+        channels = channels_with_duplicate(8, sc, seed=8, nt=nt)
         groups = [g for s in (1, 2, 3) for g in combinations(range(8), s)]
+        batched = make_rate_oracle(channels, cfg, 3)
         batched.precompute(groups)
+        assert batched.compute_count == len(groups)
+        fresh = make_rate_oracle(channels, cfg, 3)
         for g in groups:
-            assert batched.rate(g) == scalar.rate(g)
+            assert batched.rate(g) == fresh.rate(g) == reference_rate(channels, g, cfg)
+        assert batched.rate((6, 7)) == 0.0
+        assert batched.compute_count == len(groups)
+
+    def test_mcs_wide_groups_add_users_in_order(self):
+        # from eight users on, numpy's pairwise sum would add in another order
+        from itertools import combinations
+
+        channels, oracle = rician_oracle(10, 8, seed=8, nt=8, phy=MCS_WITH_MAC)
+        for g in combinations(range(10), 8):
+            assert oracle.rate(g) == reference_rate(channels, g, MCS_WITH_MAC)
+
+    def test_mcs_table_not_ascending(self):
+        # map_sinr_to_mcs stops at the first unmet threshold: an SINR of
+        # 10 dB gets entry 0 here, not entry 3
+        table = (McsEntry(0, 0.5, 2.0), McsEntry(1, 1.0, 14.0),
+                 McsEntry(2, 2.0, 6.0), McsEntry(3, 4.0, 9.0))
+        cfg = PhyConfig(total_power=10.0, rate_mode=RateMode.MCS_MAPPED, mcs_table=table)
+        ascending = PhyConfig(total_power=10.0, rate_mode=RateMode.MCS_MAPPED,
+                              mcs_table=tuple(sorted(table, key=lambda e: e.min_snr_db)))
+        channels = channels_with_duplicate(8, 2, seed=12)
+        groups = [(u,) for u in range(8)] + [(0, 1), (2, 5), (3, 4), (6, 7), (1, 2, 6)]
+        oracle = make_rate_oracle(channels, cfg, 3)
+        oracle.precompute(groups)
+        for g in groups:
+            assert oracle.rate(g) == reference_rate(channels, g, cfg)
+        reordered = make_rate_oracle(channels, ascending, 3)
+        assert any(oracle.rate(g) != reordered.rate(g) for g in groups)
+
+    def test_mcs_empty_table(self):
+        cfg = PhyConfig(rate_mode=RateMode.MCS_MAPPED, mcs_table=())
+        with pytest.raises(ConfigurationError):
+            group_rate(identity_channels(2), (0,), cfg)
+        with pytest.raises(ConfigurationError):
+            make_rate_oracle(identity_channels(2), cfg, 1).rate((0,))
 
     def test_concurrent_queries_identical(self):
         channels, oracle = rician_oracle(6, 3, seed=9)
