@@ -9,6 +9,7 @@ solvers so that objectives are directly comparable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,7 @@ def _orthogonal_component_norm(channels: ChannelSet, user: int, members: list[in
 
 
 def _sus_single_alpha(channels: ChannelSet, num_users: int, max_size: int,
-                      alpha: float) -> tuple[tuple[int, ...], ...]:
+                      alpha: float, correlation) -> tuple[tuple[int, ...], ...]:
     norms = _channel_norms(channels)
     remaining = set(range(num_users))
     groups = []
@@ -98,7 +99,7 @@ def _sus_single_alpha(channels: ChannelSet, num_users: int, max_size: int,
         while len(members) < max_size:
             qualified = [
                 u for u in sorted(remaining)
-                if all(pairwise_correlation(channels, u, s) <= alpha for s in members)
+                if all(correlation(u, s) <= alpha for s in members)
             ]
             if not qualified:
                 break
@@ -118,13 +119,16 @@ def sus_grouping(channels: ChannelSet, oracle, num_users: int, max_size: int,
     qualifies when its normalized correlation with every selected member
     is at most alpha, and the qualified user with the largest orthogonal
     component is added.  With a sweep, each alpha runs independently and
-    the best objective wins (ties keep the earlier alpha).
+    the best objective wins (ties keep the earlier alpha).  Each
+    (candidate, member) correlation is computed once per call and shared
+    by every step and alpha.
     """
     alphas = params.sweep if params.sweep is not None else (params.alpha,)
+    correlation = functools.cache(functools.partial(pairwise_correlation, channels))
     best_parts = None
     best_value = -1.0
     for alpha in alphas:
-        parts = _sus_single_alpha(channels, num_users, max_size, alpha)
+        parts = _sus_single_alpha(channels, num_users, max_size, alpha, correlation)
         value = objective(parts, oracle)
         if value > best_value:
             best_value = value

@@ -26,13 +26,8 @@ from .baselines import SusParams, random_grouping, sus_grouping, zfs_grouping
 from .channel import ChannelSet, CorrelatedRicianSpec, generate_rician, load_channels
 from .errors import ConfigurationError
 from .gma import gma, optimal_mu2_su
-from .grouping import (
-    DEFAULT_PARTITION_CAP,
-    GroupingSolution,
-    count_partitions,
-    exhaustive_search,
-    objective,
-)
+from .grouping import (MAX_SEARCH_USERS, GroupingSolution, exhaustive_search,
+                       exhaustive_search_fits, objective)
 from .phy import McsEntry, PhyConfig, RateMode, make_rate_oracle
 
 __all__ = [
@@ -120,7 +115,6 @@ class ExperimentConfig:
     algorithms: tuple[str, ...] = ("full_search", "gma", "zfs", "sus", "random")
     seeds: tuple[int, ...] = tuple(range(50))
     output: str | None = None
-    partition_cap: int = DEFAULT_PARTITION_CAP
     sus_params: SusParams = field(default_factory=SusParams)
 
     def validate(self) -> None:
@@ -141,11 +135,10 @@ class ExperimentConfig:
         if "full_search" in self.algorithms and self.scenario is not Scenario.RUNTIME_SWEEP:
             for m in self.m_values:
                 for nu in self.nu_values:
-                    n = count_partitions(m, nu)
-                    if n > self.partition_cap:
+                    if not exhaustive_search_fits(m, nu):
                         raise ConfigurationError(
-                            f"full search over M={m}, Nu={nu} needs {n} partitions, "
-                            f"above the cap of {self.partition_cap}")
+                            f"full search over M={m}, Nu={nu} exceeds the limit "
+                            f"of {MAX_SEARCH_USERS} users")
 
     @staticmethod
     def from_json(path_or_text) -> "ExperimentConfig":
@@ -165,7 +158,7 @@ class ExperimentConfig:
           min_snr_db]``);
         * ``algorithms`` (list of names from ``ALGORITHMS``);
         * ``seeds``: ``{"count": n, "base": b}`` or a list of ints;
-        * ``output`` (CSV path), ``partition_cap`` (int);
+        * ``output`` (CSV path);
         * ``sus``: ``alpha``, ``sweep`` (list of floats).
 
         Unknown keys are ignored.  Raises ConfigurationError on a missing
@@ -229,7 +222,6 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
                                      ["full_search", "gma", "zfs", "sus", "random"])),
             seeds=seeds,
             output=raw.get("output"),
-            partition_cap=int(raw.get("partition_cap", DEFAULT_PARTITION_CAP)),
             sus_params=sus_params,
         )
     except KeyError as exc:
@@ -285,7 +277,7 @@ def _channels_for(cfg: ExperimentConfig, m: int, rho: float, seed: int,
 def _run_algorithm(name: str, channels: ChannelSet, oracle, m: int, nu: int,
                    seed: int, cfg: ExperimentConfig) -> GroupingSolution:
     if name == "full_search":
-        return exhaustive_search(m, nu, oracle, cap=cfg.partition_cap)
+        return exhaustive_search(m, nu, oracle)
     if name == "blossom":
         return optimal_mu2_su(oracle, m)
     if name == "gma":
@@ -355,7 +347,7 @@ def run_runtime_comparison(cfg: ExperimentConfig) -> list[ResultRow]:
 
     Every algorithm is timed end to end on its own fresh oracle so each
     pays for exactly the rate queries it makes.  Full search is skipped
-    (with a marker row) wherever the partition count exceeds the cap.
+    (with a marker row) wherever it would refuse the network size.
     """
     cfg.validate()
     if cfg.scenario is not Scenario.RUNTIME_SWEEP:
@@ -368,8 +360,7 @@ def run_runtime_comparison(cfg: ExperimentConfig) -> list[ResultRow]:
     for m, nu, rho in _grid(cfg):
         tput = {name: [] for name in ordered}
         runtime = {name: [] for name in ordered}
-        skip_full = ("full_search" in ordered
-                     and count_partitions(m, nu) > cfg.partition_cap)
+        skip_full = "full_search" in ordered and not exhaustive_search_fits(m, nu)
         for seed in cfg.seeds:
             channels = _channels_for(cfg, m, rho, seed, file_channels)
             for name in ordered:

@@ -16,7 +16,7 @@ from pathlib import Path
 from .bench import ExperimentConfig, Scenario, run_experiment, write_csv
 from .channel import CorrelatedRicianSpec, generate_rician, write_channels
 from .errors import ChannelFormatError, ConfigurationError, SearchSpaceError
-from .grouping import count_partitions
+from .grouping import MAX_SEARCH_USERS, count_partitions
 
 
 def _cmd_run(args) -> int:
@@ -32,7 +32,8 @@ def _cmd_run(args) -> int:
         print("\nruntime relative to random selection (dB):")
         for r in rows:
             if r.skipped:
-                print(f"  M={r.m:<4d} {r.algorithm:<12s} skipped (partition cap)")
+                print(f"  M={r.m:<4d} {r.algorithm:<12s} skipped "
+                      f"(more than {MAX_SEARCH_USERS} users)")
             elif r.algorithm != "random":
                 print(f"  M={r.m:<4d} {r.algorithm:<12s} {r.runtime_db_vs_random:8.2f} dB")
     return 0

@@ -30,13 +30,16 @@ __all__ = [
     "count_partitions",
     "enumerate_partitions",
     "exhaustive_search",
+    "exhaustive_search_fits",
+    "MAX_SEARCH_USERS",
     "build_hypergraph",
     "is_complete_matching",
 ]
 
 Group = tuple[int, ...]
 
-DEFAULT_PARTITION_CAP = 10_000_000
+# Full search with groups of two or more holds 2**M rates and DP states.
+MAX_SEARCH_USERS = 16
 
 
 def canonical_group(members: Iterable[int]) -> Group:
@@ -233,27 +236,34 @@ def _rates_by_mask(num_users: int, max_size: int, oracle):
     return rates
 
 
-def exhaustive_search(num_users: int, max_size: int, oracle,
-                      cap: int = DEFAULT_PARTITION_CAP) -> GroupingSolution:
-    """Optimal partition by enumerating every candidate.
+def exhaustive_search_fits(num_users: int, max_size: int) -> bool:
+    """Whether ``exhaustive_search`` takes this size: any M when every
+    group is a single user, else at most ``MAX_SEARCH_USERS`` users."""
+    return max_size == 1 or num_users <= MAX_SEARCH_USERS
 
-    Ties keep the first partition in canonical enumeration order.  Refuses
-    to run when the partition count exceeds ``cap``; use the heuristics
-    for larger networks.
+
+def exhaustive_search(num_users: int, max_size: int, oracle) -> GroupingSolution:
+    """Optimal partition by the subset DP of ``kernels.search_best_partition``.
+
+    Ties keep the first partition in canonical order (``kernels`` names
+    the one exception, under rounding).  With ``max_size >= 2`` it
+    refuses more than ``MAX_SEARCH_USERS`` (16) users before making any
+    rate query; use the heuristics for larger networks.  With
+    ``max_size == 1`` every user is served alone, at any M.
     """
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
+    if not exhaustive_search_fits(num_users, max_size):
+        raise SearchSpaceError(
+            f"full search over M={num_users} users with max_size={max_size} "
+            f"exceeds the limit of {MAX_SEARCH_USERS} users; use gma or another heuristic"
+        )
     if max_size == 1:
         groups = tuple((u,) for u in range(num_users))
         return GroupingSolution(groups, num_users, objective(groups, oracle))
     expected = count_partitions(num_users, max_size)
-    if expected > cap:
-        raise SearchSpaceError(
-            f"{expected} partitions for (M={num_users}, max_size={max_size}) "
-            f"exceed the cap of {cap}; use gma or another heuristic"
-        )
     rates = _rates_by_mask(num_users, max_size, oracle)
     count, _, assign = search_best_partition(rates, num_users, max_size)
     if count != expected:

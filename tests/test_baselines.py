@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from mugroup import baselines
 from mugroup.baselines import SusParams, random_grouping, sus_grouping, zfs_grouping
-from mugroup.channel import ChannelSet
+from mugroup.channel import ChannelSet, pairwise_correlation
 from mugroup.grouping import objective, validate_partition
 from mugroup.phy import PhyConfig, make_rate_oracle
 
@@ -69,6 +70,23 @@ class TestSus:
         )
         swept = sus_grouping(channels, oracle, 8, 3, SusParams(sweep=alphas))
         assert swept.objective_value == best
+
+    def test_sweep_computes_each_correlation_once(self, monkeypatch):
+        channels, oracle = rician_oracle(12, 4, seed=31)
+        calls = []
+
+        def counted(chs, u, s):
+            calls.append((u, s))
+            return pairwise_correlation(chs, u, s)
+
+        monkeypatch.setattr(baselines, "pairwise_correlation", counted)
+        swept = sus_grouping(channels, oracle, 12, 4)
+        assert len(calls) == len(set(calls))
+        monkeypatch.undo()
+        runs = [sus_grouping(channels, oracle, 12, 4, SusParams(alpha=a, sweep=None))
+                for a in SusParams().sweep]
+        best = max(runs, key=lambda r: r.objective_value)
+        assert swept.groups == best.groups
 
     def test_valid_partitions(self):
         for seed in range(5):

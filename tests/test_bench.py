@@ -159,8 +159,9 @@ class TestConfigValidation:
 
     def test_cap_blocks_full_search_upfront(self):
         with pytest.raises(ConfigurationError):
-            small_config(m_values=(14,), nu_values=(3,), num_tx_antennas=4,
-                         partition_cap=10_000).validate()
+            small_config(m_values=(17,), nu_values=(3,), num_tx_antennas=4).validate()
+        small_config(m_values=(16,), nu_values=(4,), num_tx_antennas=4).validate()
+        small_config(m_values=(17,), nu_values=(1,), num_tx_antennas=4).validate()
 
     def test_from_json_round_trip(self, tmp_path):
         raw = {
@@ -182,6 +183,12 @@ class TestConfigValidation:
         assert cfg.rho_values == (0.0, 0.5)
         assert cfg.phy.total_power == 50.0
         assert cfg.output == "out.csv"
+
+    def test_from_json_ignores_unknown_keys(self):
+        cfg = ExperimentConfig.from_json(json.dumps(
+            {"scenario": "user_sweep", "m_values": [6], "nu_values": [2],
+             "retired_option": 100}))
+        assert cfg.m_values == (6,)
 
     def test_from_json_bad_scenario(self):
         with pytest.raises(ConfigurationError):
@@ -213,11 +220,10 @@ class TestRuntimeComparison:
     def test_full_search_skip_marker_above_cap(self):
         cfg = ExperimentConfig(
             scenario=Scenario.RUNTIME_SWEEP,
-            m_values=(9,),
+            m_values=(17,),
             nu_values=(3,),
             algorithms=("full_search", "random"),
             seeds=(0,),
-            partition_cap=100,
         )
         rows = run_runtime_comparison(cfg)
         full = next(r for r in rows if r.algorithm == "full_search")

@@ -86,3 +86,18 @@ def test_runtime_sweep_prints_db_table(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out
     assert "dB" in out
+
+
+def test_runtime_sweep_marks_skipped_full_search(tmp_path, capsys):
+    cfg = {
+        "scenario": "runtime_sweep",
+        "m_values": [17],
+        "nu_values": [2],
+        "algorithms": ["full_search", "random"],
+        "seeds": [0],
+        "output": str(tmp_path / "rt.csv"),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert "full_search  skipped (more than 16 users)" in capsys.readouterr().out

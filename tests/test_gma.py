@@ -45,6 +45,14 @@ class TestOptimalMu2Su:
             full = exhaustive_search(m, 2, oracle)
             assert fast.objective_value == full.objective_value
 
+    @pytest.mark.parametrize("m", [12, 14, 16])
+    def test_matches_full_search_on_rician(self, m):
+        _, oracle = rician_oracle(m, 2, seed=m)
+        fast = optimal_mu2_su(oracle, m)
+        full = exhaustive_search(m, 2, oracle)
+        assert fast.groups == full.groups
+        assert fast.objective_value == full.objective_value
+
 
 class TestMergeGain:
     def test_reject_case(self, oracle_o2):

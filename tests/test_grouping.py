@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mugroup.baselines import random_grouping, sus_grouping, zfs_grouping
 from mugroup.errors import SearchSpaceError
+from mugroup.gma import gma, optimal_mu2_su
 from mugroup.grouping import (
     GroupingSolution,
     Hypergraph,
@@ -114,9 +116,18 @@ class TestExhaustiveSearch:
         assert sol.groups == ((0,),)
         assert sol.objective_value == 5.0
 
-    def test_cap_enforced(self, oracle_o1):
+    def test_cap_enforced(self):
+        # more than 16 users is refused before any rate query
+        oracle = FixtureOracle({}, size_defaults={1: 1.0, 2: 1.0}, num_users=17)
         with pytest.raises(SearchSpaceError):
-            exhaustive_search(3, 2, oracle_o1, cap=2)
+            exhaustive_search(17, 2, oracle)
+        assert oracle.query_count == 0
+
+    def test_all_single_at_any_size(self):
+        oracle = FixtureOracle({}, size_defaults={1: 1.0}, num_users=40)
+        sol = exhaustive_search(40, 1, oracle)
+        assert sol.groups == tuple((u,) for u in range(40))
+        assert sol.objective_value == 40.0
 
     def test_beats_every_sampled_partition(self):
         rng = np.random.default_rng(3)
@@ -152,6 +163,18 @@ class TestExhaustiveSearch:
         assert validate_partition(sol.groups, 8, 3) is None
         assert sol.objective_value == pytest.approx(
             objective(sol.groups, oracle), rel=1e-9)
+
+
+class TestCrossSolvers:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_no_heuristic_beats_optimum_at_m14(self, seed):
+        # M=14, Nu=4 has 135,399,720 partitions
+        channels, oracle = rician_oracle(14, 4, seed=seed)
+        best = exhaustive_search(14, 4, oracle).objective_value
+        for sol in (optimal_mu2_su(oracle, 14), gma(oracle, 14, 4),
+                    zfs_grouping(oracle, 14, 4), sus_grouping(channels, oracle, 14, 4),
+                    random_grouping(14, 4, seed, oracle)):
+            assert sol.objective_value <= best
 
 
 class TestHypergraph:

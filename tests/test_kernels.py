@@ -42,8 +42,8 @@ class TestKernel:
             rates = random_rates(rng, n, smax)
             _, best, assign = search_best_partition(rates, n, smax)
             ref = max(score(p, rates) for p in enumerate_partitions(n, smax))
-            assert best == pytest.approx(ref, rel=1e-12)
-            assert score(blocks_of(assign), rates) == pytest.approx(ref, rel=1e-12)
+            assert best == ref
+            assert score(blocks_of(assign), rates) == ref
 
     def test_tie_break_is_first_enumerated(self):
         # integer-valued rates produce exact ties; first canonical wins
