@@ -45,19 +45,21 @@ def zfs_grouping(oracle, num_users: int, max_size: int) -> GroupingSolution:
     |g| * R(g), stopping when no addition strictly helps or the cap is
     reached.
     """
+    singles = oracle.rates([(u,) for u in range(num_users)])
     remaining = set(range(num_users))
     groups = []
     while remaining:
-        seed = max(sorted(remaining), key=lambda u: oracle.rate((u,)))
+        seed = max(sorted(remaining), key=lambda u: singles[u])
         members = [seed]
         remaining.remove(seed)
-        current = oracle.rate((seed,))
+        current = singles[seed]
         while len(members) < max_size and remaining:
             best_user = -1
             best_weighted = current
-            for u in sorted(remaining):
-                cand = canonical_group(members + [u])
-                weighted = len(cand) * oracle.rate(cand)
+            order = sorted(remaining)
+            cands = [canonical_group(members + [u]) for u in order]
+            for u, cand, cand_rate in zip(order, cands, oracle.rates(cands)):
+                weighted = len(cand) * cand_rate
                 if weighted > best_weighted:
                     best_weighted = weighted
                     best_user = u
@@ -75,20 +77,25 @@ def _channel_norms(channels: ChannelSet) -> np.ndarray:
     return np.linalg.norm(channels.entries, axis=1).mean(axis=1)
 
 
-def _orthogonal_component_norm(channels: ChannelSet, user: int, members: list[int]) -> float:
+def _member_basis(channels: ChannelSet, members: tuple[int, ...]) -> list[np.ndarray]:
+    """Per subcarrier, an orthonormal basis (Nt, k) of the members' channels."""
+    return [np.linalg.qr(channels.entries[list(members), :, s].T)[0]
+            for s in range(channels.num_subcarriers)]
+
+
+def _orthogonal_component_norm(channels: ChannelSet, user: int,
+                               basis: list[np.ndarray]) -> float:
     """Mean over subcarriers of the user's channel norm outside the span
-    of the selected members' channels."""
+    of the selected members' channels, given their ``_member_basis``."""
     vals = np.empty(channels.num_subcarriers)
-    for s in range(channels.num_subcarriers):
+    for s, q in enumerate(basis):
         h = channels.entries[user, :, s]
-        basis = channels.entries[members, :, s].T  # (Nt, k)
-        q, _ = np.linalg.qr(basis)
         vals[s] = np.linalg.norm(h - q @ (q.conj().T @ h))
     return float(vals.mean())
 
 
 def _sus_single_alpha(channels: ChannelSet, num_users: int, max_size: int,
-                      alpha: float, correlation) -> tuple[tuple[int, ...], ...]:
+                      alpha: float, correlation, basis) -> tuple[tuple[int, ...], ...]:
     norms = _channel_norms(channels)
     remaining = set(range(num_users))
     groups = []
@@ -103,8 +110,8 @@ def _sus_single_alpha(channels: ChannelSet, num_users: int, max_size: int,
             ]
             if not qualified:
                 break
-            pick = max(qualified,
-                       key=lambda u: _orthogonal_component_norm(channels, u, members))
+            q = basis(tuple(members))
+            pick = max(qualified, key=lambda u: _orthogonal_component_norm(channels, u, q))
             members.append(pick)
             remaining.remove(pick)
         groups.append(canonical_group(members))
@@ -120,15 +127,17 @@ def sus_grouping(channels: ChannelSet, oracle, num_users: int, max_size: int,
     is at most alpha, and the qualified user with the largest orthogonal
     component is added.  With a sweep, each alpha runs independently and
     the best objective wins (ties keep the earlier alpha).  Each
-    (candidate, member) correlation is computed once per call and shared
-    by every step and alpha.
+    (candidate, member) correlation, and the member basis of each ordered
+    member list, is computed once per call and shared by every step and
+    alpha.
     """
     alphas = params.sweep if params.sweep is not None else (params.alpha,)
     correlation = functools.cache(functools.partial(pairwise_correlation, channels))
+    basis = functools.cache(functools.partial(_member_basis, channels))
     best_parts = None
     best_value = -1.0
     for alpha in alphas:
-        parts = _sus_single_alpha(channels, num_users, max_size, alpha, correlation)
+        parts = _sus_single_alpha(channels, num_users, max_size, alpha, correlation, basis)
         value = objective(parts, oracle)
         if value > best_value:
             best_value = value

@@ -54,13 +54,13 @@ def optimal_mu2_su(oracle, num_users: int) -> GroupingSolution:
     """
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
-    singles = [oracle.rate((u,)) for u in range(num_users)]
+    singles = oracle.rates([(u,) for u in range(num_users)])
+    pairs = [(i, j) for i in range(num_users) for j in range(i + 1, num_users)]
     edges = []
-    for i in range(num_users):
-        for j in range(i + 1, num_users):
-            gain = 2.0 * oracle.rate((i, j)) - singles[i] - singles[j]
-            if gain > 0.0:
-                edges.append((i, j, gain))
+    for (i, j), pair_rate in zip(pairs, oracle.rates(pairs)):
+        gain = 2.0 * pair_rate - singles[i] - singles[j]
+        if gain > 0.0:
+            edges.append((i, j, gain))
     matching = max_weight_matching(WeightedGraph(num_users, tuple(edges)))
     paired = {u for pair in matching.pairs for u in pair}
     groups = [pair for pair in matching.pairs]
@@ -117,11 +117,13 @@ def _merge_pass(groups: list[Group], oracle, max_group_size: int) -> list[Group]
         return state.committed + s1
 
     # |S1| = |S2| and every S1 group has room for one more member
+    # all S1 x S2 merges in one bulk query, row by row
+    merged_rates = iter(oracle.rates([g + u for g in s1 for u in s2]))
     benefit = np.zeros((len(s1), len(s2)))
     finite_total = 1.0
     for i, g in enumerate(s1):
-        for j, (u,) in enumerate(s2):
-            value = (len(g) + 1) * oracle.rate(g + (u,))
+        for j in range(len(s2)):
+            value = (len(g) + 1) * next(merged_rates)
             benefit[i, j] = value
             finite_total += abs(value)
     # zero-rate merges (rank-deficient groups) get a sentinel so the

@@ -218,21 +218,21 @@ def is_complete_matching(h: Hypergraph, selected: Iterable[int]) -> bool:
 
 
 def _rates_by_mask(num_users: int, max_size: int, oracle):
+    """The 2**M table of subset rates by member bitmask, 0 above max_size,
+    filled from one bulk query."""
     import numpy as np
 
-    if hasattr(oracle, "precompute"):
-        oracle.precompute(
-            subset
-            for size in range(1, max_size + 1)
-            for subset in combinations(range(num_users), size)
-        )
+    subsets = [
+        subset
+        for size in range(1, max_size + 1)
+        for subset in combinations(range(num_users), size)
+    ]
     rates = np.zeros(2 ** num_users, dtype=np.float64)
-    for size in range(1, max_size + 1):
-        for subset in combinations(range(num_users), size):
-            mask = 0
-            for u in subset:
-                mask |= 1 << u
-            rates[mask] = oracle.rate(subset)
+    for subset, rate in zip(subsets, oracle.rates(subsets)):
+        mask = 0
+        for u in subset:
+            mask |= 1 << u
+        rates[mask] = rate
     return rates
 
 

@@ -13,10 +13,14 @@ MCS table instead of the Shannon log term.
 One vectorized implementation computes every rate: ``_zf_batch`` stacks
 the channels of a batch of same-size groups over all subcarriers and
 solves for their steering, and ``_zf_rates`` turns that into group rates
-in either rate mode.  ``zf_steering`` and ``group_rate`` are batches of
-one that raise on rank-deficient groups; ``RateOracle.rate`` is a batch
-of one that scores them 0, and ``RateOracle.precompute`` batches per
-group size.
+in either rate mode.  ``_batch_rates`` hands these at most
+``_MAX_BATCH_ROWS`` (group, subcarrier) rows per call, so the memory of a
+batch does not grow with its length.  ``zf_steering`` and ``group_rate``
+are batches of one that raise on rank-deficient groups.  The oracle
+scores those 0: ``RateOracle.rate`` is a batch of one, ``RateOracle.rates``
+answers a list of groups in one bulk query, and ``RateOracle.precompute``
+fills the memo per group size.  Every row gets its own LAPACK call, so a
+rate does not depend on the batch it was computed in.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ __all__ = [
 
 # condition-number limit for HH^H before a group counts as rank deficient
 _COND_LIMIT = 1e12
+
+# most (group, subcarrier) rows that one ``_zf_batch`` call stacks
+_MAX_BATCH_ROWS = 1024
 
 # 40 MHz OFDM numerology and MAC framing constants
 DATA_SUBCARRIERS = 108
@@ -194,7 +201,13 @@ def _zf_rates(h: np.ndarray, w: np.ndarray, ok: np.ndarray, num_groups: int,
 
 def _batch_rates(channels: ChannelSet, groups: list[tuple[int, ...]],
                  cfg: PhyConfig) -> np.ndarray:
-    return _zf_rates(*_zf_batch(channels, groups), len(groups), cfg)
+    """Rates of same-size groups, in chunks of at most ``_MAX_BATCH_ROWS``
+    rows (whole groups, at least one per chunk)."""
+    step = max(1, _MAX_BATCH_ROWS // channels.num_subcarriers)
+    chunks = (groups[i:i + step] for i in range(0, len(groups), step))
+    return np.concatenate([
+        _zf_rates(*_zf_batch(channels, chunk), len(chunk), cfg) for chunk in chunks
+    ])
 
 
 def _zf_group(channels: ChannelSet, group):
@@ -240,8 +253,13 @@ class RateOracle:
     """Memoized map from user groups to their estimated rate.
 
     Rank-deficient groups get rate 0 instead of an error so that search
-    algorithms stay total over all subsets.  Thread safe: concurrent
-    identical queries return identical values.
+    algorithms stay total over all subsets.  ``rate(g)`` answers one group;
+    ``rates(groups)`` answers a list in one bulk query and computes its
+    misses through ``precompute``, which batches them per group size in
+    chunks of at most ``_MAX_BATCH_ROWS`` (group, subcarrier) rows.  Each
+    query adds one to ``query_count`` and each computed group one to
+    ``compute_count``; values are the same whichever path computed them.
+    Thread safe: concurrent identical queries return identical values.
     """
 
     def __init__(self, channels: ChannelSet, cfg: PhyConfig, max_group_size: int):
@@ -282,8 +300,25 @@ class RateOracle:
                 self._memo[members] = value
             return value
 
+    def rates(self, groups) -> list[float]:
+        """``[rate(g) for g in groups]`` as one bulk query.
+
+        Every group is checked before anything is computed or counted, so
+        a bad group leaves the memo and both counters as they were.  The
+        groups not yet memoized go through ``precompute``.
+        """
+        members = [self._check(g) for g in groups]
+        with self._lock:
+            self.query_count += len(members)
+            missing = [m for m in members if m not in self._memo]
+        if missing:
+            self.precompute(missing)
+        memo = self._memo  # entries are never removed or changed
+        return [memo[m] for m in members]
+
     def precompute(self, groups) -> None:
-        """Batch-fill the memo: one vectorized computation per group size."""
+        """Batch-fill the memo: vectorized computations per group size,
+        each of at most ``_MAX_BATCH_ROWS`` (group, subcarrier) rows."""
         todo: dict[int, set[tuple[int, ...]]] = {}
         with self._lock:
             for group in groups:

@@ -28,6 +28,9 @@ class FixtureOracle:
             return self.size_defaults[len(g)]
         raise KeyError(f"no rate for group {g}")
 
+    def rates(self, groups):
+        return [self.rate(g) for g in groups]
+
 
 def random_oracle(rng, num_users, max_group_size, low=1.0, high=10.0):
     """Random rate table over all subsets up to the cap; rates shrink per

@@ -4,10 +4,13 @@ import pytest
 from mugroup import baselines
 from mugroup.baselines import SusParams, random_grouping, sus_grouping, zfs_grouping
 from mugroup.channel import ChannelSet, pairwise_correlation
+from mugroup.gma import gma, optimal_mu2_su
 from mugroup.grouping import objective, validate_partition
-from mugroup.phy import PhyConfig, make_rate_oracle
+from mugroup.phy import PhyConfig, RateMode, RateOracle, make_rate_oracle
 
 from conftest import identity_channels, random_oracle, rician_oracle
+
+MCS_WITH_MAC = PhyConfig(rate_mode=RateMode.MCS_MAPPED, mac_overhead_enabled=True)
 
 
 class TestZfs:
@@ -88,6 +91,30 @@ class TestSus:
         best = max(runs, key=lambda r: r.objective_value)
         assert swept.groups == best.groups
 
+    def test_sweep_computes_each_member_basis_once(self, monkeypatch):
+        channels, oracle = rician_oracle(16, 4, seed=32, sc=8)
+        calls = []
+
+        def counted(chs, members):
+            calls.append(members)
+            return member_basis(chs, members)
+
+        member_basis = baselines._member_basis
+        monkeypatch.setattr(baselines, "_member_basis", counted)
+        sus_grouping(channels, oracle, 16, 4)
+        assert calls and len(calls) == len(set(calls))
+        # a cached basis projects exactly as a fresh QR per candidate does
+        for members in calls:
+            for u in sorted(set(range(16)) - set(members)):
+                fresh = []
+                for s in range(8):
+                    h = channels.entries[u, :, s]
+                    q, _ = np.linalg.qr(channels.entries[list(members), :, s].T)
+                    fresh.append(np.linalg.norm(h - q @ (q.conj().T @ h)))
+                got = baselines._orthogonal_component_norm(
+                    channels, u, member_basis(channels, members))
+                assert got == float(np.array(fresh).mean())
+
     def test_valid_partitions(self):
         for seed in range(5):
             channels, oracle = rician_oracle(9, 3, seed=seed)
@@ -119,3 +146,31 @@ class TestRandomGrouping:
         for seed in range(10):
             sol = random_grouping(11, 4, seed=seed)
             assert validate_partition(sol.groups, 11, 4) is None
+
+
+class ScalarOracle(RateOracle):
+    """A rate oracle whose bulk query asks one group at a time."""
+
+    def rates(self, groups):
+        return [self.rate(g) for g in groups]
+
+
+class TestBulkQueries:
+    @pytest.mark.parametrize("m", [24, 40])
+    @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
+    def test_bulk_path_matches_scalar_path(self, m, cfg):
+        channels, _ = rician_oracle(m, 4, seed=m, sc=8, rho=0.8, correlated=m // 2)
+        solvers = {
+            "blossom": lambda o: optimal_mu2_su(o, m),
+            "gma3": lambda o: gma(o, m, 3),
+            "gma4": lambda o: gma(o, m, 4),
+            "zfs": lambda o: zfs_grouping(o, m, 4),
+            "sus": lambda o: sus_grouping(channels, o, m, 4),
+        }
+        for name, solve in solvers.items():
+            bulk = RateOracle(channels, cfg, 4)
+            scalar = ScalarOracle(channels, cfg, 4)
+            got, want = solve(bulk), solve(scalar)
+            assert got.groups == want.groups, name
+            assert got.objective_value == want.objective_value, name
+            assert bulk.compute_count == scalar.compute_count, name

@@ -226,6 +226,66 @@ class TestRateOracle:
         assert batched.rate((6, 7)) == 0.0
         assert batched.compute_count == len(groups)
 
+    @pytest.mark.parametrize("cfg,sc", [
+        (PhyConfig(), 1), (PhyConfig(), 8), (MCS_WITH_MAC, 1), (MCS_WITH_MAC, 8),
+    ], ids=["shannon-sc1", "shannon-sc8", "mcs_mac-sc1", "mcs_mac-sc8"])
+    def test_rates_match_scalar(self, cfg, sc):
+        from itertools import combinations
+
+        channels = channels_with_duplicate(8, sc, seed=13)
+        groups = [g for s in (1, 2, 3) for g in combinations(range(8), s)]
+        bulk = make_rate_oracle(channels, cfg, 3)
+        fresh = make_rate_oracle(channels, cfg, 3)
+        values = bulk.rates(groups)
+        assert values == [fresh.rate(g) for g in groups]
+        assert values == [reference_rate(channels, g, cfg) for g in groups]
+        assert values[groups.index((6, 7))] == 0.0
+
+    def test_rates_counts(self):
+        _, oracle = rician_oracle(6, 3, seed=14, sc=8)
+        oracle.rate((0, 1))
+        oracle.rate((2,))
+        groups = [(1, 0), (2,), (3, 4), (4, 3), (0, 2, 5)]
+        oracle.rates(groups)
+        assert oracle.query_count == 2 + len(groups)
+        assert oracle.compute_count == 2 + 2  # (3, 4) and (0, 2, 5)
+        assert oracle.rates([]) == []
+        assert oracle.query_count == 2 + len(groups)
+
+    @pytest.mark.parametrize("bad", [(0, 6), (-1,), (0, 1, 2, 3), (1, 1)],
+                             ids=["out-of-range", "negative", "oversize", "repeated"])
+    def test_rates_check_every_group_first(self, bad):
+        _, oracle = rician_oracle(6, 3, seed=15)
+        oracle.rate((0,))
+        memo = dict(oracle._memo)
+        with pytest.raises(ValueError):
+            oracle.rates([(1,), (2, 3), bad, (4, 5)])
+        assert oracle._memo == memo
+        assert (oracle.query_count, oracle.compute_count) == (1, 1)
+
+    def test_rates_across_chunks(self, monkeypatch):
+        from itertools import combinations
+
+        import mugroup.phy as phy
+
+        channels = channels_with_duplicate(8, 8, seed=16)
+        groups = [g for s in (1, 2, 3) for g in combinations(range(8), s)]
+        single = make_rate_oracle(channels, MCS_WITH_MAC, 3)
+        expected = [single.rates([g])[0] for g in groups]
+        calls = []
+        zf_batch = phy._zf_batch
+
+        def counted(channels, chunk):
+            calls.append(len(chunk))
+            return zf_batch(channels, chunk)
+
+        monkeypatch.setattr(phy, "_MAX_BATCH_ROWS", 24)  # 3 groups of 8 subcarriers
+        monkeypatch.setattr(phy, "_zf_batch", counted)
+        chunked = make_rate_oracle(channels, MCS_WITH_MAC, 3)
+        assert chunked.rates(groups) == expected
+        assert max(calls) == 3 and sum(calls) == len(groups)
+        assert chunked.compute_count == len(groups)
+
     def test_mcs_wide_groups_add_users_in_order(self):
         # from eight users on, numpy's pairwise sum would add in another order
         from itertools import combinations
