@@ -25,6 +25,7 @@ from .bench import (
 from .channel import (
     ChannelSet,
     CorrelatedRicianSpec,
+    correlation_matrix,
     generate_rician,
     load_channels,
     pairwise_correlation,

@@ -14,7 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet, pairwise_correlation
+from .channel import ChannelSet, correlation_matrix
+# Unused here; kept because the benchmark trace wraps
+# ``baselines.pairwise_correlation`` by name and fails without it.
+from .channel import pairwise_correlation  # noqa: F401
 from .grouping import GroupingSolution, canonical_group, canonical_partition, objective
 
 __all__ = ["SusParams", "zfs_grouping", "sus_grouping", "random_grouping"]
@@ -73,47 +76,54 @@ def zfs_grouping(oracle, num_users: int, max_size: int) -> GroupingSolution:
     return GroupingSolution(parts, num_users, objective(parts, oracle))
 
 
-def _channel_norms(channels: ChannelSet) -> np.ndarray:
-    return np.linalg.norm(channels.entries, axis=1).mean(axis=1)
+def _member_basis(channels: ChannelSet, members: tuple[int, ...]) -> np.ndarray:
+    """Per subcarrier, an orthonormal basis of the members' channels,
+    shape (Nt, k, SC), from one stacked QR."""
+    q = np.linalg.qr(channels.entries[list(members)].transpose(2, 1, 0))[0]
+    return q.transpose(1, 2, 0)
 
 
-def _member_basis(channels: ChannelSet, members: tuple[int, ...]) -> list[np.ndarray]:
-    """Per subcarrier, an orthonormal basis (Nt, k) of the members' channels."""
-    return [np.linalg.qr(channels.entries[list(members), :, s].T)[0]
-            for s in range(channels.num_subcarriers)]
+def _orthogonal_norms(channels: ChannelSet, users: np.ndarray,
+                      basis: np.ndarray) -> np.ndarray:
+    """Mean over subcarriers of each user's channel norm outside the span
+    of the selected members' channels, given their ``_member_basis``.
 
-
-def _orthogonal_component_norm(channels: ChannelSet, user: int,
-                               basis: list[np.ndarray]) -> float:
-    """Mean over subcarriers of the user's channel norm outside the span
-    of the selected members' channels, given their ``_member_basis``."""
-    vals = np.empty(channels.num_subcarriers)
-    for s, q in enumerate(basis):
-        h = channels.entries[user, :, s]
-        vals[s] = np.linalg.norm(h - q @ (q.conj().T @ h))
-    return float(vals.mean())
+    The projection h - Q (Q^H h) is formed in real arithmetic and each
+    sum is taken in index order, so a user's score does not depend on the
+    other users in the batch.
+    """
+    h = channels.entries[users].transpose(1, 0, 2)[:, None]  # (Nt, 1, n, SC)
+    q = basis[:, :, None]  # (Nt, k, 1, SC)
+    hr, hi, qr, qi = h.real, h.imag, q.real, q.imag
+    add = functools.partial(functools.reduce, np.add)
+    cr = add(qr * hr + qi * hi)  # Q^H h, (k, n, SC)
+    ci = add(qr * hi - qi * hr)
+    pr = add((qr * cr - qi * ci).swapaxes(0, 1))  # Q Q^H h, (Nt, n, SC)
+    pi = add((qr * ci + qi * cr).swapaxes(0, 1))
+    rr, ri = hr[:, 0] - pr, hi[:, 0] - pi
+    return np.sqrt(add(rr * rr + ri * ri)).mean(axis=1)
 
 
 def _sus_single_alpha(channels: ChannelSet, num_users: int, max_size: int,
-                      alpha: float, correlation, basis) -> tuple[tuple[int, ...], ...]:
-    norms = _channel_norms(channels)
-    remaining = set(range(num_users))
+                      alpha: float, norms: np.ndarray, correlation: np.ndarray,
+                      basis) -> tuple[tuple[int, ...], ...]:
+    close = correlation > alpha
+    free = np.ones(num_users, dtype=bool)
     groups = []
-    while remaining:
-        seed = max(sorted(remaining), key=lambda u: norms[u])
+    while free.any():
+        seed = int(np.argmax(np.where(free, norms, -1.0)))
         members = [seed]
-        remaining.remove(seed)
+        free[seed] = False
+        qualified = free & ~close[seed]
         while len(members) < max_size:
-            qualified = [
-                u for u in sorted(remaining)
-                if all(correlation(u, s) <= alpha for s in members)
-            ]
-            if not qualified:
+            cands = np.flatnonzero(qualified)
+            if not cands.size:
                 break
-            q = basis(tuple(members))
-            pick = max(qualified, key=lambda u: _orthogonal_component_norm(channels, u, q))
+            scores = _orthogonal_norms(channels, cands, basis(tuple(members)))
+            pick = int(cands[np.argmax(scores)])
             members.append(pick)
-            remaining.remove(pick)
+            free[pick] = False
+            qualified &= free & ~close[pick]
         groups.append(canonical_group(members))
     return canonical_partition(groups)
 
@@ -125,19 +135,22 @@ def sus_grouping(channels: ChannelSet, oracle, num_users: int, max_size: int,
     Groups are grown from the largest-norm remaining user; a candidate
     qualifies when its normalized correlation with every selected member
     is at most alpha, and the qualified user with the largest orthogonal
-    component is added.  With a sweep, each alpha runs independently and
-    the best objective wins (ties keep the earlier alpha).  Each
-    (candidate, member) correlation, and the member basis of each ordered
-    member list, is computed once per call and shared by every step and
-    alpha.
+    component is added (the lowest index on a tie).  With a sweep, each
+    alpha runs independently and the best objective wins (ties keep the
+    earlier alpha).  Each call builds one ``correlation_matrix`` and the
+    channel norms once; each alpha thresholds the matrix once, each step
+    scores all qualified candidates in one batched projection, and the
+    member basis of each ordered member list is factored once per call.
     """
     alphas = params.sweep if params.sweep is not None else (params.alpha,)
-    correlation = functools.cache(functools.partial(pairwise_correlation, channels))
+    norms = np.linalg.norm(channels.entries[:num_users], axis=1).mean(axis=1)
+    correlation = correlation_matrix(channels, range(num_users))
     basis = functools.cache(functools.partial(_member_basis, channels))
     best_parts = None
     best_value = -1.0
     for alpha in alphas:
-        parts = _sus_single_alpha(channels, num_users, max_size, alpha, correlation, basis)
+        parts = _sus_single_alpha(channels, num_users, max_size, alpha, norms,
+                                  correlation, basis)
         value = objective(parts, oracle)
         if value > best_value:
             best_value = value

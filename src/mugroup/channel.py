@@ -5,6 +5,8 @@ Synthetic channels follow a Rician model with a uniform-linear-array
 line-of-sight steering vector and an optional shared scattered component
 that correlates a chosen subset of users.  Entries have unit average
 power; the link budget lives in the PHY configuration, not here.
+``correlation_matrix`` gives the normalized channel correlation of every
+pair of users as one array; ``pairwise_correlation`` reads one pair.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "CorrelatedRicianSpec",
     "generate_rician",
     "rician_components",
+    "correlation_matrix",
     "pairwise_correlation",
     "load_channels",
     "write_channels",
@@ -139,24 +142,41 @@ def generate_rician(spec: CorrelatedRicianSpec) -> ChannelSet:
     return ChannelSet(spec.num_users, spec.num_tx_antennas, spec.num_subcarriers, h)
 
 
-def pairwise_correlation(channels: ChannelSet, i: int, j: int) -> float:
-    """Normalized inner-product magnitude of two users' channels in [0, 1].
+def correlation_matrix(channels: ChannelSet, users=None) -> np.ndarray:
+    """Normalized inner-product magnitudes of the users' channels, (n, n).
 
-    Computed per subcarrier and averaged.  Zero-norm vectors contribute 0.
+    Entry (i, j) is |<h_i, h_j>| / (||h_i|| ||h_j||) per subcarrier,
+    averaged over subcarriers and capped at 1; a zero-norm vector
+    contributes 0.  ``users`` picks the rows and columns (default: every
+    user).  The inner products are summed per antenna in real arithmetic,
+    so the matrix is exactly symmetric and an entry does not depend on
+    which other users are in ``users``.  Memory is O(n^2) per subcarrier.
     """
+    users = list(range(channels.num_users)) if users is None else list(users)
+    for u in users:
+        if not 0 <= u < channels.num_users:
+            raise ValueError(f"user index {u} out of range [0, {channels.num_users})")
+    h = channels.entries[users]  # (n, Nt, SC)
+    n, sc = len(users), channels.num_subcarriers
+    re = np.zeros((n, n, sc))
+    im = np.zeros((n, n, sc))
+    for a in range(channels.num_tx_antennas):
+        x = h[:, a].real
+        y = h[:, a].imag
+        re += x[:, None] * x[None] + y[:, None] * y[None]
+        im += x[:, None] * y[None] - y[:, None] * x[None]
+    power = np.diagonal(re).T  # (n, SC): squared norms
+    denom = np.sqrt(power[:, None] * power[None])
+    vals = np.divide(np.hypot(re, im), denom, out=np.zeros_like(re), where=denom > 0.0)
+    return np.minimum(vals.mean(axis=2), 1.0)
+
+
+def pairwise_correlation(channels: ChannelSet, i: int, j: int) -> float:
+    """Normalized inner-product magnitude of two users' channels in [0, 1]:
+    the off-diagonal entry of ``correlation_matrix`` for the two users."""
     if i == j:
         raise ValueError("pairwise correlation requires two distinct users")
-    hi = channels.user_channel(i)
-    hj = channels.user_channel(j)
-    vals = np.empty(channels.num_subcarriers)
-    for s in range(channels.num_subcarriers):
-        ni = np.linalg.norm(hi[:, s])
-        nj = np.linalg.norm(hj[:, s])
-        if ni == 0.0 or nj == 0.0:
-            vals[s] = 0.0
-        else:
-            vals[s] = abs(np.vdot(hi[:, s], hj[:, s])) / (ni * nj)
-    return float(min(vals.mean(), 1.0))
+    return float(correlation_matrix(channels, (i, j))[0, 1])
 
 
 # ---------------------------------------------------------------------------

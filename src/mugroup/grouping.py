@@ -134,15 +134,18 @@ def validate_partition(groups, num_users: int, max_size: int) -> PartitionViolat
 
 
 def objective(groups, oracle) -> float:
-    """sum(|G| * rate(G)) over the groups, summed in canonical order."""
+    """sum(|G| * rate(G)) over the groups, summed in canonical order.
+
+    The rates come from one bulk ``oracle.rates`` query of all groups.
+    """
     parts = canonical_partition(groups)
     num_users = sum(len(g) for g in parts)
     report = validate_partition(parts, num_users, num_users)
     if report is not None:
         raise ValueError(f"invalid partition: {report}")
     total = 0.0
-    for g in parts:
-        total += len(g) * oracle.rate(g)
+    for g, rate in zip(parts, oracle.rates(parts)):
+        total += len(g) * rate
     return total
 
 

@@ -32,6 +32,17 @@ class FixtureOracle:
         return [self.rate(g) for g in groups]
 
 
+def vdot_correlation(channels, i, j):
+    """Per-pair correlation reference: the complex inner product of the two
+    users' channels per subcarrier, normalized and averaged."""
+    vals = []
+    for s in range(channels.num_subcarriers):
+        hi, hj = channels.entries[i, :, s], channels.entries[j, :, s]
+        ni, nj = np.linalg.norm(hi), np.linalg.norm(hj)
+        vals.append(0.0 if ni == 0.0 or nj == 0.0 else abs(np.vdot(hi, hj)) / (ni * nj))
+    return min(float(np.mean(vals)), 1.0)
+
+
 def random_oracle(rng, num_users, max_group_size, low=1.0, high=10.0):
     """Random rate table over all subsets up to the cap; rates shrink per
     user as groups grow, like interference-limited links do."""

@@ -3,12 +3,12 @@ import pytest
 
 from mugroup import baselines
 from mugroup.baselines import SusParams, random_grouping, sus_grouping, zfs_grouping
-from mugroup.channel import ChannelSet, pairwise_correlation
+from mugroup.channel import ChannelSet, correlation_matrix
 from mugroup.gma import gma, optimal_mu2_su
-from mugroup.grouping import objective, validate_partition
+from mugroup.grouping import canonical_partition, objective, validate_partition
 from mugroup.phy import PhyConfig, RateMode, RateOracle, make_rate_oracle
 
-from conftest import identity_channels, random_oracle, rician_oracle
+from conftest import identity_channels, random_oracle, rician_oracle, vdot_correlation
 
 MCS_WITH_MAC = PhyConfig(rate_mode=RateMode.MCS_MAPPED, mac_overhead_enabled=True)
 
@@ -42,6 +42,52 @@ class TestZfs:
             assert validate_partition(sol.groups, m, cap) is None
 
 
+def fresh_orthogonal_norm(channels, user, members):
+    """Mean over subcarriers of the user's channel norm outside the span of
+    the members' channels, from a fresh QR per subcarrier."""
+    vals = []
+    for s in range(channels.num_subcarriers):
+        h = channels.entries[user, :, s]
+        q, _ = np.linalg.qr(channels.entries[list(members), :, s].T)
+        vals.append(np.linalg.norm(h - q @ (q.conj().T @ h)))
+    return float(np.array(vals).mean())
+
+
+def reference_sus(channels, oracle, num_users, max_size, params=SusParams()):
+    """SUS as a per-pair loop: one correlation per (candidate, member) and
+    one projection per candidate and step; scalar rate queries.  Returns
+    the best (groups, objective) over the sweep."""
+    norms = np.linalg.norm(channels.entries, axis=1).mean(axis=1)
+    alphas = params.sweep if params.sweep is not None else (params.alpha,)
+    best_parts, best_value = None, -1.0
+    for alpha in alphas:
+        remaining = set(range(num_users))
+        groups = []
+        while remaining:
+            seed = max(sorted(remaining), key=lambda u: norms[u])
+            members = [seed]
+            remaining.remove(seed)
+            while len(members) < max_size:
+                qualified = [
+                    u for u in sorted(remaining)
+                    if all(vdot_correlation(channels, u, s) <= alpha for s in members)
+                ]
+                if not qualified:
+                    break
+                pick = max(qualified,
+                           key=lambda u: fresh_orthogonal_norm(channels, u, members))
+                members.append(pick)
+                remaining.remove(pick)
+            groups.append(members)
+        parts = canonical_partition(groups)
+        value = 0.0
+        for g in parts:
+            value += len(g) * oracle.rate(g)
+        if value > best_value:
+            best_parts, best_value = parts, value
+    return best_parts, best_value
+
+
 class TestSus:
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -54,6 +100,13 @@ class TestSus:
         oracle = make_rate_oracle(channels, PhyConfig(), 3)
         sol = sus_grouping(channels, oracle, 3, 3, SusParams(alpha=0.5, sweep=None))
         assert sol.groups == ((0, 1, 2),)
+
+    def test_ties_pick_lowest_index(self):
+        # equal norms and equal orthogonal components everywhere
+        channels = identity_channels(4)
+        oracle = make_rate_oracle(channels, PhyConfig(), 2)
+        sol = sus_grouping(channels, oracle, 4, 2, SusParams(alpha=0.5, sweep=None))
+        assert sol.groups == ((0, 1), (2, 3))
 
     def test_collinear_users_never_grouped(self):
         h = np.array([[1, 0, 0], [2, 0, 0], [0, 1, 0]], dtype=complex)[:, :, None]
@@ -78,13 +131,13 @@ class TestSus:
         channels, oracle = rician_oracle(12, 4, seed=31)
         calls = []
 
-        def counted(chs, u, s):
-            calls.append((u, s))
-            return pairwise_correlation(chs, u, s)
+        def counted(chs, users=None):
+            calls.append(users)
+            return correlation_matrix(chs, users)
 
-        monkeypatch.setattr(baselines, "pairwise_correlation", counted)
+        monkeypatch.setattr(baselines, "correlation_matrix", counted)
         swept = sus_grouping(channels, oracle, 12, 4)
-        assert len(calls) == len(set(calls))
+        assert len(calls) == 1
         monkeypatch.undo()
         runs = [sus_grouping(channels, oracle, 12, 4, SusParams(alpha=a, sweep=None))
                 for a in SusParams().sweep]
@@ -103,17 +156,31 @@ class TestSus:
         monkeypatch.setattr(baselines, "_member_basis", counted)
         sus_grouping(channels, oracle, 16, 4)
         assert calls and len(calls) == len(set(calls))
-        # a cached basis projects exactly as a fresh QR per candidate does
+        # a batch scores each candidate exactly as a batch of one does, and
+        # as a fresh QR projection per candidate does up to rounding
         for members in calls:
-            for u in sorted(set(range(16)) - set(members)):
-                fresh = []
-                for s in range(8):
-                    h = channels.entries[u, :, s]
-                    q, _ = np.linalg.qr(channels.entries[list(members), :, s].T)
-                    fresh.append(np.linalg.norm(h - q @ (q.conj().T @ h)))
-                got = baselines._orthogonal_component_norm(
-                    channels, u, member_basis(channels, members))
-                assert got == float(np.array(fresh).mean())
+            basis = member_basis(channels, members)
+            users = np.array(sorted(set(range(16)) - set(members)))
+            batch = baselines._orthogonal_norms(channels, users, basis)
+            for u, got in zip(users, batch):
+                assert got == baselines._orthogonal_norms(channels, users[users == u], basis)[0]
+                assert got == pytest.approx(fresh_orthogonal_norm(channels, u, members),
+                                            rel=1e-12)
+
+    @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
+    @pytest.mark.parametrize("m,nu,sc", [(10, 3, 1), (16, 4, 8), (24, 4, 1)])
+    def test_matches_per_pair_reference(self, m, nu, sc, cfg):
+        for seed in range(3):
+            channels, _ = rician_oracle(m, nu, seed=100 + seed, sc=sc, rho=0.8,
+                                        correlated=m // 2)
+            oracle = RateOracle(channels, cfg, nu)
+            ref_oracle = RateOracle(channels, cfg, nu)
+            got = sus_grouping(channels, oracle, m, nu)
+            groups, value = reference_sus(channels, ref_oracle, m, nu)
+            assert got.groups == groups
+            assert got.objective_value == value
+            assert oracle.compute_count == ref_oracle.compute_count
+            assert oracle.query_count == ref_oracle.query_count
 
     def test_valid_partitions(self):
         for seed in range(5):

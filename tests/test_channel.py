@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from mugroup.channel import (
     ChannelSet,
     CorrelatedRicianSpec,
+    correlation_matrix,
     generate_rician,
     load_channels,
     pairwise_correlation,
@@ -14,6 +16,8 @@ from mugroup.channel import (
     write_channels,
 )
 from mugroup.errors import ChannelFormatError
+
+from conftest import vdot_correlation
 
 
 def spec_with(**kw):
@@ -144,6 +148,64 @@ class TestPairwiseCorrelation:
                 c = pairwise_correlation(cs, i, j)
                 assert 0.0 <= c <= 1.0
                 assert c == pairwise_correlation(cs, j, i)
+
+
+class TestCorrelationMatrix:
+    @pytest.fixture(params=[(10, 4, 1), (24, 4, 8), (16, 8, 3)], ids=str)
+    def channels(self, request):
+        m, nt, sc = request.param
+        return generate_rician(spec_with(num_users=m, num_tx_antennas=nt,
+                                         num_subcarriers=sc, rho=0.8,
+                                         correlated_user_count=m // 2, seed=m))
+
+    def test_exactly_symmetric(self, channels):
+        c = correlation_matrix(channels)
+        assert c.shape == (channels.num_users,) * 2
+        assert np.array_equal(c, c.T)
+
+    def test_subset_is_submatrix_bit_for_bit(self, channels):
+        full = correlation_matrix(channels)
+        rng = np.random.default_rng(1)
+        for size in (1, 2, 5, channels.num_users):
+            users = rng.choice(channels.num_users, size=size, replace=False)
+            sub = correlation_matrix(channels, users)
+            assert np.array_equal(sub, full[np.ix_(users, users)])
+
+    def test_equals_pairwise_correlation(self, channels):
+        c = correlation_matrix(channels)
+        m = channels.num_users
+        for i in range(m):
+            for j in range(m):
+                if i != j:
+                    assert pairwise_correlation(channels, i, j) == c[i, j]
+
+    def test_matches_vdot_reference(self, channels):
+        c = correlation_matrix(channels)
+        m = channels.num_users
+        for i in range(m):
+            for j in range(m):
+                if i != j:
+                    assert abs(c[i, j] - vdot_correlation(channels, i, j)) <= 1e-12
+        assert np.all((0.0 <= c) & (c <= 1.0))
+
+    def test_zero_norm_user_gives_zero_without_warning(self):
+        h = np.zeros((3, 2, 2), dtype=complex)
+        h[0, :, 0] = [1, 1j]
+        h[1, :, :] = [[1, 2], [0, 1j]]  # user 2 stays zero; user 0 only on subcarrier 0
+        cs = ChannelSet(3, 2, 2, h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = correlation_matrix(cs)
+        assert np.all(c[2] == 0.0) and np.all(c[:, 2] == 0.0)
+        assert c[0, 1] == pytest.approx(vdot_correlation(cs, 0, 1), abs=1e-12)
+        assert c[0, 1] == pytest.approx(0.5 / math.sqrt(2), abs=1e-12)
+
+    def test_user_out_of_range(self):
+        cs = generate_rician(spec_with())
+        with pytest.raises(ValueError):
+            correlation_matrix(cs, [0, 4])
+        with pytest.raises(ValueError):
+            pairwise_correlation(cs, 0, 4)
 
 
 class TestInterchangeFormat:

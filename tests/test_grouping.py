@@ -18,6 +18,7 @@ from mugroup.grouping import (
     objective,
     validate_partition,
 )
+from mugroup.phy import PhyConfig, RateOracle
 
 from conftest import FixtureOracle, random_oracle, rician_oracle
 
@@ -58,6 +59,33 @@ class TestObjective:
 
     def test_reorder_invariance_exact(self, oracle_o2):
         assert objective([(2,), (1, 0)], oracle_o2) == objective([(0, 1), (2,)], oracle_o2)
+
+    @pytest.mark.parametrize("sc", [1, 8])
+    def test_cold_oracle_one_bulk_query(self, sc, monkeypatch):
+        channels, _ = rician_oracle(11, 4, seed=7, sc=sc, rho=0.8, correlated=6)
+        groups = [(3, 7, 9), (0,), (1, 10, 2, 5), (4, 6), (8,)]
+        parts = canonical_partition(groups)
+        scalar = RateOracle(channels, PhyConfig(), 4)
+        want = 0.0
+        for g in parts:
+            want += len(g) * scalar.rate(g)
+        cold = RateOracle(channels, PhyConfig(), 4)
+        batches = []
+        precompute = cold.precompute
+
+        def counted(batch):
+            batches.append(list(batch))
+            precompute(batch)
+
+        monkeypatch.setattr(cold, "precompute", counted)
+        assert objective(groups, cold) == want
+        assert batches == [list(parts)]  # every miss in one batch
+        assert cold.query_count == len(parts)
+        assert cold.compute_count == len(parts)
+        # a second call is answered from the memo: more queries, no computes
+        assert objective(groups, cold) == want
+        assert cold.query_count == 2 * len(parts)
+        assert cold.compute_count == len(parts)
 
 
 class TestEnumeration:
