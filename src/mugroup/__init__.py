@@ -40,27 +40,15 @@ from .errors import (
 from .gma import gma, merge_gain, optimal_mu2_su
 from .grouping import (
     GroupingSolution,
-    Hypergraph,
-    build_hypergraph,
+    active_backend,
     canonical_group,
     canonical_partition,
     count_partitions,
-    enumerate_partitions,
     exhaustive_search,
-    is_complete_matching,
     objective,
     validate_partition,
 )
-from .kernels import active_backend
-from .matching import (
-    Matching,
-    WeightedGraph,
-    WeightMatrix,
-    brute_force_assignment,
-    brute_force_matching,
-    hungarian,
-    max_weight_matching,
-)
+from .matching import Matching, WeightedGraph, hungarian, max_weight_matching
 from .phy import (
     DEFAULT_MCS_TABLE,
     McsEntry,

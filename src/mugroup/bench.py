@@ -144,6 +144,10 @@ class ExperimentConfig:
     def from_json(path_or_text) -> "ExperimentConfig":
         """Build a config from a JSON object; accepts a file path or a JSON string.
 
+        A ``str`` that starts with ``{`` (after white space) is JSON text,
+        any other ``str`` a path; the file system is not consulted to
+        tell them apart, so JSON text of any length parses.
+
         Required keys: ``scenario`` ("user_sweep", "rho_sweep" or
         "runtime_sweep"), ``m_values`` and ``nu_values`` (lists of ints).
         Optional keys, with the field each sets:
@@ -164,10 +168,10 @@ class ExperimentConfig:
         Unknown keys are ignored.  Raises ConfigurationError on a missing
         or invalid value.
         """
+        if isinstance(path_or_text, str) and not path_or_text.lstrip().startswith("{"):
+            path_or_text = Path(path_or_text)
         if isinstance(path_or_text, Path):
             raw = json.loads(path_or_text.read_text())
-        elif isinstance(path_or_text, str) and Path(path_or_text).exists():
-            raw = json.loads(Path(path_or_text).read_text())
         else:
             raw = json.loads(path_or_text)
         return _config_from_dict(raw)

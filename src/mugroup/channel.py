@@ -61,12 +61,6 @@ class ChannelSet:
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
-    def user_channel(self, user: int) -> np.ndarray:
-        """Channel matrix of one user, shape (num_tx_antennas, num_subcarriers)."""
-        if not 0 <= user < self.num_users:
-            raise ValueError(f"user index {user} out of range [0, {self.num_users})")
-        return self.entries[user]
-
 
 @dataclass(frozen=True)
 class CorrelatedRicianSpec:

@@ -14,8 +14,6 @@ two for four, and so on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .grouping import (
@@ -27,7 +25,7 @@ from .grouping import (
 )
 from .matching import WeightedGraph, hungarian, max_weight_matching
 
-__all__ = ["GmaPassState", "optimal_mu2_su", "gma", "merge_gain"]
+__all__ = ["optimal_mu2_su", "gma", "merge_gain"]
 
 
 def merge_gain(group, user: int, oracle) -> float:
@@ -69,26 +67,18 @@ def optimal_mu2_su(oracle, num_users: int) -> GroupingSolution:
     return GroupingSolution(parts, num_users, objective(parts, oracle))
 
 
-@dataclass
-class GmaPassState:
-    """Working sets of one merge round."""
-
-    s1: list[Group] = field(default_factory=list)
-    s2: list[Group] = field(default_factory=list)
-    committed: list[Group] = field(default_factory=list)
-
-
 def _group_metric(g: Group, oracle) -> float:
     return len(g) * oracle.rate(g)
 
 
-def _split_and_balance(groups: list[Group], oracle, max_group_size: int) -> GmaPassState:
+def _split_and_balance(groups: list[Group], oracle, max_group_size: int):
     """Sort, decompose the weakest groups, and balance |S1| with |S2|.
 
-    Every group left in S1 is below ``max_group_size``.
+    Returns ``(committed, s1, s2)``: the groups kept out of this round,
+    the groups open to a merge (each below ``max_group_size``) and as
+    many singletons.
     """
-    state = GmaPassState()
-    state.committed = [g for g in groups if len(g) >= max_group_size]
+    committed = [g for g in groups if len(g) >= max_group_size]
     s1 = [g for g in groups if len(g) < max_group_size]
     # strongest first; ties broken by smallest member for reproducibility
     s1.sort(key=lambda g: (-_group_metric(g, oracle), g))
@@ -103,18 +93,15 @@ def _split_and_balance(groups: list[Group], oracle, max_group_size: int) -> GmaP
         u = s2.pop()
         s1.append(u)
         if len(s1) > len(s2):
-            state.committed.append(u)
+            committed.append(u)
             s1.pop()
-    state.s1 = s1
-    state.s2 = s2
-    return state
+    return committed, s1, s2
 
 
 def _merge_pass(groups: list[Group], oracle, max_group_size: int) -> list[Group]:
-    state = _split_and_balance(groups, oracle, max_group_size)
-    s1, s2 = state.s1, state.s2
+    committed, s1, s2 = _split_and_balance(groups, oracle, max_group_size)
     if not s2:
-        return state.committed + s1
+        return committed + s1
 
     # |S1| = |S2| and every S1 group has room for one more member
     # all S1 x S2 merges in one bulk query, row by row
@@ -132,7 +119,7 @@ def _merge_pass(groups: list[Group], oracle, max_group_size: int) -> list[Group]
     benefit[benefit <= 0.0] = sentinel
 
     assign, _ = hungarian(benefit)
-    result = list(state.committed)
+    result = list(committed)
     for i, j in enumerate(assign):
         g, u = s1[i], s2[j]
         if benefit[i, j] <= sentinel or merge_gain(g, u[0], oracle) <= 0.0:

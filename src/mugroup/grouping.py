@@ -3,9 +3,12 @@
 A grouping decision is a partition of the stations {0..M-1} into groups
 of size at most ``max_size``.  Its value is sum(|G| * R(G)) over groups,
 which equals system throughput times M under air-time fair scheduling
-with rotating primary users.  The hypergraph view maps each candidate
-group to a weighted hyperedge; complete matchings of that hypergraph are
-exactly the valid partitions.
+with rotating primary users.  In the hypergraph view each candidate
+group is a hyperedge weighted by its rate, and the valid partitions are
+the complete matchings of that hypergraph.  Full search stores the
+hypergraph as the 2**M table of ``_rates_by_mask`` (one weight per member
+bitmask) and finds the best complete matching with the subset DP of
+``search_best_partition``.
 """
 
 from __future__ import annotations
@@ -13,27 +16,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
+
+import numpy as np
 
 from .errors import SearchSpaceError
-from .kernels import search_best_partition
 
 __all__ = [
     "Group",
     "GroupingSolution",
-    "Hypergraph",
     "PartitionViolation",
     "canonical_group",
     "canonical_partition",
     "validate_partition",
     "objective",
     "count_partitions",
-    "enumerate_partitions",
+    "search_best_partition",
     "exhaustive_search",
     "exhaustive_search_fits",
     "MAX_SEARCH_USERS",
-    "build_hypergraph",
-    "is_complete_matching",
+    "active_backend",
 ]
 
 Group = tuple[int, ...]
@@ -73,29 +75,13 @@ class GroupingSolution:
 
 
 @dataclass(frozen=True)
-class Hypergraph:
-    """Vertices {0..num_vertices-1} plus weighted candidate-group hyperedges."""
-
-    num_vertices: int
-    hyperedges: tuple[tuple[Group, float], ...]
-
-    def __post_init__(self):
-        for members, weight in self.hyperedges:
-            if not members:
-                raise ValueError("hyperedges must be non-empty")
-            if weight < 0 or not math.isfinite(weight):
-                raise ValueError(f"hyperedge weight must be finite and >= 0, got {weight}")
-            if min(members) < 0 or max(members) >= self.num_vertices:
-                raise ValueError(f"hyperedge {members} out of vertex range")
-
-
-@dataclass(frozen=True)
 class PartitionViolation:
     """Why a list of groups fails to be a valid capped partition."""
 
     duplicated: tuple[int, ...] = ()
     missing: tuple[int, ...] = ()
     oversize: tuple[Group, ...] = ()
+    out_of_range: tuple[int, ...] = ()
 
     def __str__(self):
         parts = []
@@ -105,12 +91,15 @@ class PartitionViolation:
             parts.append(f"missing users {list(self.missing)}")
         if self.oversize:
             parts.append(f"oversize groups {list(self.oversize)}")
+        if self.out_of_range:
+            parts.append(f"out-of-range users {list(self.out_of_range)}")
         return "; ".join(parts) or "ok"
 
 
 def validate_partition(groups, num_users: int, max_size: int) -> PartitionViolation | None:
     """None when groups partition {0..num_users-1} with sizes <= max_size,
-    else a report naming duplicated/missing users and oversize groups."""
+    else a report naming duplicated, missing and out-of-range users and
+    oversize groups."""
     seen: set[int] = set()
     duplicated: list[int] = []
     oversize: list[Group] = []
@@ -123,12 +112,13 @@ def validate_partition(groups, num_users: int, max_size: int) -> PartitionViolat
                 duplicated.append(u)
             seen.add(u)
     missing = [u for u in range(num_users) if u not in seen]
-    stray = [u for u in seen if not 0 <= u < num_users]
+    stray = sorted(u for u in seen if not 0 <= u < num_users)
     if duplicated or missing or oversize or stray:
         return PartitionViolation(
-            duplicated=tuple(sorted(set(duplicated + stray))),
+            duplicated=tuple(sorted(set(duplicated))),
             missing=tuple(missing),
             oversize=tuple(oversize),
+            out_of_range=tuple(stray),
         )
     return None
 
@@ -167,64 +157,9 @@ def count_partitions(num_users: int, max_size: int) -> int:
     return a[num_users]
 
 
-def enumerate_partitions(num_users: int, max_size: int) -> Iterator[tuple[Group, ...]]:
-    """Yield every capped partition exactly once, in canonical order.
-
-    Blocks are listed by least element with members ascending; the stream
-    is lexicographic in the restricted-growth encoding.
-    """
-    if num_users < 1:
-        raise ValueError("num_users must be >= 1")
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
-    blocks: list[list[int]] = []
-
-    def rec(i: int) -> Iterator[tuple[Group, ...]]:
-        if i == num_users:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            if len(b) < max_size:
-                b.append(i)
-                yield from rec(i + 1)
-                b.pop()
-        blocks.append([i])
-        yield from rec(i + 1)
-        blocks.pop()
-
-    return rec(0)
-
-
-def build_hypergraph(num_users: int, max_size: int, oracle) -> Hypergraph:
-    """One hyperedge per non-empty subset of size <= max_size, weighted by
-    the oracle rate.  Edges are ordered by size then lexicographically."""
-    edges = []
-    for size in range(1, max_size + 1):
-        for subset in combinations(range(num_users), size):
-            edges.append((subset, oracle.rate(subset)))
-    return Hypergraph(num_users, tuple(edges))
-
-
-def is_complete_matching(h: Hypergraph, selected: Iterable[int]) -> bool:
-    """True when the selected hyperedges are pairwise disjoint and cover
-    every vertex, i.e. they form a valid partition."""
-    indices = list(selected)
-    covered: set[int] = set()
-    total = 0
-    for idx in indices:
-        members, _ = h.hyperedges[idx]
-        total += len(members)
-        covered.update(members)
-    if len(covered) != total:  # some vertex appears twice
-        return False
-    return covered == set(range(h.num_vertices))
-
-
 def _rates_by_mask(num_users: int, max_size: int, oracle):
     """The 2**M table of subset rates by member bitmask, 0 above max_size,
     filled from one bulk query."""
-    import numpy as np
-
     subsets = [
         subset
         for size in range(1, max_size + 1)
@@ -239,6 +174,91 @@ def _rates_by_mask(num_users: int, max_size: int, oracle):
     return rates
 
 
+def active_backend() -> str:
+    """Name of the search implementation; always 'python'."""
+    return "python"
+
+
+def _block_string(block, state, last, n):
+    """Block index of each element for the blocks that reach ``state``
+    followed by block ``last``; uncovered elements get the next index."""
+    chain = [last]
+    while state:
+        chain.append(block[state])
+        state -= block[state]
+    chain.reverse()
+    rgs = [len(chain)] * n
+    for index, b in enumerate(chain):
+        for i in range(n):
+            if b >> i & 1:
+                rgs[i] = index
+    return rgs
+
+
+def search_best_partition(rates: np.ndarray, n: int, max_block: int):
+    """Best partition of {0..n-1} into blocks of at most ``max_block``
+    members under the bitmask rate table ``rates``.
+
+    Returns (partition_count, best_score, block_index_per_element).
+    ``rates`` must have length 2**n with entries for every non-empty
+    subset of size <= max_block.
+
+    A partition scores sum(|B| * rates[bitmask(B)]), added left to right
+    over its blocks in least-element order.  The search is the forward
+    set-partition DP over bitmasks (Björklund, Husfeldt and Koivisto,
+    SIAM J. Comput. 2009): a state is the set T of elements covered so
+    far, states are visited in ascending mask order, and the next block B
+    holds the lowest element outside T, so each partition is built
+    exactly once.  ``best[T | B] = best[T] + |B| * rates[B]`` adds in the
+    order of the score and float addition is monotone, so the result is
+    the largest score as a float; ``count[T | B] += count[T]`` counts the
+    partitions.
+
+    On an exact tie at a state the candidate whose block-index string
+    (restricted-growth string, uncovered elements given the next index)
+    comes first is kept.  That order does not depend on how the state is
+    completed, so with exact sums (integer rates, say) the result is the
+    first optimal partition in canonical order.  Where rounding hides a
+    difference between two prefix sums, an optimum later in that order
+    may be returned.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if max_block < 1:
+        raise ValueError("max_block must be >= 1")
+    if len(rates) != 2 ** n:
+        raise ValueError(f"rates must have length 2**{n}, got {len(rates)}")
+    rates = np.asarray(rates, dtype=np.float64).tolist()
+    full = (1 << n) - 1
+    bits = [1 << i for i in range(n)]
+    best = [0.0] * (full + 1)
+    count = [0] * (full + 1)
+    block = [0] * (full + 1)  # last block on the kept path to each state
+    count[0] = 1
+    for t in range(full):
+        ways = count[t]
+        if not ways:
+            continue
+        low = ~t & (t + 1)  # lowest element outside t; blocks are disjoint bits
+        free = [b for b in bits if b > low and not t & b]
+        base = best[t]
+        for extra in range(min(max_block, len(free) + 1)):
+            for others in combinations(free, extra):
+                b = low + sum(others)
+                s = t + b
+                value = base + (extra + 1) * rates[b]
+                if not count[s] or value > best[s] or (
+                        value == best[s]
+                        and _block_string(block, t, b, n)
+                        < _block_string(block, s - block[s], block[s], n)):
+                    best[s] = value
+                    block[s] = b
+                count[s] += ways
+    assign = np.array(_block_string(block, full - block[full], block[full], n),
+                      dtype=np.int64)
+    return count[full], best[full], assign
+
+
 def exhaustive_search_fits(num_users: int, max_size: int) -> bool:
     """Whether ``exhaustive_search`` takes this size: any M when every
     group is a single user, else at most ``MAX_SEARCH_USERS`` users."""
@@ -246,10 +266,10 @@ def exhaustive_search_fits(num_users: int, max_size: int) -> bool:
 
 
 def exhaustive_search(num_users: int, max_size: int, oracle) -> GroupingSolution:
-    """Optimal partition by the subset DP of ``kernels.search_best_partition``.
+    """Optimal partition by the subset DP of ``search_best_partition``.
 
-    Ties keep the first partition in canonical order (``kernels`` names
-    the one exception, under rounding).  With ``max_size >= 2`` it
+    Ties keep the first partition in canonical order (that docstring
+    names the one exception, under rounding).  With ``max_size >= 2`` it
     refuses more than ``MAX_SEARCH_USERS`` (16) users before making any
     rate query; use the heuristics for larger networks.  With
     ``max_size == 1`` every user is served alone, at any M.
@@ -271,7 +291,7 @@ def exhaustive_search(num_users: int, max_size: int, oracle) -> GroupingSolution
     count, _, assign = search_best_partition(rates, num_users, max_size)
     if count != expected:
         raise AssertionError(
-            f"kernel visited {count} partitions, recurrence predicts {expected}"
+            f"search visited {count} partitions, recurrence predicts {expected}"
         )
     nblocks = int(assign.max()) + 1
     blocks: list[list[int]] = [[] for _ in range(nblocks)]

@@ -1,4 +1,4 @@
-"""Exact matching and assignment solvers with brute-force oracles.
+"""Exact matching and assignment solvers.
 
 ``max_weight_matching`` solves maximum-weight matching on general
 weighted graphs (vertices may stay unmatched, negative weights allowed)
@@ -7,9 +7,6 @@ rectangular assignment problem by maximization with an O(n^3) labeling
 algorithm written here, because its contract pins the tie-break: among
 optimal assignments the lexicographically smallest one is returned,
 which the dual certificate makes cheap to extract.
-
-Both solvers come with small exhaustive counterparts used as testing
-oracles.
 """
 
 from __future__ import annotations
@@ -20,19 +17,12 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .errors import SearchSpaceError
-
 __all__ = [
     "WeightedGraph",
     "Matching",
-    "WeightMatrix",
     "max_weight_matching",
-    "brute_force_matching",
     "hungarian",
-    "brute_force_assignment",
 ]
-
-_BRUTE_FORCE_VERTEX_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -75,29 +65,6 @@ class Matching:
             used.update((u, v))
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Rectangular benefit matrix for the assignment problem (maximized)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError("weight matrix must be 2-D")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("weight matrix entries must be finite")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
-
 def _as_matching(graph: WeightedGraph, pairs) -> Matching:
     weight_of = {(u, v): w for u, v, w in graph.edges}
     norm = tuple(sorted((min(u, v), max(u, v)) for u, v in pairs))
@@ -119,40 +86,6 @@ def max_weight_matching(graph: WeightedGraph) -> Matching:
         g.add_edge(u, v, weight=w)
     mate = nx.max_weight_matching(g, maxcardinality=False)
     return _as_matching(graph, mate)
-
-
-def brute_force_matching(graph: WeightedGraph) -> Matching:
-    """Exact maximum-weight matching by enumerating all matchings.
-
-    Intended as a testing oracle; refuses graphs with more than
-    12 vertices.
-    """
-    if graph.num_vertices > _BRUTE_FORCE_VERTEX_LIMIT:
-        raise SearchSpaceError(
-            f"brute-force matching is capped at {_BRUTE_FORCE_VERTEX_LIMIT} vertices, "
-            f"got {graph.num_vertices}"
-        )
-    edges = sorted(graph.edges)
-    best_pairs: list[tuple[int, int]] = []
-    best_weight = 0.0  # empty matching is always available
-
-    def rec(i: int, used: int, picked: list[tuple[int, int]], weight: float):
-        nonlocal best_pairs, best_weight
-        if i == len(edges):
-            if weight > best_weight:
-                best_weight = weight
-                best_pairs = list(picked)
-            return
-        rec(i + 1, used, picked, weight)
-        u, v, w = edges[i]
-        bits = (1 << u) | (1 << v)
-        if not used & bits:
-            picked.append((u, v))
-            rec(i + 1, used | bits, picked, weight + w)
-            picked.pop()
-
-    rec(0, 0, [], 0.0)
-    return _as_matching(graph, best_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -281,42 +214,24 @@ def hungarian(w) -> tuple[tuple[int, ...], float]:
 
     Requires rows <= cols (pad externally otherwise).  Returns the
     injective row-to-column map and the total benefit; among optimal
-    assignments the lexicographically smallest is returned.
+    assignments the lexicographically smallest is returned.  GMA relies
+    on that rule: MCS rates are quantized, so its merge benefits tie
+    exactly, and the labeling solver's own pick among the optima would
+    change its groups.
     """
-    matrix = w if isinstance(w, WeightMatrix) else WeightMatrix(np.asarray(w))
-    values = matrix.values
-    if matrix.rows == 0:
+    values = np.asarray(w, dtype=np.float64)
+    if values.ndim != 2:
+        raise ValueError("weight matrix must be 2-D")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("weight matrix entries must be finite")
+    rows, cols = values.shape
+    if rows == 0:
         return (), 0.0
-    if matrix.rows > matrix.cols:
-        raise ValueError(f"need rows <= cols, got {matrix.rows} x {matrix.cols}")
+    if rows > cols:
+        raise ValueError(f"need rows <= cols, got {rows} x {cols}")
     match_row, u, v = _solve_assignment(values)
     assign = _lexicographic_refine(values, match_row, u, v)
     benefit = 0.0
-    for r in range(matrix.rows):
+    for r in range(rows):
         benefit += values[r, assign[r]]
     return tuple(int(c) for c in assign), float(benefit)
-
-
-def brute_force_assignment(w) -> tuple[tuple[int, ...], float]:
-    """Assignment oracle: try every injective row-to-column map.
-
-    Returns the lexicographically smallest optimum, like ``hungarian``.
-    """
-    from itertools import permutations
-
-    matrix = w if isinstance(w, WeightMatrix) else WeightMatrix(np.asarray(w))
-    values = matrix.values
-    if matrix.rows > matrix.cols:
-        raise ValueError(f"need rows <= cols, got {matrix.rows} x {matrix.cols}")
-    best: tuple[int, ...] | None = None
-    best_benefit = -math.inf
-    # permutations() is lexicographic, so keeping the first optimum found
-    # matches hungarian's tie-break
-    for perm in permutations(range(matrix.cols), matrix.rows):
-        benefit = 0.0
-        for r in range(matrix.rows):
-            benefit += values[r, perm[r]]
-        if benefit > best_benefit:
-            best = perm
-            best_benefit = benefit
-    return tuple(best if best is not None else ()), float(best_benefit if best is not None else 0.0)

@@ -20,7 +20,8 @@ are batches of one that raise on rank-deficient groups.  The oracle
 scores those 0: ``RateOracle.rate`` is a batch of one, ``RateOracle.rates``
 answers a list of groups in one bulk query, and ``RateOracle.precompute``
 fills the memo per group size.  Every row gets its own LAPACK call, so a
-rate does not depend on the batch it was computed in.
+rate does not depend on the batch it was computed in.  Groups are
+checked and put in canonical order by ``grouping.canonical_group``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 
 from .channel import ChannelSet
 from .errors import ConfigurationError, SingularChannelError
+from .grouping import canonical_group
 
 __all__ = [
     "RateMode",
@@ -124,15 +126,6 @@ class SteeringMatrix:
     per_subcarrier: bool
 
 
-def _canonical_group(group) -> tuple[int, ...]:
-    members = tuple(sorted(group))
-    if not members:
-        raise ValueError("group must be non-empty")
-    if len(set(members)) != len(members):
-        raise ValueError(f"group members must be distinct, got {group}")
-    return members
-
-
 def _zf_batch(channels: ChannelSet, groups: list[tuple[int, ...]]):
     """Zero-forcing for same-size groups on every subcarrier at once.
 
@@ -213,7 +206,7 @@ def _batch_rates(channels: ChannelSet, groups: list[tuple[int, ...]],
 def _zf_group(channels: ChannelSet, group):
     """``_zf_batch`` for one validated group; raises SingularChannelError
     if it is rank deficient on any subcarrier."""
-    members = _canonical_group(group)
+    members = canonical_group(group)
     if len(members) > channels.num_tx_antennas:
         raise ValueError(
             f"group size {len(members)} exceeds {channels.num_tx_antennas} transmit antennas"
@@ -280,7 +273,7 @@ class RateOracle:
         self._lock = threading.Lock()
 
     def _check(self, group) -> tuple[int, ...]:
-        members = _canonical_group(group)
+        members = canonical_group(group)
         if len(members) > self.max_group_size:
             raise ValueError(
                 f"group {members} exceeds max group size {self.max_group_size}"

@@ -1,0 +1,107 @@
+"""Exhaustive reference solvers that the tests check the library against.
+
+Each one enumerates its whole search space, so it is only usable on
+small instances.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import permutations
+from typing import Iterator
+
+import numpy as np
+
+from mugroup.errors import SearchSpaceError
+from mugroup.matching import Matching, WeightedGraph, _as_matching
+
+BRUTE_FORCE_VERTEX_LIMIT = 12
+
+
+def brute_force_matching(graph: WeightedGraph) -> Matching:
+    """Exact maximum-weight matching by enumerating all matchings.
+
+    Refuses graphs with more than 12 vertices.
+    """
+    if graph.num_vertices > BRUTE_FORCE_VERTEX_LIMIT:
+        raise SearchSpaceError(
+            f"brute-force matching is capped at {BRUTE_FORCE_VERTEX_LIMIT} vertices, "
+            f"got {graph.num_vertices}"
+        )
+    edges = sorted(graph.edges)
+    best_pairs: list[tuple[int, int]] = []
+    best_weight = 0.0  # empty matching is always available
+
+    def rec(i: int, used: int, picked: list[tuple[int, int]], weight: float):
+        nonlocal best_pairs, best_weight
+        if i == len(edges):
+            if weight > best_weight:
+                best_weight = weight
+                best_pairs = list(picked)
+            return
+        rec(i + 1, used, picked, weight)
+        u, v, w = edges[i]
+        bits = (1 << u) | (1 << v)
+        if not used & bits:
+            picked.append((u, v))
+            rec(i + 1, used | bits, picked, weight + w)
+            picked.pop()
+
+    rec(0, 0, [], 0.0)
+    return _as_matching(graph, best_pairs)
+
+
+def brute_force_assignment(w) -> tuple[tuple[int, ...], float]:
+    """Try every injective row-to-column map.
+
+    Returns the lexicographically smallest optimum, like ``hungarian``.
+    The benefit of each map is summed row by row in floats, so on a
+    matrix whose optima tie only in exact arithmetic the rounding decides.
+    """
+    values = np.asarray(w, dtype=np.float64)
+    if values.ndim != 2 or not np.all(np.isfinite(values)):
+        raise ValueError("weight matrix must be 2-D and finite")
+    rows, cols = values.shape
+    if rows > cols:
+        raise ValueError(f"need rows <= cols, got {rows} x {cols}")
+    best: tuple[int, ...] = ()
+    best_benefit = -math.inf
+    # permutations() is lexicographic, so keeping the first optimum found
+    # gives hungarian's tie-break
+    for perm in permutations(range(cols), rows):
+        benefit = 0.0
+        for r in range(rows):
+            benefit += values[r, perm[r]]
+        if benefit > best_benefit:
+            best = perm
+            best_benefit = benefit
+    return best, float(best_benefit)
+
+
+def enumerate_partitions(num_users: int, max_size: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield every partition of {0..num_users-1} into blocks of at most
+    ``max_size`` exactly once, in canonical order.
+
+    Blocks are listed by least element with members ascending; the stream
+    is lexicographic in the restricted-growth encoding.
+    """
+    if num_users < 1:
+        raise ValueError("num_users must be >= 1")
+    if max_size < 1:
+        raise ValueError("max_size must be >= 1")
+    blocks: list[list[int]] = []
+
+    def rec(i: int):
+        if i == num_users:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for b in blocks:
+            if len(b) < max_size:
+                b.append(i)
+                yield from rec(i + 1)
+                b.pop()
+        blocks.append([i])
+        yield from rec(i + 1)
+        blocks.pop()
+
+    return rec(0)

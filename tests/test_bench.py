@@ -18,9 +18,10 @@ from mugroup.bench import (
     write_csv,
 )
 from mugroup.errors import ConfigurationError
-from mugroup.grouping import GroupingSolution, enumerate_partitions, objective
+from mugroup.grouping import GroupingSolution, objective
 
 from conftest import FixtureOracle, random_oracle
+from reference import enumerate_partitions
 
 
 class TestSchedule:
@@ -189,6 +190,19 @@ class TestConfigValidation:
             {"scenario": "user_sweep", "m_values": [6], "nu_values": [2],
              "retired_option": 100}))
         assert cfg.m_values == (6,)
+
+    def test_from_json_long_text_and_str_path(self, tmp_path):
+        # 60 seeds make JSON text longer than a file name may be
+        raw = {"scenario": "user_sweep", "m_values": [6], "nu_values": [2],
+               "seeds": list(range(60))}
+        text = json.dumps(raw)
+        assert len(text) > 255
+        assert ExperimentConfig.from_json(text).seeds == tuple(range(60))
+        assert ExperimentConfig.from_json("\n  " + text).seeds == tuple(range(60))
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert ExperimentConfig.from_json(str(path)).seeds == tuple(range(60))
+        assert ExperimentConfig.from_json(path).seeds == tuple(range(60))
 
     def test_from_json_bad_scenario(self):
         with pytest.raises(ConfigurationError):

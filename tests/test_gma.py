@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import mugroup.gma  # noqa: F401  (register the submodule)
-from mugroup.gma import GmaPassState, gma, merge_gain, optimal_mu2_su
+from mugroup.gma import gma, merge_gain, optimal_mu2_su
 from mugroup.gma import _merge_pass, _split_and_balance
 
 gma_mod = sys.modules["mugroup.gma"]
 from mugroup.grouping import exhaustive_search, objective, validate_partition
+from mugroup.matching import hungarian
+from mugroup.phy import MAC_OVERHEAD_FACTOR, PhyConfig, RateMode
 
 from conftest import (
     FixtureOracle,
@@ -17,6 +19,7 @@ from conftest import (
     random_oracle,
     rician_oracle,
 )
+from reference import brute_force_assignment
 
 
 class TestOptimalMu2Su:
@@ -131,8 +134,8 @@ class TestGma:
             m = int(rng.integers(3, 12))
             oracle = random_oracle(rng, m, 3)
             start = list(optimal_mu2_su(oracle, m).groups)
-            state = _split_and_balance(start, oracle, 3)
-            pre = objective(state.committed + state.s1 + state.s2, oracle)
+            committed, s1, s2 = _split_and_balance(start, oracle, 3)
+            pre = objective(committed + s1 + s2, oracle)
             merged = _merge_pass(start, oracle, 3)
             assert objective(merged, oracle) >= pre - 1e-9
 
@@ -157,20 +160,52 @@ class TestGma:
         assert sol.objective_value >= singles - 1e-9
 
 
+class TestMcsTieBreak:
+    """MCS rates are quantized, so merge benefits tie exactly and
+    ``hungarian``'s lexicographic rule picks between equal optima.  The
+    labeling solver alone picks another optimum on this instance and GMA
+    then returns other groups (7 of Rician seeds 0-99 at M=10, Nu=4
+    change that way)."""
+
+    def test_groups_pinned_on_tied_instance(self, monkeypatch):
+        phy = PhyConfig(rate_mode=RateMode.MCS_MAPPED, mac_overhead_enabled=True)
+        _, oracle = rician_oracle(10, 4, seed=44, phy=phy)
+        matrices = []
+
+        def recording(w):
+            matrices.append(np.array(w))
+            return hungarian(w)
+
+        monkeypatch.setattr(gma_mod, "hungarian", recording)
+        sol = gma(oracle, 10, 4)
+        assert sol.groups == ((0, 9), (1,), (2, 4, 5), (3, 7, 8), (6,))
+
+        first = matrices[0]  # the benefits of the first merge pass
+        assert first.shape == (3, 3)
+        assert hungarian(first)[0] == (1, 0, 2)
+        # In whole units of the MCS rate step the optima (1, 0, 2) and
+        # (2, 0, 1) tie exactly.  The brute-force oracle sums floats, which
+        # rank (2, 0, 1) one ulp higher on ``first`` itself, so it is only
+        # asked about the integer matrix.
+        step = 5e6 * MAC_OVERHEAD_FACTOR
+        units = np.rint(first / step)
+        np.testing.assert_allclose(units * step, first, rtol=1e-12, atol=0)
+        assert units[0, 1] + units[2, 2] == units[0, 2] + units[2, 1]
+        assert hungarian(units)[0] == brute_force_assignment(units)[0] == (1, 0, 2)
+
+
 class TestSplitBalance:
     def test_balances_cardinalities(self, twelve_station_oracle):
         groups = list(optimal_mu2_su(twelve_station_oracle, 12).groups)
-        state = _split_and_balance(groups, twelve_station_oracle, 3)
-        assert isinstance(state, GmaPassState)
-        assert len(state.s1) == len(state.s2)
-        assert all(len(g) == 1 for g in state.s2)
+        committed, s1, s2 = _split_and_balance(groups, twelve_station_oracle, 3)
+        assert len(s1) == len(s2)
+        assert all(len(g) == 1 for g in s2)
         # every user is accounted for exactly once
-        everyone = sorted(
-            u for g in state.committed + state.s1 + state.s2 for u in g)
+        everyone = sorted(u for g in committed + s1 + s2 for u in g)
         assert everyone == list(range(12))
 
     def test_weakest_groups_are_decomposed(self, twelve_station_oracle):
         groups = list(optimal_mu2_su(twelve_station_oracle, 12).groups)
-        state = _split_and_balance(groups, twelve_station_oracle, 3)
+        _, _, s2 = _split_and_balance(groups, twelve_station_oracle, 3)
         # the low-rate pair (F, I) and both singles C, L land in s2
-        assert sorted(state.s2) == [(2,), (5,), (8,), (11,)]
+        assert sorted(s2) == [(2,), (5,), (8,), (11,)]

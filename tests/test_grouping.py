@@ -8,19 +8,17 @@ from mugroup.errors import SearchSpaceError
 from mugroup.gma import gma, optimal_mu2_su
 from mugroup.grouping import (
     GroupingSolution,
-    Hypergraph,
-    build_hypergraph,
+    _rates_by_mask,
     canonical_partition,
     count_partitions,
-    enumerate_partitions,
     exhaustive_search,
-    is_complete_matching,
     objective,
     validate_partition,
 )
 from mugroup.phy import PhyConfig, RateOracle
 
 from conftest import FixtureOracle, random_oracle, rician_oracle
+from reference import enumerate_partitions
 
 
 class TestValidatePartition:
@@ -40,6 +38,13 @@ class TestValidatePartition:
     def test_missing_user(self):
         report = validate_partition([(0,), (2,)], 3, 2)
         assert report.missing == (1,)
+
+    def test_out_of_range_user(self):
+        report = validate_partition([(0,), (1,), (5,), (-1,)], 3, 3)
+        assert report.out_of_range == (-1, 5)
+        assert report.duplicated == ()
+        assert report.missing == (2,)
+        assert str(report) == "missing users [2]; out-of-range users [-1, 5]"
 
 
 class TestObjective:
@@ -205,72 +210,81 @@ class TestCrossSolvers:
             assert sol.objective_value <= best
 
 
+def mask(group):
+    return sum(1 << u for u in group)
+
+
 class TestHypergraph:
+    """The group hypergraph as full search stores it: the rate of every
+    candidate group by member bitmask, from ``_rates_by_mask``."""
+
     def test_edge_counts_small(self, oracle_o1):
-        h = build_hypergraph(3, 2, oracle_o1)
-        assert len(h.hyperedges) == 6  # 3 singletons + 3 pairs
+        rates = _rates_by_mask(3, 2, oracle_o1)
+        assert np.count_nonzero(rates) == 6  # 3 singletons + 3 pairs
+        assert oracle_o1.query_count == 6
 
     def test_edge_counts_m12(self):
         oracle = FixtureOracle({}, size_defaults={1: 1.0, 2: 1.0, 3: 1.0}, num_users=12)
-        h = build_hypergraph(12, 3, oracle)
-        assert len(h.hyperedges) == 12 + 66 + 220
+        rates = _rates_by_mask(12, 3, oracle)
+        assert len(rates) == 2 ** 12
+        assert np.count_nonzero(rates) == 12 + 66 + 220
 
     def test_weights_delegate_to_oracle(self, oracle_o1):
-        h = build_hypergraph(3, 2, oracle_o1)
-        weights = dict(h.hyperedges)
-        assert weights[(0, 1)] == 3.5
-        assert weights[(2,)] == 4.0
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            Hypergraph(2, (((0,), -1.0),))
+        rates = _rates_by_mask(3, 2, oracle_o1)
+        assert rates[mask((0, 1))] == 3.5
+        assert rates[mask((2,))] == 4.0
+        assert rates[mask((0, 1, 2))] == 0.0  # above max_size
 
 
 # A 12-vertex instance with ten hyperedges: three pair edges, four triples
 # and three singletons, arranged so e1, e3, e4, e6, e7, e9 tile the vertices.
 FIG_EDGES = (
-    ((0, 1), 1.0),      # e1
-    ((1, 2), 1.0),      # e2
-    ((2, 3, 5), 1.0),   # e3
-    ((4,), 1.0),        # e4
-    ((4, 6, 9), 1.0),   # e5
-    ((11,), 1.0),       # e6
-    ((6, 7, 8), 1.0),   # e7
-    ((7, 10, 11), 1.0), # e8
-    ((9, 10), 1.0),     # e9
-    ((0,), 1.0),        # e10
+    (0, 1),      # e1
+    (1, 2),      # e2
+    (2, 3, 5),   # e3
+    (4,),        # e4
+    (4, 6, 9),   # e5
+    (11,),       # e6
+    (6, 7, 8),   # e7
+    (7, 10, 11), # e8
+    (9, 10),     # e9
+    (0,),        # e10
 )
 
 
 class TestCompleteMatching:
-    @pytest.fixture
-    def tiling_instance(self):
-        return Hypergraph(12, FIG_EDGES)
+    """A selection of hyperedges is a complete matching exactly when its
+    groups partition the users, which ``validate_partition`` decides."""
 
-    def test_tiling_selection_is_complete(self, tiling_instance):
-        assert is_complete_matching(tiling_instance, [0, 2, 3, 5, 6, 8])
+    def check(self, selected):
+        return validate_partition([FIG_EDGES[i] for i in selected], 12, 3)
 
-    def test_matching_but_incomplete(self, tiling_instance):
-        assert not is_complete_matching(tiling_instance, [0, 2, 3])
+    def test_tiling_selection_is_complete(self):
+        assert self.check([0, 2, 3, 5, 6, 8]) is None
 
-    def test_overlapping_edges_rejected(self, tiling_instance):
+    def test_matching_but_incomplete(self):
+        report = self.check([0, 2, 3])
+        assert report.duplicated == ()
+        assert report.missing == (6, 7, 8, 9, 10, 11)
+
+    def test_overlapping_edges_rejected(self):
         # e1 and e2 share vertex 1
-        assert not is_complete_matching(tiling_instance, [0, 1, 2, 3, 5, 6, 8])
+        report = self.check([0, 1, 2, 3, 5, 6, 8])
+        assert report.duplicated == (1, 2)
 
     def test_partition_equivalence_small(self):
-        # every valid partition corresponds to a complete matching whose
-        # weighted score equals the objective
+        # every valid partition is a complete matching whose hyperedge
+        # weights, read from the full-search table, sum to the objective
         rng = np.random.default_rng(5)
         for m in (3, 4, 5, 6):
             oracle = random_oracle(rng, m, 3)
-            h = build_hypergraph(m, 3, oracle)
-            index = {members: i for i, (members, _) in enumerate(h.hyperedges)}
+            rates = _rates_by_mask(m, 3, oracle)
             for parts in enumerate_partitions(m, 3):
-                selected = [index[g] for g in parts]
-                assert is_complete_matching(h, selected)
-                score = sum(len(h.hyperedges[i][0]) * h.hyperedges[i][1]
-                            for i in selected)
-                assert score == pytest.approx(objective(parts, oracle), rel=1e-12)
+                assert validate_partition(parts, m, 3) is None
+                score = 0.0
+                for g in parts:
+                    score += len(g) * rates[mask(g)]
+                assert score == objective(parts, oracle)
 
 
 class TestGroupingSolution:

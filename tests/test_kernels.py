@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from mugroup.grouping import count_partitions, enumerate_partitions, objective
-from mugroup.kernels import active_backend, search_best_partition
+from mugroup.grouping import active_backend, count_partitions, search_best_partition
 
-from conftest import FixtureOracle
+from reference import enumerate_partitions
 
 
 def random_rates(rng, n, smax):
