@@ -17,7 +17,6 @@ from .bench import (
     Slot,
     build_schedule,
     run_experiment,
-    run_runtime_comparison,
     slot_rotation,
     system_throughput,
     write_csv,

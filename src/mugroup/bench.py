@@ -8,7 +8,11 @@ the M equal slots that make up the cycle.
 
 ``run_experiment`` reproduces the comparison sweeps (throughput versus
 network size, versus channel correlation, and runtime scaling) over
-seeded channel realizations and emits deterministic CSV rows.
+seeded channel realizations and emits deterministic CSV rows.  All three
+run through one loop and differ in the oracle policy only: a user or rho
+sweep scores the algorithms of a seed on one shared memoized oracle, full
+search first; a runtime sweep gives each solve a fresh oracle and times
+random selection first as its 0 dB reference.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ __all__ = [
     "slot_rotation",
     "system_throughput",
     "run_experiment",
-    "run_runtime_comparison",
     "write_csv",
     "CSV_HEADER",
 ]
@@ -120,8 +123,9 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.seeds:
             raise ConfigurationError("seed list must not be empty")
-        if not self.m_values or not self.nu_values:
-            raise ConfigurationError("m_values and nu_values must not be empty")
+        if not self.m_values or not self.nu_values or not self.rho_values:
+            raise ConfigurationError(
+                "m_values, nu_values and rho_values must not be empty")
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ConfigurationError(
@@ -178,39 +182,44 @@ class ExperimentConfig:
 
 
 def _config_from_dict(raw: dict) -> ExperimentConfig:
+    if not isinstance(raw, dict):
+        raise ConfigurationError("config must be a JSON object")
     try:
         scenario = Scenario(raw["scenario"])
     except (KeyError, ValueError):
         raise ConfigurationError(
             f"scenario must be one of {[s.value for s in Scenario]}") from None
-    channel = raw.get("channel", {})
-    phy_raw = raw.get("phy", {})
-    phy_kwargs = {}
-    if "bandwidth_hz" in phy_raw:
-        phy_kwargs["bandwidth_hz"] = float(phy_raw["bandwidth_hz"])
-    if "noise_power" in phy_raw:
-        phy_kwargs["noise_power"] = float(phy_raw["noise_power"])
-    if "total_power" in phy_raw:
-        phy_kwargs["total_power"] = float(phy_raw["total_power"])
-    if "rate_mode" in phy_raw:
-        phy_kwargs["rate_mode"] = RateMode(phy_raw["rate_mode"])
-    if "mac_overhead" in phy_raw:
-        phy_kwargs["mac_overhead_enabled"] = bool(phy_raw["mac_overhead"])
-    if "mcs_table" in phy_raw:
-        phy_kwargs["mcs_table"] = tuple(
-            McsEntry(int(i), float(b), float(s)) for i, b, s in phy_raw["mcs_table"])
-    seeds_raw = raw.get("seeds", {"count": 50, "base": 0})
-    if isinstance(seeds_raw, dict):
-        seeds = tuple(range(int(seeds_raw.get("base", 0)),
-                            int(seeds_raw.get("base", 0)) + int(seeds_raw["count"])))
-    else:
-        seeds = tuple(int(s) for s in seeds_raw)
-    sus_raw = raw.get("sus", {})
-    sus_params = SusParams(
-        alpha=float(sus_raw.get("alpha", 0.4)),
-        sweep=tuple(sus_raw["sweep"]) if "sweep" in sus_raw else SusParams().sweep,
-    )
+    channel, phy_raw, sus_raw = (raw.get(key, {}) for key in ("channel", "phy", "sus"))
+    if not all(isinstance(section, dict) for section in (channel, phy_raw, sus_raw)):
+        raise ConfigurationError("channel, phy and sus must be JSON objects")
+    if not all(isinstance(raw.get(key), (str, type(None)))
+               for key in ("channel_file", "output")):
+        raise ConfigurationError("channel_file and output must be strings")
     try:
+        phy_kwargs = {}
+        if "bandwidth_hz" in phy_raw:
+            phy_kwargs["bandwidth_hz"] = float(phy_raw["bandwidth_hz"])
+        if "noise_power" in phy_raw:
+            phy_kwargs["noise_power"] = float(phy_raw["noise_power"])
+        if "total_power" in phy_raw:
+            phy_kwargs["total_power"] = float(phy_raw["total_power"])
+        if "rate_mode" in phy_raw:
+            phy_kwargs["rate_mode"] = RateMode(phy_raw["rate_mode"])
+        if "mac_overhead" in phy_raw:
+            phy_kwargs["mac_overhead_enabled"] = bool(phy_raw["mac_overhead"])
+        if "mcs_table" in phy_raw:
+            phy_kwargs["mcs_table"] = tuple(
+                McsEntry(int(i), float(b), float(s)) for i, b, s in phy_raw["mcs_table"])
+        seeds_raw = raw.get("seeds", {"count": 50, "base": 0})
+        if isinstance(seeds_raw, dict):
+            base = int(seeds_raw.get("base", 0))
+            seeds = tuple(range(base, base + int(seeds_raw["count"])))
+        else:
+            seeds = tuple(int(s) for s in seeds_raw)
+        sus_params = SusParams(
+            alpha=float(sus_raw.get("alpha", 0.4)),
+            sweep=tuple(sus_raw["sweep"]) if "sweep" in sus_raw else SusParams().sweep,
+        )
         cfg = ExperimentConfig(
             scenario=scenario,
             m_values=tuple(int(m) for m in raw["m_values"]),
@@ -230,8 +239,9 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         )
     except KeyError as exc:
         raise ConfigurationError(f"missing config field {exc}") from None
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from None
+    except (TypeError, ValueError) as exc:
+        # a value of the wrong JSON type, e.g. a number where a list belongs
+        raise ConfigurationError(f"invalid config value: {exc}") from None
     cfg.validate()
     return cfg
 
@@ -308,93 +318,55 @@ def _grid(cfg: ExperimentConfig):
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Score every configured algorithm over the scenario grid.
 
-    Per grid point and seed all algorithms share one memoized oracle, so
-    identical groups are scored identically; ratio-to-optimal is the mean
-    over seeds of the per-seed ratio against full search.
+    Oracle policy: in a user or rho sweep all algorithms of a seed share
+    one memoized oracle, full search first, so identical groups are
+    scored identically and ``runtime_ms`` after full search counts warm
+    lookups.  In a runtime sweep every solve gets a fresh oracle, so each
+    pays for exactly the rate queries it makes, and random selection is
+    timed first as the 0 dB reference of ``runtime_db_vs_random``.
+    ratio-to-optimal is the mean over seeds of the per-seed ratio against
+    full search.  Full search gets a row of empty cells, marked
+    ``skipped``, wherever it would refuse the network size; ``validate``
+    admits that case for a runtime sweep only.
     """
     cfg.validate()
-    if cfg.scenario is Scenario.RUNTIME_SWEEP:
-        return run_runtime_comparison(cfg)
     file_channels = load_channels(cfg.channel_file) if cfg.channel_file else None
-    # full search runs first so per-seed ratios are always defined
-    ordered = sorted(cfg.algorithms, key=lambda a: a != "full_search")
+    fresh = cfg.scenario is Scenario.RUNTIME_SWEEP
+    first = "random" if fresh else "full_search"
+    ordered = sorted(cfg.algorithms, key=lambda a: a != first)
+    if fresh and first not in ordered:
+        ordered.insert(0, first)
     rows = []
     for m, nu, rho in _grid(cfg):
-        tput = {name: [] for name in ordered}
-        runtime = {name: [] for name in ordered}
+        solved = [a for a in ordered
+                  if a != "full_search" or exhaustive_search_fits(m, nu)]
+        tput = {name: [] for name in solved}
+        runtime = {name: [] for name in solved}
         for seed in cfg.seeds:
             channels = _channels_for(cfg, m, rho, seed, file_channels)
-            oracle = make_rate_oracle(channels, cfg.phy, nu)
-            for name in ordered:
+            shared = None if fresh else make_rate_oracle(channels, cfg.phy, nu)
+            for name in solved:
+                oracle = make_rate_oracle(channels, cfg.phy, nu) if fresh else shared
                 start = time.perf_counter()
                 solution = _run_algorithm(name, channels, oracle, m, nu, seed, cfg)
                 runtime[name].append((time.perf_counter() - start) * 1e3)
                 tput[name].append(system_throughput(solution, oracle) / 1e6)
-        opt = np.asarray(tput["full_search"]) if "full_search" in tput else None
+        opt = np.asarray(tput.get("full_search", math.nan))  # NaN: full search not run
+        base = float(np.mean(runtime["random"])) if fresh else math.nan
         for name in cfg.algorithms:
-            vals = np.asarray(tput[name])
-            ratio = float((vals / opt).mean()) if opt is not None else math.nan
+            # a skipped full search aggregates one NaN, so its cells stay empty
+            vals = np.asarray(tput.get(name, [math.nan]))
+            mean_ms = float(np.mean(runtime.get(name, math.nan)))
             rows.append(ResultRow(
                 scenario=cfg.scenario.value, m=m, nu=nu, rho=rho, algorithm=name,
                 seed_count=len(cfg.seeds),
                 mean_mbps=float(vals.mean()),
                 p10_mbps=float(np.percentile(vals, 10)),
                 p90_mbps=float(np.percentile(vals, 90)),
-                ratio_to_opt=ratio,
-                runtime_ms=float(np.mean(runtime[name])),
-            ))
-    return rows
-
-
-def run_runtime_comparison(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Wall-clock comparison normalized to random selection, in dB.
-
-    Every algorithm is timed end to end on its own fresh oracle so each
-    pays for exactly the rate queries it makes.  Full search is skipped
-    (with a marker row) wherever it would refuse the network size.
-    """
-    cfg.validate()
-    if cfg.scenario is not Scenario.RUNTIME_SWEEP:
-        raise ConfigurationError("run_runtime_comparison needs the runtime_sweep scenario")
-    file_channels = load_channels(cfg.channel_file) if cfg.channel_file else None
-    ordered = sorted(cfg.algorithms, key=lambda a: a != "random")
-    if "random" not in ordered:
-        ordered.insert(0, "random")
-    rows = []
-    for m, nu, rho in _grid(cfg):
-        tput = {name: [] for name in ordered}
-        runtime = {name: [] for name in ordered}
-        skip_full = "full_search" in ordered and not exhaustive_search_fits(m, nu)
-        for seed in cfg.seeds:
-            channels = _channels_for(cfg, m, rho, seed, file_channels)
-            for name in ordered:
-                if name == "full_search" and skip_full:
-                    continue
-                oracle = make_rate_oracle(channels, cfg.phy, nu)
-                start = time.perf_counter()
-                solution = _run_algorithm(name, channels, oracle, m, nu, seed, cfg)
-                runtime[name].append((time.perf_counter() - start) * 1e3)
-                tput[name].append(system_throughput(solution, oracle) / 1e6)
-        base = float(np.mean(runtime["random"]))
-        for name in cfg.algorithms:
-            if name == "full_search" and skip_full:
-                rows.append(ResultRow(
-                    scenario=cfg.scenario.value, m=m, nu=nu, rho=rho,
-                    algorithm=name, seed_count=len(cfg.seeds),
-                    mean_mbps=math.nan, p10_mbps=math.nan, p90_mbps=math.nan,
-                    ratio_to_opt=math.nan, runtime_ms=math.nan, skipped=True))
-                continue
-            vals = np.asarray(tput[name])
-            mean_ms = float(np.mean(runtime[name]))
-            rows.append(ResultRow(
-                scenario=cfg.scenario.value, m=m, nu=nu, rho=rho, algorithm=name,
-                seed_count=len(cfg.seeds),
-                mean_mbps=float(vals.mean()),
-                p10_mbps=float(np.percentile(vals, 10)),
-                p90_mbps=float(np.percentile(vals, 90)),
-                ratio_to_opt=math.nan,
+                ratio_to_opt=float((vals / opt).mean()),
                 runtime_ms=mean_ms,
                 runtime_db_vs_random=10.0 * math.log10(mean_ms / base),
+                skipped=name not in tput,
             ))
     return rows
 

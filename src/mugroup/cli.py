@@ -41,6 +41,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_gen_channels(args) -> int:
     raw = json.loads(Path(args.spec).read_text())
+    if not isinstance(raw, dict):
+        raise ConfigurationError("channel spec must be a JSON object")
     try:
         spec = CorrelatedRicianSpec(
             num_users=int(raw["num_users"]),

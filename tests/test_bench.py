@@ -12,13 +12,14 @@ from mugroup.bench import (
     Scenario,
     build_schedule,
     run_experiment,
-    run_runtime_comparison,
     slot_rotation,
     system_throughput,
     write_csv,
 )
+from mugroup import bench
 from mugroup.errors import ConfigurationError
 from mugroup.grouping import GroupingSolution, objective
+from mugroup.phy import RateOracle
 
 from conftest import FixtureOracle, random_oracle
 from reference import enumerate_partitions
@@ -154,6 +155,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             small_config(nu_values=(5,)).validate()
 
+    def test_empty_rho_values(self):
+        with pytest.raises(ConfigurationError):
+            small_config(rho_values=()).validate()
+
     def test_missing_channel_file(self):
         with pytest.raises(ConfigurationError):
             small_config(channel_file="/nonexistent/chan.txt").validate()
@@ -218,7 +223,7 @@ def rows():
         algorithms=("full_search", "gma", "random"),
         seeds=(0, 1),
     )
-    return run_runtime_comparison(cfg)
+    return run_experiment(cfg)
 
 
 class TestRuntimeComparison:
@@ -231,6 +236,12 @@ class TestRuntimeComparison:
             if not r.skipped:
                 assert math.isfinite(r.runtime_db_vs_random)
 
+    def test_ratio_to_full_search(self, rows):
+        by_alg = {r.algorithm: r for r in rows}
+        assert by_alg["full_search"].ratio_to_opt == 1.0
+        for r in rows:
+            assert r.ratio_to_opt <= 1.0
+
     def test_full_search_skip_marker_above_cap(self):
         cfg = ExperimentConfig(
             scenario=Scenario.RUNTIME_SWEEP,
@@ -239,15 +250,61 @@ class TestRuntimeComparison:
             algorithms=("full_search", "random"),
             seeds=(0,),
         )
-        rows = run_runtime_comparison(cfg)
+        rows = run_experiment(cfg)
         full = next(r for r in rows if r.algorithm == "full_search")
         assert full.skipped
-        assert math.isnan(full.runtime_ms)
+        for value in (full.mean_mbps, full.p10_mbps, full.p90_mbps,
+                      full.ratio_to_opt, full.runtime_ms):
+            assert math.isnan(value)
+        other = next(r for r in rows if r.algorithm == "random")
+        assert not other.skipped and math.isnan(other.ratio_to_opt)
         buf = io.StringIO()
         write_csv(rows, buf)
         line = next(l for l in buf.getvalue().splitlines() if "full_search" in l)
-        assert line.endswith(",")  # empty runtime cell marks the skip
+        assert line.endswith(",,,,,")  # empty cells, runtime last, mark the skip
 
-    def test_wrong_scenario_rejected(self):
-        with pytest.raises(ConfigurationError):
-            run_runtime_comparison(small_config())
+
+class TestOraclePolicy:
+    def test_throughput_independent_of_scenario(self):
+        point = dict(m_values=(6,), nu_values=(3,), seeds=(0, 1, 2))
+        user = run_experiment(small_config(**point))
+        runtime = run_experiment(small_config(scenario=Scenario.RUNTIME_SWEEP, **point))
+        assert [r.algorithm for r in user] == [r.algorithm for r in runtime]
+        for a, b in zip(user, runtime):
+            assert (a.mean_mbps, a.p10_mbps, a.p90_mbps) == (
+                b.mean_mbps, b.p10_mbps, b.p90_mbps)
+
+    def record_solves(self, monkeypatch):
+        """Wrap the six solver bindings; log (algorithm, oracle, queries
+        made before the solve) per call."""
+        log = []
+        for attr in ("exhaustive_search", "optimal_mu2_su", "gma",
+                     "zfs_grouping", "sus_grouping", "random_grouping"):
+            def solve(*args, _fn=getattr(bench, attr), _attr=attr):
+                oracle = next(a for a in args if isinstance(a, RateOracle))
+                log.append((_attr, oracle, oracle.query_count))
+                return _fn(*args)
+            monkeypatch.setattr(bench, attr, solve)
+        return log
+
+    def test_runtime_sweep_solves_on_fresh_oracles(self, monkeypatch):
+        log = self.record_solves(monkeypatch)
+        run_experiment(small_config(scenario=Scenario.RUNTIME_SWEEP,
+                                    seeds=(0, 1)))
+        assert [attr for attr, _, _ in log[:6]] == [
+            "random_grouping", "exhaustive_search", "optimal_mu2_su", "gma",
+            "zfs_grouping", "sus_grouping"]
+        assert len(log) == 12
+        assert all(queries == 0 for _, _, queries in log)
+        assert len({id(oracle) for _, oracle, _ in log}) == 12
+
+    def test_user_sweep_shares_one_oracle_per_seed(self, monkeypatch):
+        log = self.record_solves(monkeypatch)
+        run_experiment(small_config(seeds=(0, 1)))
+        assert [attr for attr, _, _ in log[:6]] == [
+            "exhaustive_search", "optimal_mu2_su", "gma", "zfs_grouping",
+            "sus_grouping", "random_grouping"]
+        assert len(log) == 12
+        for seed_log in (log[:6], log[6:]):
+            assert len({id(oracle) for _, oracle, _ in seed_log}) == 1
+        assert log[0][1] is not log[6][1]

@@ -82,3 +82,21 @@ def test_search_is_looked_up_as_a_module_global(monkeypatch):
     _, oracle = rician_oracle(5, 2, seed=0)
     grouping.exhaustive_search(5, 2, oracle)
     assert calls == [(5, 2)]
+
+
+def test_solvers_are_looked_up_as_module_globals(monkeypatch):
+    # the worker replaces the solver bindings of mugroup.bench by name and
+    # expects run_experiment to call the replacements
+    bench = module("bench")
+    calls = []
+    solve = bench.gma
+
+    def wrapped(*args):
+        calls.append(args[1:])
+        return solve(*args)
+
+    monkeypatch.setattr(bench, "gma", wrapped)
+    bench.run_experiment(bench.ExperimentConfig(
+        scenario=bench.Scenario.USER_SWEEP, m_values=(5,), nu_values=(2,),
+        algorithms=("gma", "random"), seeds=(0, 1)))
+    assert calls == [(5, 2), (5, 2)]

@@ -68,6 +68,36 @@ def test_bad_config_exits_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+BASE_CONFIG = {"scenario": "user_sweep", "m_values": [4], "nu_values": [2],
+               "algorithms": ["random"], "seeds": [0]}
+
+
+@pytest.mark.parametrize("raw", [
+    [1, 2],
+    {**BASE_CONFIG, "m_values": 5},
+    {**BASE_CONFIG, "seeds": {"base": 3}},
+    {**BASE_CONFIG, "channel": []},
+    {**BASE_CONFIG, "rho_values": []},
+    {**BASE_CONFIG, "channel_file": 5},
+    {**BASE_CONFIG, "output": 7},
+], ids=["top_level_list", "m_values_number", "seeds_without_count",
+        "channel_list", "empty_rho_values", "channel_file_number", "output_number"])
+def test_malformed_config_exits_nonzero(tmp_path, capsys, raw):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_gen_channels_spec_not_an_object(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps([60, 4]))
+    out_path = tmp_path / "chan.txt"
+    assert main(["gen-channels", "--spec", str(spec_path), "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_path.exists()
+
+
 def test_missing_config_file_exits_nonzero(capsys):
     assert main(["run", "--config", "/nonexistent.json"]) == 1
 
