@@ -126,10 +126,12 @@ class ExperimentConfig:
         if not self.m_values or not self.nu_values or not self.rho_values:
             raise ConfigurationError(
                 "m_values, nu_values and rho_values must not be empty")
-        for name in self.algorithms:
+        for k, name in enumerate(self.algorithms):
             if name not in ALGORITHMS:
                 raise ConfigurationError(
                     f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
+            if name in self.algorithms[:k]:
+                raise ConfigurationError(f"repeated algorithm {name!r}")
         for nu in self.nu_values:
             if nu > self.num_tx_antennas:
                 raise ConfigurationError(

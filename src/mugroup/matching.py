@@ -2,19 +2,20 @@
 
 ``max_weight_matching`` solves maximum-weight matching on general
 weighted graphs (vertices may stay unmatched, negative weights allowed)
-via networkx's blossom implementation.  ``hungarian`` solves the
-rectangular assignment problem by maximization with an O(n^3) labeling
-algorithm written here, because its contract pins the tie-break: among
-optimal assignments the lexicographically smallest one is returned,
-which the dual certificate makes cheap to extract.
+with Edmonds' primal-dual blossom algorithm, in Galil's O(V^3) form,
+and breaks ties as van Rantwijk's implementation does (tests pin it).
+``hungarian`` solves the rectangular assignment problem by maximization
+with an O(n^3) labeling algorithm, because its contract pins the
+tie-break: among optimal assignments the lexicographically smallest one
+is returned, which the dual certificate makes cheap to extract.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
-import networkx as nx
 import numpy as np
 
 __all__ = [
@@ -76,16 +77,334 @@ def _as_matching(graph: WeightedGraph, pairs) -> Matching:
 
 def max_weight_matching(graph: WeightedGraph) -> Matching:
     """Maximum-weight matching; not necessarily perfect, so edges that do
-    not pay for themselves are left out.  Deterministic for a fixed edge
-    ordering."""
+    not pay for themselves are left out.
+
+    Edmonds' blossom algorithm with the primal-dual method (Edmonds,
+    Canad. J. Math. 1965; Galil, ACM Computing Surveys 1986), in O(V^3)
+    time and O(V + E) memory.  Among tied optima it returns the pairs of
+    van Rantwijk's implementation, the reference the tests pin it to: the
+    search keeps that order (vertices 0..V-1, neighbours ascending, a
+    last-in first-out queue, strict ``<`` on every least-slack and delta
+    comparison), whatever order ``graph.edges`` comes in.
+    """
     if not graph.edges:
         return Matching((), 0.0)
-    g = nx.Graph()
-    g.add_nodes_from(range(graph.num_vertices))
-    for u, v, w in sorted(graph.edges):
-        g.add_edge(u, v, weight=w)
-    mate = nx.max_weight_matching(g, maxcardinality=False)
-    return _as_matching(graph, mate)
+    mate = _blossom_mates(graph.num_vertices, sorted(graph.edges))
+    return _as_matching(graph, [(v, m) for v, m in enumerate(mate) if v < m])
+
+
+def _round_from(j: int, size: int) -> tuple[int, int]:
+    """Start index and step from child j to the base on the even side."""
+    return (j - size, 1) if j & 1 else (j, -1)
+
+
+def _child_edge(ed, j: int, jstep: int):
+    """The edge from child j to the next child in direction jstep."""
+    if jstep == 1:
+        return ed[j]
+    q, p, k = ed[j - 1]
+    return p, q, k
+
+
+def _blossom_mates(n: int, edges) -> list[int]:
+    """Partner of each vertex (-1 if single) in a maximum-weight matching
+    of the ``n``-vertex graph on ``edges`` ((u, v, weight), u < v, sorted).
+
+    Ids 0..n-1 are vertices and n..2n-1 slots for nontrivial blossoms,
+    so lists indexed by id have 2n entries; live blossoms sit in
+    ``blossom_dual`` in creation order, the order the search scans them.
+    Duals, slacks and deltas are doubled, as in Galil: edge (v, w, k),
+    k its index, has slack dual[v] + dual[w] - 2 w_k.  Edges travel as
+    such triples, oriented the way the search met them.
+    """
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    twice = []
+    for k, (u, v, w) in enumerate(edges):
+        nbrs[u].append((v, k))
+        nbrs[v].append((u, k))
+        twice.append(2 * w)
+    dual = [max(0.0, max(w for _, _, w in edges))] * n
+    mate, mate_edge = [-1] * n, [-1] * n
+    # label of a top-level blossom: 0 free, 1 S, 2 T, 5 S with a breadcrumb;
+    # a vertex inside a T-blossom has label 2 once reached from outside it
+    label = [0] * (2 * n)
+    labeledge: list = [None] * (2 * n)  # edge that gave the label, into it
+    bestedge: list = [None] * (2 * n)   # least-slack edge to an S-blossom
+    inblossom = list(range(n))          # top-level blossom of each vertex
+    parent = [-1] * (2 * n)
+    base = list(range(n)) + [-1] * n
+    childs: list = [None] * (2 * n)     # sub-blossoms round b from its base
+    bedges: list = [None] * (2 * n)     # bedges[b][i] joins childs i and i+1
+    mybest: list = [None] * (2 * n)     # least-slack edges to S-blossoms
+    blossom_dual: dict[int, float] = {}
+    free = list(range(2 * n - 1, n - 1, -1))
+    allowed = [False] * len(edges)      # edge known to have zero slack
+    queue: list[int] = []               # S-vertices still to scan
+
+    def slack(e):
+        return dual[e[0]] + dual[e[1]] - twice[e[2]]
+
+    def leaves(b):
+        out, stack = [], list(childs[b])
+        while stack:
+            t = stack.pop()
+            if t < n:
+                out.append(t)
+            else:
+                stack.extend(childs[t])
+        return out
+
+    def assign_label(w, t, e):
+        # label w's top-level blossom S (t=1) or T (t=2), reached through e
+        b = inblossom[w]
+        label[w] = label[b] = t
+        labeledge[w] = labeledge[b] = e
+        bestedge[w] = bestedge[b] = None
+        if t == 1:
+            queue.extend(leaves(b) if b >= n else (b,))
+        else:
+            bb = base[b]
+            assign_label(mate[bb], 1, (bb, mate[bb], mate_edge[bb]))
+
+    def scan_blossom(v, w):
+        # trace back from v and w by turns: the base of a new blossom,
+        # or -1 when the two paths end at distinct single vertices
+        path, found = [], -1
+        while v >= 0:
+            b = inblossom[v]
+            if label[b] & 4:
+                found = base[b]
+                break
+            path.append(b)
+            label[b] = 5
+            e = labeledge[b]  # None at a single vertex, else its matched edge
+            v = -1 if e is None else labeledge[inblossom[e[0]]][0]
+            if w >= 0:
+                v, w = w, v
+        for b in path:
+            label[b] = 1
+        return found
+
+    def add_blossom(bs, e):
+        # the S-blossoms on the cycle closed by e become one S-blossom
+        v, w, _ = e
+        bb, bv, bw = inblossom[bs], inblossom[v], inblossom[w]
+        b = free.pop()
+        base[b], parent[b], parent[bb] = bs, -1, b
+        path, edgs = [], [e]
+        while bv != bb:
+            parent[bv] = b
+            path.append(bv)
+            edgs.append(labeledge[bv])
+            bv = inblossom[labeledge[bv][0]]
+        path = [bb] + path[::-1]
+        edgs.reverse()
+        while bw != bb:
+            parent[bw] = b
+            path.append(bw)
+            p, q, k = labeledge[bw]
+            edgs.append((q, p, k))
+            bw = inblossom[p]
+        childs[b], bedges[b] = path, edgs
+        label[b], labeledge[b] = 1, labeledge[bb]
+        blossom_dual[b] = 0.0
+        for x in leaves(b):
+            if label[inblossom[x]] == 2:
+                queue.append(x)
+            inblossom[x] = b
+        best_to: dict[int, tuple] = {}
+        for s in path:
+            if s >= n and mybest[s] is not None:
+                nblist, mybest[s] = mybest[s], None
+            else:
+                nblist = [(x, y, k) for x in (leaves(s) if s >= n else (s,))
+                          for y, k in nbrs[x]]
+            for f in nblist:
+                bj = inblossom[f[1]] if inblossom[f[1]] != b else inblossom[f[0]]
+                if bj != b and label[bj] == 1 and (
+                        bj not in best_to or slack(f) < slack(best_to[bj])):
+                    best_to[bj] = f
+            bestedge[s] = None
+        mybest[b] = list(best_to.values())
+        bestedge[b] = min(mybest[b], key=slack, default=None)  # first of ties
+
+    def expand_blossom(b, endstage):
+        # make b's sub-blossoms top-level; at the end of a stage, those
+        # with zero dual are expanded in turn
+        stack = [b]
+        while stack:
+            b = stack.pop()
+            for s in childs[b]:
+                parent[s] = -1
+                if s >= n and endstage and blossom_dual[s] == 0:
+                    stack.append(s)
+                else:
+                    for x in leaves(s) if s >= n else (s,):
+                        inblossom[x] = s
+            if not endstage and label[b] == 2:
+                relabel_expanded(b)
+            label[b], labeledge[b], bestedge[b] = 0, None, None
+            del blossom_dual[b]
+            free.append(b)
+
+    def relabel_expanded(b):
+        # relabel the sub-blossoms of an expanding T-blossom: T and S
+        # alternately from the entry child to the base, then T wherever
+        # a child is reachable from outside
+        ch, ed = childs[b], bedges[b]
+        entry = inblossom[labeledge[b][1]]
+        j, jstep = _round_from(ch.index(entry), len(ch))
+        v, w, k = labeledge[b]
+        while j != 0:
+            _, q, kq = _child_edge(ed, j, jstep)
+            label[w] = label[q] = 0
+            assign_label(w, 2, (v, w, k))
+            allowed[kq] = True
+            j += jstep
+            v, w, k = _child_edge(ed, j, jstep)
+            allowed[k] = True
+            j += jstep
+        bw = ch[j]
+        label[w] = label[bw] = 2
+        labeledge[w] = labeledge[bw] = (v, w, k)
+        bestedge[bw] = None
+        j += jstep
+        while ch[j] != entry:
+            bv = ch[j]
+            j += jstep
+            if label[bv] == 1:
+                continue
+            x = bv
+            if bv >= n:
+                for x in leaves(bv):
+                    if label[x]:
+                        break
+            if label[x]:
+                label[x] = label[mate[base[bv]]] = 0
+                assign_label(x, 2, labeledge[x])
+
+    def augment_blossom(b, v):
+        # swap matched and unmatched edges on the path from v to the base
+        # of b, making v the base; sub-blossoms are handled in any order,
+        # as each one only rematches edges inside itself
+        stack = [(b, v)]
+        while stack:
+            b, v = stack.pop()
+            t = v
+            while parent[t] != b:
+                t = parent[t]
+            if t >= n:
+                stack.append((t, v))
+            ch, ed = childs[b], bedges[b]
+            i = ch.index(t)
+            j, jstep = _round_from(i, len(ch))
+            while j != 0:
+                j += jstep
+                w, x, k = _child_edge(ed, j, jstep)
+                if ch[j] >= n:
+                    stack.append((ch[j], w))
+                j += jstep
+                if ch[j] >= n:
+                    stack.append((ch[j], x))
+                mate[w], mate[x], mate_edge[w], mate_edge[x] = x, w, k, k
+            childs[b], bedges[b] = ch[i:] + ch[:i], ed[i:] + ed[:i]
+            base[b] = v
+
+    def augment_matching(v, w, k):
+        # flip the augmenting path through S-vertices v and w
+        for s, j in ((v, w), (w, v)):
+            ks = k
+            while True:
+                bs = inblossom[s]
+                if bs >= n:
+                    augment_blossom(bs, s)
+                mate[s], mate_edge[s] = j, ks
+                if labeledge[bs] is None:
+                    break
+                bt = inblossom[labeledge[bs][0]]
+                s, j, ks = labeledge[bt]
+                if bt >= n:
+                    augment_blossom(bt, j)
+                mate[j], mate_edge[j] = s, ks
+
+    while True:  # a stage: grow alternating trees until one augmentation
+        label[:] = [0] * (2 * n)
+        labeledge[:] = bestedge[:] = mybest[:] = [None] * (2 * n)
+        allowed[:] = [False] * len(edges)
+        queue.clear()
+        for v in range(n):
+            if mate[v] < 0 and label[inblossom[v]] == 0:
+                assign_label(v, 1, None)
+        augmented = False
+        while True:  # a substage: label from the queue, then move the duals
+            while queue and not augmented:
+                v = queue.pop()
+                for w, k in nbrs[v]:
+                    bv, bw = inblossom[v], inblossom[w]
+                    if bv == bw:
+                        continue
+                    if not allowed[k]:
+                        k_slack = dual[v] + dual[w] - twice[k]
+                        if k_slack <= 0:
+                            allowed[k] = True
+                    if allowed[k]:
+                        if label[bw] == 0:
+                            assign_label(w, 2, (v, w, k))
+                        elif label[bw] == 1:
+                            bs = scan_blossom(v, w)
+                            if bs >= 0:
+                                add_blossom(bs, (v, w, k))
+                            else:
+                                augment_matching(v, w, k)
+                                augmented = True
+                                break
+                        elif label[w] == 0:
+                            label[w], labeledge[w] = 2, (v, w, k)
+                    elif label[bw] == 1 or label[w] == 0:
+                        # least-slack edge from S-blossom bv to another
+                        # S-blossom, or into the unreached vertex w
+                        x = bv if label[bw] == 1 else w
+                        e = bestedge[x]
+                        if e is None or k_slack < dual[e[0]] + dual[e[1]] - twice[e[2]]:
+                            bestedge[x] = (v, w, k)
+            if augmented:
+                break
+            # delta types: 1 a vertex dual hits zero (optimum), 2 an S-free
+            # edge, 3 an S-S edge turns tight, 4 a T-blossom dual hits zero
+            delta_type, delta, delta_edge, delta_blossom = 1, min(dual), None, -1
+            for v in range(n):
+                e = bestedge[v]
+                if e is not None and label[inblossom[v]] == 0:
+                    d = dual[e[0]] + dual[e[1]] - twice[e[2]]
+                    if d < delta:
+                        delta_type, delta, delta_edge = 2, d, e
+            for b in chain(range(n), blossom_dual):
+                e = bestedge[b]
+                if e is not None and parent[b] < 0 and label[b] == 1:
+                    d = (dual[e[0]] + dual[e[1]] - twice[e[2]]) / 2.0
+                    if d < delta:
+                        delta_type, delta, delta_edge = 3, d, e
+            for b, z in blossom_dual.items():
+                if parent[b] < 0 and label[b] == 2 and z < delta:
+                    delta_type, delta, delta_blossom = 4, z, b
+            shift = (0.0, -delta, delta)  # by label: free, S, T
+            for v in range(n):
+                dual[v] += shift[label[inblossom[v]]]
+            for b in blossom_dual:
+                if parent[b] < 0:
+                    blossom_dual[b] -= shift[label[b]]
+            if delta_type == 1:
+                break
+            if delta_type == 4:
+                expand_blossom(delta_blossom, False)
+            else:
+                allowed[delta_edge[2]] = True
+                queue.append(delta_edge[0])
+        if not augmented:
+            return mate
+        for b in list(blossom_dual):
+            if b in blossom_dual and parent[b] < 0 and label[b] == 1 and blossom_dual[b] == 0:
+                expand_blossom(b, True)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mugroup.channel import ChannelSet, CorrelatedRicianSpec, generate_rician
-from mugroup.phy import PhyConfig, make_rate_oracle
+from mugroup.phy import PhyConfig, RateMode, make_rate_oracle
 
 
 class FixtureOracle:
@@ -111,6 +111,9 @@ def identity_channels(n=2):
 @pytest.fixture
 def phy_unit():
     return PhyConfig(bandwidth_hz=1.0, noise_power=1.0, total_power=6.0)
+
+
+MCS_WITH_MAC = PhyConfig(rate_mode=RateMode.MCS_MAPPED, mac_overhead_enabled=True)
 
 
 def rician_oracle(m, nu, seed, *, k_db=8.0, rho=0.0, correlated=0, nt=4, sc=1,

@@ -1,7 +1,8 @@
-"""Exhaustive reference solvers that the tests check the library against.
+"""Reference solvers that the tests check the library against.
 
-Each one enumerates its whole search space, so it is only usable on
-small instances.
+``networkx_matching`` is networkx's blossom matching.  The others
+enumerate their whole search space, so they are only usable on small
+instances.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import math
 from itertools import permutations
 from typing import Iterator
 
+import networkx as nx
 import numpy as np
 
 from mugroup.errors import SearchSpaceError
@@ -18,10 +20,26 @@ from mugroup.matching import Matching, WeightedGraph, _as_matching
 BRUTE_FORCE_VERTEX_LIMIT = 12
 
 
-def brute_force_matching(graph: WeightedGraph) -> Matching:
-    """Exact maximum-weight matching by enumerating all matchings.
+def networkx_matching(graph: WeightedGraph) -> Matching:
+    """Maximum-weight matching by networkx's blossom implementation.
 
-    Refuses graphs with more than 12 vertices.
+    Vertices are added in order 0..V-1 and edges in sorted order, so each
+    vertex lists its neighbours in ascending order, the search order that
+    ``max_weight_matching`` keeps.
+    """
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.num_vertices))
+    for u, v, w in sorted(graph.edges):
+        g.add_edge(u, v, weight=w)
+    return _as_matching(graph, nx.max_weight_matching(g, maxcardinality=False))
+
+
+def optimal_matchings(graph: WeightedGraph) -> list[Matching]:
+    """Every maximum-weight matching, found by enumerating all matchings.
+
+    The list is in enumeration order; weights are summed in ascending edge
+    order, so only exactly equal sums tie.  Refuses graphs with more than
+    12 vertices.
     """
     if graph.num_vertices > BRUTE_FORCE_VERTEX_LIMIT:
         raise SearchSpaceError(
@@ -29,15 +47,16 @@ def brute_force_matching(graph: WeightedGraph) -> Matching:
             f"got {graph.num_vertices}"
         )
     edges = sorted(graph.edges)
-    best_pairs: list[tuple[int, int]] = []
-    best_weight = 0.0  # empty matching is always available
+    best: list[list[tuple[int, int]]] = []
+    best_weight = -math.inf  # the first matching found is the empty one
 
     def rec(i: int, used: int, picked: list[tuple[int, int]], weight: float):
-        nonlocal best_pairs, best_weight
+        nonlocal best, best_weight
         if i == len(edges):
             if weight > best_weight:
-                best_weight = weight
-                best_pairs = list(picked)
+                best_weight, best = weight, []
+            if weight == best_weight:
+                best.append(list(picked))
             return
         rec(i + 1, used, picked, weight)
         u, v, w = edges[i]
@@ -48,7 +67,13 @@ def brute_force_matching(graph: WeightedGraph) -> Matching:
             picked.pop()
 
     rec(0, 0, [], 0.0)
-    return _as_matching(graph, best_pairs)
+    return [_as_matching(graph, pairs) for pairs in best]
+
+
+def brute_force_matching(graph: WeightedGraph) -> Matching:
+    """Exact maximum-weight matching by enumerating all matchings: the
+    first optimum found.  Refuses graphs with more than 12 vertices."""
+    return optimal_matchings(graph)[0]
 
 
 def brute_force_assignment(w) -> tuple[tuple[int, ...], float]:

@@ -6,11 +6,10 @@ from mugroup.baselines import SusParams, random_grouping, sus_grouping, zfs_grou
 from mugroup.channel import ChannelSet, correlation_matrix
 from mugroup.gma import gma, optimal_mu2_su
 from mugroup.grouping import canonical_partition, objective, validate_partition
-from mugroup.phy import PhyConfig, RateMode, RateOracle, make_rate_oracle
+from mugroup.phy import PhyConfig, RateOracle, make_rate_oracle
 
-from conftest import identity_channels, random_oracle, rician_oracle, vdot_correlation
-
-MCS_WITH_MAC = PhyConfig(rate_mode=RateMode.MCS_MAPPED, mac_overhead_enabled=True)
+from conftest import (MCS_WITH_MAC, identity_channels, random_oracle, rician_oracle,
+                      vdot_correlation)
 
 
 class TestZfs:

@@ -72,6 +72,16 @@ BASE_CONFIG = {"scenario": "user_sweep", "m_values": [4], "nu_values": [2],
                "algorithms": ["random"], "seeds": [0]}
 
 
+def test_repeated_algorithm_exits_nonzero(tmp_path, capsys):
+    # a solver listed twice would report its seeds twice per row
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {**BASE_CONFIG, "algorithms": ["full_search", "gma", "gma"], "seeds": [0, 1]}))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "repeated" in err
+
+
 @pytest.mark.parametrize("raw", [
     [1, 2],
     {**BASE_CONFIG, "m_values": 5},

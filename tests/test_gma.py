@@ -13,13 +13,14 @@ from mugroup.matching import hungarian
 from mugroup.phy import MAC_OVERHEAD_FACTOR, PhyConfig, RateMode
 
 from conftest import (
+    MCS_WITH_MAC,
     FixtureOracle,
     TWELVE_STATION_PAIRS,
     TWELVE_STATION_RESULT,
     random_oracle,
     rician_oracle,
 )
-from reference import brute_force_assignment
+from reference import brute_force_assignment, networkx_matching
 
 
 class TestOptimalMu2Su:
@@ -158,6 +159,24 @@ class TestGma:
         singles = objective([(u,) for u in range(10)], oracle)
         # pairing stage is exact, so the result beats pure SU
         assert sol.objective_value >= singles - 1e-9
+
+
+@pytest.mark.parametrize("m, seeds, sc, phy", [
+    (10, range(50), 1, None),
+    (40, range(20), 8, MCS_WITH_MAC),
+], ids=["exact_m10_shannon", "m40_mcs_mac"])
+def test_solves_unchanged_with_networkx_matching(monkeypatch, m, seeds, sc, phy):
+    # the blossom port picks networkx's pairs among tied optima, so no
+    # solve may move when the networkx reference stands in for it
+    for seed in seeds:
+        _, oracle = rician_oracle(m, 4, seed, sc=sc, phy=phy)
+        ours = optimal_mu2_su(oracle, m), gma(oracle, m, 4)
+        with monkeypatch.context() as patch:
+            patch.setattr(gma_mod, "max_weight_matching", networkx_matching)
+            ref = optimal_mu2_su(oracle, m), gma(oracle, m, 4)
+        for a, b in zip(ours, ref):
+            assert a.groups == b.groups
+            assert a.objective_value == b.objective_value
 
 
 class TestMcsTieBreak:

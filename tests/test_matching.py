@@ -1,14 +1,29 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mugroup
+import mugroup.gma  # noqa: F401  (register the submodule)
 from mugroup.errors import SearchSpaceError
+from mugroup.gma import optimal_mu2_su
 from mugroup.matching import Matching, WeightedGraph, hungarian, max_weight_matching
 
-from reference import brute_force_assignment, brute_force_matching
+from conftest import MCS_WITH_MAC, rician_oracle
+from reference import (
+    brute_force_assignment,
+    brute_force_matching,
+    networkx_matching,
+    optimal_matchings,
+)
+
+gma_mod = sys.modules["mugroup.gma"]
 
 
 def graph(n, edges):
@@ -23,6 +38,21 @@ def random_graph(rng, max_vertices=10, wmin=-5, wmax=20):
             if rng.random() < 0.5:
                 edges.append((i, j, float(rng.integers(wmin, wmax + 1))))
     return graph(n, edges)
+
+
+# small integer weight sets, negatives and zero included, so optima tie
+TIED_WEIGHTS = ((-2, -1, 0, 1, 2, 3), (0, 1, 2), (-3, 0, 4, 4, 8), (1, 1, 2, 5))
+
+
+def tied_graph(rng, max_vertices=30):
+    """Random graph on up to ``max_vertices`` vertices whose weights come
+    from one of ``TIED_WEIGHTS``, its edges listed in shuffled order."""
+    n = int(rng.integers(2, max_vertices + 1))
+    weights = TIED_WEIGHTS[int(rng.integers(len(TIED_WEIGHTS)))]
+    density = rng.uniform(0.1, 1.0)
+    edges = [(i, j, float(rng.choice(weights)))
+             for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    return graph(n, [edges[k] for k in rng.permutation(len(edges))])
 
 
 class TestWeightedGraphInvariants:
@@ -76,10 +106,64 @@ class TestMaxWeightMatching:
     def test_oracle_equivalence_sample(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            g = random_graph(rng)
+            g = random_graph(rng, max_vertices=12)
             fast = max_weight_matching(g)
-            exact = brute_force_matching(g)
-            assert fast.total_weight == exact.total_weight
+            optima = optimal_matchings(g)
+            assert fast.total_weight == optima[0].total_weight
+            if len(optima) == 1:
+                assert fast.pairs == optima[0].pairs
+
+    def test_many_vertices_few_edges(self):
+        # state is O(V + E): a V x V table would not fit this in time or memory
+        g = graph(10_000, [(0, 9_999, 2.0), (5, 6, 1.0), (6, 7, 3.0)])
+        t0 = time.perf_counter()
+        m = max_weight_matching(g)
+        assert time.perf_counter() - t0 < 1.0
+        assert m.pairs == ((0, 9_999), (6, 7))
+        assert m.total_weight == 5.0
+
+
+class TestSameMatchingAsNetworkx:
+    """Where optima tie, the pairs must be networkx's: ``blossom`` and
+    ``gma`` groups, and with them the golden CSVs, depend on them."""
+
+    def test_random_tied_graphs(self):
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            g = tied_graph(rng)
+            assert max_weight_matching(g) == networkx_matching(g)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_tied_graphs_property(self, seed):
+        g = tied_graph(np.random.default_rng(seed))
+        assert max_weight_matching(g) == networkx_matching(g)
+
+    def test_mcs_gain_graphs(self, monkeypatch):
+        # the pairing graphs optimal_mu2_su builds from quantized MCS rates
+        graphs = []
+
+        def recording(g):
+            graphs.append(g)
+            return max_weight_matching(g)
+
+        monkeypatch.setattr(gma_mod, "max_weight_matching", recording)
+        for seed in range(20):
+            _, oracle = rician_oracle(40, 4, seed, sc=8, phy=MCS_WITH_MAC)
+            optimal_mu2_su(oracle, 40)
+        weights = [w for g in graphs for _, _, w in g.edges]
+        assert len(set(weights)) < len(weights)  # the graphs do tie
+        for g in graphs:
+            assert max_weight_matching(g) == networkx_matching(g)
+
+
+def test_runtime_does_not_import_networkx():
+    src = str(Path(mugroup.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, mugroup, mugroup.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestBruteForceMatching:

@@ -19,9 +19,7 @@ from mugroup.phy import (
     zf_steering,
 )
 
-from conftest import identity_channels, rician_oracle
-
-MCS_WITH_MAC = PhyConfig(rate_mode=RateMode.MCS_MAPPED, mac_overhead_enabled=True)
+from conftest import MCS_WITH_MAC, identity_channels, rician_oracle
 
 
 def flat_channels(rows):
