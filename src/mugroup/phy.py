@@ -22,6 +22,10 @@ answers a list of groups in one bulk query, and ``RateOracle.precompute``
 fills the memo per group size.  Every row gets its own LAPACK call, so a
 rate does not depend on the batch it was computed in.  Groups are
 checked and put in canonical order by ``grouping.canonical_group``.
+
+A group is rank deficient on a subcarrier when the condition number of
+H H^H exceeds ``_COND_LIMIT``.  The bound cond(G) <= tr(G)^k / det(G),
+with a 100x margin, clears most rows; only the rest pay for an SVD.
 """
 
 from __future__ import annotations
@@ -52,6 +56,10 @@ __all__ = [
 
 # condition-number limit for HH^H before a group counts as rank deficient
 _COND_LIMIT = 1e12
+
+# bound on tr^k / det that certifies HH^H well conditioned without an SVD;
+# 100x below _COND_LIMIT, so rounding cannot carry a certified row past it
+_CERT_LIMIT = _COND_LIMIT / 100
 
 # most (group, subcarrier) rows that one ``_zf_batch`` call stacks
 _MAX_BATCH_ROWS = 1024
@@ -132,10 +140,21 @@ def _zf_batch(channels: ChannelSet, groups: list[tuple[int, ...]]):
     Returns ``(h, w, ok)`` with one row per (group, subcarrier), group
     major: ``h`` (n*sc, k, Nt) holds the stacked channels, ``w``
     (n*sc, Nt, k) the steering H^H (H H^H)^-1 with unit-norm columns, and
-    ``ok`` (n*sc,) marks rows whose H H^H is well conditioned.  Rows that
-    are not ok are solved against the identity and mean nothing.  Every
-    row gets its own LAPACK call, so a group's values do not depend on
-    which other groups share the batch.
+    ``ok`` (n*sc,) marks rows whose Gram matrix G = H H^H has condition
+    number at most ``_COND_LIMIT``.  Rows that are not ok are solved
+    against the identity and mean nothing (a zero column there stays
+    zero).  Every row gets its own LAPACK call, so a group's values do not
+    depend on which other groups share the batch.
+
+    For positive-definite G, lambda_max <= tr G and lambda_min >=
+    det G / tr(G)^(k-1), so cond(G) <= tr(G)^k / det G.  A row with
+    det(G / tr G) >= 1 / ``_CERT_LIMIT`` has cond at most 1e10, 100x
+    below the limit, which rounding cannot bridge: it is ok without an
+    SVD.  G / tr G has entries of magnitude at most 1, so its det cannot
+    overflow, as det G and tr(G)^k can at large channel scales, and it
+    underflows only far below the bound.  The rows left, singular and
+    near-singular ones, get the exact rule, one SVD each, so ``ok`` is
+    the mask that rule alone gives.
     """
     n, k = len(groups), len(groups[0])
     sc, nt = channels.num_subcarriers, channels.num_tx_antennas
@@ -144,11 +163,19 @@ def _zf_batch(channels: ChannelSet, groups: list[tuple[int, ...]]):
     # take another summation order for a batch of one
     h = np.ascontiguousarray(np.moveaxis(h, 3, 1).reshape(n * sc, k, nt))
     gram = h @ np.conj(np.swapaxes(h, 1, 2))
-    ok = np.linalg.cond(gram) <= _COND_LIMIT
+    tr = np.einsum("ijj->i", gram).real
+    # real and imaginary parts divided as reals: numpy's complex divide
+    # takes 1/tr first, which overflows for a subnormal trace
+    unit = gram.view(np.float64) / np.where(tr > 0, tr, 1.0)[:, None, None]
+    ok = np.linalg.det(unit.view(gram.dtype)).real >= 1 / _CERT_LIMIT
     if not ok.all():
+        rest = ~ok
+        ok[rest] = np.linalg.cond(gram[rest]) <= _COND_LIMIT
         gram[~ok] = np.eye(k)
     w = np.conj(np.swapaxes(np.linalg.solve(gram, h), 1, 2))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    norm = np.linalg.norm(w, axis=1, keepdims=True)
+    norm[~ok] = 1.0  # a zero channel leaves a zero column there, not 0/0
+    w /= norm
     return h, w, ok
 
 

@@ -1,8 +1,8 @@
 """Reference solvers that the tests check the library against.
 
-``networkx_matching`` is networkx's blossom matching.  The others
-enumerate their whole search space, so they are only usable on small
-instances.
+``networkx_matching`` is networkx's blossom matching.  ``zf_batch`` is
+zero-forcing with the plain SVD rank rule.  The others enumerate their
+whole search space, so they are only usable on small instances.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ from mugroup.errors import SearchSpaceError
 from mugroup.matching import Matching, WeightedGraph, _as_matching
 
 BRUTE_FORCE_VERTEX_LIMIT = 12
+
+# the library's condition-number limit for a well-conditioned group
+COND_LIMIT = 1e12
 
 
 def networkx_matching(graph: WeightedGraph) -> Matching:
@@ -130,3 +133,25 @@ def enumerate_partitions(num_users: int, max_size: int) -> Iterator[tuple[tuple[
         blocks.pop()
 
     return rec(0)
+
+
+def zf_batch(channels, groups):
+    """``phy._zf_batch`` with ``ok`` decided on every row by one SVD: the
+    2-norm condition number of H H^H is at most ``COND_LIMIT``.
+
+    The arithmetic of the stacked channels, the solve and the column
+    normalization is the library's, so rows that are ok must match it bit
+    for bit.  Rows that are not ok mean nothing; a zero column there is
+    divided 0/0 without a warning.
+    """
+    n, k = len(groups), len(groups[0])
+    sc, nt = channels.num_subcarriers, channels.num_tx_antennas
+    h = channels.entries[np.asarray(groups)]
+    h = np.ascontiguousarray(np.moveaxis(h, 3, 1).reshape(n * sc, k, nt))
+    gram = h @ np.conj(np.swapaxes(h, 1, 2))
+    ok = np.linalg.cond(gram) <= COND_LIMIT
+    gram[~ok] = np.eye(k)
+    w = np.conj(np.swapaxes(np.linalg.solve(gram, h), 1, 2))
+    with np.errstate(invalid="ignore"):
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+    return h, w, ok

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from mugroup.channel import load_channels
+from mugroup.channel import (ChannelSet, CorrelatedRicianSpec, generate_rician,
+                             load_channels, write_channels)
 from mugroup.cli import main
 
 
@@ -141,3 +143,21 @@ def test_runtime_sweep_marks_skipped_full_search(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(cfg_path)]) == 0
     assert "full_search  skipped (more than 16 users)" in capsys.readouterr().out
+
+
+def test_run_with_zero_channel_user(tmp_path, capsys):
+    # every group holding user 3 is rank deficient; the tests' RuntimeWarning
+    # filter fails the run on any 0/0 in its steering
+    channels = generate_rician(CorrelatedRicianSpec(
+        num_users=8, num_tx_antennas=4, num_subcarriers=2, seed=5))
+    entries = np.array(channels.entries)
+    entries[3] = 0.0
+    chan_path = tmp_path / "chan.txt"
+    write_channels(ChannelSet(8, 4, 2, entries), chan_path)
+    cfg = {**BASE_CONFIG, "m_values": [8], "nu_values": [3], "channel_file": str(chan_path),
+           "algorithms": ["full_search", "blossom", "gma", "zfs", "sus", "random"],
+           "output": str(tmp_path / "results.csv")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path)]) == 0
+    assert len((tmp_path / "results.csv").read_text().splitlines()) == 7

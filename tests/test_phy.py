@@ -1,5 +1,6 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mugroup.phy import (
     zf_steering,
 )
 
+from reference import zf_batch as reference_zf_batch
 from conftest import MCS_WITH_MAC, identity_channels, rician_oracle
 
 
@@ -34,6 +36,31 @@ def channels_with_duplicate(m, sc, seed, nt=4):
     entries = np.array(channels.entries)
     entries[m - 1] = entries[m - 2]
     return ChannelSet(m, channels.num_tx_antennas, sc, entries)
+
+
+def degenerate_channels(m, sc, seed, nt=4):
+    """``channels_with_duplicate`` with user 0 given an all-zero channel."""
+    channels = channels_with_duplicate(m, sc, seed, nt=nt)
+    entries = np.array(channels.entries)
+    entries[0] = 0.0
+    return ChannelSet(m, nt, sc, entries)
+
+
+def conditioned_channels(conds, k=3, nt=4):
+    """Flat channels of one k-user group per entry of ``conds``: group i is
+    users k*i .. k*i+k-1, built as U diag(s) V^H from random unitary U and
+    V, with the squared singular values spaced geometrically so that the
+    group's Gram matrix has condition number ``conds[i]``."""
+    rng = np.random.default_rng(0)
+
+    def unitary(n):
+        return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+    blocks = []
+    for cond in conds:
+        s = np.sqrt(np.geomspace(1.0, 1.0 / cond, k))
+        blocks.append((unitary(k) * s) @ np.conj(unitary(nt)[:, :k].T))
+    return flat_channels(np.concatenate(blocks))
 
 
 def reference_rate(channels, group, cfg):
@@ -333,6 +360,84 @@ class TestRateOracle:
         channels, _ = rician_oracle(5, 3, seed=11)
         with pytest.raises(ValueError):
             make_rate_oracle(channels, PhyConfig(), 5)
+
+
+class TestZeroChannelUser:
+    """A user whose channel is all zero is rank deficient in every group;
+    the tests' RuntimeWarning filter fails any 0/0 on the way."""
+
+    @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
+    def test_oracle_scores_zero(self, cfg):
+        channels = degenerate_channels(6, 8, seed=17)
+        groups = [g for s in (1, 2, 3) for g in combinations(range(6), s)]
+        oracle = make_rate_oracle(channels, cfg, 3)
+        values = oracle.rates(groups)
+        assert all((v == 0.0) == (0 in g or {4, 5} <= set(g)) for g, v in zip(groups, values))
+        fresh = make_rate_oracle(channels, cfg, 3)
+        assert fresh.rate((0,)) == fresh.rate((0, 3)) == 0.0
+
+    def test_group_rate_raises(self):
+        channels = degenerate_channels(6, 8, seed=17)
+        for group in [(0,), (0, 3), (0, 1, 2)]:
+            with pytest.raises(SingularChannelError):
+                group_rate(channels, group, PhyConfig())
+
+
+class TestConditioningMask:
+    """``_zf_batch`` certifies most rows from trace and determinant and
+    sends the rest to an SVD; its ``ok`` must be the SVD rule's on every
+    row, and its rates bit for bit those of ``reference_zf_batch``."""
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("nt", [4, 8])
+    def test_mask_matches_svd_rule(self, nt, scale):
+        import mugroup.phy as phy
+
+        channels = degenerate_channels(10, 2, seed=18, nt=nt)
+        channels = ChannelSet(10, nt, 2, channels.entries * scale)
+        for k in range(1, nt + 1):
+            groups = list(combinations(range(10), k))
+            ok = phy._zf_batch(channels, groups)[2]
+            expected = reference_zf_batch(channels, groups)[2]
+            assert np.array_equal(ok, expected) and not expected.all()
+
+    def test_mask_at_the_condition_limit(self):
+        import mugroup.phy as phy
+
+        conds = [1e9, 1e11, 0.99e12, 1.01e12, 1e13]
+        channels = conditioned_channels(conds)
+        groups = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(len(conds))]
+        expected = reference_zf_batch(channels, groups)[2]
+        assert expected.tolist() == [True, True, True, False, False]
+        assert np.array_equal(phy._zf_batch(channels, groups)[2], expected)
+
+    @pytest.mark.parametrize("cfg,sc", [
+        (PhyConfig(), 1), (PhyConfig(), 8), (MCS_WITH_MAC, 1), (MCS_WITH_MAC, 8),
+    ], ids=["shannon-sc1", "shannon-sc8", "mcs_mac-sc1", "mcs_mac-sc8"])
+    def test_rates_bit_identical_to_svd_rule(self, cfg, sc):
+        import mugroup.phy as phy
+
+        channels = degenerate_channels(9, sc, seed=19)
+        for k in (1, 2, 3, 4):
+            groups = list(combinations(range(9), k))
+            expected = phy._zf_rates(*reference_zf_batch(channels, groups), len(groups), cfg)
+            assert phy._batch_rates(channels, groups, cfg).tolist() == expected.tolist()
+
+    def test_svd_only_for_uncertified_rows(self, monkeypatch):
+        svd_rows = []
+        cond = np.linalg.cond
+
+        def counted(x, *args, **kwargs):
+            svd_rows.append(len(x))
+            return cond(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        _, oracle = rician_oracle(12, 4, seed=20, sc=8)
+        oracle.precompute([g for s in (1, 2, 3, 4) for g in combinations(range(12), s)])
+        assert oracle.compute_count == 793 and sum(svd_rows) == 0
+        channels = conditioned_channels([1e11])
+        assert make_rate_oracle(channels, PhyConfig(), 3).rate((0, 1, 2)) > 0.0
+        assert svd_rows == [1]
 
 
 class TestMcsMapping:
