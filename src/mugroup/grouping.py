@@ -8,7 +8,8 @@ group is a hyperedge weighted by its rate, and the valid partitions are
 the complete matchings of that hypergraph.  Full search stores the
 hypergraph as the 2**M table of ``_rates_by_mask`` (one weight per member
 bitmask) and finds the best complete matching with the subset DP of
-``search_best_partition``.
+``search_best_partition``, run in numpy layer by layer over the states
+it reaches.
 """
 
 from __future__ import annotations
@@ -195,32 +196,49 @@ def _block_string(block, state, last, n):
     return rgs
 
 
+# Most (source state, block shape) cells one batch of the subset DP holds.
+_BATCH_CELLS = 1 << 16
+
+
 def search_best_partition(rates: np.ndarray, n: int, max_block: int):
     """Best partition of {0..n-1} into blocks of at most ``max_block``
     members under the bitmask rate table ``rates``.
 
     Returns (partition_count, best_score, block_index_per_element).
     ``rates`` must have length 2**n with entries for every non-empty
-    subset of size <= max_block.
+    subset of size <= max_block, and every entry must be finite: a NaN
+    or infinite rate raises ``ValueError``, since it leaves the largest
+    score undefined.
 
     A partition scores sum(|B| * rates[bitmask(B)]), added left to right
     over its blocks in least-element order.  The search is the forward
     set-partition DP over bitmasks (Björklund, Husfeldt and Koivisto,
     SIAM J. Comput. 2009): a state is the set T of elements covered so
-    far, states are visited in ascending mask order, and the next block B
-    holds the lowest element outside T, so each partition is built
-    exactly once.  ``best[T | B] = best[T] + |B| * rates[B]`` adds in the
-    order of the score and float addition is monotone, so the result is
-    the largest score as a float; ``count[T | B] += count[T]`` counts the
-    partitions.
+    far, and the next block B holds the lowest element outside T, so each
+    partition is built exactly once.  ``best[T | B] = best[T] + |B| *
+    rates[B]`` adds in the order of the score and float addition is
+    monotone, so the result is the largest score as a float;
+    ``count[T | B] += count[T]`` counts the partitions.
 
-    On an exact tie at a state the candidate whose block-index string
+    States are expanded in layers by their lowest uncovered element L,
+    the strided slice ``count[2**L - 1 :: 2**(L + 1)]``.  Every block
+    added from a layer-L state holds L, so it leads to a higher layer and
+    a state's value is final before its layer expands.  Only reached
+    states (count > 0) expand; many are never reached, such as {1}
+    without {0}.  Each layer runs as numpy batches of at most
+    ``_BATCH_CELLS`` (state, block) cells, which bounds the memory.
+
+    At a state the candidate with the largest score is kept and, among
+    exactly equal scores, the one whose block-index string
     (restricted-growth string, uncovered elements given the next index)
-    comes first is kept.  That order does not depend on how the state is
-    completed, so with exact sums (integer rates, say) the result is the
-    first optimal partition in canonical order.  Where rounding hides a
-    difference between two prefix sums, an optimum later in that order
-    may be returned.
+    comes first.  That is a total order on the candidates, so the kept
+    one does not depend on the order in which layers and batches offer
+    them: a state with one candidate at the maximum takes it, and only
+    exact ties compare strings.  The string order does not depend on how
+    the state is completed, so with exact sums (integer rates, say) the
+    result is the first optimal partition in canonical order.  Where
+    rounding hides a difference between two prefix sums, an optimum later
+    in that order may be returned.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -228,35 +246,47 @@ def search_best_partition(rates: np.ndarray, n: int, max_block: int):
         raise ValueError("max_block must be >= 1")
     if len(rates) != 2 ** n:
         raise ValueError(f"rates must have length 2**{n}, got {len(rates)}")
-    rates = np.asarray(rates, dtype=np.float64).tolist()
+    size = np.zeros(1, dtype=np.int64)  # members of each mask, by doubling
+    for _ in range(n):
+        size = np.concatenate([size, size + 1])
+    weight = size * np.asarray(rates, dtype=np.float64)
+    if not np.isfinite(weight).all():
+        raise ValueError("rates must be finite")
     full = (1 << n) - 1
-    bits = [1 << i for i in range(n)]
-    best = [0.0] * (full + 1)
-    count = [0] * (full + 1)
-    block = [0] * (full + 1)  # last block on the kept path to each state
-    count[0] = 1
-    for t in range(full):
-        ways = count[t]
-        if not ways:
-            continue
-        low = ~t & (t + 1)  # lowest element outside t; blocks are disjoint bits
-        free = [b for b in bits if b > low and not t & b]
-        base = best[t]
-        for extra in range(min(max_block, len(free) + 1)):
-            for others in combinations(free, extra):
-                b = low + sum(others)
-                s = t + b
-                value = base + (extra + 1) * rates[b]
-                if not count[s] or value > best[s] or (
-                        value == best[s]
-                        and _block_string(block, t, b, n)
-                        < _block_string(block, s - block[s], block[s], n)):
-                    best[s] = value
-                    block[s] = b
-                count[s] += ways
+    best = np.full(full + 1, -np.inf)
+    count = np.zeros(full + 1, dtype=np.int64)
+    block = np.zeros(full + 1, dtype=np.int64)  # last block on the kept path
+    leads = np.zeros(full + 1, dtype=np.int64)  # scratch: leads per state
+    best[0], count[0] = 0.0, 1
+    for low in range(n):
+        step = 2 << low  # a state or block shape k * step covers bits above low
+        shapes = np.flatnonzero(size[: (full + 1) // step] < max_block)
+        sources = np.flatnonzero(count[(1 << low) - 1 :: step])
+        per = max(1, _BATCH_CELLS // len(shapes))
+        for start in range(0, len(sources), per):
+            rows, cols = np.nonzero((sources[start : start + per, None] & shapes) == 0)
+            t = (1 << low) - 1 + sources[start + rows] * step
+            b = (1 << low) + shapes[cols] * step
+            s = t + b
+            value = best[t] + weight[b]
+            held = (count[s] > 0) & (best[s] == value)  # ties an earlier batch
+            np.add.at(count, s, count[t])
+            np.maximum.at(best, s, value)
+            lead = np.flatnonzero(value == best[s])  # candidates at the max
+            at = s[lead]
+            np.add.at(leads, at, 1)
+            tied = (leads[at] > 1) | held[lead]
+            leads[at] = 0
+            block[at[~tied]] = b[lead[~tied]]
+            block[at[tied & ~held[lead]]] = 0  # no kept candidate yet
+            for i in lead[tied].tolist():
+                target, kept = int(s[i]), int(block[s[i]])
+                if not kept or (_block_string(block, int(t[i]), int(b[i]), n)
+                                < _block_string(block, target - kept, kept, n)):
+                    block[target] = b[i]
     assign = np.array(_block_string(block, full - block[full], block[full], n),
                       dtype=np.int64)
-    return count[full], best[full], assign
+    return int(count[full]), float(best[full]), assign
 
 
 def exhaustive_search_fits(num_users: int, max_size: int) -> bool:

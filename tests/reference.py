@@ -1,20 +1,23 @@
 """Reference solvers that the tests check the library against.
 
 ``networkx_matching`` is networkx's blossom matching.  ``zf_batch`` is
-zero-forcing with the plain SVD rank rule.  The others enumerate their
-whole search space, so they are only usable on small instances.
+zero-forcing with the plain SVD rank rule.  ``loop_best_partition`` is
+the subset DP of full search as a plain loop over the states.  The
+others enumerate their whole search space, so they are only usable on
+small instances.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterator
 
 import networkx as nx
 import numpy as np
 
 from mugroup.errors import SearchSpaceError
+from mugroup.grouping import _block_string
 from mugroup.matching import Matching, WeightedGraph, _as_matching
 
 BRUTE_FORCE_VERTEX_LIMIT = 12
@@ -133,6 +136,45 @@ def enumerate_partitions(num_users: int, max_size: int) -> Iterator[tuple[tuple[
         blocks.pop()
 
     return rec(0)
+
+
+def loop_best_partition(rates, n: int, max_block: int):
+    """``grouping.search_best_partition`` as one Python loop over the
+    states in ascending mask order, with its result and tie rule.
+
+    Each reached state T offers every block B that holds the lowest
+    element outside T; ``T | B`` keeps the larger score and, on an exact
+    tie, the candidate whose block-index string comes first.
+    """
+    rates = np.asarray(rates, dtype=np.float64).tolist()
+    full = (1 << n) - 1
+    bits = [1 << i for i in range(n)]
+    best = [0.0] * (full + 1)
+    count = [0] * (full + 1)
+    block = [0] * (full + 1)  # last block on the kept path to each state
+    count[0] = 1
+    for t in range(full):
+        ways = count[t]
+        if not ways:
+            continue
+        low = ~t & (t + 1)  # lowest element outside t; blocks are disjoint bits
+        free = [b for b in bits if b > low and not t & b]
+        base = best[t]
+        for extra in range(min(max_block, len(free) + 1)):
+            for others in combinations(free, extra):
+                b = low + sum(others)
+                s = t + b
+                value = base + (extra + 1) * rates[b]
+                if not count[s] or value > best[s] or (
+                        value == best[s]
+                        and _block_string(block, t, b, n)
+                        < _block_string(block, s - block[s], block[s], n)):
+                    best[s] = value
+                    block[s] = b
+                count[s] += ways
+    assign = np.array(_block_string(block, full - block[full], block[full], n),
+                      dtype=np.int64)
+    return count[full], best[full], assign
 
 
 def zf_batch(channels, groups):

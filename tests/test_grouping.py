@@ -198,16 +198,25 @@ class TestExhaustiveSearch:
             objective(sol.groups, oracle), rel=1e-9)
 
 
+def assert_no_heuristic_beats_optimum(m, seed):
+    channels, oracle = rician_oracle(m, 4, seed=seed)
+    best = exhaustive_search(m, 4, oracle).objective_value
+    for sol in (optimal_mu2_su(oracle, m), gma(oracle, m, 4),
+                zfs_grouping(oracle, m, 4), sus_grouping(channels, oracle, m, 4),
+                random_grouping(m, 4, seed, oracle)):
+        assert sol.objective_value <= best
+
+
 class TestCrossSolvers:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_no_heuristic_beats_optimum_at_m14(self, seed):
         # M=14, Nu=4 has 135,399,720 partitions
-        channels, oracle = rician_oracle(14, 4, seed=seed)
-        best = exhaustive_search(14, 4, oracle).objective_value
-        for sol in (optimal_mu2_su(oracle, 14), gma(oracle, 14, 4),
-                    zfs_grouping(oracle, 14, 4), sus_grouping(channels, oracle, 14, 4),
-                    random_grouping(14, 4, seed, oracle)):
-            assert sol.objective_value <= best
+        assert_no_heuristic_beats_optimum(14, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_no_heuristic_beats_optimum_at_m16(self, seed):
+        # M=16, Nu=4, the largest full search, has 6,631,556,521 partitions
+        assert_no_heuristic_beats_optimum(16, seed)
 
 
 def mask(group):

@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mugroup.grouping import active_backend, count_partitions, search_best_partition
+from mugroup import grouping
+from mugroup.grouping import (_rates_by_mask, active_backend, canonical_partition,
+                              count_partitions, exhaustive_search, search_best_partition)
 
-from reference import enumerate_partitions
+from conftest import MCS_WITH_MAC, rician_oracle
+from reference import enumerate_partitions, loop_best_partition
 
 
 def random_rates(rng, n, smax):
@@ -12,6 +17,38 @@ def random_rates(rng, n, smax):
         if bin(mask).count("1") <= smax:
             rates[mask] = rng.uniform(0.0, 10.0)
     return rates
+
+
+# MCS data rates in Mbit/s: rates quantized to few levels tie often
+MCS_LEVELS = (0.0, 6.5, 13.0, 19.5, 26.0, 39.0, 52.0, 58.5, 65.0)
+
+
+def rate_table(rng, n, smax, kind):
+    """A bitmask rate table of one kind: uniform floats, integers in
+    {0, 1, 2} (exact ties everywhere), MCS levels shared among members,
+    or mostly zeros."""
+    rates = np.zeros(2 ** n)
+    for mask in range(1, 2 ** n):
+        size = bin(mask).count("1")
+        if size > smax:
+            continue
+        if kind == "float":
+            rates[mask] = rng.uniform(0.0, 10.0)
+        elif kind == "int":
+            rates[mask] = float(rng.integers(0, 3))
+        elif kind == "mcs":
+            rates[mask] = MCS_LEVELS[rng.integers(len(MCS_LEVELS))] * 0.9 / size
+        else:
+            rates[mask] = rng.uniform(0.0, 1.0) if rng.random() < 0.3 else 0.0
+    return rates
+
+
+def assert_same_as_loop(rates, n, smax):
+    count, best, assign = search_best_partition(rates, n, smax)
+    ref_count, ref_best, ref_assign = loop_best_partition(rates, n, smax)
+    assert count == ref_count
+    assert best == ref_best
+    assert assign.tolist() == ref_assign.tolist()
 
 
 def blocks_of(assign):
@@ -67,3 +104,60 @@ class TestKernel:
 
     def test_active_backend_name(self):
         assert active_backend() == "python"
+
+
+KINDS = ["float", "int", "mcs", "zero"]
+
+
+class TestAgainstLoop:
+    """The layered numpy DP against the plain loop over states in
+    ``tests/reference.py``: same count, same score bits, same partition."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_size(self, kind):
+        rng = np.random.default_rng(KINDS.index(kind))
+        for n in range(1, 11):
+            for smax in range(1, 6):
+                for _ in range(3):
+                    assert_same_as_loop(rate_table(rng, n, smax, kind), n, smax)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_many_small_batches(self, kind, monkeypatch):
+        # 8 cells hold one or a few sources, so most layers run as many
+        # batches and tied candidates meet across batches
+        monkeypatch.setattr(grouping, "_BATCH_CELLS", 8)
+        rng = np.random.default_rng(10 + KINDS.index(kind))
+        for n in range(1, 10):
+            for smax in range(1, 6):
+                for _ in range(2):
+                    assert_same_as_loop(rate_table(rng, n, smax, kind), n, smax)
+
+    @pytest.mark.parametrize("m", [10, 12])
+    def test_exhaustive_search_on_mcs_rates(self, m):
+        for seed in range(2):
+            _, oracle = rician_oracle(m, 4, seed=seed, phy=MCS_WITH_MAC)
+            rates = _rates_by_mask(m, 4, oracle)
+            _, _, assign = loop_best_partition(rates, m, 4)
+            assert exhaustive_search(m, 4, oracle).groups == canonical_partition(
+                blocks_of(assign))
+
+
+class TestLimits:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rates(self, bad):
+        rates = random_rates(np.random.default_rng(0), 4, 2)
+        rates[0b0011] = bad
+        with pytest.raises(ValueError, match="finite"):
+            search_best_partition(rates, 4, 2)
+
+    def test_memory_at_size_limit(self):
+        # 16 users is the most full search takes (MAX_SEARCH_USERS)
+        rates = np.random.default_rng(0).uniform(0.0, 10.0, 2 ** 16)
+        tracemalloc.start()
+        try:
+            count, _, _ = search_best_partition(rates, 16, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == count_partitions(16, 6)
+        assert peak < 32 * 2 ** 20
