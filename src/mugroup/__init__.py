@@ -54,12 +54,9 @@ from .phy import (
     PhyConfig,
     RateMode,
     RateOracle,
-    SteeringMatrix,
-    group_rate,
     make_rate_oracle,
     map_sinr_to_mcs,
     phy_rate,
-    zf_steering,
 )
 
 __version__ = "0.1.0"

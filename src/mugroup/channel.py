@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ChannelFormatError
 
 __all__ = [
+    "MAX_CHANNEL_MAGNITUDE",
     "ChannelSet",
     "CorrelatedRicianSpec",
     "generate_rician",
@@ -31,6 +32,10 @@ __all__ = [
     "write_channels",
 ]
 
+# largest real or imaginary part of a channel entry; a rate sums products
+# of two entries over the antennas, which stays far from overflow below it
+MAX_CHANNEL_MAGNITUDE = 1e100
+
 
 @dataclass(frozen=True)
 class ChannelSet:
@@ -38,6 +43,8 @@ class ChannelSet:
 
     ``entries`` has shape ``(num_users, num_tx_antennas, num_subcarriers)``
     and is frozen after construction so instances can be shared freely.
+    Entries must be finite, with real and imaginary parts of magnitude at
+    most ``MAX_CHANNEL_MAGNITUDE``.
     """
 
     num_users: int
@@ -55,8 +62,11 @@ class ChannelSet:
         shape = (self.num_users, self.num_tx_antennas, self.num_subcarriers)
         if arr.shape != shape:
             raise ValueError(f"entries shape {arr.shape} does not match declared {shape}")
-        if not np.all(np.isfinite(arr.view(np.float64))):
-            raise ValueError("channel entries must be finite")
+        if not np.abs(arr.view(np.float64)).max() <= MAX_CHANNEL_MAGNITUDE:
+            raise ValueError(
+                f"channel entries must be finite, with real and imaginary parts "
+                f"of magnitude at most {MAX_CHANNEL_MAGNITUDE:g}"
+            )
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)

@@ -1,31 +1,46 @@
-"""Zero-forcing precoding, the group-rate estimate, and the rate oracle.
+"""Zero-forcing group rates in closed form, and the rate oracle.
 
 The estimated capacity of serving a user group simultaneously is
 
     R(G) = B * sum_{m in G} log2(1 + P_m |h_m w_m|^2 /
                                  (N0 + sum_{i != m} P_i |h_m w_i|^2))
 
-with equal power split P_m = P/|G| and unit-norm zero-forcing steering
-columns.  Rates are averaged over subcarriers with the bandwidth applied
-once.  An optional mode maps per-user SINR through an 802.11ac-style
-MCS table instead of the Shannon log term.
+with equal power split P_m = p = P/|G| and unit-norm zero-forcing
+steering columns.  Rates are averaged over subcarriers with the bandwidth
+applied once.  An optional mode maps per-user SINR through an
+802.11ac-style MCS table instead of the Shannon log term.
 
-One vectorized implementation computes every rate: ``_zf_batch`` stacks
-the channels of a batch of same-size groups over all subcarriers and
-solves for their steering, and ``_zf_rates`` turns that into group rates
-in either rate mode.  ``_batch_rates`` hands these at most
-``_MAX_BATCH_ROWS`` (group, subcarrier) rows per call, so the memory of a
-batch does not grow with its length.  ``zf_steering`` and ``group_rate``
-are batches of one that raise on rank-deficient groups.  The oracle
-scores those 0: ``RateOracle.rate`` is a batch of one, ``RateOracle.rates``
-answers a list of groups in one bulk query, and ``RateOracle.precompute``
-fills the memo per group size.  Every row gets its own LAPACK call, so a
-rate does not depend on the batch it was computed in.  Groups are
-checked and put in canonical order by ``grouping.canonical_group``.
+No steering vector is ever built.  The unnormalized ZF steering
+W = H^H G^-1, with G = H H^H the group's k x k Gram matrix, gives
+H W = I, so the interference terms vanish, and the column for member m
+has squared norm (G^-1 G G^-1)_mm = [G^-1]_mm.  After unit-norm scaling
+|h_m w_m|^2 = 1 / [G^-1]_mm, so
+
+    SINR_m = p / (N0 [G^-1]_mm) = p tr(G) / (N0 [(G / tr G)^-1]_mm)
+
+(Spencer, Swindlehurst and Haardt, "Zero-forcing methods for downlink
+spatial multiplexing in multiuser MIMO channels", IEEE TSP 2004).  The
+scaled G / tr G has entries of magnitude at most 1, so neither its
+determinant nor its inverse overflows at any channel scale that
+``ChannelSet`` accepts.
 
 A group is rank deficient on a subcarrier when the condition number of
-H H^H exceeds ``_COND_LIMIT``.  The bound cond(G) <= tr(G)^k / det(G),
-with a 100x margin, clears most rows; only the rest pay for an SVD.
+G exceeds ``_COND_LIMIT``; it then has rate 0.  The bound
+cond(G) <= tr(G)^k / det(G), with a 100x margin, clears most rows; only
+the rest pay for an SVD (``_zf_sinr``).
+
+Each ``RateOracle`` builds one user Gram U[i, j, s] = <h_i, h_j> per
+subcarrier on its first computation (``_user_gram``), which takes
+SC*M^2*16 bytes and lives as long as the oracle.  No two oracles share
+one, so every solve on a fresh oracle starts cold.  A batch of same-size
+groups gathers its Gram matrices from U and takes one batched inverse,
+at most ``_MAX_BATCH_ROWS`` (group, subcarrier) rows per chunk, so the
+memory of a batch does not grow with its length.  Every row gets its own
+LAPACK call, so a rate does not depend on the batch it was computed in.
+``RateOracle.rate`` answers one group, ``RateOracle.rates`` a list of
+groups in one bulk query, and ``RateOracle.precompute`` fills the memo
+per group size.  Groups are checked and put in canonical order by
+``grouping.canonical_group``.
 """
 
 from __future__ import annotations
@@ -37,17 +52,14 @@ from enum import Enum
 import numpy as np
 
 from .channel import ChannelSet
-from .errors import ConfigurationError, SingularChannelError
+from .errors import ConfigurationError
 from .grouping import canonical_group
 
 __all__ = [
     "RateMode",
     "PhyConfig",
-    "SteeringMatrix",
     "McsEntry",
     "DEFAULT_MCS_TABLE",
-    "zf_steering",
-    "group_rate",
     "RateOracle",
     "make_rate_oracle",
     "map_sinr_to_mcs",
@@ -61,7 +73,7 @@ _COND_LIMIT = 1e12
 # 100x below _COND_LIMIT, so rounding cannot carry a certified row past it
 _CERT_LIMIT = _COND_LIMIT / 100
 
-# most (group, subcarrier) rows that one ``_zf_batch`` call stacks
+# most (group, subcarrier) rows that one ``_zf_sinr`` call gathers
 _MAX_BATCH_ROWS = 1024
 
 # 40 MHz OFDM numerology and MAC framing constants
@@ -121,62 +133,57 @@ class PhyConfig:
             raise ValueError("bandwidth_hz, noise_power and total_power must be positive")
 
 
-@dataclass(frozen=True)
-class SteeringMatrix:
-    """Unit-norm steering columns for one group, per subcarrier.
+def _user_gram(channels: ChannelSet) -> np.ndarray:
+    """Inner products of every pair of users on every subcarrier.
 
-    ``columns`` has shape (num_subcarriers, num_tx_antennas, group size);
-    column m serves ``group[m]``.
+    ``U[i, j, s] = sum_t h_i[t, s] * conj(h_j[t, s])``, shape (M, M, SC),
+    the antennas summed in index order, so an entry has the same value
+    whichever groups it is gathered for.
     """
+    m, sc = channels.num_users, channels.num_subcarriers
+    gram = np.zeros((m, m, sc), dtype=np.complex128)
+    for t in range(channels.num_tx_antennas):
+        h = channels.entries[:, t, :]
+        gram += h[:, None, :] * np.conj(h[None, :, :])
+    return gram
 
-    group: tuple[int, ...]
-    columns: np.ndarray
-    per_subcarrier: bool
 
+def _zf_sinr(gram: np.ndarray, groups: list[tuple[int, ...]], cfg: PhyConfig):
+    """Zero-forcing SINR of same-size groups on every subcarrier at once.
 
-def _zf_batch(channels: ChannelSet, groups: list[tuple[int, ...]]):
-    """Zero-forcing for same-size groups on every subcarrier at once.
-
-    Returns ``(h, w, ok)`` with one row per (group, subcarrier), group
-    major: ``h`` (n*sc, k, Nt) holds the stacked channels, ``w``
-    (n*sc, Nt, k) the steering H^H (H H^H)^-1 with unit-norm columns, and
-    ``ok`` (n*sc,) marks rows whose Gram matrix G = H H^H has condition
-    number at most ``_COND_LIMIT``.  Rows that are not ok are solved
-    against the identity and mean nothing (a zero column there stays
-    zero).  Every row gets its own LAPACK call, so a group's values do not
-    depend on which other groups share the batch.
+    Returns ``(sinr, ok)`` with one row per (group, subcarrier), group
+    major: ``sinr`` (n*sc, k) holds p tr(G) / (N0 [(G / tr G)^-1]_mm) for
+    member m, with G the group's k x k Gram matrix gathered from ``gram``
+    (``_user_gram``), and ``ok`` (n*sc,) marks rows whose G has condition
+    number at most ``_COND_LIMIT``.  The SINR of a row that is not ok
+    means nothing.  Every row gets its own LAPACK call, so a group's
+    values do not depend on which other groups share the batch.
 
     For positive-definite G, lambda_max <= tr G and lambda_min >=
     det G / tr(G)^(k-1), so cond(G) <= tr(G)^k / det G.  A row with
     det(G / tr G) >= 1 / ``_CERT_LIMIT`` has cond at most 1e10, 100x
     below the limit, which rounding cannot bridge: it is ok without an
-    SVD.  G / tr G has entries of magnitude at most 1, so its det cannot
-    overflow, as det G and tr(G)^k can at large channel scales, and it
-    underflows only far below the bound.  The rows left, singular and
-    near-singular ones, get the exact rule, one SVD each, so ``ok`` is
-    the mask that rule alone gives.
+    SVD.  G / tr G has entries of magnitude at most 1, so its det and
+    inverse cannot overflow, as det G and tr(G)^k can at large channel
+    scales.  The rows left, singular and near-singular ones, get the
+    exact rule, one SVD each, so ``ok`` is the mask that rule alone gives.
     """
-    n, k = len(groups), len(groups[0])
-    sc, nt = channels.num_subcarriers, channels.num_tx_antennas
-    h = channels.entries[np.asarray(groups)]  # (n, k, Nt, sc)
-    # a contiguous copy whatever n is: a strided view would make matmul
-    # take another summation order for a batch of one
-    h = np.ascontiguousarray(np.moveaxis(h, 3, 1).reshape(n * sc, k, nt))
-    gram = h @ np.conj(np.swapaxes(h, 1, 2))
-    tr = np.einsum("ijj->i", gram).real
+    idx = np.asarray(groups)
+    k = idx.shape[1]
+    g = np.moveaxis(gram[idx[:, :, None], idx[:, None, :]], 3, 1)  # (n, sc, k, k)
+    g = np.ascontiguousarray(g).reshape(-1, k, k)
+    tr = np.einsum("ijj->i", g).real
     # real and imaginary parts divided as reals: numpy's complex divide
     # takes 1/tr first, which overflows for a subnormal trace
-    unit = gram.view(np.float64) / np.where(tr > 0, tr, 1.0)[:, None, None]
-    ok = np.linalg.det(unit.view(gram.dtype)).real >= 1 / _CERT_LIMIT
+    unit = (g.view(np.float64) / np.where(tr > 0, tr, 1.0)[:, None, None]).view(g.dtype)
+    ok = np.linalg.det(unit).real >= 1 / _CERT_LIMIT
     if not ok.all():
         rest = ~ok
-        ok[rest] = np.linalg.cond(gram[rest]) <= _COND_LIMIT
-        gram[~ok] = np.eye(k)
-    w = np.conj(np.swapaxes(np.linalg.solve(gram, h), 1, 2))
-    norm = np.linalg.norm(w, axis=1, keepdims=True)
-    norm[~ok] = 1.0  # a zero channel leaves a zero column there, not 0/0
-    w /= norm
-    return h, w, ok
+        ok[rest] = np.linalg.cond(g[rest]) <= _COND_LIMIT
+        unit[~ok] = np.eye(k)
+    inv_diag = np.diagonal(np.linalg.inv(unit), axis1=1, axis2=2).real
+    p = cfg.total_power / k
+    return (p * tr[:, None]) / (cfg.noise_power * inv_diag), ok
 
 
 def _mcs_rates(sinr: np.ndarray, cfg: PhyConfig) -> np.ndarray:
@@ -195,78 +202,26 @@ def _mcs_rates(sinr: np.ndarray, cfg: PhyConfig) -> np.ndarray:
     return values[np.argmin(sinr_db[..., None] >= thresholds, axis=-1)]
 
 
-def _zf_rates(h: np.ndarray, w: np.ndarray, ok: np.ndarray, num_groups: int,
-              cfg: PhyConfig) -> np.ndarray:
-    """Group rates from ``_zf_batch`` output, averaged over subcarriers;
-    0 for a group that is rank deficient on any subcarrier.
-
-    The interference sum is always evaluated in full even though exact ZF
-    drives it to numerical zero on flat channels.
-    """
-    k = h.shape[1]
-    gains = np.abs(h @ w) ** 2  # (n*sc, k, k): |h_m w_i|^2
-    p = cfg.total_power / k
-    signal = np.diagonal(gains, axis1=1, axis2=2)
-    interference = gains.sum(axis=2) - signal
-    sinr = (p * signal) / (cfg.noise_power + p * interference)
-    if cfg.rate_mode is RateMode.SHANNON:
-        per_sc = cfg.bandwidth_hz * np.log2(1.0 + sinr).sum(axis=1)
-    else:
-        # summed user by user in order, like a scalar loop over the users
-        per_sc = np.add.accumulate(_mcs_rates(sinr, cfg), axis=1)[:, -1]
-    rates = per_sc.reshape(num_groups, -1).mean(axis=1)
-    rates[~ok.reshape(num_groups, -1).all(axis=1)] = 0.0
-    return rates
-
-
-def _batch_rates(channels: ChannelSet, groups: list[tuple[int, ...]],
+def _batch_rates(gram: np.ndarray, groups: list[tuple[int, ...]],
                  cfg: PhyConfig) -> np.ndarray:
-    """Rates of same-size groups, in chunks of at most ``_MAX_BATCH_ROWS``
-    rows (whole groups, at least one per chunk)."""
-    step = max(1, _MAX_BATCH_ROWS // channels.num_subcarriers)
-    chunks = (groups[i:i + step] for i in range(0, len(groups), step))
-    return np.concatenate([
-        _zf_rates(*_zf_batch(channels, chunk), len(chunk), cfg) for chunk in chunks
-    ])
-
-
-def _zf_group(channels: ChannelSet, group):
-    """``_zf_batch`` for one validated group; raises SingularChannelError
-    if it is rank deficient on any subcarrier."""
-    members = canonical_group(group)
-    if len(members) > channels.num_tx_antennas:
-        raise ValueError(
-            f"group size {len(members)} exceeds {channels.num_tx_antennas} transmit antennas"
-        )
-    for u in members:
-        if not 0 <= u < channels.num_users:
-            raise ValueError(f"user index {u} out of range")
-    h, w, ok = _zf_batch(channels, [members])
-    if not ok.all():
-        raise SingularChannelError(
-            f"rank-deficient channel for group {members} on subcarrier {int(np.argmin(ok))}"
-        )
-    return members, h, w, ok
-
-
-def zf_steering(channels: ChannelSet, group) -> SteeringMatrix:
-    """Channel-inversion steering W = H^H (H H^H)^-1, columns renormalized.
-
-    For a singleton this reduces to the matched direction h^H/||h||.
-    Raises SingularChannelError if the stacked group channel is rank
-    deficient on any subcarrier.
-    """
-    members, _, w, _ = _zf_group(channels, group)
-    return SteeringMatrix(members, w, per_subcarrier=channels.num_subcarriers > 1)
-
-
-def group_rate(channels: ChannelSet, group, cfg: PhyConfig) -> float:
-    """Estimated group capacity in bits/s, averaged over subcarriers.
-
-    Raises SingularChannelError for a rank-deficient group.
-    """
-    _, h, w, ok = _zf_group(channels, group)
-    return float(_zf_rates(h, w, ok, 1, cfg)[0])
+    """Rates of same-size groups, averaged over subcarriers; 0 for a group
+    that is rank deficient on any subcarrier.  ``_zf_sinr`` takes them in
+    chunks of at most ``_MAX_BATCH_ROWS`` rows (whole groups, at least one
+    per chunk)."""
+    step = max(1, _MAX_BATCH_ROWS // gram.shape[2])
+    rates = []
+    for i in range(0, len(groups), step):
+        chunk = groups[i:i + step]
+        sinr, ok = _zf_sinr(gram, chunk, cfg)
+        if cfg.rate_mode is RateMode.SHANNON:
+            per_sc = cfg.bandwidth_hz * np.log2(1.0 + sinr).sum(axis=1)
+        else:
+            # summed user by user in order, like a scalar loop over the users
+            per_sc = np.add.accumulate(_mcs_rates(sinr, cfg), axis=1)[:, -1]
+        chunk_rates = per_sc.reshape(len(chunk), -1).mean(axis=1)
+        chunk_rates[~ok.reshape(len(chunk), -1).all(axis=1)] = 0.0
+        rates.append(chunk_rates)
+    return np.concatenate(rates)
 
 
 class RateOracle:
@@ -279,7 +234,13 @@ class RateOracle:
     chunks of at most ``_MAX_BATCH_ROWS`` (group, subcarrier) rows.  Each
     query adds one to ``query_count`` and each computed group one to
     ``compute_count``; values are the same whichever path computed them.
-    Thread safe: concurrent identical queries return identical values.
+
+    The first computation builds the oracle's user Gram (``_user_gram``,
+    SC*M^2*16 bytes), from which every group's Gram matrix is gathered and
+    inverted in closed form.  The Gram belongs to this oracle alone and
+    lives as long as it does; no two oracles share one, so a solve on a
+    fresh oracle starts cold.  Thread safe: concurrent identical queries
+    return identical values.
     """
 
     def __init__(self, channels: ChannelSet, cfg: PhyConfig, max_group_size: int):
@@ -297,6 +258,7 @@ class RateOracle:
         self.query_count = 0
         self.compute_count = 0
         self._memo: dict[tuple[int, ...], float] = {}
+        self._gram: np.ndarray | None = None
         self._lock = threading.Lock()
 
     def _check(self, group) -> tuple[int, ...]:
@@ -313,43 +275,51 @@ class RateOracle:
         members = self._check(group)
         with self._lock:
             self.query_count += 1
-            value = self._memo.get(members)
-            if value is None:
-                self.compute_count += 1
-                value = float(_batch_rates(self.channels, [members], self.cfg)[0])
-                self._memo[members] = value
-            return value
+            if members not in self._memo:
+                self._fill([members])
+            return self._memo[members]
 
     def rates(self, groups) -> list[float]:
         """``[rate(g) for g in groups]`` as one bulk query.
 
         Every group is checked before anything is computed or counted, so
         a bad group leaves the memo and both counters as they were.  The
-        groups not yet memoized go through ``precompute``.
+        groups not yet memoized go through ``precompute`` unchecked.
         """
         members = [self._check(g) for g in groups]
         with self._lock:
             self.query_count += len(members)
             missing = [m for m in members if m not in self._memo]
         if missing:
-            self.precompute(missing)
+            self.precompute(missing, checked=True)
         memo = self._memo  # entries are never removed or changed
         return [memo[m] for m in members]
 
-    def precompute(self, groups) -> None:
+    def precompute(self, groups, *, checked: bool = False) -> None:
         """Batch-fill the memo: vectorized computations per group size,
-        each of at most ``_MAX_BATCH_ROWS`` (group, subcarrier) rows."""
-        todo: dict[int, set[tuple[int, ...]]] = {}
+        each of at most ``_MAX_BATCH_ROWS`` (group, subcarrier) rows.
+
+        Every group is checked first, unless ``checked`` says the groups
+        are canonical and in range already, as ``rates`` passes them.
+        """
+        members = groups if checked else [self._check(g) for g in groups]
         with self._lock:
-            for group in groups:
-                members = self._check(group)
-                if members not in self._memo:
-                    todo.setdefault(len(members), set()).add(members)
-            for size_groups in todo.values():
-                unique = sorted(size_groups)
-                rates = _batch_rates(self.channels, unique, self.cfg)
-                self.compute_count += len(unique)
-                self._memo.update(zip(unique, rates.tolist()))
+            self._fill(members)
+
+    def _fill(self, members) -> None:
+        """Compute and memoize the checked groups not memoized yet; the
+        caller holds the lock."""
+        todo: dict[int, set[tuple[int, ...]]] = {}
+        for m in members:
+            if m not in self._memo:
+                todo.setdefault(len(m), set()).add(m)
+        if todo and self._gram is None:
+            self._gram = _user_gram(self.channels)
+        for size_groups in todo.values():
+            unique = sorted(size_groups)
+            rates = _batch_rates(self._gram, unique, self.cfg)
+            self.compute_count += len(unique)
+            self._memo.update(zip(unique, rates.tolist()))
 
 
 def make_rate_oracle(channels: ChannelSet, cfg: PhyConfig, max_group_size: int) -> RateOracle:

@@ -1,24 +1,29 @@
 """Reference solvers that the tests check the library against.
 
-``networkx_matching`` is networkx's blossom matching.  ``zf_batch`` is
-zero-forcing with the plain SVD rank rule.  ``loop_best_partition`` is
-the subset DP of full search as a plain loop over the states.  The
-others enumerate their whole search space, so they are only usable on
-small instances.
+``networkx_matching`` is networkx's blossom matching.
+``closed_form_rate`` is the library's closed-form zero-forcing rate for
+one group, one subcarrier at a time.  ``zf_batch``, ``zf_steering`` and
+``group_rate`` build the zero-forcing steering vectors and sum the
+interference in full, the model the closed form is derived from; they
+use the plain SVD rank rule.  ``loop_best_partition`` is the subset DP of
+full search as a plain loop over the states.  The others enumerate their
+whole search space, so they are only usable on small instances.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterator
 
 import networkx as nx
 import numpy as np
 
-from mugroup.errors import SearchSpaceError
-from mugroup.grouping import _block_string
+from mugroup.errors import SearchSpaceError, SingularChannelError
+from mugroup.grouping import _block_string, canonical_group
 from mugroup.matching import Matching, WeightedGraph, _as_matching
+from mugroup.phy import RateMode, _mcs_rates, map_sinr_to_mcs, phy_rate
 
 BRUTE_FORCE_VERTEX_LIMIT = 12
 
@@ -177,14 +182,68 @@ def loop_best_partition(rates, n: int, max_block: int):
     return count[full], best[full], assign
 
 
-def zf_batch(channels, groups):
-    """``phy._zf_batch`` with ``ok`` decided on every row by one SVD: the
-    2-norm condition number of H H^H is at most ``COND_LIMIT``.
+def closed_form_rate(channels, group, cfg) -> float:
+    """The library's closed-form rate of one group, computed one
+    subcarrier at a time; 0 when the group is rank deficient on any.
 
-    The arithmetic of the stacked channels, the solve and the column
-    normalization is the library's, so rows that are ok must match it bit
-    for bit.  Rows that are not ok mean nothing; a zero column there is
-    divided 0/0 without a warning.
+    On each subcarrier the group's Gram matrix G sums the antennas in
+    index order, G counts as rank deficient when one SVD gives a condition
+    number above ``COND_LIMIT``, and member m has SINR
+    p tr(G) / (N0 [(G / tr G)^-1]_mm).  SINRs map one user at a time
+    through ``map_sinr_to_mcs`` and ``phy_rate`` in MCS mode.  The
+    arithmetic is the library's, so the values must match it bit for bit.
+    """
+    members = sorted(group)
+    k = len(members)
+    p = cfg.total_power / k
+    rates = []
+    for s in range(channels.num_subcarriers):
+        h = channels.entries[members, :, s]
+        gram = np.zeros((k, k), dtype=np.complex128)
+        for t in range(channels.num_tx_antennas):
+            gram += h[:, t, None] * np.conj(h[None, :, t])
+        if np.linalg.cond(gram) > COND_LIMIT:
+            return 0.0
+        tr = 0.0
+        for m in range(k):
+            tr += gram[m, m].real
+        unit = (gram.view(np.float64) / tr).view(np.complex128)
+        sinr = (p * tr) / (cfg.noise_power * np.diag(np.linalg.inv(unit)).real)
+        if cfg.rate_mode is RateMode.SHANNON:
+            rates.append(cfg.bandwidth_hz * float(np.log2(1.0 + sinr).sum()))
+            continue
+        total = 0.0
+        for value in sinr:
+            entry = map_sinr_to_mcs(10.0 * math.log10(value) if value > 0 else -math.inf,
+                                    cfg.mcs_table)
+            if entry is not None:
+                total += phy_rate(entry, cfg)
+        rates.append(total)
+    return float(np.mean(rates))
+
+
+@dataclass(frozen=True)
+class SteeringMatrix:
+    """Unit-norm steering columns for one group, per subcarrier.
+
+    ``columns`` has shape (num_subcarriers, num_tx_antennas, group size);
+    column m serves ``group[m]``.
+    """
+
+    group: tuple[int, ...]
+    columns: np.ndarray
+    per_subcarrier: bool
+
+
+def zf_batch(channels, groups):
+    """Zero-forcing steering for same-size groups on every subcarrier.
+
+    Returns ``(h, w, ok)`` with one row per (group, subcarrier), group
+    major: ``h`` (n*sc, k, Nt) holds the stacked channels, ``w``
+    (n*sc, Nt, k) the steering H^H (H H^H)^-1 with unit-norm columns, and
+    ``ok`` (n*sc,) marks rows whose H H^H has a 2-norm condition number
+    of at most ``COND_LIMIT`` by one SVD.  Rows that are not ok mean
+    nothing; a zero column there is divided 0/0 without a warning.
     """
     n, k = len(groups), len(groups[0])
     sc, nt = channels.num_subcarriers, channels.num_tx_antennas
@@ -197,3 +256,61 @@ def zf_batch(channels, groups):
     with np.errstate(invalid="ignore"):
         w /= np.linalg.norm(w, axis=1, keepdims=True)
     return h, w, ok
+
+
+def zf_rates(h, w, ok, num_groups: int, cfg):
+    """Group rates from ``zf_batch`` output, averaged over subcarriers; 0
+    for a group that is rank deficient on any subcarrier.  The
+    interference sum is evaluated in full, though zero forcing drives it
+    to numerical zero."""
+    k = h.shape[1]
+    gains = np.abs(h @ w) ** 2  # (n*sc, k, k): |h_m w_i|^2
+    p = cfg.total_power / k
+    signal = np.diagonal(gains, axis1=1, axis2=2)
+    interference = gains.sum(axis=2) - signal
+    sinr = (p * signal) / (cfg.noise_power + p * interference)
+    if cfg.rate_mode is RateMode.SHANNON:
+        per_sc = cfg.bandwidth_hz * np.log2(1.0 + sinr).sum(axis=1)
+    else:
+        per_sc = np.add.accumulate(_mcs_rates(sinr, cfg), axis=1)[:, -1]
+    rates = per_sc.reshape(num_groups, -1).mean(axis=1)
+    rates[~ok.reshape(num_groups, -1).all(axis=1)] = 0.0
+    return rates
+
+
+def _zf_group(channels, group):
+    """``zf_batch`` for one validated group; raises SingularChannelError
+    if it is rank deficient on any subcarrier."""
+    members = canonical_group(group)
+    if len(members) > channels.num_tx_antennas:
+        raise ValueError(
+            f"group size {len(members)} exceeds {channels.num_tx_antennas} transmit antennas"
+        )
+    for u in members:
+        if not 0 <= u < channels.num_users:
+            raise ValueError(f"user index {u} out of range")
+    h, w, ok = zf_batch(channels, [members])
+    if not ok.all():
+        raise SingularChannelError(
+            f"rank-deficient channel for group {members} on subcarrier {int(np.argmin(ok))}"
+        )
+    return members, h, w, ok
+
+
+def zf_steering(channels, group) -> SteeringMatrix:
+    """Channel-inversion steering W = H^H (H H^H)^-1, columns renormalized.
+
+    For a singleton this reduces to the matched direction h^H/||h||.
+    Raises SingularChannelError if the stacked group channel is rank
+    deficient on any subcarrier.
+    """
+    members, _, w, _ = _zf_group(channels, group)
+    return SteeringMatrix(members, w, per_subcarrier=channels.num_subcarriers > 1)
+
+
+def group_rate(channels, group, cfg) -> float:
+    """Estimated group capacity in bits/s from the steering vectors,
+    averaged over subcarriers.  Raises SingularChannelError for a
+    rank-deficient group."""
+    _, h, w, ok = _zf_group(channels, group)
+    return float(zf_rates(h, w, ok, 1, cfg)[0])

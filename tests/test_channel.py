@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mugroup.channel import (
+    MAX_CHANNEL_MAGNITUDE,
     ChannelSet,
     CorrelatedRicianSpec,
     correlation_matrix,
@@ -56,6 +57,17 @@ class TestChannelSetInvariants:
         bad[0, 0, 0] = complex(np.nan, 0)
         with pytest.raises(ValueError):
             ChannelSet(1, 2, 1, bad)
+
+    def test_magnitude_bound(self):
+        at_bound = np.full((1, 2, 1), complex(-MAX_CHANNEL_MAGNITUDE, MAX_CHANNEL_MAGNITUDE))
+        assert ChannelSet(1, 2, 1, at_bound).entries[0, 0, 0] == at_bound[0, 0, 0]
+        for big in (1e155, 1e155j, -1e101):
+            bad = np.zeros((1, 2, 1), dtype=complex)
+            bad[0, 1, 0] = big
+            with pytest.raises(ValueError, match="at most 1e\\+100"):
+                ChannelSet(1, 2, 1, bad)
+        with pytest.raises(ValueError, match="at most 1e\\+100"):
+            load_channels("chset v1 M=1 NT=1 SC=1\n0 0 0 1e155 0\n")
 
     def test_entries_frozen(self):
         cs = generate_rician(spec_with())

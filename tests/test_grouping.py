@@ -78,9 +78,9 @@ class TestObjective:
         batches = []
         precompute = cold.precompute
 
-        def counted(batch):
+        def counted(batch, **kwargs):
             batches.append(list(batch))
-            precompute(batch)
+            precompute(batch, **kwargs)
 
         monkeypatch.setattr(cold, "precompute", counted)
         assert objective(groups, cold) == want

@@ -13,13 +13,12 @@ from mugroup.phy import (
     McsEntry,
     PhyConfig,
     RateMode,
-    group_rate,
     make_rate_oracle,
     map_sinr_to_mcs,
     phy_rate,
-    zf_steering,
 )
 
+from reference import closed_form_rate, group_rate, zf_steering
 from reference import zf_batch as reference_zf_batch
 from conftest import MCS_WITH_MAC, identity_channels, rician_oracle
 
@@ -63,9 +62,27 @@ def conditioned_channels(conds, k=3, nt=4):
     return flat_channels(np.concatenate(blocks))
 
 
+def oracle_rate(channels, group, cfg):
+    """The library's rate of one group, from a fresh oracle."""
+    return make_rate_oracle(channels, cfg, len(group)).rate(group)
+
+
+def assert_matches_steering(values, channels, groups, cfg):
+    """Cross-check against ``reference_rate``: bit for bit in MCS mode,
+    to 1e-9 relative in Shannon mode, where the closed form and the
+    steering vectors round differently."""
+    expected = [reference_rate(channels, g, cfg) for g in groups]
+    if cfg.rate_mode is RateMode.SHANNON:
+        assert values == pytest.approx(expected, rel=1e-9, abs=0.0)
+    else:
+        assert values == expected
+
+
 def reference_rate(channels, group, cfg):
-    """Scalar reference: one subcarrier at a time, SINRs mapped one user
-    at a time through map_sinr_to_mcs and phy_rate; 0 when rank deficient."""
+    """Scalar steering reference: one subcarrier at a time, the steering
+    vectors built and the interference summed in full, SINRs mapped one
+    user at a time through map_sinr_to_mcs and phy_rate; 0 when rank
+    deficient."""
     members = tuple(sorted(group))
     p = cfg.total_power / len(members)
     rates = []
@@ -147,13 +164,15 @@ class TestZfSteering:
 
 
 class TestGroupRate:
+    """The rate model, through the library's oracle."""
+
     def test_singleton_unit_snr(self):
         cs = flat_channels([[1.0, 0.0]])
         cfg = PhyConfig(bandwidth_hz=1.0, noise_power=1.0, total_power=1.0)
-        assert group_rate(cs, (0,), cfg) == pytest.approx(1.0)
+        assert oracle_rate(cs, (0,), cfg) == pytest.approx(1.0)
 
     def test_orthogonal_pair(self, phy_unit):
-        assert group_rate(identity_channels(2), (0, 1), phy_unit) == pytest.approx(4.0)
+        assert oracle_rate(identity_channels(2), (0, 1), phy_unit) == pytest.approx(4.0)
 
     def test_matches_independent_sinr_arithmetic(self):
         # re-derive via an explicit pseudo-inverse and per-user SINR loop
@@ -168,19 +187,19 @@ class TestGroupRate:
             sig = p * abs(h[m] @ w[:, m]) ** 2
             intf = sum(p * abs(h[m] @ w[:, i]) ** 2 for i in range(2) if i != m)
             expected += math.log2(1 + sig / (cfg.noise_power + intf))
-        assert group_rate(cs, (0, 1), cfg) == pytest.approx(expected, rel=1e-9)
+        assert oracle_rate(cs, (0, 1), cfg) == pytest.approx(expected, rel=1e-9)
 
     def test_permutation_invariance(self):
         channels, _ = rician_oracle(6, 3, seed=4)
         cfg = PhyConfig()
-        a = group_rate(channels, (1, 4, 5), cfg)
-        b = group_rate(channels, (5, 1, 4), cfg)
+        a = oracle_rate(channels, (1, 4, 5), cfg)
+        b = oracle_rate(channels, (5, 1, 4), cfg)
         assert a == b  # groups are canonicalized internally
 
     def test_monotone_in_snr(self):
         channels, _ = rician_oracle(3, 2, seed=5)
         rates = [
-            group_rate(channels, (0,), PhyConfig(total_power=p))
+            oracle_rate(channels, (0,), PhyConfig(total_power=p))
             for p in (1.0, 10.0, 100.0, 1000.0)
         ]
         assert all(b > a for a, b in zip(rates, rates[1:]))
@@ -191,8 +210,8 @@ class TestGroupRate:
         c = 0.5 + 1.25j
         scaled = ChannelSet(3, 4, 1, channels.entries * c)
         for u in range(3):
-            sinr = 2 ** group_rate(channels, (u,), cfg) - 1
-            sinr_scaled = 2 ** group_rate(scaled, (u,), cfg) - 1
+            sinr = 2 ** oracle_rate(channels, (u,), cfg) - 1
+            sinr_scaled = 2 ** oracle_rate(scaled, (u,), cfg) - 1
             assert sinr_scaled == pytest.approx(abs(c) ** 2 * sinr, rel=1e-9)
 
     def test_subcarrier_averaging(self):
@@ -203,13 +222,13 @@ class TestGroupRate:
         cs = ChannelSet(1, 2, 2, h)
         cfg = PhyConfig(bandwidth_hz=1.0, noise_power=1.0, total_power=1.0)
         expected = (math.log2(2.0) + math.log2(5.0)) / 2
-        assert group_rate(cs, (0,), cfg) == pytest.approx(expected)
+        assert oracle_rate(cs, (0,), cfg) == pytest.approx(expected)
 
     def test_mcs_mapped_mode(self):
         cs = flat_channels([[1.0, 0.0]])
         # SNR 20 dB -> MCS 6 (threshold 20 inclusive) -> 135 Mbps
         cfg = PhyConfig(noise_power=1.0, total_power=100.0, rate_mode=RateMode.MCS_MAPPED)
-        assert group_rate(cs, (0,), cfg) == pytest.approx(108 * 4.5 / 3.6e-6)
+        assert oracle_rate(cs, (0,), cfg) == pytest.approx(108 * 4.5 / 3.6e-6)
 
 
 class TestRateOracle:
@@ -247,7 +266,8 @@ class TestRateOracle:
         assert batched.compute_count == len(groups)
         fresh = make_rate_oracle(channels, cfg, 3)
         for g in groups:
-            assert batched.rate(g) == fresh.rate(g) == reference_rate(channels, g, cfg)
+            assert batched.rate(g) == fresh.rate(g) == closed_form_rate(channels, g, cfg)
+        assert_matches_steering([batched.rate(g) for g in groups], channels, groups, cfg)
         assert batched.rate((6, 7)) == 0.0
         assert batched.compute_count == len(groups)
 
@@ -263,7 +283,8 @@ class TestRateOracle:
         fresh = make_rate_oracle(channels, cfg, 3)
         values = bulk.rates(groups)
         assert values == [fresh.rate(g) for g in groups]
-        assert values == [reference_rate(channels, g, cfg) for g in groups]
+        assert values == [closed_form_rate(channels, g, cfg) for g in groups]
+        assert_matches_steering(values, channels, groups, cfg)
         assert values[groups.index((6, 7))] == 0.0
 
     def test_rates_counts(self):
@@ -295,21 +316,25 @@ class TestRateOracle:
 
         channels = channels_with_duplicate(8, 8, seed=16)
         groups = [g for s in (1, 2, 3) for g in combinations(range(8), s)]
-        single = make_rate_oracle(channels, MCS_WITH_MAC, 3)
-        expected = [single.rates([g])[0] for g in groups]
         calls = []
-        zf_batch = phy._zf_batch
+        zf_sinr = phy._zf_sinr
 
-        def counted(channels, chunk):
+        def counted(gram, chunk, cfg):
             calls.append(len(chunk))
-            return zf_batch(channels, chunk)
+            return zf_sinr(gram, chunk, cfg)
 
-        monkeypatch.setattr(phy, "_MAX_BATCH_ROWS", 24)  # 3 groups of 8 subcarriers
-        monkeypatch.setattr(phy, "_zf_batch", counted)
-        chunked = make_rate_oracle(channels, MCS_WITH_MAC, 3)
-        assert chunked.rates(groups) == expected
-        assert max(calls) == 3 and sum(calls) == len(groups)
-        assert chunked.compute_count == len(groups)
+        for cfg in (PhyConfig(), MCS_WITH_MAC):
+            single = make_rate_oracle(channels, cfg, 3)
+            expected = [single.rates([g])[0] for g in groups]
+            assert expected == [closed_form_rate(channels, g, cfg) for g in groups]
+            with monkeypatch.context() as patch:
+                patch.setattr(phy, "_MAX_BATCH_ROWS", 24)  # 3 groups of 8 subcarriers
+                patch.setattr(phy, "_zf_sinr", counted)
+                calls.clear()
+                chunked = make_rate_oracle(channels, cfg, 3)
+                assert chunked.rates(groups) == expected
+            assert max(calls) == 3 and sum(calls) == len(groups)
+            assert chunked.compute_count == len(groups)
 
     def test_mcs_wide_groups_add_users_in_order(self):
         # from eight users on, numpy's pairwise sum would add in another order
@@ -318,6 +343,7 @@ class TestRateOracle:
         channels, oracle = rician_oracle(10, 8, seed=8, nt=8, phy=MCS_WITH_MAC)
         for g in combinations(range(10), 8):
             assert oracle.rate(g) == reference_rate(channels, g, MCS_WITH_MAC)
+            assert oracle.rate(g) == closed_form_rate(channels, g, MCS_WITH_MAC)
 
     def test_mcs_table_not_ascending(self):
         # map_sinr_to_mcs stops at the first unmet threshold: an SINR of
@@ -333,6 +359,7 @@ class TestRateOracle:
         oracle.precompute(groups)
         for g in groups:
             assert oracle.rate(g) == reference_rate(channels, g, cfg)
+            assert oracle.rate(g) == closed_form_rate(channels, g, cfg)
         reordered = make_rate_oracle(channels, ascending, 3)
         assert any(oracle.rate(g) != reordered.rate(g) for g in groups)
 
@@ -342,6 +369,20 @@ class TestRateOracle:
             group_rate(identity_channels(2), (0,), cfg)
         with pytest.raises(ConfigurationError):
             make_rate_oracle(identity_channels(2), cfg, 1).rate((0,))
+
+    def test_each_oracle_builds_its_own_gram(self):
+        channels, _ = rician_oracle(6, 3, seed=21, sc=8)
+        first = make_rate_oracle(channels, MCS_WITH_MAC, 3)
+        second = make_rate_oracle(channels, MCS_WITH_MAC, 3)
+        assert first._gram is None and second._gram is None  # built on a first compute
+        first.rate((0, 1))
+        gram = first._gram
+        first.rates([(2, 3), (0, 4, 5)])
+        first.precompute([(1, 2, 3)])
+        assert first._gram is gram and second._gram is None
+        assert second.rates([(0, 1), (2, 3)]) == first.rates([(0, 1), (2, 3)])
+        assert not np.shares_memory(first._gram, second._gram)
+        assert np.array_equal(first._gram, second._gram)
 
     def test_concurrent_queries_identical(self):
         channels, oracle = rician_oracle(6, 3, seed=9)
@@ -383,12 +424,30 @@ class TestZeroChannelUser:
                 group_rate(channels, group, PhyConfig())
 
 
-class TestConditioningMask:
-    """``_zf_batch`` certifies most rows from trace and determinant and
-    sends the rest to an SVD; its ``ok`` must be the SVD rule's on every
-    row, and its rates bit for bit those of ``reference_zf_batch``."""
+class TestChannelScale:
+    """Rates stay finite, with no numeric warning, at the extremes of the
+    channel scales that ``ChannelSet`` accepts."""
 
-    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
+    @pytest.mark.parametrize("scale", [1e-160, 1e99])
+    def test_rates_finite(self, scale, cfg):
+        channels, _ = rician_oracle(4, 2, seed=1, sc=8)
+        scaled = ChannelSet(4, 4, 8, channels.entries * scale)
+        groups = [g for s in (1, 2) for g in combinations(range(4), s)]
+        oracle = make_rate_oracle(scaled, cfg, 2)
+        values = [oracle.rate(g) for g in groups]
+        assert all(math.isfinite(v) and v >= 0.0 for v in values)
+        if scale > 1.0:
+            assert all(v > 0.0 for v in values)
+
+
+class TestConditioningMask:
+    """``_zf_sinr`` certifies most rows from trace and determinant and
+    sends the rest to an SVD; its ``ok`` must be the SVD rule's on every
+    row, and its rates bit for bit those of ``closed_form_rate``, which
+    applies the SVD rule alone."""
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e99])
     @pytest.mark.parametrize("nt", [4, 8])
     def test_mask_matches_svd_rule(self, nt, scale):
         import mugroup.phy as phy
@@ -397,7 +456,7 @@ class TestConditioningMask:
         channels = ChannelSet(10, nt, 2, channels.entries * scale)
         for k in range(1, nt + 1):
             groups = list(combinations(range(10), k))
-            ok = phy._zf_batch(channels, groups)[2]
+            ok = phy._zf_sinr(phy._user_gram(channels), groups, PhyConfig())[1]
             expected = reference_zf_batch(channels, groups)[2]
             assert np.array_equal(ok, expected) and not expected.all()
 
@@ -409,7 +468,8 @@ class TestConditioningMask:
         groups = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(len(conds))]
         expected = reference_zf_batch(channels, groups)[2]
         assert expected.tolist() == [True, True, True, False, False]
-        assert np.array_equal(phy._zf_batch(channels, groups)[2], expected)
+        ok = phy._zf_sinr(phy._user_gram(channels), groups, PhyConfig())[1]
+        assert np.array_equal(ok, expected)
 
     @pytest.mark.parametrize("cfg,sc", [
         (PhyConfig(), 1), (PhyConfig(), 8), (MCS_WITH_MAC, 1), (MCS_WITH_MAC, 8),
@@ -418,10 +478,11 @@ class TestConditioningMask:
         import mugroup.phy as phy
 
         channels = degenerate_channels(9, sc, seed=19)
+        gram = phy._user_gram(channels)
         for k in (1, 2, 3, 4):
             groups = list(combinations(range(9), k))
-            expected = phy._zf_rates(*reference_zf_batch(channels, groups), len(groups), cfg)
-            assert phy._batch_rates(channels, groups, cfg).tolist() == expected.tolist()
+            expected = [closed_form_rate(channels, g, cfg) for g in groups]
+            assert phy._batch_rates(gram, groups, cfg).tolist() == expected
 
     def test_svd_only_for_uncertified_rows(self, monkeypatch):
         svd_rows = []
