@@ -13,11 +13,7 @@ from .bench import (
     ExperimentConfig,
     ResultRow,
     Scenario,
-    Schedule,
-    Slot,
-    build_schedule,
     run_experiment,
-    slot_rotation,
     system_throughput,
     write_csv,
 )

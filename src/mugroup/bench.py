@@ -1,10 +1,8 @@
 """Air-time-fair scheduling, experiment sweeps, and result reporting.
 
-A grouping solution is realized as a round-robin schedule in which a
-group of size n holds the channel for n single-user slots, rotating the
-primary user, so every user is primary exactly once per cycle.  System
-throughput is therefore objective / M: total bits per cycle divided by
-the M equal slots that make up the cycle.
+Under air-time fairness a group of size n holds the channel for n
+single-user slots, so system throughput is objective / M: total bits per
+cycle divided by the M equal slots that make up the cycle.
 
 ``run_experiment`` reproduces the comparison sweeps (throughput versus
 network size, versus channel correlation, and runtime scaling) over
@@ -36,21 +34,13 @@ from .phy import McsEntry, PhyConfig, RateMode, make_rate_oracle
 
 __all__ = [
     "Scenario",
-    "Slot",
-    "Schedule",
     "ExperimentConfig",
     "ResultRow",
-    "DEFAULT_T_SU",
-    "build_schedule",
-    "slot_rotation",
     "system_throughput",
     "run_experiment",
     "write_csv",
     "CSV_HEADER",
 ]
-
-# one single-user slot: max AMPDU duration plus SIFS
-DEFAULT_T_SU = 2.016e-3
 
 CSV_HEADER = ("scenario,M,Nu,rho,algorithm,seed_count,"
               "mean_mbps,p10_mbps,p90_mbps,ratio_to_opt,runtime_ms")
@@ -62,37 +52,6 @@ class Scenario(Enum):
     USER_SWEEP = "user_sweep"
     RHO_SWEEP = "rho_sweep"
     RUNTIME_SWEEP = "runtime_sweep"
-
-
-@dataclass(frozen=True)
-class Slot:
-    group: tuple[int, ...]
-    primary_user: int
-    duration: float
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Ordered transmission slots; each group appears once per member with
-    the primary role rotating, so group air time is |g| * t_su."""
-
-    slots: tuple[Slot, ...]
-    t_su: float
-
-
-def build_schedule(solution: GroupingSolution, t_su: float = DEFAULT_T_SU) -> Schedule:
-    """Round-robin schedule over the groups in canonical order."""
-    slots = []
-    for group in solution.groups:
-        for primary in group:
-            slots.append(Slot(group, primary, t_su))
-    return Schedule(tuple(slots), t_su)
-
-
-def slot_rotation(slot: Slot) -> tuple[int, ...]:
-    """Group members rotated so the primary user leads, e.g. (E, F, D)."""
-    i = slot.group.index(slot.primary_user)
-    return slot.group[i:] + slot.group[:i]
 
 
 def system_throughput(solution: GroupingSolution, oracle) -> float:

@@ -20,26 +20,28 @@ has squared norm (G^-1 G G^-1)_mm = [G^-1]_mm.  After unit-norm scaling
 
 (Spencer, Swindlehurst and Haardt, "Zero-forcing methods for downlink
 spatial multiplexing in multiuser MIMO channels", IEEE TSP 2004).  The
-scaled G / tr G has entries of magnitude at most 1, so neither its
-determinant nor its inverse overflows at any channel scale that
-``ChannelSet`` accepts.
+scaled A = G / tr G has entries of magnitude at most 1, so nothing in its
+factorization overflows at any channel scale that ``ChannelSet`` accepts.
 
-A group is rank deficient on a subcarrier when the condition number of
-G exceeds ``_COND_LIMIT``; it then has rate 0.  The bound
-cond(G) <= tr(G)^k / det(G), with a 100x margin, clears most rows; only
-the rest pay for an SVD (``_zf_sinr``).
+One LDL^H elimination A = L D L^H (Golub and Van Loan, Matrix
+Computations, 4.1) gives [A^-1]_mm = sum_{j >= m} |(L^-1)_jm|^2 / D_j,
+and its pivots D_j multiply to det A.  A group is rank deficient on a
+subcarrier, and has rate 0 there, when cond(G) exceeds ``_COND_LIMIT``;
+since cond(G) <= 1 / det A, the pivots clear most rows with a 100x
+margin and only the rest pay for an SVD (``_zf_sinr``).
 
 Each ``RateOracle`` builds one user Gram U[i, j, s] = <h_i, h_j> per
 subcarrier on its first computation (``_user_gram``), which takes
 SC*M^2*16 bytes and lives as long as the oracle.  No two oracles share
 one, so every solve on a fresh oracle starts cold.  A batch of same-size
-groups gathers its Gram matrices from U and takes one batched inverse,
-at most ``_MAX_BATCH_ROWS`` (group, subcarrier) rows per chunk, so the
-memory of a batch does not grow with its length.  Every row gets its own
-LAPACK call, so a rate does not depend on the batch it was computed in.
-``RateOracle.rate`` answers one group, ``RateOracle.rates`` a list of
-groups in one bulk query, and ``RateOracle.precompute`` fills the memo
-per group size.  Groups are checked and put in canonical order by
+groups gathers its Gram matrices from U and eliminates them together, at
+most ``_MAX_BATCH_ROWS`` (group, subcarrier) rows per chunk, so the
+memory of a batch does not grow with its length.  With no LAPACK call,
+each numpy call applies one real operation to all rows alike, so a rate
+does not depend on the batch it was computed in.  ``RateOracle.rate``
+answers one group, ``RateOracle.rates`` a list of groups in one bulk
+query, and ``RateOracle.precompute`` fills the memo per group size.
+Groups are checked and put in canonical order by
 ``grouping.canonical_group``.
 """
 
@@ -155,39 +157,78 @@ def _zf_sinr(gram: np.ndarray, groups: list[tuple[int, ...]], cfg: PhyConfig):
     major: ``sinr`` (n*sc, k) holds p tr(G) / (N0 [(G / tr G)^-1]_mm) for
     member m, with G the group's k x k Gram matrix gathered from ``gram``
     (``_user_gram``), and ``ok`` (n*sc,) marks rows whose G has condition
-    number at most ``_COND_LIMIT``.  The SINR of a row that is not ok
-    means nothing.  Every row gets its own LAPACK call, so a group's
-    values do not depend on which other groups share the batch.
+    number at most ``_COND_LIMIT``, the only rows whose SINR means anything.
 
-    For positive-definite G, lambda_max <= tr G and lambda_min >=
-    det G / tr(G)^(k-1), so cond(G) <= tr(G)^k / det G.  A row with
-    det(G / tr G) >= 1 / ``_CERT_LIMIT`` has cond at most 1e10, 100x
-    below the limit, which rounding cannot bridge: it is ok without an
-    SVD.  G / tr G has entries of magnitude at most 1, so its det and
-    inverse cannot overflow, as det G and tr(G)^k can at large channel
-    scales.  The rows left, singular and near-singular ones, get the
-    exact rule, one SVD each, so ``ok`` is the mask that rule alone gives.
+    ``_ldl_inv_diag`` factors every A = G / tr G.  For positive-definite
+    G, cond(G) <= tr(G)^k / det G = 1 / det A (lambda_max <= tr G and
+    lambda_min >= det G / tr(G)^(k-1)), so a row with det A >= 1 /
+    ``_CERT_LIMIT`` has cond at most 1e10, 100x below the limit, which
+    rounding cannot bridge: it is ok without an SVD.  The rest get the
+    exact rule, one SVD each, so ``ok`` is that rule's mask.  The rows it
+    clears are factored again with a pivot floor of 0, as their pivots are
+    at least lambda_min(A) >= 1 / (k ``_COND_LIMIT``).
     """
-    idx = np.asarray(groups)
-    k = idx.shape[1]
-    g = np.moveaxis(gram[idx[:, :, None], idx[:, None, :]], 3, 1)  # (n, sc, k, k)
-    g = np.ascontiguousarray(g).reshape(-1, k, k)
-    tr = np.einsum("ijj->i", g).real
-    # real and imaginary parts divided as reals: numpy's complex divide
-    # takes 1/tr first, which overflows for a subnormal trace
-    unit = (g.view(np.float64) / np.where(tr > 0, tr, 1.0)[:, None, None]).view(g.dtype)
-    ok = np.linalg.det(unit).real >= 1 / _CERT_LIMIT
+    idx = np.asarray(groups).T
+    k = idx.shape[0]
+    g = gram[idx[:, None, :], idx[None, :, :]].reshape(k, k, -1)  # (k, k, n*sc)
+    tr = sum(g[m, m].real for m in range(k))
+    scale = np.where(tr > 0, tr, 1.0)
+    inv_diag, ok = _ldl_inv_diag(g, scale, floor=1 / _CERT_LIMIT)
     if not ok.all():
-        rest = ~ok
-        ok[rest] = np.linalg.cond(g[rest]) <= _COND_LIMIT
-        unit[~ok] = np.eye(k)
-    inv_diag = np.diagonal(np.linalg.inv(unit), axis1=1, axis2=2).real
+        rest = np.flatnonzero(~ok)
+        ok[rest] = np.linalg.cond(np.moveaxis(g[:, :, rest], 2, 0)) <= _COND_LIMIT
+        redo = rest[ok[rest]]
+        if len(redo):
+            inv_diag[redo] = _ldl_inv_diag(g[:, :, redo], scale[redo], floor=0.0)[0]
     p = cfg.total_power / k
     return (p * tr[:, None]) / (cfg.noise_power * inv_diag), ok
 
 
-def _mcs_rates(sinr: np.ndarray, cfg: PhyConfig) -> np.ndarray:
-    """Elementwise ``phy_rate(map_sinr_to_mcs(dB(sinr)))``, 0 below MCS 0.
+def _ldl_inv_diag(g: np.ndarray, scale: np.ndarray, floor: float):
+    """Diagonal of A^-1 for A = g / scale, g (k, k, rows) Hermitian.
+
+    Gaussian elimination without pivoting on [A | I] leaves D L^H on the
+    left and L^-1 on the right (Golub and Van Loan, 4.1), so [A^-1]_mm =
+    sum_{j >= m} |(L^-1)_jm|^2 / D_j.  Returns ``inv_diag`` (rows, k) and
+    ``cert`` (rows,), true where the pivots all exceed ``floor`` and
+    multiply to det A >= 1 / ``_CERT_LIMIT``.  Other pivots are replaced
+    by 1, so a singular row stays finite.  Parts are divided as reals (a
+    complex divide takes 1/scale first, which overflows for a subnormal
+    trace); each numpy call applies one real operation to all rows alike.
+    """
+    k, rows = g.shape[0], g.shape[2]
+    a = np.zeros((2, k, 2 * k, rows))  # real and imaginary parts of [A | I]
+    np.divide(g.real, scale, out=a[0, :, :k])
+    np.divide(g.imag, scale, out=a[1, :, :k])
+    a[0].reshape(2 * k * k, rows)[k::2 * k + 1] = 1.0  # the diagonal of I
+    work = np.empty(max(4 * (k - 1), 2 * k) * k * rows)
+    for j in range(k - 1):
+        # rows i > j: row i -= (a_ij / d) row j, on the k columns where row
+        # j is not yet zero; p[x, y] = l_x r_y over re/im parts x and y
+        n, cols = k - j - 1, slice(j + 1, k + j + 1)
+        d = np.where(a[0, j, j] > floor, a[0, j, j], 1.0)
+        l, r = a[:, j + 1:, j] / d, a[:, j, cols]
+        p = np.multiply(l[:, None, :, None], r[None, :, None],
+                        out=work[:4 * n * k * rows].reshape(2, 2, n, k, rows))
+        np.subtract(p[0, 0], p[1, 1], out=p[0, 0])
+        np.add(p[0, 1], p[1, 0], out=p[0, 1])
+        a[:, j + 1:, cols] -= p[0]
+    # the pivots stay on the diagonal: later steps change later rows only
+    raw = a[0].reshape(2 * k * k, rows)[::2 * k + 1]
+    pivots = np.where(raw > floor, raw, 1.0)
+    cert = np.where(raw > floor, raw, 0.0).prod(axis=0) >= 1 / _CERT_LIMIT
+    # t[j, m] = |(L^-1)_jm|^2 / D_j, exactly 0 for j < m
+    sq = np.square(a[:, :, k:], out=work[:2 * k * k * rows].reshape(2, k, k, rows))
+    t = np.add(sq[0], sq[1], out=sq[0])
+    t /= pivots[:, None]
+    for j in range(1, k):
+        t[0] += t[j]
+    return np.ascontiguousarray(t[0].T), cert
+
+
+def _mcs_rates(cfg: PhyConfig):
+    """Elementwise ``phy_rate(map_sinr_to_mcs(dB(sinr)))``, 0 below MCS 0,
+    as a function of SINR arrays; the table's arrays are built once.
 
     The entry chosen is the last one before the first unmet threshold, as
     in ``map_sinr_to_mcs``, so tables that are not ascending map alike.
@@ -197,9 +238,12 @@ def _mcs_rates(sinr: np.ndarray, cfg: PhyConfig) -> np.ndarray:
     # the +inf sentinel is never met, so argmin finds a first unmet one
     thresholds = np.array([e.min_snr_db for e in cfg.mcs_table] + [np.inf])
     values = np.array([0.0] + [phy_rate(e, cfg) for e in cfg.mcs_table])
-    with np.errstate(divide="ignore"):
-        sinr_db = 10.0 * np.log10(sinr)
-    return values[np.argmin(sinr_db[..., None] >= thresholds, axis=-1)]
+
+    def rates(sinr: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            sinr_db = 10.0 * np.log10(sinr)
+        return values[np.argmin(sinr_db[..., None] >= thresholds, axis=-1)]
+    return rates
 
 
 def _batch_rates(gram: np.ndarray, groups: list[tuple[int, ...]],
@@ -207,17 +251,18 @@ def _batch_rates(gram: np.ndarray, groups: list[tuple[int, ...]],
     """Rates of same-size groups, averaged over subcarriers; 0 for a group
     that is rank deficient on any subcarrier.  ``_zf_sinr`` takes them in
     chunks of at most ``_MAX_BATCH_ROWS`` rows (whole groups, at least one
-    per chunk)."""
+    per chunk); the MCS lookup is built once for all chunks."""
+    mcs = _mcs_rates(cfg) if cfg.rate_mode is RateMode.MCS_MAPPED else None
     step = max(1, _MAX_BATCH_ROWS // gram.shape[2])
     rates = []
     for i in range(0, len(groups), step):
         chunk = groups[i:i + step]
         sinr, ok = _zf_sinr(gram, chunk, cfg)
-        if cfg.rate_mode is RateMode.SHANNON:
+        if mcs is None:
             per_sc = cfg.bandwidth_hz * np.log2(1.0 + sinr).sum(axis=1)
         else:
             # summed user by user in order, like a scalar loop over the users
-            per_sc = np.add.accumulate(_mcs_rates(sinr, cfg), axis=1)[:, -1]
+            per_sc = np.add.accumulate(mcs(sinr), axis=1)[:, -1]
         chunk_rates = per_sc.reshape(len(chunk), -1).mean(axis=1)
         chunk_rates[~ok.reshape(len(chunk), -1).all(axis=1)] = 0.0
         rates.append(chunk_rates)
@@ -236,11 +281,11 @@ class RateOracle:
     ``compute_count``; values are the same whichever path computed them.
 
     The first computation builds the oracle's user Gram (``_user_gram``,
-    SC*M^2*16 bytes), from which every group's Gram matrix is gathered and
-    inverted in closed form.  The Gram belongs to this oracle alone and
-    lives as long as it does; no two oracles share one, so a solve on a
-    fresh oracle starts cold.  Thread safe: concurrent identical queries
-    return identical values.
+    SC*M^2*16 bytes), from which ``_zf_sinr`` gathers every group's Gram
+    matrix for its LDL^H elimination.  The Gram belongs to this oracle
+    alone and lives as long as it does, so a solve on a fresh oracle
+    starts cold.  Thread safe: concurrent identical queries return
+    identical values.
     """
 
     def __init__(self, channels: ChannelSet, cfg: PhyConfig, max_group_size: int):

@@ -2,12 +2,15 @@
 
 ``networkx_matching`` is networkx's blossom matching.
 ``closed_form_rate`` is the library's closed-form zero-forcing rate for
-one group, one subcarrier at a time.  ``zf_batch``, ``zf_steering`` and
-``group_rate`` build the zero-forcing steering vectors and sum the
-interference in full, the model the closed form is derived from; they
-use the plain SVD rank rule.  ``loop_best_partition`` is the subset DP of
-full search as a plain loop over the states.  The others enumerate their
-whole search space, so they are only usable on small instances.
+one group, one subcarrier at a time, its LDL^H elimination
+(``ldl_inverse_diagonal``) written out in Python floats; ``inverse_rate``
+is the same rate from one LAPACK inverse per subcarrier.  ``zf_batch``,
+``zf_steering`` and ``group_rate`` build the zero-forcing steering
+vectors and sum the interference in full, the model the closed form is
+derived from; they use the plain SVD rank rule.  ``loop_best_partition``
+is the subset DP of full search as a plain loop over the states.  The
+others enumerate their whole search space, so they are only usable on
+small instances.
 """
 
 from __future__ import annotations
@@ -182,26 +185,104 @@ def loop_best_partition(rates, n: int, max_block: int):
     return count[full], best[full], assign
 
 
-def closed_form_rate(channels, group, cfg) -> float:
-    """The library's closed-form rate of one group, computed one
-    subcarrier at a time; 0 when the group is rank deficient on any.
-
-    On each subcarrier the group's Gram matrix G sums the antennas in
-    index order, G counts as rank deficient when one SVD gives a condition
-    number above ``COND_LIMIT``, and member m has SINR
-    p tr(G) / (N0 [(G / tr G)^-1]_mm).  SINRs map one user at a time
-    through ``map_sinr_to_mcs`` and ``phy_rate`` in MCS mode.  The
-    arithmetic is the library's, so the values must match it bit for bit.
-    """
-    members = sorted(group)
+def _subcarrier_grams(channels, members):
+    """The group's Gram matrix G on each subcarrier, the antennas summed in
+    index order, as the library's user Gram sums them."""
     k = len(members)
-    p = cfg.total_power / k
-    rates = []
     for s in range(channels.num_subcarriers):
         h = channels.entries[members, :, s]
         gram = np.zeros((k, k), dtype=np.complex128)
         for t in range(channels.num_tx_antennas):
             gram += h[:, t, None] * np.conj(h[None, :, t])
+        yield gram
+
+
+def _subcarrier_rate(sinr, cfg) -> float:
+    """Rate of one subcarrier from its members' SINRs: the Shannon sum, or
+    each SINR mapped one user at a time through ``map_sinr_to_mcs`` and
+    ``phy_rate``."""
+    sinr = np.asarray(sinr)
+    if cfg.rate_mode is RateMode.SHANNON:
+        return cfg.bandwidth_hz * float(np.log2(1.0 + sinr).sum())
+    total = 0.0
+    for value in sinr:
+        entry = map_sinr_to_mcs(10.0 * math.log10(value) if value > 0 else -math.inf,
+                                cfg.mcs_table)
+        if entry is not None:
+            total += phy_rate(entry, cfg)
+    return total
+
+
+def ldl_inverse_diagonal(re, im) -> list:
+    """Diagonal of A^-1 for one Hermitian k x k matrix A, given as nested
+    lists of real and imaginary parts, by Gaussian elimination without
+    pivoting on [A | I]: [A^-1]_mm = sum_{j >= m} |(L^-1)_jm|^2 / D_j,
+    with D the pivots and L^-1 the right half once the elimination ends.
+
+    Works in the entries' own number type: in Python floats it is the
+    library's arithmetic, in ``fractions.Fraction`` it is exact.
+    """
+    k = len(re)
+    one, zero = type(re[0][0])(1), type(re[0][0])(0)
+    a_re = [list(row) + [one if c == i else zero for c in range(k)]
+            for i, row in enumerate(re)]
+    a_im = [list(row) + [zero] * k for row in im]
+    for j in range(k - 1):
+        d = a_re[j][j]
+        for i in range(j + 1, k):
+            l_re = a_re[i][j] / d
+            l_im = a_im[i][j] / d
+            for c in range(j + 1, k + j + 1):
+                r_re, r_im = a_re[j][c], a_im[j][c]
+                a_re[i][c] = a_re[i][c] - (l_re * r_re - l_im * r_im)
+                a_im[i][c] = a_im[i][c] - (l_re * r_im + l_im * r_re)
+    inv_diag = []
+    for m in range(k):
+        total = zero
+        for j in range(m, k):
+            x_re, x_im = a_re[j][k + m], a_im[j][k + m]
+            total += (x_re * x_re + x_im * x_im) / a_re[j][j]
+        inv_diag.append(total)
+    return inv_diag
+
+
+def closed_form_rate(channels, group, cfg) -> float:
+    """The library's closed-form rate of one group, computed one
+    subcarrier at a time in Python floats; 0 when the group is rank
+    deficient on any subcarrier.
+
+    On each subcarrier G counts as rank deficient when one SVD gives a
+    condition number above ``COND_LIMIT``; otherwise member m has SINR
+    p tr(G) / (N0 [A^-1]_mm), A = G / tr G, with [A^-1]_mm from
+    ``ldl_inverse_diagonal``.  The arithmetic is the library's, operation
+    for operation, so the values must match it bit for bit.
+    """
+    members = sorted(group)
+    k = len(members)
+    p = cfg.total_power / k
+    rates = []
+    for gram in _subcarrier_grams(channels, members):
+        if np.linalg.cond(gram) > COND_LIMIT:
+            return 0.0
+        tr = 0.0
+        for m in range(k):
+            tr += float(gram[m, m].real)
+        re = [[float(gram[i, c].real) / tr for c in range(k)] for i in range(k)]
+        im = [[float(gram[i, c].imag) / tr for c in range(k)] for i in range(k)]
+        sinr = [(p * tr) / (cfg.noise_power * v) for v in ldl_inverse_diagonal(re, im)]
+        rates.append(_subcarrier_rate(sinr, cfg))
+    return float(np.mean(rates))
+
+
+def inverse_rate(channels, group, cfg) -> float:
+    """``closed_form_rate`` with [A^-1]_mm taken from ``np.linalg.inv``,
+    one LAPACK inverse per subcarrier: rounds differently from the
+    library, so it agrees to a tolerance, not bit for bit."""
+    members = sorted(group)
+    k = len(members)
+    p = cfg.total_power / k
+    rates = []
+    for gram in _subcarrier_grams(channels, members):
         if np.linalg.cond(gram) > COND_LIMIT:
             return 0.0
         tr = 0.0
@@ -209,16 +290,7 @@ def closed_form_rate(channels, group, cfg) -> float:
             tr += gram[m, m].real
         unit = (gram.view(np.float64) / tr).view(np.complex128)
         sinr = (p * tr) / (cfg.noise_power * np.diag(np.linalg.inv(unit)).real)
-        if cfg.rate_mode is RateMode.SHANNON:
-            rates.append(cfg.bandwidth_hz * float(np.log2(1.0 + sinr).sum()))
-            continue
-        total = 0.0
-        for value in sinr:
-            entry = map_sinr_to_mcs(10.0 * math.log10(value) if value > 0 else -math.inf,
-                                    cfg.mcs_table)
-            if entry is not None:
-                total += phy_rate(entry, cfg)
-        rates.append(total)
+        rates.append(_subcarrier_rate(sinr, cfg))
     return float(np.mean(rates))
 
 
@@ -272,7 +344,7 @@ def zf_rates(h, w, ok, num_groups: int, cfg):
     if cfg.rate_mode is RateMode.SHANNON:
         per_sc = cfg.bandwidth_hz * np.log2(1.0 + sinr).sum(axis=1)
     else:
-        per_sc = np.add.accumulate(_mcs_rates(sinr, cfg), axis=1)[:, -1]
+        per_sc = np.add.accumulate(_mcs_rates(cfg)(sinr), axis=1)[:, -1]
     rates = per_sc.reshape(num_groups, -1).mean(axis=1)
     rates[~ok.reshape(num_groups, -1).all(axis=1)] = 0.0
     return rates

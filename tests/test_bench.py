@@ -7,12 +7,9 @@ import pytest
 
 from mugroup.bench import (
     CSV_HEADER,
-    DEFAULT_T_SU,
     ExperimentConfig,
     Scenario,
-    build_schedule,
     run_experiment,
-    slot_rotation,
     system_throughput,
     write_csv,
 )
@@ -23,36 +20,6 @@ from mugroup.phy import RateOracle
 
 from conftest import FixtureOracle, random_oracle
 from reference import enumerate_partitions
-
-
-class TestSchedule:
-    def test_six_station_rotation(self):
-        sol = GroupingSolution(((0,), (1, 2), (3, 4, 5)), 6)
-        sched = build_schedule(sol, t_su=DEFAULT_T_SU)
-        rotations = [slot_rotation(s) for s in sched.slots]
-        assert rotations == [
-            (0,), (1, 2), (2, 1), (3, 4, 5), (4, 5, 3), (5, 3, 4)]
-
-    def test_all_single_users(self):
-        sol = GroupingSolution(((0,), (1,), (2,)), 3)
-        sched = build_schedule(sol)
-        assert len(sched.slots) == 3
-        assert [s.primary_user for s in sched.slots] == [0, 1, 2]
-
-    def test_group_air_time_scales_with_size(self):
-        sol = GroupingSolution(((0, 1, 2),), 3)
-        sched = build_schedule(sol, t_su=2.0)
-        assert len(sched.slots) == 3
-        assert sum(s.duration for s in sched.slots) == 3 * 2.0
-
-    def test_each_user_primary_exactly_once(self):
-        sol = GroupingSolution(((0, 3), (1, 2, 4), (5,)), 6)
-        sched = build_schedule(sol)
-        primaries = sorted(s.primary_user for s in sched.slots)
-        assert primaries == list(range(6))
-        for group in sol.groups:
-            air = sum(s.duration for s in sched.slots if s.group == group)
-            assert air == pytest.approx(len(group) * sched.t_su)
 
 
 class TestSystemThroughput:

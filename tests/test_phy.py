@@ -1,5 +1,6 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -18,7 +19,8 @@ from mugroup.phy import (
     phy_rate,
 )
 
-from reference import closed_form_rate, group_rate, zf_steering
+from reference import (closed_form_rate, group_rate, inverse_rate, ldl_inverse_diagonal,
+                       zf_steering)
 from reference import zf_batch as reference_zf_batch
 from conftest import MCS_WITH_MAC, identity_channels, rician_oracle
 
@@ -314,8 +316,9 @@ class TestRateOracle:
 
         import mugroup.phy as phy
 
-        channels = channels_with_duplicate(8, 8, seed=16)
-        groups = [g for s in (1, 2, 3) for g in combinations(range(8), s)]
+        # every group size up to 8; users 7 and 8 share a channel
+        channels = channels_with_duplicate(9, 8, seed=16, nt=8)
+        groups = [g for s in range(1, 9) for g in combinations(range(9), s)]
         calls = []
         zf_sinr = phy._zf_sinr
 
@@ -324,14 +327,15 @@ class TestRateOracle:
             return zf_sinr(gram, chunk, cfg)
 
         for cfg in (PhyConfig(), MCS_WITH_MAC):
-            single = make_rate_oracle(channels, cfg, 3)
+            single = make_rate_oracle(channels, cfg, 8)
             expected = [single.rates([g])[0] for g in groups]
             assert expected == [closed_form_rate(channels, g, cfg) for g in groups]
+            assert make_rate_oracle(channels, cfg, 8).rates(groups) == expected
             with monkeypatch.context() as patch:
                 patch.setattr(phy, "_MAX_BATCH_ROWS", 24)  # 3 groups of 8 subcarriers
                 patch.setattr(phy, "_zf_sinr", counted)
                 calls.clear()
-                chunked = make_rate_oracle(channels, cfg, 3)
+                chunked = make_rate_oracle(channels, cfg, 8)
                 assert chunked.rates(groups) == expected
             assert max(calls) == 3 and sum(calls) == len(groups)
             assert chunked.compute_count == len(groups)
@@ -499,6 +503,58 @@ class TestConditioningMask:
         channels = conditioned_channels([1e11])
         assert make_rate_oracle(channels, PhyConfig(), 3).rate((0, 1, 2)) > 0.0
         assert svd_rows == [1]
+
+
+class TestInverseAgreement:
+    """The elimination against one LAPACK inverse per row
+    (``inverse_rate``), which rounds differently."""
+
+    @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
+    @pytest.mark.parametrize("sc", [1, 8])
+    @pytest.mark.parametrize("nt", [4, 8])
+    def test_every_group_size(self, nt, sc, cfg):
+        # to 1e-9 relative, as the steering cross-check; users 8 and 9
+        # share a channel, so groups holding both score 0 on both sides
+        channels = channels_with_duplicate(10, sc, seed=22, nt=nt)
+        oracle = make_rate_oracle(channels, cfg, nt)
+        for k in range(1, nt + 1):
+            groups = list(combinations(range(10), k))[::5]
+            expected = [inverse_rate(channels, g, cfg) for g in groups]
+            assert oracle.rates(groups) == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
+    def test_conditioned_groups(self, cfg):
+        """Near the condition limit any two backward-stable inversions
+        differ by about cond * eps, so 1e-9 cannot hold there (the two
+        differ by 2.6e-6 at cond 1e11).  Both SINRs are checked against
+        the exact inverse of the same A = G / tr G, in rational
+        arithmetic, to 10 cond eps, and the rates against each other to
+        twice that."""
+        import mugroup.phy as phy
+
+        conds = [1e9, 1e11, 0.99e12]
+        channels = conditioned_channels(conds)
+        groups = [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(len(conds))]
+        gram = phy._user_gram(channels)
+        sinr, ok = phy._zf_sinr(gram, groups, cfg)
+        assert ok.all()
+        oracle = make_rate_oracle(channels, cfg, 3)
+        p = cfg.total_power / 3
+        for g, cond, row in zip(groups, conds, sinr):
+            bound = 10 * cond * np.finfo(float).eps
+            block = gram[np.ix_(g, g)][:, :, 0]
+            tr = 0.0
+            for m in range(3):
+                tr += block[m, m].real
+            unit = (block.view(np.float64) / tr).view(np.complex128)
+            exact = ldl_inverse_diagonal(*([[Fraction(v) for v in r] for r in part.tolist()]
+                                           for part in (unit.real, unit.imag)))
+            exact_sinr = np.array([(p * tr) / (cfg.noise_power * float(v)) for v in exact])
+            lapack_sinr = (p * tr) / (cfg.noise_power * np.diag(np.linalg.inv(unit)).real)
+            assert row == pytest.approx(exact_sinr, rel=bound, abs=0.0)
+            assert lapack_sinr == pytest.approx(exact_sinr, rel=bound, abs=0.0)
+            assert oracle.rate(g) == pytest.approx(inverse_rate(channels, g, cfg),
+                                                   rel=2 * bound, abs=0.0)
 
 
 class TestMcsMapping:
