@@ -30,7 +30,6 @@ from .errors import (
     ChannelFormatError,
     ConfigurationError,
     SearchSpaceError,
-    SingularChannelError,
 )
 from .gma import gma, merge_gain, optimal_mu2_su
 from .grouping import (
@@ -51,7 +50,6 @@ from .phy import (
     RateMode,
     RateOracle,
     make_rate_oracle,
-    map_sinr_to_mcs,
     phy_rate,
 )
 

@@ -25,17 +25,15 @@ __all__ = ["SusParams", "zfs_grouping", "sus_grouping", "random_grouping"]
 
 @dataclass(frozen=True)
 class SusParams:
-    """Semi-orthogonality threshold, optionally swept over several values
-    with the best-scoring run returned."""
+    """Semi-orthogonality thresholds, each run on its own with the
+    best-scoring run returned; a single alpha is a sweep of one."""
 
-    alpha: float = 0.4
-    sweep: tuple[float, ...] | None = (0.2, 0.3, 0.4, 0.5, 0.6)
+    sweep: tuple[float, ...] = (0.2, 0.3, 0.4, 0.5, 0.6)
 
     def __post_init__(self):
-        values = self.sweep if self.sweep is not None else (self.alpha,)
-        if not values:
-            raise ValueError("sweep must be non-empty when present")
-        for a in values:
+        if not self.sweep:
+            raise ValueError("sweep must be non-empty")
+        for a in self.sweep:
             if not 0.0 < a < 1.0:
                 raise ValueError(f"alpha must be in (0, 1), got {a}")
 
@@ -135,20 +133,19 @@ def sus_grouping(channels: ChannelSet, oracle, num_users: int, max_size: int,
     Groups are grown from the largest-norm remaining user; a candidate
     qualifies when its normalized correlation with every selected member
     is at most alpha, and the qualified user with the largest orthogonal
-    component is added (the lowest index on a tie).  With a sweep, each
-    alpha runs independently and the best objective wins (ties keep the
+    component is added (the lowest index on a tie).  Each alpha of the
+    sweep runs independently and the best objective wins (ties keep the
     earlier alpha).  Each call builds one ``correlation_matrix`` and the
     channel norms once; each alpha thresholds the matrix once, each step
     scores all qualified candidates in one batched projection, and the
     member basis of each ordered member list is factored once per call.
     """
-    alphas = params.sweep if params.sweep is not None else (params.alpha,)
     norms = np.linalg.norm(channels.entries[:num_users], axis=1).mean(axis=1)
     correlation = correlation_matrix(channels, range(num_users))
     basis = functools.cache(functools.partial(_member_basis, channels))
     best_parts = None
     best_value = -1.0
-    for alpha in alphas:
+    for alpha in params.sweep:
         parts = _sus_single_alpha(channels, num_users, max_size, alpha, norms,
                                   correlation, basis)
         value = objective(parts, oracle)

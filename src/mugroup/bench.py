@@ -128,10 +128,10 @@ class ExperimentConfig:
         * ``algorithms`` (list of names from ``ALGORITHMS``);
         * ``seeds``: ``{"count": n, "base": b}`` or a list of ints;
         * ``output`` (CSV path);
-        * ``sus``: ``alpha``, ``sweep`` (list of floats).
+        * ``sus``: ``sweep`` (list of floats, one alpha per SUS run).
 
-        Unknown keys are ignored.  Raises ConfigurationError on a missing
-        or invalid value.
+        Unknown keys are ignored, but ``sus.alpha`` is refused.  Raises
+        ConfigurationError on a missing or invalid value.
         """
         if isinstance(path_or_text, str) and not path_or_text.lstrip().startswith("{"):
             path_or_text = Path(path_or_text)
@@ -153,6 +153,8 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
     channel, phy_raw, sus_raw = (raw.get(key, {}) for key in ("channel", "phy", "sus"))
     if not all(isinstance(section, dict) for section in (channel, phy_raw, sus_raw)):
         raise ConfigurationError("channel, phy and sus must be JSON objects")
+    if "alpha" in sus_raw:
+        raise ConfigurationError('sus takes no "alpha"; give one threshold as "sweep": [alpha]')
     if not all(isinstance(raw.get(key), (str, type(None)))
                for key in ("channel_file", "output")):
         raise ConfigurationError("channel_file and output must be strings")
@@ -177,10 +179,7 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
             seeds = tuple(range(base, base + int(seeds_raw["count"])))
         else:
             seeds = tuple(int(s) for s in seeds_raw)
-        sus_params = SusParams(
-            alpha=float(sus_raw.get("alpha", 0.4)),
-            sweep=tuple(sus_raw["sweep"]) if "sweep" in sus_raw else SusParams().sweep,
-        )
+        sus_params = SusParams(tuple(sus_raw["sweep"])) if "sweep" in sus_raw else SusParams()
         cfg = ExperimentConfig(
             scenario=scenario,
             m_values=tuple(int(m) for m in raw["m_values"]),

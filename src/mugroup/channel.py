@@ -11,7 +11,6 @@ pair of users as one array; ``pairwise_correlation`` reads one pair.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -233,7 +232,8 @@ def _parse_header(line: str) -> tuple[int, int, int]:
 
 
 def load_channels(source) -> ChannelSet:
-    """Parse a channel set from a path, text/byte stream, or str/bytes.
+    """Parse a channel set from a path, a text stream, or a str holding
+    the text (one with a newline).
 
     The stream must follow the interchange format exactly; errors name the
     offending line.
@@ -241,17 +241,10 @@ def load_channels(source) -> ChannelSet:
     if isinstance(source, (str, Path)) and "\n" not in str(source):
         with open(source, "r", encoding="ascii") as fh:
             return load_channels(fh)
-    if isinstance(source, bytes):
-        source = source.decode("ascii")
     if isinstance(source, str):
-        source = io.StringIO(source)
+        source = source.split("\n")
 
-    lines = []
-    for raw in source:
-        if isinstance(raw, bytes):
-            raw = raw.decode("ascii")
-        if raw.strip():
-            lines.append(raw.strip())
+    lines = [line for line in map(str.strip, source) if line]
     if not lines:
         raise ChannelFormatError("empty channel stream")
 

@@ -5,10 +5,6 @@ class ChannelFormatError(ValueError):
     """Raised when a channel interchange stream is malformed."""
 
 
-class SingularChannelError(ValueError):
-    """Raised when a group's stacked channel matrix is rank deficient."""
-
-
 class ConfigurationError(ValueError):
     """Raised for invalid experiment or PHY configuration."""
 

@@ -5,10 +5,10 @@ weighted graphs (vertices may stay unmatched, negative weights allowed)
 with Edmonds' primal-dual blossom algorithm, in Galil's O(V^3) form,
 and breaks ties as van Rantwijk's implementation does (tests pin it).
 ``hungarian`` solves the rectangular assignment problem by maximization
-with an O(n^3) labeling algorithm, because its contract pins the
-tie-break: among optimal assignments the lexicographically smallest one
-is returned, which the dual certificate makes cheap to extract.
-"""
+with an O(n^3) labeling algorithm on the matrix padded square with zero
+rows; its contract pins the tie-break, the lexicographically smallest
+optimum, which alternating cycles over the dual-tight edges reach from
+the solver's own optimum."""
 
 from __future__ import annotations
 
@@ -461,70 +461,57 @@ def _solve_assignment(w: np.ndarray):
     return match_row, u, v
 
 
-def _kuhn_saturates(adj: list[list[int]], targets: list[int], n_right: int) -> bool:
-    """True when every left vertex in ``targets`` can be matched."""
-    match_right = [-1] * n_right
+def _alternating_chain(r: int, start: int, tight: list[list[int]],
+                       owner: list[int], seen: list[bool]) -> list[int] | None:
+    """Unseen rows after ``r``, from ``start`` on, each with a tight edge
+    to the next one's column and the last to row r's; None if there is
+    none.  Depth first; every row it reaches is marked in ``seen``."""
+    seen[start] = True
+    stack = [(start, iter(tight[start]))]
+    while stack:
+        for c in stack[-1][1]:
+            row = owner[c]
+            if row == r:
+                return [x for x, _ in stack]
+            if row > r and not seen[row]:
+                seen[row] = True
+                stack.append((row, iter(tight[row])))
+                break
+        else:
+            stack.pop()
+    return None
 
-    def try_augment(left: int, visited: list[bool]) -> bool:
-        for right in adj[left]:
-            if not visited[right]:
-                visited[right] = True
-                if match_right[right] < 0 or try_augment(match_right[right], visited):
-                    match_right[right] = left
-                    return True
-        return False
 
-    for left in targets:
-        if not try_augment(left, [False] * n_right):
-            return False
-    return True
+def _lexicographic_refine(tight: list[list[int]], assign: list[int]) -> list[int]:
+    """Lexicographically smallest perfect matching on the ``tight`` edges
+    (each row's columns ascending), rewritten in place from the perfect
+    matching ``assign``.
 
-
-def _lexicographic_refine(w: np.ndarray, match_row: np.ndarray,
-                          u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Lexicographically smallest assignment among the optima.
-
-    Complementary slackness confines optimal assignments to tight edges
-    covering every column with a positive label, so the refinement is a
-    greedy walk over that tight graph with two matchability checks per
-    candidate (rows saturable and required columns saturable imply a
-    common matching).
+    Two perfect matchings differ by alternating cycles (Berge, PNAS
+    1957), so row r, rows before it fixed, can take the smallest tight
+    column whose owner starts an alternating chain over later rows back
+    to r's column; that cycle is rotated in.  Rows a failed search
+    reached cannot reach r's column from another candidate either, so
+    one ``seen`` list serves all of r's candidates: O(edges) per row.
     """
-    rows, cols = w.shape
-    tol = 1e-9 * max(1.0, float(np.abs(w).max(initial=0.0)))
-    tight = [np.flatnonzero(u[r] + v - w[r] <= tol).tolist() for r in range(rows)]
-    required = set(np.flatnonzero(v > tol).tolist())
-
-    assign = np.array(match_row)
-    used: set[int] = set()
-    for r in range(rows):
-        chosen = -1
+    n = len(assign)
+    owner = [0] * n
+    for r, c in enumerate(assign):
+        owner[c] = r
+    for r in range(n):
+        seen = [False] * n
         for c in tight[r]:
-            if c in used:
+            if c >= assign[r]:
+                break
+            start = owner[c]
+            if start < r or seen[start]:
                 continue
-            rest_rows = list(range(r + 1, rows))
-            avail = [c2 for c2 in range(cols) if c2 not in used and c2 != c]
-            col_pos = {c2: k for k, c2 in enumerate(avail)}
-            row_adj = [[col_pos[c2] for c2 in tight[rr] if c2 in col_pos] for rr in range(rows)]
-            if not _kuhn_saturates([row_adj[rr] for rr in rest_rows],
-                                   list(range(len(rest_rows))), len(avail)):
-                continue
-            need = [c2 for c2 in required if c2 not in used and c2 != c]
-            if need:
-                col_adj = {c2: [] for c2 in need}
-                for k, rr in enumerate(rest_rows):
-                    for c2 in tight[rr]:
-                        if c2 in col_adj:
-                            col_adj[c2].append(k)
-                if not _kuhn_saturates([col_adj[c2] for c2 in need],
-                                       list(range(len(need))), len(rest_rows)):
-                    continue
-            chosen = c
-            break
-        if chosen < 0:  # numerically degenerate duals: keep the solver's edge
-            chosen = int(match_row[r])
-        assign[r] = chosen
-        used.add(chosen)
+            chain = _alternating_chain(r, start, tight, owner, seen)
+            if chain is not None:
+                cols = [assign[x] for x in chain] + [assign[r]]
+                for x, col in zip([r] + chain, cols):
+                    assign[x], owner[col] = col, x
+                break
     return assign
 
 
@@ -537,6 +524,14 @@ def hungarian(w) -> tuple[tuple[int, ...], float]:
     on that rule: MCS rates are quantized, so its merge benefits tie
     exactly, and the labeling solver's own pick among the optima would
     change its groups.
+
+    A wide matrix is padded with zero rows: they take whatever columns an
+    optimum leaves over, so they change neither which prefixes of the
+    real rows extend to an optimum nor the tightness tolerance, which
+    scales with max |w|.  The optima of the square matrix are the perfect
+    matchings on the edges its dual labels make tight, and
+    ``_lexicographic_refine`` rotates the solver's optimum into the
+    smallest of them.
     """
     values = np.asarray(w, dtype=np.float64)
     if values.ndim != 2:
@@ -548,9 +543,13 @@ def hungarian(w) -> tuple[tuple[int, ...], float]:
         return (), 0.0
     if rows > cols:
         raise ValueError(f"need rows <= cols, got {rows} x {cols}")
-    match_row, u, v = _solve_assignment(values)
-    assign = _lexicographic_refine(values, match_row, u, v)
+    square = np.zeros((cols, cols))
+    square[:rows] = values
+    match_row, u, v = _solve_assignment(square)
+    tol = 1e-9 * max(1.0, float(np.abs(values).max()))
+    tight = [np.flatnonzero(s <= tol).tolist() for s in u[:, None] + v - square]
+    assign = _lexicographic_refine(tight, match_row.tolist())[:rows]
     benefit = 0.0
     for r in range(rows):
         benefit += values[r, assign[r]]
-    return tuple(int(c) for c in assign), float(benefit)
+    return tuple(assign), float(benefit)

@@ -64,7 +64,6 @@ __all__ = [
     "DEFAULT_MCS_TABLE",
     "RateOracle",
     "make_rate_oracle",
-    "map_sinr_to_mcs",
     "phy_rate",
 ]
 
@@ -227,11 +226,12 @@ def _ldl_inv_diag(g: np.ndarray, scale: np.ndarray, floor: float):
 
 
 def _mcs_rates(cfg: PhyConfig):
-    """Elementwise ``phy_rate(map_sinr_to_mcs(dB(sinr)))``, 0 below MCS 0,
-    as a function of SINR arrays; the table's arrays are built once.
+    """Elementwise MCS rate of SINR arrays; the table's arrays are built once.
 
-    The entry chosen is the last one before the first unmet threshold, as
-    in ``map_sinr_to_mcs``, so tables that are not ascending map alike.
+    An SINR gets the ``phy_rate`` of the last table entry before the first
+    one whose ``min_snr_db`` it does not meet (thresholds are inclusive,
+    in dB), and 0 when it misses the first, so a table that is not
+    ascending stops at its first unmet threshold.
     """
     if not cfg.mcs_table:
         raise ConfigurationError("MCS table must not be empty")
@@ -370,19 +370,6 @@ class RateOracle:
 def make_rate_oracle(channels: ChannelSet, cfg: PhyConfig, max_group_size: int) -> RateOracle:
     """Lazily memoized rate oracle over groups of size <= max_group_size."""
     return RateOracle(channels, cfg, max_group_size)
-
-
-def map_sinr_to_mcs(sinr_db: float, table=DEFAULT_MCS_TABLE) -> McsEntry | None:
-    """Highest entry whose threshold is met (inclusive); None below MCS 0."""
-    if not table:
-        raise ConfigurationError("MCS table must not be empty")
-    chosen = None
-    for entry in table:
-        if sinr_db >= entry.min_snr_db:
-            chosen = entry
-        else:
-            break
-    return chosen
 
 
 def phy_rate(entry: McsEntry, cfg: PhyConfig) -> float:

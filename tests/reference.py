@@ -7,10 +7,15 @@ one group, one subcarrier at a time, its LDL^H elimination
 is the same rate from one LAPACK inverse per subcarrier.  ``zf_batch``,
 ``zf_steering`` and ``group_rate`` build the zero-forcing steering
 vectors and sum the interference in full, the model the closed form is
-derived from; they use the plain SVD rank rule.  ``loop_best_partition``
-is the subset DP of full search as a plain loop over the states.  The
-others enumerate their whole search space, so they are only usable on
-small instances.
+derived from; they use the plain SVD rank rule and raise
+``SingularChannelError`` for a rank-deficient group.  ``map_sinr_to_mcs``
+maps one SINR to its MCS entry, the rule ``phy._mcs_rates`` applies to
+arrays.  ``matchability_hungarian`` is ``hungarian`` with its
+lexicographic rule found by Kuhn matchability checks per candidate
+column instead of alternating cycles.  ``loop_best_partition`` is the
+subset DP of full search as a plain loop over the states.  The others
+enumerate their whole search space, so they are only usable on small
+instances.
 """
 
 from __future__ import annotations
@@ -23,15 +28,32 @@ from typing import Iterator
 import networkx as nx
 import numpy as np
 
-from mugroup.errors import SearchSpaceError, SingularChannelError
+from mugroup.errors import ConfigurationError, SearchSpaceError
 from mugroup.grouping import _block_string, canonical_group
-from mugroup.matching import Matching, WeightedGraph, _as_matching
-from mugroup.phy import RateMode, _mcs_rates, map_sinr_to_mcs, phy_rate
+from mugroup.matching import Matching, WeightedGraph, _as_matching, _solve_assignment
+from mugroup.phy import DEFAULT_MCS_TABLE, McsEntry, RateMode, _mcs_rates, phy_rate
 
 BRUTE_FORCE_VERTEX_LIMIT = 12
 
 # the library's condition-number limit for a well-conditioned group
 COND_LIMIT = 1e12
+
+
+class SingularChannelError(ValueError):
+    """Raised when a group's stacked channel matrix is rank deficient."""
+
+
+def map_sinr_to_mcs(sinr_db: float, table=DEFAULT_MCS_TABLE) -> McsEntry | None:
+    """Highest entry whose threshold is met (inclusive); None below MCS 0."""
+    if not table:
+        raise ConfigurationError("MCS table must not be empty")
+    chosen = None
+    for entry in table:
+        if sinr_db >= entry.min_snr_db:
+            chosen = entry
+        else:
+            break
+    return chosen
 
 
 def networkx_matching(graph: WeightedGraph) -> Matching:
@@ -115,6 +137,86 @@ def brute_force_assignment(w) -> tuple[tuple[int, ...], float]:
             best = perm
             best_benefit = benefit
     return best, float(best_benefit)
+
+
+def _kuhn_saturates(adj: list[list[int]], targets: list[int], n_right: int) -> bool:
+    """True when every left vertex in ``targets`` can be matched."""
+    match_right = [-1] * n_right
+
+    def try_augment(left: int, visited: list[bool]) -> bool:
+        for right in adj[left]:
+            if not visited[right]:
+                visited[right] = True
+                if match_right[right] < 0 or try_augment(match_right[right], visited):
+                    match_right[right] = left
+                    return True
+        return False
+
+    for left in targets:
+        if not try_augment(left, [False] * n_right):
+            return False
+    return True
+
+
+def lexicographic_refine(w: np.ndarray, match_row: np.ndarray,
+                         u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Lexicographically smallest assignment among the optima.
+
+    Complementary slackness confines optimal assignments to tight edges
+    covering every column with a positive label, so the refinement is a
+    greedy walk over that tight graph with two matchability checks per
+    candidate (rows saturable and required columns saturable imply a
+    common matching).
+    """
+    rows, cols = w.shape
+    tol = 1e-9 * max(1.0, float(np.abs(w).max(initial=0.0)))
+    tight = [np.flatnonzero(u[r] + v - w[r] <= tol).tolist() for r in range(rows)]
+    required = set(np.flatnonzero(v > tol).tolist())
+
+    assign = np.array(match_row)
+    used: set[int] = set()
+    for r in range(rows):
+        chosen = -1
+        for c in tight[r]:
+            if c in used:
+                continue
+            rest_rows = list(range(r + 1, rows))
+            avail = [c2 for c2 in range(cols) if c2 not in used and c2 != c]
+            col_pos = {c2: k for k, c2 in enumerate(avail)}
+            row_adj = [[col_pos[c2] for c2 in tight[rr] if c2 in col_pos] for rr in range(rows)]
+            if not _kuhn_saturates([row_adj[rr] for rr in rest_rows],
+                                   list(range(len(rest_rows))), len(avail)):
+                continue
+            need = [c2 for c2 in required if c2 not in used and c2 != c]
+            if need:
+                col_adj = {c2: [] for c2 in need}
+                for k, rr in enumerate(rest_rows):
+                    for c2 in tight[rr]:
+                        if c2 in col_adj:
+                            col_adj[c2].append(k)
+                if not _kuhn_saturates([col_adj[c2] for c2 in need],
+                                       list(range(len(need))), len(rest_rows)):
+                    continue
+            chosen = c
+            break
+        if chosen < 0:  # numerically degenerate duals: keep the solver's edge
+            chosen = int(match_row[r])
+        assign[r] = chosen
+        used.add(chosen)
+    return assign
+
+
+def matchability_hungarian(w) -> tuple[tuple[int, ...], float]:
+    """``hungarian`` by the matchability walk: the labeling solver on the
+    unpadded matrix, then ``lexicographic_refine``, which tries each
+    tight column of each row with two Kuhn matchings."""
+    values = np.asarray(w, dtype=np.float64)
+    match_row, u, v = _solve_assignment(values)
+    assign = lexicographic_refine(values, match_row, u, v)
+    benefit = 0.0
+    for r in range(values.shape[0]):
+        benefit += values[r, assign[r]]
+    return tuple(int(c) for c in assign), float(benefit)
 
 
 def enumerate_partitions(num_users: int, max_size: int) -> Iterator[tuple[tuple[int, ...], ...]]:

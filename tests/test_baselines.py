@@ -57,9 +57,8 @@ def reference_sus(channels, oracle, num_users, max_size, params=SusParams()):
     one projection per candidate and step; scalar rate queries.  Returns
     the best (groups, objective) over the sweep."""
     norms = np.linalg.norm(channels.entries, axis=1).mean(axis=1)
-    alphas = params.sweep if params.sweep is not None else (params.alpha,)
     best_parts, best_value = None, -1.0
-    for alpha in alphas:
+    for alpha in params.sweep:
         remaining = set(range(num_users))
         groups = []
         while remaining:
@@ -90,28 +89,28 @@ def reference_sus(channels, oracle, num_users, max_size, params=SusParams()):
 class TestSus:
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            SusParams(alpha=1.5, sweep=None)
+            SusParams(sweep=(1.5,))
         with pytest.raises(ValueError):
             SusParams(sweep=())
 
     def test_orthogonal_three_users_one_group(self):
         channels = identity_channels(3)
         oracle = make_rate_oracle(channels, PhyConfig(), 3)
-        sol = sus_grouping(channels, oracle, 3, 3, SusParams(alpha=0.5, sweep=None))
+        sol = sus_grouping(channels, oracle, 3, 3, SusParams(sweep=(0.5,)))
         assert sol.groups == ((0, 1, 2),)
 
     def test_ties_pick_lowest_index(self):
         # equal norms and equal orthogonal components everywhere
         channels = identity_channels(4)
         oracle = make_rate_oracle(channels, PhyConfig(), 2)
-        sol = sus_grouping(channels, oracle, 4, 2, SusParams(alpha=0.5, sweep=None))
+        sol = sus_grouping(channels, oracle, 4, 2, SusParams(sweep=(0.5,)))
         assert sol.groups == ((0, 1), (2, 3))
 
     def test_collinear_users_never_grouped(self):
         h = np.array([[1, 0, 0], [2, 0, 0], [0, 1, 0]], dtype=complex)[:, :, None]
         channels = ChannelSet(3, 3, 1, h)
         oracle = make_rate_oracle(channels, PhyConfig(), 3)
-        sol = sus_grouping(channels, oracle, 3, 3, SusParams(alpha=0.3, sweep=None))
+        sol = sus_grouping(channels, oracle, 3, 3, SusParams(sweep=(0.3,)))
         for g in sol.groups:
             assert not (0 in g and 1 in g)
 
@@ -119,7 +118,7 @@ class TestSus:
         channels, oracle = rician_oracle(8, 3, seed=30)
         alphas = (0.2, 0.4, 0.6)
         best = max(
-            sus_grouping(channels, oracle, 8, 3, SusParams(alpha=a, sweep=None))
+            sus_grouping(channels, oracle, 8, 3, SusParams(sweep=(a,)))
             .objective_value
             for a in alphas
         )
@@ -138,7 +137,7 @@ class TestSus:
         swept = sus_grouping(channels, oracle, 12, 4)
         assert len(calls) == 1
         monkeypatch.undo()
-        runs = [sus_grouping(channels, oracle, 12, 4, SusParams(alpha=a, sweep=None))
+        runs = [sus_grouping(channels, oracle, 12, 4, SusParams(sweep=(a,)))
                 for a in SusParams().sweep]
         best = max(runs, key=lambda r: r.objective_value)
         assert swept.groups == best.groups

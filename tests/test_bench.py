@@ -14,6 +14,7 @@ from mugroup.bench import (
     write_csv,
 )
 from mugroup import bench
+from mugroup.baselines import SusParams
 from mugroup.errors import ConfigurationError
 from mugroup.grouping import GroupingSolution, objective
 from mugroup.phy import RateOracle
@@ -175,6 +176,14 @@ class TestConfigValidation:
         path.write_text(text)
         assert ExperimentConfig.from_json(str(path)).seeds == tuple(range(60))
         assert ExperimentConfig.from_json(path).seeds == tuple(range(60))
+
+    def test_from_json_sus_sweep_and_no_alpha(self):
+        base = {"scenario": "user_sweep", "m_values": [6], "nu_values": [2]}
+        cfg = ExperimentConfig.from_json(json.dumps({**base, "sus": {"sweep": [0.3]}}))
+        assert cfg.sus_params == SusParams(sweep=(0.3,))
+        assert ExperimentConfig.from_json(json.dumps(base)).sus_params == SusParams()
+        with pytest.raises(ConfigurationError, match="sweep"):
+            ExperimentConfig.from_json(json.dumps({**base, "sus": {"alpha": 0.3}}))
 
     def test_from_json_bad_scenario(self):
         with pytest.raises(ConfigurationError):

@@ -14,11 +14,13 @@ import mugroup.gma  # noqa: F401  (register the submodule)
 from mugroup.errors import SearchSpaceError
 from mugroup.gma import optimal_mu2_su
 from mugroup.matching import Matching, WeightedGraph, hungarian, max_weight_matching
+from mugroup.phy import DEFAULT_MCS_TABLE, phy_rate
 
 from conftest import MCS_WITH_MAC, rician_oracle
 from reference import (
     brute_force_assignment,
     brute_force_matching,
+    matchability_hungarian,
     networkx_matching,
     optimal_matchings,
 )
@@ -184,6 +186,22 @@ class TestBruteForceMatching:
             brute_force_matching(graph(13, []))
 
 
+# lowest MCS rate with MAC overhead; every MCS rate but the top one is a
+# multiple of it, which is why GMA's merge benefits tie exactly
+MCS_STEP = phy_rate(DEFAULT_MCS_TABLE[0], MCS_WITH_MAC)
+
+
+def tie_heavy_matrix(rng, n, step=None):
+    """Square benefits whose optima tie many ways: entries in {0, 1, 2}, or
+    multiples of ``step`` with about a quarter of them replaced by GMA's
+    negative sentinel."""
+    if step is None:
+        return rng.integers(0, 3, size=(n, n)).astype(float)
+    w = rng.integers(1, 12, size=(n, n)) * step
+    w[rng.random((n, n)) < 0.25] = -(1.0 + np.abs(w).sum())
+    return w
+
+
 class TestHungarian:
     def test_identity_benefit(self):
         assign, benefit = hungarian(np.eye(3))
@@ -218,6 +236,30 @@ class TestHungarian:
             ref_assign, ref_benefit = brute_force_assignment(w)
             assert benefit == ref_benefit
             assert assign == ref_assign  # lexicographic tie-break matches
+
+    @pytest.mark.parametrize("step", [None, MCS_STEP], ids=["small_ints", "mcs"])
+    def test_matches_matchability_reference(self, step):
+        # cycle rotation picks the optimum the Kuhn matchability walk picks
+        rng = np.random.default_rng(11)
+        for n in range(6, 17):
+            for _ in range(8):
+                w = tie_heavy_matrix(rng, n, step)
+                assign, benefit = hungarian(w)
+                assert sorted(assign) == list(range(n))
+                assert (assign, benefit) == matchability_hungarian(w)
+
+    # a step of 1 keeps every float sum exact: at MCS_STEP optima that tie
+    # in exact arithmetic can differ in the last bit, and brute force
+    # takes the larger sum where hungarian takes the smaller assignment
+    @pytest.mark.parametrize("step", [None, 1.0], ids=["small_ints", "unit_step"])
+    def test_tie_heavy_matches_brute_force(self, step):
+        rng = np.random.default_rng(12)
+        for n in range(1, 8):
+            for _ in range(3 if n == 7 else 10):
+                w = tie_heavy_matrix(rng, n, step)
+                assign, benefit = hungarian(w)
+                assert sorted(assign) == list(range(n))
+                assert (assign, benefit) == brute_force_assignment(w)
 
     def test_negative_weights(self):
         assign, benefit = hungarian([[-5.0, -1.0], [-2.0, -4.0]])

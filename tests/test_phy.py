@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mugroup.channel import ChannelSet
-from mugroup.errors import ConfigurationError, SingularChannelError
+from mugroup.errors import ConfigurationError
 from mugroup.phy import (
     DEFAULT_MCS_TABLE,
     MAC_OVERHEAD_FACTOR,
@@ -15,12 +15,11 @@ from mugroup.phy import (
     PhyConfig,
     RateMode,
     make_rate_oracle,
-    map_sinr_to_mcs,
     phy_rate,
 )
 
-from reference import (closed_form_rate, group_rate, inverse_rate, ldl_inverse_diagonal,
-                       zf_steering)
+from reference import (SingularChannelError, closed_form_rate, group_rate, inverse_rate,
+                       ldl_inverse_diagonal, map_sinr_to_mcs, zf_steering)
 from reference import zf_batch as reference_zf_batch
 from conftest import MCS_WITH_MAC, identity_channels, rician_oracle
 
