@@ -18,7 +18,7 @@ from .channel import ChannelSet, correlation_matrix
 # Unused here; kept because the benchmark trace wraps
 # ``baselines.pairwise_correlation`` by name and fails without it.
 from .channel import pairwise_correlation  # noqa: F401
-from .grouping import GroupingSolution, canonical_group, canonical_partition, objective
+from .grouping import GroupingSolution, canonical_group, objective
 
 __all__ = ["SusParams", "zfs_grouping", "sus_grouping", "random_grouping"]
 
@@ -70,8 +70,7 @@ def zfs_grouping(oracle, num_users: int, max_size: int) -> GroupingSolution:
             remaining.remove(best_user)
             current = best_weighted
         groups.append(canonical_group(members))
-    parts = canonical_partition(groups)
-    return GroupingSolution(parts, num_users, objective(parts, oracle))
+    return GroupingSolution(groups, num_users, objective(groups, oracle))
 
 
 def _member_basis(channels: ChannelSet, members: tuple[int, ...]) -> np.ndarray:
@@ -104,7 +103,7 @@ def _orthogonal_norms(channels: ChannelSet, users: np.ndarray,
 
 def _sus_single_alpha(channels: ChannelSet, num_users: int, max_size: int,
                       alpha: float, norms: np.ndarray, correlation: np.ndarray,
-                      basis) -> tuple[tuple[int, ...], ...]:
+                      basis) -> list[tuple[int, ...]]:
     close = correlation > alpha
     free = np.ones(num_users, dtype=bool)
     groups = []
@@ -123,7 +122,7 @@ def _sus_single_alpha(channels: ChannelSet, num_users: int, max_size: int,
             free[pick] = False
             qualified &= free & ~close[pick]
         groups.append(canonical_group(members))
-    return canonical_partition(groups)
+    return groups
 
 
 def sus_grouping(channels: ChannelSet, oracle, num_users: int, max_size: int,
@@ -165,6 +164,5 @@ def random_grouping(num_users: int, max_size: int, seed: int,
         canonical_group(order[i:i + max_size].tolist())
         for i in range(0, num_users, max_size)
     ]
-    parts = canonical_partition(groups)
-    value = objective(parts, oracle) if oracle is not None else None
-    return GroupingSolution(parts, num_users, value)
+    value = objective(groups, oracle) if oracle is not None else None
+    return GroupingSolution(groups, num_users, value)

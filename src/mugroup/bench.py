@@ -91,10 +91,18 @@ class ExperimentConfig:
                     f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
             if name in self.algorithms[:k]:
                 raise ConfigurationError(f"repeated algorithm {name!r}")
+        if min(self.m_values) < 1:
+            raise ConfigurationError(f"M={min(self.m_values)} must be at least 1")
+        pairing = " and ".join(a for a in ("blossom", "gma") if a in self.algorithms)
         for nu in self.nu_values:
+            if nu < 1 or nu < 2 and pairing:
+                raise ConfigurationError(
+                    f"Nu={nu} must be at least {f'2 for {pairing}' if pairing else 1}")
             if nu > self.num_tx_antennas:
                 raise ConfigurationError(
                     f"Nu={nu} exceeds {self.num_tx_antennas} transmit antennas")
+        if len(self.rho_values) > 1 and self.scenario is not Scenario.RHO_SWEEP:
+            raise ConfigurationError(f"rho_values {list(self.rho_values)} need a rho_sweep")
         if self.channel_file is not None and not Path(self.channel_file).exists():
             raise ConfigurationError(f"channel file not found: {self.channel_file}")
         if "full_search" in self.algorithms and self.scenario is not Scenario.RUNTIME_SWEEP:
@@ -142,6 +150,18 @@ class ExperimentConfig:
         return _config_from_dict(raw)
 
 
+_JSON_TYPES = {list: "array", bool: "boolean", int: "integer"}
+
+
+def _json(value, kind: type, name: str):
+    """``value`` when its JSON type is ``kind`` (list, bool or int; true
+    and false are not integers), else a ConfigurationError naming it."""
+    if type(value) is not kind:
+        raise ConfigurationError(
+            f"{name} must be a JSON {_JSON_TYPES[kind]}, got {json.dumps(value)}")
+    return value
+
+
 def _config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
@@ -169,30 +189,35 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         if "rate_mode" in phy_raw:
             phy_kwargs["rate_mode"] = RateMode(phy_raw["rate_mode"])
         if "mac_overhead" in phy_raw:
-            phy_kwargs["mac_overhead_enabled"] = bool(phy_raw["mac_overhead"])
+            phy_kwargs["mac_overhead_enabled"] = _json(phy_raw["mac_overhead"], bool,
+                                                       "mac_overhead")
         if "mcs_table" in phy_raw:
             phy_kwargs["mcs_table"] = tuple(
-                McsEntry(int(i), float(b), float(s)) for i, b, s in phy_raw["mcs_table"])
+                McsEntry(_json(i, int, "MCS index"), float(b), float(s))
+                for i, b, s in _json(phy_raw["mcs_table"], list, "mcs_table"))
         seeds_raw = raw.get("seeds", {"count": 50, "base": 0})
         if isinstance(seeds_raw, dict):
-            base = int(seeds_raw.get("base", 0))
-            seeds = tuple(range(base, base + int(seeds_raw["count"])))
+            base = _json(seeds_raw.get("base", 0), int, "seeds base")
+            seeds = tuple(range(base, base + _json(seeds_raw["count"], int, "seeds count")))
         else:
-            seeds = tuple(int(s) for s in seeds_raw)
+            seeds = tuple(_json(s, int, "seeds") for s in _json(seeds_raw, list, "seeds"))
         sus_params = SusParams(tuple(sus_raw["sweep"])) if "sweep" in sus_raw else SusParams()
         cfg = ExperimentConfig(
             scenario=scenario,
-            m_values=tuple(int(m) for m in raw["m_values"]),
-            nu_values=tuple(int(n) for n in raw["nu_values"]),
-            rho_values=tuple(float(r) for r in raw.get("rho_values", [0.0])),
-            correlated_users=int(raw.get("correlated_users", 0)),
-            num_tx_antennas=int(channel.get("num_tx_antennas", 4)),
-            num_subcarriers=int(channel.get("num_subcarriers", 1)),
+            m_values=tuple(_json(m, int, "m_values")
+                           for m in _json(raw["m_values"], list, "m_values")),
+            nu_values=tuple(_json(n, int, "nu_values")
+                            for n in _json(raw["nu_values"], list, "nu_values")),
+            rho_values=tuple(float(r)
+                             for r in _json(raw.get("rho_values", [0.0]), list, "rho_values")),
+            correlated_users=_json(raw.get("correlated_users", 0), int, "correlated_users"),
+            num_tx_antennas=_json(channel.get("num_tx_antennas", 4), int, "num_tx_antennas"),
+            num_subcarriers=_json(channel.get("num_subcarriers", 1), int, "num_subcarriers"),
             k_factor_db=float(channel.get("k_factor_db", 8.0)),
             channel_file=raw.get("channel_file"),
             phy=PhyConfig(**phy_kwargs),
-            algorithms=tuple(raw.get("algorithms",
-                                     ["full_search", "gma", "zfs", "sus", "random"])),
+            algorithms=tuple(_json(raw.get("algorithms", list(ExperimentConfig.algorithms)),
+                                   list, "algorithms")),
             seeds=seeds,
             output=raw.get("output"),
             sus_params=sus_params,

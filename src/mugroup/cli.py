@@ -55,6 +55,8 @@ def _cmd_gen_channels(args) -> int:
         )
     except KeyError as exc:
         raise ConfigurationError(f"channel spec is missing field {exc}") from None
+    except TypeError as exc:  # a value of the wrong JSON type, e.g. a list
+        raise ConfigurationError(f"invalid channel spec value: {exc}") from None
     channels = generate_rician(spec)
     write_channels(channels, args.out)
     print(f"wrote {spec.num_users}x{spec.num_tx_antennas}x{spec.num_subcarriers} "

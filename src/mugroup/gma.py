@@ -16,13 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grouping import (
-    Group,
-    GroupingSolution,
-    canonical_group,
-    canonical_partition,
-    objective,
-)
+from .grouping import Group, GroupingSolution, canonical_group, objective
 from .matching import WeightedGraph, hungarian, max_weight_matching
 
 __all__ = ["optimal_mu2_su", "gma", "merge_gain"]
@@ -63,8 +57,7 @@ def optimal_mu2_su(oracle, num_users: int) -> GroupingSolution:
     paired = {u for pair in matching.pairs for u in pair}
     groups = [pair for pair in matching.pairs]
     groups.extend((u,) for u in range(num_users) if u not in paired)
-    parts = canonical_partition(groups)
-    return GroupingSolution(parts, num_users, objective(parts, oracle))
+    return GroupingSolution(groups, num_users, objective(groups, oracle))
 
 
 def _group_metric(g: Group, oracle) -> float:
@@ -140,5 +133,4 @@ def gma(oracle, num_users: int, max_group_size: int) -> GroupingSolution:
     groups = list(solution.groups)
     for _ in range(max_group_size - 2):  # one round per size above two
         groups = _merge_pass(groups, oracle, max_group_size)
-    parts = canonical_partition(groups)
-    return GroupingSolution(parts, num_users, objective(parts, oracle))
+    return GroupingSolution(groups, num_users, objective(groups, oracle))

@@ -26,7 +26,6 @@ from .errors import SearchSpaceError
 __all__ = [
     "Group",
     "GroupingSolution",
-    "PartitionViolation",
     "canonical_group",
     "canonical_partition",
     "validate_partition",
@@ -75,34 +74,12 @@ class GroupingSolution:
         object.__setattr__(self, "groups", canonical_partition(self.groups))
 
 
-@dataclass(frozen=True)
-class PartitionViolation:
-    """Why a list of groups fails to be a valid capped partition."""
-
-    duplicated: tuple[int, ...] = ()
-    missing: tuple[int, ...] = ()
-    oversize: tuple[Group, ...] = ()
-    out_of_range: tuple[int, ...] = ()
-
-    def __str__(self):
-        parts = []
-        if self.duplicated:
-            parts.append(f"duplicated users {list(self.duplicated)}")
-        if self.missing:
-            parts.append(f"missing users {list(self.missing)}")
-        if self.oversize:
-            parts.append(f"oversize groups {list(self.oversize)}")
-        if self.out_of_range:
-            parts.append(f"out-of-range users {list(self.out_of_range)}")
-        return "; ".join(parts) or "ok"
-
-
-def validate_partition(groups, num_users: int, max_size: int) -> PartitionViolation | None:
+def validate_partition(groups, num_users: int, max_size: int) -> str | None:
     """None when groups partition {0..num_users-1} with sizes <= max_size,
-    else a report naming duplicated, missing and out-of-range users and
+    else a message naming duplicated, missing and out-of-range users and
     oversize groups."""
     seen: set[int] = set()
-    duplicated: list[int] = []
+    duplicated: set[int] = set()
     oversize: list[Group] = []
     for g in groups:
         members = tuple(g)
@@ -110,18 +87,13 @@ def validate_partition(groups, num_users: int, max_size: int) -> PartitionViolat
             oversize.append(tuple(sorted(members)))
         for u in members:
             if u in seen:
-                duplicated.append(u)
+                duplicated.add(u)
             seen.add(u)
     missing = [u for u in range(num_users) if u not in seen]
     stray = sorted(u for u in seen if not 0 <= u < num_users)
-    if duplicated or missing or oversize or stray:
-        return PartitionViolation(
-            duplicated=tuple(sorted(set(duplicated))),
-            missing=tuple(missing),
-            oversize=tuple(oversize),
-            out_of_range=tuple(stray),
-        )
-    return None
+    found = (("duplicated users", sorted(duplicated)), ("missing users", missing),
+             ("oversize groups", oversize), ("out-of-range users", stray))
+    return "; ".join(f"{what} {items}" for what, items in found if items) or None
 
 
 def objective(groups, oracle) -> float:
@@ -327,5 +299,4 @@ def exhaustive_search(num_users: int, max_size: int, oracle) -> GroupingSolution
     blocks: list[list[int]] = [[] for _ in range(nblocks)]
     for u in range(num_users):
         blocks[int(assign[u])].append(u)
-    groups = canonical_partition(blocks)
-    return GroupingSolution(groups, num_users, objective(groups, oracle))
+    return GroupingSolution(blocks, num_users, objective(blocks, oracle))

@@ -4,11 +4,10 @@
 weighted graphs (vertices may stay unmatched, negative weights allowed)
 with Edmonds' primal-dual blossom algorithm, in Galil's O(V^3) form,
 and breaks ties as van Rantwijk's implementation does (tests pin it).
-``hungarian`` solves the rectangular assignment problem by maximization
-with an O(n^3) labeling algorithm on the matrix padded square with zero
-rows; its contract pins the tie-break, the lexicographically smallest
-optimum, which alternating cycles over the dual-tight edges reach from
-the solver's own optimum."""
+``hungarian`` solves the square assignment problem by maximization
+with an O(n^3) labeling algorithm; its contract pins the tie-break, the
+lexicographically smallest optimum, which alternating cycles over the
+dual-tight edges reach from the solver's own optimum."""
 
 from __future__ import annotations
 
@@ -408,7 +407,7 @@ def _blossom_mates(n: int, edges) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Rectangular assignment by maximization (Hungarian labeling method)
+# Square assignment by maximization (Hungarian labeling method)
 # ---------------------------------------------------------------------------
 
 
@@ -516,22 +515,16 @@ def _lexicographic_refine(tight: list[list[int]], assign: list[int]) -> list[int
 
 
 def hungarian(w) -> tuple[tuple[int, ...], float]:
-    """Maximum-benefit assignment of rows to distinct columns.
+    """Maximum-benefit assignment of the rows of a square matrix to
+    distinct columns; a matrix that is not square raises ``ValueError``.
 
-    Requires rows <= cols (pad externally otherwise).  Returns the
-    injective row-to-column map and the total benefit; among optimal
-    assignments the lexicographically smallest is returned.  GMA relies
-    on that rule: MCS rates are quantized, so its merge benefits tie
-    exactly, and the labeling solver's own pick among the optima would
-    change its groups.
-
-    A wide matrix is padded with zero rows: they take whatever columns an
-    optimum leaves over, so they change neither which prefixes of the
-    real rows extend to an optimum nor the tightness tolerance, which
-    scales with max |w|.  The optima of the square matrix are the perfect
-    matchings on the edges its dual labels make tight, and
-    ``_lexicographic_refine`` rotates the solver's optimum into the
-    smallest of them.
+    Returns the row-to-column permutation and the total benefit; among
+    optimal assignments the lexicographically smallest is returned.  GMA
+    relies on that rule: MCS rates are quantized, so its merge benefits
+    tie exactly, and the labeling solver's own pick among the optima would
+    change its groups.  The optima are the perfect matchings on the edges
+    the dual labels make tight, and ``_lexicographic_refine`` rotates the
+    solver's optimum into the smallest of them.
     """
     values = np.asarray(w, dtype=np.float64)
     if values.ndim != 2:
@@ -539,16 +532,14 @@ def hungarian(w) -> tuple[tuple[int, ...], float]:
     if not np.all(np.isfinite(values)):
         raise ValueError("weight matrix entries must be finite")
     rows, cols = values.shape
+    if rows != cols:
+        raise ValueError(f"weight matrix must be square, got {rows} x {cols}")
     if rows == 0:
         return (), 0.0
-    if rows > cols:
-        raise ValueError(f"need rows <= cols, got {rows} x {cols}")
-    square = np.zeros((cols, cols))
-    square[:rows] = values
-    match_row, u, v = _solve_assignment(square)
+    match_row, u, v = _solve_assignment(values)
     tol = 1e-9 * max(1.0, float(np.abs(values).max()))
-    tight = [np.flatnonzero(s <= tol).tolist() for s in u[:, None] + v - square]
-    assign = _lexicographic_refine(tight, match_row.tolist())[:rows]
+    tight = [np.flatnonzero(s <= tol).tolist() for s in u[:, None] + v - values]
+    assign = _lexicographic_refine(tight, match_row.tolist())
     benefit = 0.0
     for r in range(rows):
         benefit += values[r, assign[r]]

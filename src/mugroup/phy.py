@@ -231,18 +231,20 @@ def _mcs_rates(cfg: PhyConfig):
     An SINR gets the ``phy_rate`` of the last table entry before the first
     one whose ``min_snr_db`` it does not meet (thresholds are inclusive,
     in dB), and 0 when it misses the first, so a table that is not
-    ascending stops at its first unmet threshold.
+    ascending stops at its first unmet threshold.  The entries met are
+    those whose running maximum threshold is met, counted by a binary
+    search.  An SINR of +inf or NaN gets the top entry; neither occurs for
+    channels within ``MAX_CHANNEL_MAGNITUDE``.
     """
     if not cfg.mcs_table:
         raise ConfigurationError("MCS table must not be empty")
-    # the +inf sentinel is never met, so argmin finds a first unmet one
-    thresholds = np.array([e.min_snr_db for e in cfg.mcs_table] + [np.inf])
+    thresholds = np.maximum.accumulate([e.min_snr_db for e in cfg.mcs_table])
     values = np.array([0.0] + [phy_rate(e, cfg) for e in cfg.mcs_table])
 
     def rates(sinr: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             sinr_db = 10.0 * np.log10(sinr)
-        return values[np.argmin(sinr_db[..., None] >= thresholds, axis=-1)]
+        return values[np.searchsorted(thresholds, sinr_db, side="right")]
     return rates
 
 
@@ -273,12 +275,12 @@ class RateOracle:
     """Memoized map from user groups to their estimated rate.
 
     Rank-deficient groups get rate 0 instead of an error so that search
-    algorithms stay total over all subsets.  ``rate(g)`` answers one group;
-    ``rates(groups)`` answers a list in one bulk query and computes its
-    misses through ``precompute``, which batches them per group size in
-    chunks of at most ``_MAX_BATCH_ROWS`` (group, subcarrier) rows.  Each
-    query adds one to ``query_count`` and each computed group one to
-    ``compute_count``; values are the same whichever path computed them.
+    algorithms stay total over all subsets.  ``rates(groups)`` answers a
+    list in one bulk query and computes its misses through ``precompute``,
+    which batches them per group size in chunks of at most
+    ``_MAX_BATCH_ROWS`` (group, subcarrier) rows; ``rate(g)`` is a query
+    of one.  Each query adds one to ``query_count`` and each computed
+    group one to ``compute_count``.
 
     The first computation builds the oracle's user Gram (``_user_gram``,
     SC*M^2*16 bytes), from which ``_zf_sinr`` gathers every group's Gram
@@ -317,12 +319,7 @@ class RateOracle:
         return members
 
     def rate(self, group) -> float:
-        members = self._check(group)
-        with self._lock:
-            self.query_count += 1
-            if members not in self._memo:
-                self._fill([members])
-            return self._memo[members]
+        return self.rates([group])[0]
 
     def rates(self, groups) -> list[float]:
         """``[rate(g) for g in groups]`` as one bulk query.
@@ -349,22 +346,17 @@ class RateOracle:
         """
         members = groups if checked else [self._check(g) for g in groups]
         with self._lock:
-            self._fill(members)
-
-    def _fill(self, members) -> None:
-        """Compute and memoize the checked groups not memoized yet; the
-        caller holds the lock."""
-        todo: dict[int, set[tuple[int, ...]]] = {}
-        for m in members:
-            if m not in self._memo:
-                todo.setdefault(len(m), set()).add(m)
-        if todo and self._gram is None:
-            self._gram = _user_gram(self.channels)
-        for size_groups in todo.values():
-            unique = sorted(size_groups)
-            rates = _batch_rates(self._gram, unique, self.cfg)
-            self.compute_count += len(unique)
-            self._memo.update(zip(unique, rates.tolist()))
+            todo: dict[int, set[tuple[int, ...]]] = {}
+            for m in members:
+                if m not in self._memo:
+                    todo.setdefault(len(m), set()).add(m)
+            if todo and self._gram is None:
+                self._gram = _user_gram(self.channels)
+            for size_groups in todo.values():
+                unique = sorted(size_groups)
+                rates = _batch_rates(self._gram, unique, self.cfg)
+                self.compute_count += len(unique)
+                self._memo.update(zip(unique, rates.tolist()))
 
 
 def make_rate_oracle(channels: ChannelSet, cfg: PhyConfig, max_group_size: int) -> RateOracle:

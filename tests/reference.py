@@ -207,9 +207,9 @@ def lexicographic_refine(w: np.ndarray, match_row: np.ndarray,
 
 
 def matchability_hungarian(w) -> tuple[tuple[int, ...], float]:
-    """``hungarian`` by the matchability walk: the labeling solver on the
-    unpadded matrix, then ``lexicographic_refine``, which tries each
-    tight column of each row with two Kuhn matchings."""
+    """``hungarian`` by the matchability walk: the labeling solver, then
+    ``lexicographic_refine``, which tries each tight column of each row
+    with two Kuhn matchings."""
     values = np.asarray(w, dtype=np.float64)
     match_row, u, v = _solve_assignment(values)
     assign = lexicographic_refine(values, match_row, u, v)

@@ -217,7 +217,7 @@ class ScalarOracle(RateOracle):
     """A rate oracle whose bulk query asks one group at a time."""
 
     def rates(self, groups):
-        return [self.rate(g) for g in groups]
+        return [RateOracle.rates(self, [g])[0] for g in groups]
 
 
 class TestBulkQueries:

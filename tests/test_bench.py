@@ -135,7 +135,63 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             small_config(m_values=(17,), nu_values=(3,), num_tx_antennas=4).validate()
         small_config(m_values=(16,), nu_values=(4,), num_tx_antennas=4).validate()
-        small_config(m_values=(17,), nu_values=(1,), num_tx_antennas=4).validate()
+        small_config(m_values=(17,), nu_values=(1,), num_tx_antennas=4,
+                     algorithms=("full_search", "zfs", "sus", "random")).validate()
+
+    @pytest.mark.parametrize("algorithms", [("blossom",), ("gma", "random")])
+    def test_pairing_solvers_need_nu_two(self, algorithms):
+        with pytest.raises(ConfigurationError, match="Nu=1"):
+            small_config(nu_values=(1,), algorithms=algorithms).validate()
+        small_config(nu_values=(2,), algorithms=algorithms).validate()
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("m_values", (0,), "M=0"), ("m_values", (5, -1), "M=-1"), ("nu_values", (0,), "Nu=0"),
+    ])
+    def test_sizes_below_one(self, field, value, named):
+        cfg = small_config(**{field: value}, algorithms=("full_search", "zfs", "random"))
+        with pytest.raises(ConfigurationError, match=named):
+            cfg.validate()
+
+    @pytest.mark.parametrize("scenario", [Scenario.USER_SWEEP, Scenario.RUNTIME_SWEEP])
+    def test_several_rho_values_need_rho_sweep(self, scenario):
+        with pytest.raises(ConfigurationError, match=r"rho_values \[0.0, 0.9\]"):
+            small_config(scenario=scenario, rho_values=(0.0, 0.9)).validate()
+        small_config(scenario=scenario, rho_values=(0.9,)).validate()
+        small_config(scenario=Scenario.RHO_SWEEP, rho_values=(0.0, 0.9)).validate()
+
+    @pytest.mark.parametrize("patch, named", [
+        ({"m_values": "78"}, "m_values"),
+        ({"m_values": [6.0]}, "m_values"),
+        ({"nu_values": [True]}, "nu_values"),
+        ({"rho_values": "0"}, "rho_values"),
+        ({"seeds": "12"}, "seeds"),
+        ({"seeds": [0, 1.5]}, "seeds"),
+        ({"seeds": {"count": 2.0}}, "seeds count"),
+        ({"seeds": {"count": 2, "base": "1"}}, "seeds base"),
+        ({"algorithms": "gma"}, "algorithms"),
+        ({"correlated_users": 1.5}, "correlated_users"),
+        ({"channel": {"num_tx_antennas": 4.7}}, "num_tx_antennas"),
+        ({"channel": {"num_subcarriers": "8"}}, "num_subcarriers"),
+        ({"phy": {"mac_overhead": "false"}}, "mac_overhead"),
+        ({"phy": {"mac_overhead": 1}}, "mac_overhead"),
+        ({"phy": {"mcs_table": "abc"}}, "mcs_table"),
+        ({"phy": {"mcs_table": [[0.0, 0.5, 2.0]]}}, "MCS index"),
+    ])
+    def test_from_json_refuses_wrong_types(self, patch, named):
+        raw = {"scenario": "user_sweep", "m_values": [6], "nu_values": [2], **patch}
+        with pytest.raises(ConfigurationError, match=f"{named} must be a JSON"):
+            ExperimentConfig.from_json(json.dumps(raw))
+
+    def test_from_json_typed_values(self):
+        cfg = ExperimentConfig.from_json(json.dumps({
+            "scenario": "user_sweep", "m_values": [6], "nu_values": [2],
+            "channel": {"num_tx_antennas": 4, "num_subcarriers": 2},
+            "phy": {"rate_mode": "mcs", "mac_overhead": False, "mcs_table": [[0, 0.5, 2.0]]},
+            "seeds": {"count": 2, "base": 3}}))
+        assert cfg.phy.mac_overhead_enabled is False
+        assert cfg.phy.mcs_table[0].index == 0
+        assert cfg.seeds == (3, 4)
+        assert cfg.algorithms == ExperimentConfig.algorithms
 
     def test_from_json_round_trip(self, tmp_path):
         raw = {

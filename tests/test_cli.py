@@ -110,6 +110,35 @@ def test_gen_channels_spec_not_an_object(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("num_users", [6]), ("num_tx_antennas", {"n": 4}), ("rho", [0.5]), ("seed", None),
+])
+def test_gen_channels_wrong_typed_field(tmp_path, capsys, field, value):
+    spec = {"num_users": 6, "num_tx_antennas": 4, field: value}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out_path = tmp_path / "chan.txt"
+    assert main(["gen-channels", "--spec", str(spec_path), "--out", str(out_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid channel spec value") and "Traceback" not in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("patch", [
+    {"m_values": [4, 6], "nu_values": [1], "algorithms": ["random", "blossom"]},
+    {"phy": {"rate_mode": "mcs", "mac_overhead": "false"}},
+    {"scenario": "user_sweep", "rho_values": [0.0, 0.9]},
+], ids=["nu_one_blossom", "mac_overhead_string", "two_rho_user_sweep"])
+def test_refused_config_runs_nothing(tmp_path, capsys, patch):
+    # refused before the first grid point, so no CSV is written
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {**BASE_CONFIG, **patch, "output": str(tmp_path / "results.csv")}))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_missing_config_file_exits_nonzero(capsys):
     assert main(["run", "--config", "/nonexistent.json"]) == 1
 

@@ -26,25 +26,23 @@ class TestValidatePartition:
         assert validate_partition([(0,), (1,), (2,)], 3, 1) is None
 
     def test_duplicated_user(self):
-        report = validate_partition([(0, 1), (1, 2)], 3, 2)
-        assert report is not None
-        assert report.duplicated == (1,)
+        assert validate_partition([(0, 1), (1, 2)], 3, 2) == "duplicated users [1]"
 
     def test_oversize_group(self):
         report = validate_partition([(0, 1, 2, 3), (4,), (5,)], 6, 3)
-        assert report is not None
-        assert report.oversize == ((0, 1, 2, 3),)
+        assert report == "oversize groups [(0, 1, 2, 3)]"
 
     def test_missing_user(self):
-        report = validate_partition([(0,), (2,)], 3, 2)
-        assert report.missing == (1,)
+        assert validate_partition([(0,), (2,)], 3, 2) == "missing users [1]"
 
     def test_out_of_range_user(self):
         report = validate_partition([(0,), (1,), (5,), (-1,)], 3, 3)
-        assert report.out_of_range == (-1, 5)
-        assert report.duplicated == ()
-        assert report.missing == (2,)
-        assert str(report) == "missing users [2]; out-of-range users [-1, 5]"
+        assert report == "missing users [2]; out-of-range users [-1, 5]"
+
+    def test_every_violation_in_order(self):
+        report = validate_partition([(3, 2, 1, 0), (1,), (7,)], 3, 2)
+        assert report == ("duplicated users [1]; oversize groups [(0, 1, 2, 3)]; "
+                          "out-of-range users [3, 7]")
 
 
 class TestObjective:
@@ -272,14 +270,11 @@ class TestCompleteMatching:
         assert self.check([0, 2, 3, 5, 6, 8]) is None
 
     def test_matching_but_incomplete(self):
-        report = self.check([0, 2, 3])
-        assert report.duplicated == ()
-        assert report.missing == (6, 7, 8, 9, 10, 11)
+        assert self.check([0, 2, 3]) == "missing users [6, 7, 8, 9, 10, 11]"
 
     def test_overlapping_edges_rejected(self):
         # e1 and e2 share vertex 1
-        report = self.check([0, 1, 2, 3, 5, 6, 8])
-        assert report.duplicated == (1, 2)
+        assert self.check([0, 1, 2, 3, 5, 6, 8]) == "duplicated users [1, 2]"
 
     def test_partition_equivalence_small(self):
         # every valid partition is a complete matching whose hyperedge
@@ -300,6 +295,14 @@ class TestGroupingSolution:
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
             GroupingSolution(((0, 1), (1, 2)), 3)
+
+    def test_error_messages(self):
+        with pytest.raises(ValueError) as err:
+            GroupingSolution(((0, 1), (1, 2)), 3)
+        assert str(err.value) == "invalid partition: duplicated users [1]"
+        with pytest.raises(ValueError) as err:
+            objective([(0, 1), (3,)], FixtureOracle({(0,): 1.0}, num_users=4))
+        assert str(err.value) == "invalid partition: missing users [2]; out-of-range users [3]"
 
     def test_canonicalizes(self):
         sol = GroupingSolution(((2,), (1, 0)), 3, 1.0)

@@ -14,6 +14,7 @@ from mugroup.phy import (
     McsEntry,
     PhyConfig,
     RateMode,
+    _mcs_rates,
     make_rate_oracle,
     phy_rate,
 )
@@ -576,6 +577,37 @@ class TestMcsMapping:
     def test_empty_table(self):
         with pytest.raises(ConfigurationError):
             map_sinr_to_mcs(10.0, table=())
+
+    @pytest.mark.parametrize("order", ["default", "ascending", "shuffled", "descending",
+                                       "repeated"])
+    def test_array_lookup_matches_map_sinr_to_mcs(self, order):
+        rng = np.random.default_rng(len(order))
+        sinr = np.concatenate([[0.0, 1e-300, 1e300], 10 ** rng.uniform(-1, 4, 4000)])
+        if order == "default":
+            table = DEFAULT_MCS_TABLE
+            at = 10 ** (np.array([e.min_snr_db for e in table]) / 10)
+            sinr = np.concatenate([sinr, at, np.nextafter(at, 0), np.nextafter(at, np.inf)])
+        with np.errstate(divide="ignore"):
+            sinr_db = 10.0 * np.log10(sinr)  # as the lookup computes it
+        if order != "default":
+            # thresholds drawn from the SINRs themselves, so some are met exactly
+            thresholds = sorted(rng.choice(sinr_db[3:], 8, replace=False))
+            if order == "shuffled":
+                thresholds = rng.permutation(thresholds)
+            elif order == "descending":
+                thresholds = thresholds[::-1]
+            elif order == "repeated":
+                thresholds = [thresholds[i] for i in (0, 3, 3, 1, 6, 5, 7, 7)]
+            table = tuple(McsEntry(i, 0.5 * (i + 1), float(t))
+                          for i, t in enumerate(thresholds))
+        cfg = PhyConfig(rate_mode=RateMode.MCS_MAPPED, mcs_table=table)
+        met = np.isin(sinr_db, [e.min_snr_db for e in table])
+        assert met.any()
+        want = []
+        for db in sinr_db.tolist():
+            entry = map_sinr_to_mcs(db, table)
+            want.append(0.0 if entry is None else phy_rate(entry, cfg))
+        assert _mcs_rates(cfg)(sinr).tolist() == want
 
     @pytest.mark.parametrize("entry,expected_mbps", [
         (McsEntry(0, 0.5, 2.0), 15.0),
