@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -150,16 +151,20 @@ class ExperimentConfig:
         return _config_from_dict(raw)
 
 
-_JSON_TYPES = {list: "array", bool: "boolean", int: "integer"}
+_JSON_TYPES = {list: "array", bool: "boolean", int: "integer", float: "finite number"}
 
 
 def _json(value, kind: type, name: str):
-    """``value`` when its JSON type is ``kind`` (list, bool or int; true
-    and false are not integers), else a ConfigurationError naming it."""
-    if type(value) is not kind:
-        raise ConfigurationError(
-            f"{name} must be a JSON {_JSON_TYPES[kind]}, got {json.dumps(value)}")
-    return value
+    """``value`` when its JSON type is ``kind`` (list, bool, int or float;
+    true and false are not numbers), else a ConfigurationError naming it.
+    A float field takes any finite JSON number and returns it as a float."""
+    if kind is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is kind:
+        return value
+    raise ConfigurationError(
+        f"{name} must be a JSON {_JSON_TYPES[kind]}, got {json.dumps(value)}")
 
 
 def _config_from_dict(raw: dict) -> ExperimentConfig:
@@ -179,13 +184,9 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
                for key in ("channel_file", "output")):
         raise ConfigurationError("channel_file and output must be strings")
     try:
-        phy_kwargs = {}
-        if "bandwidth_hz" in phy_raw:
-            phy_kwargs["bandwidth_hz"] = float(phy_raw["bandwidth_hz"])
-        if "noise_power" in phy_raw:
-            phy_kwargs["noise_power"] = float(phy_raw["noise_power"])
-        if "total_power" in phy_raw:
-            phy_kwargs["total_power"] = float(phy_raw["total_power"])
+        phy_kwargs = {key: _json(phy_raw[key], float, key)
+                      for key in ("bandwidth_hz", "noise_power", "total_power")
+                      if key in phy_raw}
         if "rate_mode" in phy_raw:
             phy_kwargs["rate_mode"] = RateMode(phy_raw["rate_mode"])
         if "mac_overhead" in phy_raw:
@@ -193,7 +194,8 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
                                                        "mac_overhead")
         if "mcs_table" in phy_raw:
             phy_kwargs["mcs_table"] = tuple(
-                McsEntry(_json(i, int, "MCS index"), float(b), float(s))
+                McsEntry(_json(i, int, "MCS index"), _json(b, float, "MCS bits"),
+                         _json(s, float, "MCS threshold"))
                 for i, b, s in _json(phy_raw["mcs_table"], list, "mcs_table"))
         seeds_raw = raw.get("seeds", {"count": 50, "base": 0})
         if isinstance(seeds_raw, dict):
@@ -201,19 +203,22 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
             seeds = tuple(range(base, base + _json(seeds_raw["count"], int, "seeds count")))
         else:
             seeds = tuple(_json(s, int, "seeds") for s in _json(seeds_raw, list, "seeds"))
-        sus_params = SusParams(tuple(sus_raw["sweep"])) if "sweep" in sus_raw else SusParams()
+        sus_params = SusParams()
+        if "sweep" in sus_raw:
+            sus_params = SusParams(tuple(_json(a, float, "sus sweep")
+                                         for a in _json(sus_raw["sweep"], list, "sus sweep")))
         cfg = ExperimentConfig(
             scenario=scenario,
             m_values=tuple(_json(m, int, "m_values")
                            for m in _json(raw["m_values"], list, "m_values")),
             nu_values=tuple(_json(n, int, "nu_values")
                             for n in _json(raw["nu_values"], list, "nu_values")),
-            rho_values=tuple(float(r)
+            rho_values=tuple(_json(r, float, "rho_values")
                              for r in _json(raw.get("rho_values", [0.0]), list, "rho_values")),
             correlated_users=_json(raw.get("correlated_users", 0), int, "correlated_users"),
             num_tx_antennas=_json(channel.get("num_tx_antennas", 4), int, "num_tx_antennas"),
             num_subcarriers=_json(channel.get("num_subcarriers", 1), int, "num_subcarriers"),
-            k_factor_db=float(channel.get("k_factor_db", 8.0)),
+            k_factor_db=_json(channel.get("k_factor_db", 8.0), float, "k_factor_db"),
             channel_file=raw.get("channel_file"),
             phy=PhyConfig(**phy_kwargs),
             algorithms=tuple(_json(raw.get("algorithms", list(ExperimentConfig.algorithms)),
@@ -225,7 +230,7 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
     except KeyError as exc:
         raise ConfigurationError(f"missing config field {exc}") from None
     except (TypeError, ValueError) as exc:
-        # a value of the wrong JSON type, e.g. a number where a list belongs
+        # a value out of range, an unknown rate mode or a malformed MCS entry
         raise ConfigurationError(f"invalid config value: {exc}") from None
     cfg.validate()
     return cfg

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import ExperimentConfig, Scenario, run_experiment, write_csv
+from .bench import ExperimentConfig, Scenario, _json, run_experiment, write_csv
 from .channel import CorrelatedRicianSpec, generate_rician, write_channels
 from .errors import ChannelFormatError, ConfigurationError, SearchSpaceError
 from .grouping import MAX_SEARCH_USERS, count_partitions
@@ -45,17 +45,18 @@ def _cmd_gen_channels(args) -> int:
         raise ConfigurationError("channel spec must be a JSON object")
     try:
         spec = CorrelatedRicianSpec(
-            num_users=int(raw["num_users"]),
-            num_tx_antennas=int(raw["num_tx_antennas"]),
-            num_subcarriers=int(raw.get("num_subcarriers", 1)),
-            k_factor_db=float(raw.get("k_factor_db", 8.0)),
-            rho=float(raw.get("rho", 0.0)),
-            correlated_user_count=int(raw.get("correlated_user_count", 0)),
-            seed=int(raw.get("seed", 0)),
+            num_users=_json(raw["num_users"], int, "num_users"),
+            num_tx_antennas=_json(raw["num_tx_antennas"], int, "num_tx_antennas"),
+            num_subcarriers=_json(raw.get("num_subcarriers", 1), int, "num_subcarriers"),
+            k_factor_db=_json(raw.get("k_factor_db", 8.0), float, "k_factor_db"),
+            rho=_json(raw.get("rho", 0.0), float, "rho"),
+            correlated_user_count=_json(raw.get("correlated_user_count", 0), int,
+                                        "correlated_user_count"),
+            seed=_json(raw.get("seed", 0), int, "seed"),
         )
     except KeyError as exc:
         raise ConfigurationError(f"channel spec is missing field {exc}") from None
-    except TypeError as exc:  # a value of the wrong JSON type, e.g. a list
+    except ConfigurationError as exc:  # a value of the wrong JSON type, e.g. a list
         raise ConfigurationError(f"invalid channel spec value: {exc}") from None
     channels = generate_rician(spec)
     write_channels(channels, args.out)

@@ -40,7 +40,8 @@ __all__ = [
 
 Group = tuple[int, ...]
 
-# Full search with groups of two or more holds 2**M rates and DP states.
+# Full search with groups of two or more holds 2**M rates and DP states;
+# its tie key spends 4 bits per user of an int64, which caps M at 16.
 MAX_SEARCH_USERS = 16
 
 
@@ -152,22 +153,6 @@ def active_backend() -> str:
     return "python"
 
 
-def _block_string(block, state, last, n):
-    """Block index of each element for the blocks that reach ``state``
-    followed by block ``last``; uncovered elements get the next index."""
-    chain = [last]
-    while state:
-        chain.append(block[state])
-        state -= block[state]
-    chain.reverse()
-    rgs = [len(chain)] * n
-    for index, b in enumerate(chain):
-        for i in range(n):
-            if b >> i & 1:
-                rgs[i] = index
-    return rgs
-
-
 # Most (source state, block shape) cells one batch of the subset DP holds.
 _BATCH_CELLS = 1 << 16
 
@@ -177,6 +162,7 @@ def search_best_partition(rates: np.ndarray, n: int, max_block: int):
     members under the bitmask rate table ``rates``.
 
     Returns (partition_count, best_score, block_index_per_element).
+    ``n`` is at most ``MAX_SEARCH_USERS``, the most the tie key holds.
     ``rates`` must have length 2**n with entries for every non-empty
     subset of size <= max_block, and every entry must be finite: a NaN
     or infinite rate raises ``ValueError``, since it leaves the largest
@@ -203,32 +189,32 @@ def search_best_partition(rates: np.ndarray, n: int, max_block: int):
     At a state the candidate with the largest score is kept and, among
     exactly equal scores, the one whose block-index string
     (restricted-growth string, uncovered elements given the next index)
-    comes first.  That is a total order on the candidates, so the kept
-    one does not depend on the order in which layers and batches offer
-    them: a state with one candidate at the maximum takes it, and only
-    exact ties compare strings.  The string order does not depend on how
-    the state is completed, so with exact sums (integer rates, say) the
-    result is the first optimal partition in canonical order.  Where
+    comes first.  ``key`` holds that string as a base-16 number, element
+    i the digit 16**(n-1-i), so string order is integer order; candidate
+    (T, B) has key ``key[T] + place[full ^ (T | B)]``.  The rule is a
+    total order, so batch order does not matter.  With exact sums the
+    result is the first optimal partition in canonical order; where
     rounding hides a difference between two prefix sums, an optimum later
     in that order may be returned.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= MAX_SEARCH_USERS:
+        raise ValueError(f"n must be in 1..{MAX_SEARCH_USERS}, got {n}")
     if max_block < 1:
         raise ValueError("max_block must be >= 1")
     if len(rates) != 2 ** n:
         raise ValueError(f"rates must have length 2**{n}, got {len(rates)}")
     size = np.zeros(1, dtype=np.int64)  # members of each mask, by doubling
-    for _ in range(n):
+    place = np.zeros(1, dtype=np.int64)  # sum of the members' digits
+    for i in range(n):
         size = np.concatenate([size, size + 1])
+        place = np.concatenate([place, place + 16 ** (n - 1 - i)])
     weight = size * np.asarray(rates, dtype=np.float64)
     if not np.isfinite(weight).all():
         raise ValueError("rates must be finite")
     full = (1 << n) - 1
     best = np.full(full + 1, -np.inf)
     count = np.zeros(full + 1, dtype=np.int64)
-    block = np.zeros(full + 1, dtype=np.int64)  # last block on the kept path
-    leads = np.zeros(full + 1, dtype=np.int64)  # scratch: leads per state
+    key = np.zeros(full + 1, dtype=np.int64)  # block-index string of the kept path
     best[0], count[0] = 0.0, 1
     for low in range(n):
         step = 2 << low  # a state or block shape k * step covers bits above low
@@ -241,23 +227,14 @@ def search_best_partition(rates: np.ndarray, n: int, max_block: int):
             b = (1 << low) + shapes[cols] * step
             s = t + b
             value = best[t] + weight[b]
-            held = (count[s] > 0) & (best[s] == value)  # ties an earlier batch
+            before = best[s]
             np.add.at(count, s, count[t])
             np.maximum.at(best, s, value)
             lead = np.flatnonzero(value == best[s])  # candidates at the max
             at = s[lead]
-            np.add.at(leads, at, 1)
-            tied = (leads[at] > 1) | held[lead]
-            leads[at] = 0
-            block[at[~tied]] = b[lead[~tied]]
-            block[at[tied & ~held[lead]]] = 0  # no kept candidate yet
-            for i in lead[tied].tolist():
-                target, kept = int(s[i]), int(block[s[i]])
-                if not kept or (_block_string(block, int(t[i]), int(b[i]), n)
-                                < _block_string(block, target - kept, kept, n)):
-                    block[target] = b[i]
-    assign = np.array(_block_string(block, full - block[full], block[full], n),
-                      dtype=np.int64)
+            key[at[value[lead] > before[lead]]] = np.iinfo(np.int64).max  # a new max
+            np.minimum.at(key, at, key[t[lead]] + place[full - at])
+    assign = key[full] >> 4 * np.arange(n - 1, -1, -1) & 15
     return int(count[full]), float(best[full]), assign
 
 

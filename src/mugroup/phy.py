@@ -47,6 +47,7 @@ Groups are checked and put in canonical order by
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -130,8 +131,10 @@ class PhyConfig:
     mcs_table: tuple[McsEntry, ...] = DEFAULT_MCS_TABLE
 
     def __post_init__(self):
-        if self.bandwidth_hz <= 0 or self.noise_power <= 0 or self.total_power <= 0:
-            raise ValueError("bandwidth_hz, noise_power and total_power must be positive")
+        if not all(0 < v < math.inf
+                   for v in (self.bandwidth_hz, self.noise_power, self.total_power)):
+            raise ValueError(
+                "bandwidth_hz, noise_power and total_power must be finite and positive")
 
 
 def _user_gram(channels: ChannelSet) -> np.ndarray:

@@ -29,7 +29,7 @@ import networkx as nx
 import numpy as np
 
 from mugroup.errors import ConfigurationError, SearchSpaceError
-from mugroup.grouping import _block_string, canonical_group
+from mugroup.grouping import canonical_group
 from mugroup.matching import Matching, WeightedGraph, _as_matching, _solve_assignment
 from mugroup.phy import DEFAULT_MCS_TABLE, McsEntry, RateMode, _mcs_rates, phy_rate
 
@@ -248,13 +248,30 @@ def enumerate_partitions(num_users: int, max_size: int) -> Iterator[tuple[tuple[
     return rec(0)
 
 
+def _block_string(block, state, last, n):
+    """Block index of each element for the blocks that reach ``state``
+    followed by block ``last``; uncovered elements get the next index."""
+    chain = [last]
+    while state:
+        chain.append(block[state])
+        state -= block[state]
+    chain.reverse()
+    rgs = [len(chain)] * n
+    for index, b in enumerate(chain):
+        for i in range(n):
+            if b >> i & 1:
+                rgs[i] = index
+    return rgs
+
+
 def loop_best_partition(rates, n: int, max_block: int):
     """``grouping.search_best_partition`` as one Python loop over the
     states in ascending mask order, with its result and tie rule.
 
     Each reached state T offers every block B that holds the lowest
     element outside T; ``T | B`` keeps the larger score and, on an exact
-    tie, the candidate whose block-index string comes first.
+    tie, the candidate whose block-index string comes first, compared
+    as Python lists built by ``_block_string``.
     """
     rates = np.asarray(rates, dtype=np.float64).tolist()
     full = (1 << n) - 1

@@ -176,6 +176,17 @@ class TestConfigValidation:
         ({"phy": {"mac_overhead": 1}}, "mac_overhead"),
         ({"phy": {"mcs_table": "abc"}}, "mcs_table"),
         ({"phy": {"mcs_table": [[0.0, 0.5, 2.0]]}}, "MCS index"),
+        ({"rho_values": ["0.5"]}, "rho_values"),
+        ({"channel": {"k_factor_db": "8"}}, "k_factor_db"),
+        ({"phy": {"total_power": "1e2"}}, "total_power"),
+        ({"phy": {"bandwidth_hz": True}}, "bandwidth_hz"),
+        ({"phy": {"bandwidth_hz": float("nan")}}, "bandwidth_hz"),
+        ({"phy": {"noise_power": [1.0]}}, "noise_power"),
+        ({"phy": {"total_power": 10 ** 400}}, "total_power"),
+        ({"phy": {"mcs_table": [[0, "0.5", 2.0]]}}, "MCS bits"),
+        ({"phy": {"mcs_table": [[0, 0.5, False]]}}, "MCS threshold"),
+        ({"sus": {"sweep": 0.3}}, "sus sweep"),
+        ({"sus": {"sweep": ["0.3"]}}, "sus sweep"),
     ])
     def test_from_json_refuses_wrong_types(self, patch, named):
         raw = {"scenario": "user_sweep", "m_values": [6], "nu_values": [2], **patch}
@@ -186,8 +197,14 @@ class TestConfigValidation:
         cfg = ExperimentConfig.from_json(json.dumps({
             "scenario": "user_sweep", "m_values": [6], "nu_values": [2],
             "channel": {"num_tx_antennas": 4, "num_subcarriers": 2},
-            "phy": {"rate_mode": "mcs", "mac_overhead": False, "mcs_table": [[0, 0.5, 2.0]]},
+            "phy": {"rate_mode": "mcs", "mac_overhead": False, "mcs_table": [[0, 1, 2]],
+                    "bandwidth_hz": 20000000},
+            "sus": {"sweep": [0.25]},
             "seeds": {"count": 2, "base": 3}}))
+        # a JSON integer is a number, read as a float
+        assert type(cfg.phy.bandwidth_hz) is float and cfg.phy.bandwidth_hz == 2e7
+        assert type(cfg.phy.mcs_table[0].bits_per_subcarrier) is float
+        assert cfg.sus_params.sweep == (0.25,)
         assert cfg.phy.mac_overhead_enabled is False
         assert cfg.phy.mcs_table[0].index == 0
         assert cfg.seeds == (3, 4)

@@ -112,6 +112,8 @@ def test_gen_channels_spec_not_an_object(tmp_path, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("num_users", [6]), ("num_tx_antennas", {"n": 4}), ("rho", [0.5]), ("seed", None),
+    # numbers of the wrong kind are refused too, not rounded or coerced
+    ("num_users", 6.7), ("seed", True), ("num_tx_antennas", "4"), ("rho", "0.5"),
 ])
 def test_gen_channels_wrong_typed_field(tmp_path, capsys, field, value):
     spec = {"num_users": 6, "num_tx_antennas": 4, field: value}

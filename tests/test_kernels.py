@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from mugroup import grouping
-from mugroup.grouping import (_rates_by_mask, active_backend, canonical_partition,
-                              count_partitions, exhaustive_search, search_best_partition)
+from mugroup.grouping import (MAX_SEARCH_USERS, _rates_by_mask, active_backend,
+                              canonical_partition, count_partitions, exhaustive_search,
+                              search_best_partition)
 
 from conftest import MCS_WITH_MAC, rician_oracle
 from reference import enumerate_partitions, loop_best_partition
@@ -102,6 +103,21 @@ class TestKernel:
         with pytest.raises(ValueError):
             search_best_partition(rates, 3, 1)  # wrong table length
 
+    def test_refuses_more_users_than_the_key_holds(self):
+        # checked before anything is allocated: the table is not even read
+        with pytest.raises(ValueError, match="1..16"):
+            search_best_partition(np.zeros(4), MAX_SEARCH_USERS + 1, 2)
+
+    def test_digits_at_full_width(self):
+        # n=16 fills all 16 base-16 digits of the key, the last one up to 15
+        n = MAX_SEARCH_USERS
+        sizes = np.array([bin(mask).count("1") for mask in range(2 ** n)])
+        everywhere = (sizes >= 1) & (sizes <= 2)
+        _, _, assign = search_best_partition(everywhere.astype(float), n, 2)
+        assert assign.tolist() == [u // 2 for u in range(n)]
+        _, _, assign = search_best_partition((sizes == 1).astype(float), n, 2)
+        assert assign.tolist() == list(range(n))
+
     def test_active_backend_name(self):
         assert active_backend() == "python"
 
@@ -132,7 +148,7 @@ class TestAgainstLoop:
                 for _ in range(2):
                     assert_same_as_loop(rate_table(rng, n, smax, kind), n, smax)
 
-    @pytest.mark.parametrize("m", [10, 12])
+    @pytest.mark.parametrize("m", [10, 12, 14, 16])
     def test_exhaustive_search_on_mcs_rates(self, m):
         for seed in range(2):
             _, oracle = rician_oracle(m, 4, seed=seed, phy=MCS_WITH_MAC)

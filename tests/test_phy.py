@@ -630,3 +630,10 @@ class TestPhyConfig:
             PhyConfig(bandwidth_hz=0)
         with pytest.raises(ValueError):
             PhyConfig(noise_power=-1)
+
+    @pytest.mark.parametrize("field", ["bandwidth_hz", "noise_power", "total_power"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_finite_parameters(self, field, value):
+        # NaN passes a bare "<= 0" check and would leave every rate NaN
+        with pytest.raises(ValueError, match="finite"):
+            PhyConfig(**{field: value})
