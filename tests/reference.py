@@ -10,10 +10,11 @@ vectors and sum the interference in full, the model the closed form is
 derived from; they use the plain SVD rank rule and raise
 ``SingularChannelError`` for a rank-deficient group.  ``map_sinr_to_mcs``
 maps one SINR to its MCS entry, the rule ``phy._mcs_rates`` applies to
-arrays.  ``matchability_hungarian`` is ``hungarian`` with its
-lexicographic rule found by Kuhn matchability checks per candidate
-column instead of alternating cycles.  ``loop_best_partition`` is the
-subset DP of full search as a plain loop over the states.  The others
+arrays.  ``numpy_solve_assignment`` is the labeling solver of
+``hungarian`` on numpy rows.  ``matchability_hungarian`` is ``hungarian``
+with its lexicographic rule found by Kuhn matchability checks per
+candidate column instead of alternating cycles.  ``loop_best_partition``
+is the subset DP of full search as a plain loop over the states.  The others
 enumerate their whole search space, so they are only usable on small
 instances.
 """
@@ -30,7 +31,7 @@ import numpy as np
 
 from mugroup.errors import ConfigurationError, SearchSpaceError
 from mugroup.grouping import canonical_group
-from mugroup.matching import Matching, WeightedGraph, _as_matching, _solve_assignment
+from mugroup.matching import Matching, WeightedGraph, _as_matching
 from mugroup.phy import DEFAULT_MCS_TABLE, McsEntry, RateMode, _mcs_rates, phy_rate
 
 BRUTE_FORCE_VERTEX_LIMIT = 12
@@ -206,12 +207,58 @@ def lexicographic_refine(w: np.ndarray, match_row: np.ndarray,
     return assign
 
 
+def numpy_solve_assignment(w: np.ndarray):
+    """The labeling solver of ``hungarian`` on numpy rows: the same
+    operations in the same order as ``matching._solve_assignment``, so
+    ``(match_row, u, v)`` come out bit for bit the same."""
+    rows, cols = w.shape
+    u = w.max(axis=1).astype(np.float64, copy=True)
+    v = np.zeros(cols)
+    match_row = np.full(rows, -1, dtype=np.int64)
+    match_col = np.full(cols, -1, dtype=np.int64)
+
+    for root in range(rows):
+        in_tree_row = np.zeros(rows, dtype=bool)
+        in_tree_col = np.zeros(cols, dtype=bool)
+        in_tree_row[root] = True
+        slack = u[root] + v - w[root]
+        slack_row = np.full(cols, root, dtype=np.int64)
+        while True:
+            open_cols = ~in_tree_col
+            j = int(np.flatnonzero(open_cols)[np.argmin(slack[open_cols])])
+            delta = slack[j]
+            if delta > 0.0:
+                u[in_tree_row] -= delta
+                v[in_tree_col] += delta
+                slack[open_cols] -= delta
+            in_tree_col[j] = True
+            if match_col[j] < 0:
+                # augment along the alternating path back to the root
+                while True:
+                    r = slack_row[j]
+                    prev = match_row[r]
+                    match_col[j] = r
+                    match_row[r] = j
+                    if prev < 0:
+                        break
+                    j = prev
+                break
+            r = match_col[j]
+            in_tree_row[r] = True
+            cand = u[r] + v - w[r]
+            better = cand < slack
+            better &= ~in_tree_col
+            slack[better] = cand[better]
+            slack_row[better] = r
+    return match_row, u, v
+
+
 def matchability_hungarian(w) -> tuple[tuple[int, ...], float]:
     """``hungarian`` by the matchability walk: the labeling solver, then
     ``lexicographic_refine``, which tries each tight column of each row
     with two Kuhn matchings."""
     values = np.asarray(w, dtype=np.float64)
-    match_row, u, v = _solve_assignment(values)
+    match_row, u, v = numpy_solve_assignment(values)
     assign = lexicographic_refine(values, match_row, u, v)
     benefit = 0.0
     for r in range(values.shape[0]):

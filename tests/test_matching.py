@@ -13,7 +13,13 @@ import mugroup
 import mugroup.gma  # noqa: F401  (register the submodule)
 from mugroup.errors import SearchSpaceError
 from mugroup.gma import optimal_mu2_su
-from mugroup.matching import Matching, WeightedGraph, hungarian, max_weight_matching
+from mugroup.matching import (
+    Matching,
+    WeightedGraph,
+    _solve_assignment,
+    hungarian,
+    max_weight_matching,
+)
 from mugroup.phy import DEFAULT_MCS_TABLE, phy_rate
 
 from conftest import MCS_WITH_MAC, rician_oracle
@@ -22,6 +28,7 @@ from reference import (
     brute_force_matching,
     matchability_hungarian,
     networkx_matching,
+    numpy_solve_assignment,
     optimal_matchings,
 )
 
@@ -158,6 +165,19 @@ class TestSameMatchingAsNetworkx:
         for g in graphs:
             assert max_weight_matching(g) == networkx_matching(g)
 
+    def test_dense_tied_graphs_at_gma_size(self):
+        # near-complete pairing graphs at the wideband_m40 size and above,
+        # weights from a few quantized values, zero and negative included
+        rng = np.random.default_rng(17)
+        for n in (40, 60):
+            for _ in range(20):
+                weights = rng.choice([-1.0, 0.0, 1.0, 2.0, 3.0, 5.0, 8.0],
+                                     size=int(rng.integers(3, 6)), replace=False)
+                edges = [(i, j, float(rng.choice(weights)))
+                         for i in range(n) for j in range(i + 1, n) if rng.random() < 0.95]
+                g = graph(n, edges)
+                assert max_weight_matching(g) == networkx_matching(g)
+
 
 def test_runtime_does_not_import_networkx():
     src = str(Path(mugroup.__file__).resolve().parents[1])
@@ -258,6 +278,23 @@ class TestHungarian:
                 assign, benefit = hungarian(w)
                 assert sorted(assign) == list(range(n))
                 assert (assign, benefit) == brute_force_assignment(w)
+
+    def test_list_solver_matches_numpy_form(self):
+        # the labeling solver on lists repeats the numpy form's float
+        # operations, so its labels and matching are bit for bit the same
+        rng = np.random.default_rng(13)
+        for trial in range(3000):
+            n = int(rng.integers(1, 26))
+            kind = trial % 3
+            if kind == 0:
+                w = rng.uniform(-5.0, 10.0, size=(n, n))
+            elif kind == 1:
+                w = rng.integers(0, 4, size=(n, n)).astype(float)
+            else:  # GMA's merge benefits: MCS steps, the rest a sentinel
+                w = rng.integers(-3, 12, size=(n, n)) * MCS_STEP
+                w[w <= 0.0] = -(1.0 + np.abs(w).sum())
+            for got, ref in zip(_solve_assignment(w.tolist()), numpy_solve_assignment(w)):
+                assert np.array_equal(got, ref)
 
     def test_negative_weights(self):
         assign, benefit = hungarian([[-5.0, -1.0], [-2.0, -4.0]])
