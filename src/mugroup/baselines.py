@@ -5,11 +5,14 @@ Each baseline partitions the whole network (the cited single-group
 selectors are wrapped in an outer loop over the remaining users) and is
 scored through the same rate oracle as the optimal and graph-matching
 solvers so that objectives are directly comparable.
+
+SUS scores are incremental Gram-Schmidt residuals (Yoo and Goldsmith, IEEE
+JSAC 2006), memoized per ordered member tuple and shared by a sweep; a
+member adds no direction on a subcarrier where its residual is zero.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,37 +76,35 @@ def zfs_grouping(oracle, num_users: int, max_size: int) -> GroupingSolution:
     return GroupingSolution(groups, num_users, objective(groups, oracle))
 
 
-def _member_basis(channels: ChannelSet, members: tuple[int, ...]) -> np.ndarray:
-    """Per subcarrier, an orthonormal basis of the members' channels,
-    shape (Nt, k, SC), from one stacked QR."""
-    q = np.linalg.qr(channels.entries[list(members)].transpose(2, 1, 0))[0]
-    return q.transpose(1, 2, 0)
+class _Residuals(dict):
+    """Memo for one ``sus_grouping`` call, keyed by ordered member tuple:
+    each user's channel residual outside the members' span (real and
+    imaginary parts, (Nt, M, SC)), its squared norm per subcarrier and its
+    score, the mean of the residual norms over subcarriers.  A tuple adds
+    one Gram-Schmidt step to its parent: per subcarrier q = r_p / ||r_p||
+    from the last member's residual (q = 0 where r_p is exactly zero) and
+    r <- r - q (q^H r) for every user.  Real arithmetic and antenna sums in
+    index order keep a user's values independent of the other users."""
+
+    def __init__(self, h: np.ndarray):
+        hr, hi = h.real.transpose(1, 0, 2), h.imag.transpose(1, 0, 2)
+        super().__init__({(): (hr, hi, sum(hr * hr + hi * hi), None)})
+
+    def __missing__(self, members: tuple[int, ...]):
+        rr, ri, sq, _ = self[members[:-1]]
+        p = members[-1]
+        norm = np.sqrt(sq[p])
+        qr, qi = (np.divide(x[:, p], norm, out=np.zeros(x[:, p].shape), where=norm > 0)[:, None]
+                  for x in (rr, ri))
+        cr, ci = sum(qr * rr + qi * ri), sum(qr * ri - qi * rr)  # q^H r, (M, SC)
+        rr, ri = rr - (qr * cr - qi * ci), ri - (qr * ci + qi * cr)
+        sq = sum(rr * rr + ri * ri)
+        self[members] = entry = (rr, ri, sq, np.sqrt(sq).mean(axis=1))
+        return entry
 
 
-def _orthogonal_norms(channels: ChannelSet, users: np.ndarray,
-                      basis: np.ndarray) -> np.ndarray:
-    """Mean over subcarriers of each user's channel norm outside the span
-    of the selected members' channels, given their ``_member_basis``.
-
-    The projection h - Q (Q^H h) is formed in real arithmetic and each
-    sum is taken in index order, so a user's score does not depend on the
-    other users in the batch.
-    """
-    h = channels.entries[users].transpose(1, 0, 2)[:, None]  # (Nt, 1, n, SC)
-    q = basis[:, :, None]  # (Nt, k, 1, SC)
-    hr, hi, qr, qi = h.real, h.imag, q.real, q.imag
-    add = functools.partial(functools.reduce, np.add)
-    cr = add(qr * hr + qi * hi)  # Q^H h, (k, n, SC)
-    ci = add(qr * hi - qi * hr)
-    pr = add((qr * cr - qi * ci).swapaxes(0, 1))  # Q Q^H h, (Nt, n, SC)
-    pi = add((qr * ci + qi * cr).swapaxes(0, 1))
-    rr, ri = hr[:, 0] - pr, hi[:, 0] - pi
-    return np.sqrt(add(rr * rr + ri * ri)).mean(axis=1)
-
-
-def _sus_single_alpha(channels: ChannelSet, num_users: int, max_size: int,
-                      alpha: float, norms: np.ndarray, correlation: np.ndarray,
-                      basis) -> list[tuple[int, ...]]:
+def _sus_single_alpha(num_users: int, max_size: int, alpha: float, norms: np.ndarray,
+                      correlation: np.ndarray, residuals: _Residuals) -> list[tuple[int, ...]]:
     close = correlation > alpha
     free = np.ones(num_users, dtype=bool)
     groups = []
@@ -116,7 +117,7 @@ def _sus_single_alpha(channels: ChannelSet, num_users: int, max_size: int,
             cands = np.flatnonzero(qualified)
             if not cands.size:
                 break
-            scores = _orthogonal_norms(channels, cands, basis(tuple(members)))
+            scores = residuals[tuple(members)][3][cands]
             pick = int(cands[np.argmax(scores)])
             members.append(pick)
             free[pick] = False
@@ -134,23 +135,21 @@ def sus_grouping(channels: ChannelSet, oracle, num_users: int, max_size: int,
     is at most alpha, and the qualified user with the largest orthogonal
     component is added (the lowest index on a tie).  Each alpha of the
     sweep runs independently and the best objective wins (ties keep the
-    earlier alpha).  Each call builds one ``correlation_matrix`` and the
-    channel norms once; each alpha thresholds the matrix once, each step
-    scores all qualified candidates in one batched projection, and the
-    member basis of each ordered member list is factored once per call.
+    earlier alpha).  Each call builds one ``correlation_matrix``, the
+    channel norms and one ``_Residuals`` cache (at most len(sweep) * M
+    entries of M * Nt * SC values) shared by the sweep; each alpha
+    thresholds the matrix once and each step reads its candidates' scores.
+    A member adds no direction on a subcarrier where its residual is zero.
     """
     norms = np.linalg.norm(channels.entries[:num_users], axis=1).mean(axis=1)
     correlation = correlation_matrix(channels, range(num_users))
-    basis = functools.cache(functools.partial(_member_basis, channels))
-    best_parts = None
-    best_value = -1.0
+    residuals = _Residuals(channels.entries[:num_users])
+    best_parts, best_value = None, -1.0
     for alpha in params.sweep:
-        parts = _sus_single_alpha(channels, num_users, max_size, alpha, norms,
-                                  correlation, basis)
+        parts = _sus_single_alpha(num_users, max_size, alpha, norms, correlation, residuals)
         value = objective(parts, oracle)
         if value > best_value:
-            best_value = value
-            best_parts = parts
+            best_parts, best_value = parts, value
     return GroupingSolution(best_parts, num_users, best_value)
 
 

@@ -52,6 +52,18 @@ def fresh_orthogonal_norm(channels, user, members):
     return float(np.array(vals).mean())
 
 
+def lstsq_orthogonal_norm(channels, user, members):
+    """Mean over subcarriers of the user's channel norm outside the span of
+    the members' channels, from a least-squares fit per subcarrier; unlike
+    a QR basis it stays in the span when the members are rank-deficient."""
+    vals = []
+    for s in range(channels.num_subcarriers):
+        h = channels.entries[user, :, s]
+        a = channels.entries[list(members), :, s].T
+        vals.append(np.linalg.norm(h - a @ np.linalg.lstsq(a, h, rcond=None)[0]))
+    return float(np.array(vals).mean())
+
+
 def reference_sus(channels, oracle, num_users, max_size, params=SusParams()):
     """SUS as a per-pair loop: one correlation per (candidate, member) and
     one projection per candidate and step; scalar rate queries.  Returns
@@ -142,34 +154,68 @@ class TestSus:
         best = max(runs, key=lambda r: r.objective_value)
         assert swept.groups == best.groups
 
-    def test_sweep_computes_each_member_basis_once(self, monkeypatch):
+    def test_sweep_extends_each_member_tuple_once(self, monkeypatch):
         channels, oracle = rician_oracle(16, 4, seed=32, sc=8)
         calls = []
 
-        def counted(chs, members):
+        def counted(residuals, members):
             calls.append(members)
-            return member_basis(chs, members)
+            return extend(residuals, members)
 
-        member_basis = baselines._member_basis
-        monkeypatch.setattr(baselines, "_member_basis", counted)
+        extend = baselines._Residuals.__missing__
+        monkeypatch.setattr(baselines._Residuals, "__missing__", counted)
         sus_grouping(channels, oracle, 16, 4)
+        monkeypatch.undo()
         assert calls and len(calls) == len(set(calls))
-        # a batch scores each candidate exactly as a batch of one does, and
-        # as a fresh QR projection per candidate does up to rounding
+        # a batch scores each candidate exactly as a batch of the members and
+        # that candidate does, and as a fresh QR projection does up to rounding
+        full = baselines._Residuals(channels.entries)
         for members in calls:
-            basis = member_basis(channels, members)
-            users = np.array(sorted(set(range(16)) - set(members)))
-            batch = baselines._orthogonal_norms(channels, users, basis)
-            for u, got in zip(users, batch):
-                assert got == baselines._orthogonal_norms(channels, users[users == u], basis)[0]
-                assert got == pytest.approx(fresh_orthogonal_norm(channels, u, members),
-                                            rel=1e-12)
+            scores = full[members][3]
+            own = tuple(range(len(members)))
+            for u in sorted(set(range(16)) - set(members)):
+                alone = baselines._Residuals(channels.entries[list(members) + [u]])
+                assert scores[u] == alone[own][3][-1]
+                assert scores[u] == pytest.approx(fresh_orthogonal_norm(channels, u, members),
+                                                  rel=1e-12)
 
-    @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
-    @pytest.mark.parametrize("m,nu,sc", [(10, 3, 1), (16, 4, 8), (24, 4, 1)])
-    def test_matches_per_pair_reference(self, m, nu, sc, cfg):
-        for seed in range(3):
-            channels, _ = rician_oracle(m, nu, seed=100 + seed, sc=sc, rho=0.8,
+    def test_member_with_zero_residual_adds_no_direction(self):
+        # user 1 is zero on subcarrier 0, so members (0, 1) span e1 there and
+        # e1, e2 on subcarrier 1; user 2 lies outside both spans
+        h = np.zeros((3, 3, 2), dtype=complex)
+        h[0, 0] = 1
+        h[1, 1, 1] = 1
+        h[2, 1, 0] = h[2, 2, 1] = 1
+        with np.errstate(all="raise"):
+            scores = baselines._Residuals(h)[(0, 1)][3]
+        assert scores[2] == 1.0
+        channels = ChannelSet(3, 3, 2, h)
+        assert lstsq_orthogonal_norm(channels, 2, (0, 1)) == 1.0
+        # the same on Rician channels where one member is zero on some
+        # subcarriers and another on all of them
+        channels, _ = rician_oracle(10, 4, seed=33, sc=4)
+        h = channels.entries.copy()
+        h[1, :, [0, 2]] = 0
+        h[3] = 0
+        channels = ChannelSet(10, 4, 4, h)
+        residuals = baselines._Residuals(h)
+        for members in [(0, 1), (1, 0, 3), (3, 1, 2), (0, 3, 1, 2)]:
+            with np.errstate(all="raise"):
+                scores = residuals[members][3]
+            for u in sorted(set(range(10)) - set(members)):
+                assert scores[u] == pytest.approx(lstsq_orthogonal_norm(channels, u, members),
+                                                  rel=1e-12)
+
+    @pytest.mark.parametrize("m,nu,sc,nt,seeds,cfg", [
+        *(pytest.param(m, nu, sc, 4, 3, cfg, id=f"{m}-{nu}-{sc}-{name}")
+          for m, nu, sc in [(10, 3, 1), (16, 4, 8), (24, 4, 1)]
+          for name, cfg in [("shannon", PhyConfig()), ("mcs_mac", MCS_WITH_MAC)]),
+        pytest.param(40, 4, 8, 4, 1, MCS_WITH_MAC, id="wideband_m40"),
+        pytest.param(16, 6, 8, 8, 1, MCS_WITH_MAC, id="nt8"),
+    ])
+    def test_matches_per_pair_reference(self, m, nu, sc, nt, seeds, cfg):
+        for seed in range(seeds):
+            channels, _ = rician_oracle(m, nu, seed=100 + seed, sc=sc, nt=nt, rho=0.8,
                                         correlated=m // 2)
             oracle = RateOracle(channels, cfg, nu)
             ref_oracle = RateOracle(channels, cfg, nu)
