@@ -31,7 +31,7 @@ from .errors import (
     ConfigurationError,
     SearchSpaceError,
 )
-from .gma import gma, merge_gain, optimal_mu2_su
+from .gma import gma, optimal_mu2_su
 from .grouping import (
     GroupingSolution,
     active_backend,
@@ -42,7 +42,7 @@ from .grouping import (
     objective,
     validate_partition,
 )
-from .matching import Matching, WeightedGraph, hungarian, max_weight_matching
+from .matching import WeightedGraph, hungarian, max_weight_matching
 from .phy import (
     DEFAULT_MCS_TABLE,
     McsEntry,

@@ -8,7 +8,7 @@ solvers so that objectives are directly comparable.
 
 SUS scores are incremental Gram-Schmidt residuals (Yoo and Goldsmith, IEEE
 JSAC 2006), memoized per ordered member tuple and shared by a sweep; a
-member adds no direction on a subcarrier where its residual is zero.
+member adds no direction where its residual is at rounding level (``_RANK_TOL``).
 """
 
 from __future__ import annotations
@@ -24,6 +24,10 @@ from .channel import pairwise_correlation  # noqa: F401
 from .grouping import GroupingSolution, canonical_group, objective
 
 __all__ = ["SusParams", "zfs_grouping", "sus_grouping", "random_grouping"]
+
+# a member whose residual norm on a subcarrier is at most this fraction of
+# its channel norm there lies in the earlier members' span up to rounding
+_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,9 +86,10 @@ class _Residuals(dict):
     imaginary parts, (Nt, M, SC)), its squared norm per subcarrier and its
     score, the mean of the residual norms over subcarriers.  A tuple adds
     one Gram-Schmidt step to its parent: per subcarrier q = r_p / ||r_p||
-    from the last member's residual (q = 0 where r_p is exactly zero) and
-    r <- r - q (q^H r) for every user.  Real arithmetic and antenna sums in
-    index order keep a user's values independent of the other users."""
+    from the last member's residual (q = 0 where ||r_p|| <= ``_RANK_TOL``
+    ||h_p||) and r <- r - q (q^H r) for every user.  Real arithmetic and
+    antenna sums in index order keep a user's values independent of the
+    other users."""
 
     def __init__(self, h: np.ndarray):
         hr, hi = h.real.transpose(1, 0, 2), h.imag.transpose(1, 0, 2)
@@ -94,7 +99,8 @@ class _Residuals(dict):
         rr, ri, sq, _ = self[members[:-1]]
         p = members[-1]
         norm = np.sqrt(sq[p])
-        qr, qi = (np.divide(x[:, p], norm, out=np.zeros(x[:, p].shape), where=norm > 0)[:, None]
+        spans = norm > _RANK_TOL * np.sqrt(self[()][2][p])
+        qr, qi = (np.divide(x[:, p], norm, out=np.zeros(x[:, p].shape), where=spans)[:, None]
                   for x in (rr, ri))
         cr, ci = sum(qr * rr + qi * ri), sum(qr * ri - qi * rr)  # q^H r, (M, SC)
         rr, ri = rr - (qr * cr - qi * ci), ri - (qr * ci + qi * cr)
@@ -139,7 +145,7 @@ def sus_grouping(channels: ChannelSet, oracle, num_users: int, max_size: int,
     channel norms and one ``_Residuals`` cache (at most len(sweep) * M
     entries of M * Nt * SC values) shared by the sweep; each alpha
     thresholds the matrix once and each step reads its candidates' scores.
-    A member adds no direction on a subcarrier where its residual is zero.
+    A member adds no direction where its residual is at rounding level (``_RANK_TOL``).
     """
     norms = np.linalg.norm(channels.entries[:num_users], axis=1).mean(axis=1)
     correlation = correlation_matrix(channels, range(num_users))

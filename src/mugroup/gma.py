@@ -8,32 +8,17 @@ edge weights are the gain of pairing over serving both users alone.
 round sorts the working groups by weighted throughput, breaks the weakest
 ones into singletons, matches groups against singletons with the
 assignment solver, and accepts a merge only when it strictly beats
-keeping the parts separate.  One round is needed for a cap of three,
-two for four, and so on.
+keeping the parts separate: (|g|+1) R(g+u) - |g| R(g) - R(u) > 0, read
+from the assignment matrix and one bulk query of the parts' rates.
+One round is needed for a cap of three, two for four, and so on.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .grouping import Group, GroupingSolution, canonical_group, objective
 from .matching import WeightedGraph, hungarian, max_weight_matching
 
-__all__ = ["optimal_mu2_su", "gma", "merge_gain"]
-
-
-def merge_gain(group, user: int, oracle) -> float:
-    """Objective change from growing ``group`` by ``user``:
-    (|g|+1) R(g+u) - |g| R(g) - R({u}).  Accepted only when > 0."""
-    g = canonical_group(group)
-    if user in g:
-        raise ValueError(f"user {user} is already in group {g}")
-    merged = canonical_group(g + (user,))
-    return (
-        len(merged) * oracle.rate(merged)
-        - len(g) * oracle.rate(g)
-        - oracle.rate((user,))
-    )
+__all__ = ["optimal_mu2_su", "gma"]
 
 
 def optimal_mu2_su(oracle, num_users: int) -> GroupingSolution:
@@ -53,9 +38,8 @@ def optimal_mu2_su(oracle, num_users: int) -> GroupingSolution:
         gain = 2.0 * pair_rate - singles[i] - singles[j]
         if gain > 0.0:
             edges.append((i, j, gain))
-    matching = max_weight_matching(WeightedGraph(num_users, tuple(edges)))
-    paired = {u for pair in matching.pairs for u in pair}
-    groups = [pair for pair in matching.pairs]
+    groups = list(max_weight_matching(WeightedGraph(num_users, tuple(edges))))
+    paired = {u for pair in groups for u in pair}
     groups.extend((u,) for u in range(num_users) if u not in paired)
     return GroupingSolution(groups, num_users, objective(groups, oracle))
 
@@ -99,28 +83,27 @@ def _merge_pass(groups: list[Group], oracle, max_group_size: int) -> list[Group]
     # |S1| = |S2| and every S1 group has room for one more member
     # all S1 x S2 merges in one bulk query, row by row
     merged_rates = iter(oracle.rates([g + u for g in s1 for u in s2]))
-    benefit = np.zeros((len(s1), len(s2)))
+    benefit = [[(len(g) + 1) * next(merged_rates) for _ in s2] for g in s1]
+    # added in order: sum() compensates float sums from Python 3.12 on
     finite_total = 1.0
-    for i, g in enumerate(s1):
-        for j in range(len(s2)):
-            value = (len(g) + 1) * next(merged_rates)
-            benefit[i, j] = value
-            finite_total += abs(value)
+    for row in benefit:
+        for x in row:
+            finite_total += abs(x)
     # zero-rate merges (rank-deficient groups) get a sentinel so the
     # assignment never prefers them
     sentinel = -finite_total
-    benefit[benefit <= 0.0] = sentinel
+    benefit = [[x if x > 0.0 else sentinel for x in row] for row in benefit]
 
     assign, _ = hungarian(benefit)
-    result = list(committed)
+    parts = oracle.rates(s1 + s2)
     for i, j in enumerate(assign):
         g, u = s1[i], s2[j]
-        if benefit[i, j] <= sentinel or merge_gain(g, u[0], oracle) <= 0.0:
-            result.append(g)
-            result.append(u)
+        x = benefit[i][j]  # (|g|+1) R(g+u), or the sentinel
+        if x > sentinel and x - len(g) * parts[i] - parts[len(s1) + j] > 0.0:
+            committed.append(canonical_group(g + u))
         else:
-            result.append(canonical_group(g + u))
-    return result
+            committed.extend((g, u))
+    return committed
 
 
 def gma(oracle, num_users: int, max_group_size: int) -> GroupingSolution:

@@ -3,7 +3,8 @@
 ``max_weight_matching`` solves maximum-weight matching on general
 weighted graphs (vertices may stay unmatched, negative weights allowed)
 with Edmonds' primal-dual blossom algorithm, in Galil's O(V^3) form,
-and breaks ties as van Rantwijk's implementation does (tests pin it).
+and breaks ties as van Rantwijk's implementation does (tests pin it);
+it returns the matched pairs, and ``WeightedGraph`` validates its input.
 ``hungarian`` solves the square assignment problem by maximization
 with an O(n^3) labeling algorithm; its contract pins the tie-break, the
 lexicographically smallest optimum, which alternating cycles over the
@@ -17,12 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-__all__ = [
-    "WeightedGraph",
-    "Matching",
-    "max_weight_matching",
-    "hungarian",
-]
+__all__ = ["WeightedGraph", "max_weight_matching", "hungarian"]
 
 
 @dataclass(frozen=True)
@@ -50,33 +46,10 @@ class WeightedGraph:
         object.__setattr__(self, "edges", tuple(norm))
 
 
-@dataclass(frozen=True)
-class Matching:
-    """Vertex-disjoint edge set with its total weight."""
-
-    pairs: tuple[tuple[int, int], ...]
-    total_weight: float
-
-    def __post_init__(self):
-        used = set()
-        for u, v in self.pairs:
-            if u in used or v in used or u == v:
-                raise ValueError(f"pair ({u}, {v}) reuses a vertex")
-            used.update((u, v))
-
-
-def _as_matching(graph: WeightedGraph, pairs) -> Matching:
-    weight_of = {(u, v): w for u, v, w in graph.edges}
-    norm = tuple(sorted((min(u, v), max(u, v)) for u, v in pairs))
-    total = 0.0
-    for p in norm:
-        total += weight_of[p]
-    return Matching(norm, total)
-
-
-def max_weight_matching(graph: WeightedGraph) -> Matching:
-    """Maximum-weight matching; not necessarily perfect, so edges that do
-    not pay for themselves are left out.
+def max_weight_matching(graph: WeightedGraph) -> tuple[tuple[int, int], ...]:
+    """Maximum-weight matching as its pairs (u, v), u < v, sorted; not
+    necessarily perfect, so edges that do not pay for themselves are left
+    out.
 
     Edmonds' blossom algorithm with the primal-dual method (Edmonds,
     Canad. J. Math. 1965; Galil, ACM Computing Surveys 1986), in O(V^3)
@@ -87,9 +60,9 @@ def max_weight_matching(graph: WeightedGraph) -> Matching:
     comparison), whatever order ``graph.edges`` comes in.
     """
     if not graph.edges:
-        return Matching((), 0.0)
+        return ()
     mate = _blossom_mates(graph.num_vertices, sorted(graph.edges))
-    return _as_matching(graph, [(v, m) for v, m in enumerate(mate) if v < m])
+    return tuple((v, m) for v, m in enumerate(mate) if v < m)
 
 
 def _round_from(j: int, size: int) -> tuple[int, int]:

@@ -167,36 +167,38 @@ def _zf_sinr(gram: np.ndarray, groups: list[tuple[int, ...]], cfg: PhyConfig):
     ``_CERT_LIMIT`` has cond at most 1e10, 100x below the limit, which
     rounding cannot bridge: it is ok without an SVD.  The rest get the
     exact rule, one SVD each, so ``ok`` is that rule's mask.  The rows it
-    clears are factored again with a pivot floor of 0, as their pivots are
-    at least lambda_min(A) >= 1 / (k ``_COND_LIMIT``).
+    clears keep the values of the one elimination, whose pivots are at
+    least lambda_min(A) >= 1 / (k ``_COND_LIMIT``) > 0 there.
     """
     idx = np.asarray(groups).T
     k = idx.shape[0]
     g = gram[idx[:, None, :], idx[None, :, :]].reshape(k, k, -1)  # (k, k, n*sc)
     tr = sum(g[m, m].real for m in range(k))
     scale = np.where(tr > 0, tr, 1.0)
-    inv_diag, ok = _ldl_inv_diag(g, scale, floor=1 / _CERT_LIMIT)
+    inv_diag, ok = _ldl_inv_diag(g, scale)
     if not ok.all():
         rest = np.flatnonzero(~ok)
         ok[rest] = np.linalg.cond(np.moveaxis(g[:, :, rest], 2, 0)) <= _COND_LIMIT
-        redo = rest[ok[rest]]
-        if len(redo):
-            inv_diag[redo] = _ldl_inv_diag(g[:, :, redo], scale[redo], floor=0.0)[0]
+        inv_diag[~ok] = 1.0  # may have overflowed; the rate is 0 anyway
     p = cfg.total_power / k
     return (p * tr[:, None]) / (cfg.noise_power * inv_diag), ok
 
 
-def _ldl_inv_diag(g: np.ndarray, scale: np.ndarray, floor: float):
+@np.errstate(over="ignore")
+def _ldl_inv_diag(g: np.ndarray, scale: np.ndarray):
     """Diagonal of A^-1 for A = g / scale, g (k, k, rows) Hermitian.
 
     Gaussian elimination without pivoting on [A | I] leaves D L^H on the
     left and L^-1 on the right (Golub and Van Loan, 4.1), so [A^-1]_mm =
     sum_{j >= m} |(L^-1)_jm|^2 / D_j.  Returns ``inv_diag`` (rows, k) and
-    ``cert`` (rows,), true where the pivots all exceed ``floor`` and
-    multiply to det A >= 1 / ``_CERT_LIMIT``.  Other pivots are replaced
-    by 1, so a singular row stays finite.  Parts are divided as reals (a
-    complex divide takes 1/scale first, which overflows for a subnormal
-    trace); each numpy call applies one real operation to all rows alike.
+    ``cert`` (rows,), true where the pivots are all positive and multiply
+    to det A >= 1 / ``_CERT_LIMIT``; a pivot that is not positive is
+    replaced by 1.  The rows ``_zf_sinr`` keeps have pivots of at least
+    1 / (k ``_COND_LIMIT``), so only a discarded row can overflow (from a
+    subnormal pivot), and overflow is not reported.  Parts are divided as
+    reals (a complex divide takes 1/scale first, which overflows for a
+    subnormal trace); each numpy call applies one real operation to all
+    rows alike.
     """
     k, rows = g.shape[0], g.shape[2]
     a = np.zeros((2, k, 2 * k, rows))  # real and imaginary parts of [A | I]
@@ -208,7 +210,7 @@ def _ldl_inv_diag(g: np.ndarray, scale: np.ndarray, floor: float):
         # rows i > j: row i -= (a_ij / d) row j, on the k columns where row
         # j is not yet zero; p[x, y] = l_x r_y over re/im parts x and y
         n, cols = k - j - 1, slice(j + 1, k + j + 1)
-        d = np.where(a[0, j, j] > floor, a[0, j, j], 1.0)
+        d = np.where(a[0, j, j] > 0.0, a[0, j, j], 1.0)
         l, r = a[:, j + 1:, j] / d, a[:, j, cols]
         p = np.multiply(l[:, None, :, None], r[None, :, None],
                         out=work[:4 * n * k * rows].reshape(2, 2, n, k, rows))
@@ -217,8 +219,8 @@ def _ldl_inv_diag(g: np.ndarray, scale: np.ndarray, floor: float):
         a[:, j + 1:, cols] -= p[0]
     # the pivots stay on the diagonal: later steps change later rows only
     raw = a[0].reshape(2 * k * k, rows)[::2 * k + 1]
-    pivots = np.where(raw > floor, raw, 1.0)
-    cert = np.where(raw > floor, raw, 0.0).prod(axis=0) >= 1 / _CERT_LIMIT
+    pivots = np.where(raw > 0.0, raw, 1.0)
+    cert = np.where(raw > 0.0, raw, 0.0).prod(axis=0) >= 1 / _CERT_LIMIT
     # t[j, m] = |(L^-1)_jm|^2 / D_j, exactly 0 for j < m
     sq = np.square(a[:, :, k:], out=work[:2 * k * k * rows].reshape(2, k, k, rows))
     t = np.add(sq[0], sq[1], out=sq[0])

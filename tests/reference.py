@@ -1,6 +1,8 @@
 """Reference solvers that the tests check the library against.
 
-``networkx_matching`` is networkx's blossom matching.
+``networkx_matching`` is networkx's blossom matching, and
+``matching_weight`` the total weight of a matching whose pairs it checks
+are disjoint.
 ``closed_form_rate`` is the library's closed-form zero-forcing rate for
 one group, one subcarrier at a time, its LDL^H elimination
 (``ldl_inverse_diagonal``) written out in Python floats; ``inverse_rate``
@@ -31,7 +33,7 @@ import numpy as np
 
 from mugroup.errors import ConfigurationError, SearchSpaceError
 from mugroup.grouping import canonical_group
-from mugroup.matching import Matching, WeightedGraph, _as_matching
+from mugroup.matching import WeightedGraph
 from mugroup.phy import DEFAULT_MCS_TABLE, McsEntry, RateMode, _mcs_rates, phy_rate
 
 BRUTE_FORCE_VERTEX_LIMIT = 12
@@ -57,7 +59,32 @@ def map_sinr_to_mcs(sinr_db: float, table=DEFAULT_MCS_TABLE) -> McsEntry | None:
     return chosen
 
 
-def networkx_matching(graph: WeightedGraph) -> Matching:
+Pairs = tuple[tuple[int, int], ...]
+
+
+def sorted_pairs(pairs) -> Pairs:
+    """Edge set as ``max_weight_matching`` returns it: (u, v), u < v, sorted."""
+    return tuple(sorted((min(u, v), max(u, v)) for u, v in pairs))
+
+
+def matching_weight(graph: WeightedGraph, pairs) -> float:
+    """Total weight of ``pairs``, edges of ``graph``, summed in sorted
+    order; raises ``ValueError`` when two pairs share a vertex or a pair
+    is not an edge."""
+    weight_of = {(u, v): w for u, v, w in graph.edges}
+    used: set[int] = set()
+    total = 0.0
+    for u, v in sorted_pairs(pairs):
+        if u in used or v in used or u == v:
+            raise ValueError(f"pair ({u}, {v}) reuses a vertex")
+        if (u, v) not in weight_of:
+            raise ValueError(f"pair ({u}, {v}) is not an edge")
+        used.update((u, v))
+        total += weight_of[u, v]
+    return total
+
+
+def networkx_matching(graph: WeightedGraph) -> Pairs:
     """Maximum-weight matching by networkx's blossom implementation.
 
     Vertices are added in order 0..V-1 and edges in sorted order, so each
@@ -68,10 +95,10 @@ def networkx_matching(graph: WeightedGraph) -> Matching:
     g.add_nodes_from(range(graph.num_vertices))
     for u, v, w in sorted(graph.edges):
         g.add_edge(u, v, weight=w)
-    return _as_matching(graph, nx.max_weight_matching(g, maxcardinality=False))
+    return sorted_pairs(nx.max_weight_matching(g, maxcardinality=False))
 
 
-def optimal_matchings(graph: WeightedGraph) -> list[Matching]:
+def optimal_matchings(graph: WeightedGraph) -> list[Pairs]:
     """Every maximum-weight matching, found by enumerating all matchings.
 
     The list is in enumeration order; weights are summed in ascending edge
@@ -104,10 +131,10 @@ def optimal_matchings(graph: WeightedGraph) -> list[Matching]:
             picked.pop()
 
     rec(0, 0, [], 0.0)
-    return [_as_matching(graph, pairs) for pairs in best]
+    return [sorted_pairs(pairs) for pairs in best]
 
 
-def brute_force_matching(graph: WeightedGraph) -> Matching:
+def brute_force_matching(graph: WeightedGraph) -> Pairs:
     """Exact maximum-weight matching by enumerating all matchings: the
     first optimum found.  Refuses graphs with more than 12 vertices."""
     return optimal_matchings(graph)[0]

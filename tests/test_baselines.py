@@ -206,6 +206,20 @@ class TestSus:
                 assert scores[u] == pytest.approx(lstsq_orthogonal_norm(channels, u, members),
                                                   rel=1e-12)
 
+    def test_member_collinear_up_to_rounding_adds_no_direction(self):
+        # user 3 is (2 - 1j) times user 0 on subcarrier 1, so after member 0
+        # its residual there is rounding noise, which spans nothing
+        channels, _ = rician_oracle(10, 4, seed=33, sc=4)
+        h = channels.entries.copy()
+        h[3, :, 1] = (2 - 1j) * h[0, :, 1]
+        channels = ChannelSet(10, 4, 4, h)
+        residuals = baselines._Residuals(h)
+        for members in [(0, 3), (3, 0), (0, 3, 1), (2, 0, 3)]:
+            scores = residuals[members][3]
+            for u in sorted(set(range(10)) - set(members)):
+                assert scores[u] == pytest.approx(lstsq_orthogonal_norm(channels, u, members),
+                                                  rel=1e-12)
+
     @pytest.mark.parametrize("m,nu,sc,nt,seeds,cfg", [
         *(pytest.param(m, nu, sc, 4, 3, cfg, id=f"{m}-{nu}-{sc}-{name}")
           for m, nu, sc in [(10, 3, 1), (16, 4, 8), (24, 4, 1)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mugroup.gma  # noqa: F401  (register the submodule)
-from mugroup.gma import gma, merge_gain, optimal_mu2_su
+from mugroup.gma import gma, optimal_mu2_su
 from mugroup.gma import _merge_pass, _split_and_balance
 
 gma_mod = sys.modules["mugroup.gma"]
@@ -59,20 +59,41 @@ class TestOptimalMu2Su:
 
 
 class TestMergeGain:
+    """``_merge_pass`` keeps a merge only when (|g|+1) R(g+u) - |g| R(g) -
+    R(u) > 0, read from its assignment matrix and the parts' rates."""
+
     def test_reject_case(self, oracle_o2):
-        assert merge_gain((0, 1), 2, oracle_o2) == pytest.approx(-10.6)
+        # 3 * 0.8 - 2 * 4.5 - 4 = -10.6
+        assert _merge_pass([(0, 1), (2,)], oracle_o2, 3) == [(0, 1), (2,)]
 
     def test_accept_case(self, oracle_o2):
-        assert merge_gain((0,), 1, oracle_o2) == pytest.approx(1.0)
+        # 2 * 4.5 - 4 - 4 = 1
+        assert _merge_pass([(0,), (1,)], oracle_o2, 2) == [(0, 1)]
 
     def test_zero_rate_merge_never_accepted(self):
-        oracle = FixtureOracle(
-            {(0,): 3.0, (1,): 2.0, (0, 1): 0.0}, num_users=2)
-        assert merge_gain((0,), 1, oracle) == -5.0
+        oracle = FixtureOracle({(0,): 3.0, (1,): 2.0, (0, 1): 0.0}, num_users=2)
+        assert _merge_pass([(0,), (1,)], oracle, 2) == [(0,), (1,)]
+        # every merge of group (0,) has rate 0, so the assignment has to give
+        # it a sentinel entry, and that merge is not taken
+        oracle = FixtureOracle({(0,): 4.0, (1,): 3.0, (2,): 2.0, (3,): 1.0,
+                                (0, 2): 0.0, (0, 3): 0.0, (1, 2): 5.0, (1, 3): 5.0},
+                               num_users=4)
+        assert _merge_pass([(0,), (1,), (2,), (3,)], oracle, 2) == [(0,), (2,), (1, 3)]
 
-    def test_member_rejected(self, oracle_o2):
-        with pytest.raises(ValueError):
-            merge_gain((0, 1), 1, oracle_o2)
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("phy", [None, MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
+    def test_pass_queries_only_its_matrix_and_parts(self, seed, phy):
+        # beyond the queries of the split, a pass asks for every S1 x S2
+        # merge and the rate of every part, once each
+        _, oracle = rician_oracle(10, 4, seed, phy=phy)
+        groups = list(optimal_mu2_su(oracle, 10).groups)
+        before = oracle.query_count
+        _, s1, s2 = _split_and_balance(groups, oracle, 4)
+        split = oracle.query_count - before
+        before = oracle.query_count
+        _merge_pass(groups, oracle, 4)
+        added = oracle.query_count - before - split
+        assert s2 and added == len(s1) * len(s2) + len(s1) + len(s2)
 
 
 class TestGma:

@@ -14,7 +14,6 @@ import mugroup.gma  # noqa: F401  (register the submodule)
 from mugroup.errors import SearchSpaceError
 from mugroup.gma import optimal_mu2_su
 from mugroup.matching import (
-    Matching,
     WeightedGraph,
     _solve_assignment,
     hungarian,
@@ -27,6 +26,7 @@ from reference import (
     brute_force_assignment,
     brute_force_matching,
     matchability_hungarian,
+    matching_weight,
     networkx_matching,
     numpy_solve_assignment,
     optimal_matchings,
@@ -78,35 +78,32 @@ class TestWeightedGraphInvariants:
             graph(2, [(0, 2, 1.0)])
 
     def test_matching_rejects_vertex_reuse(self):
+        g = graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         with pytest.raises(ValueError):
-            Matching(((0, 1), (1, 2)), 0.0)
+            matching_weight(g, ((0, 1), (1, 2)))
 
 
 class TestMaxWeightMatching:
     def test_empty_graph(self):
-        m = max_weight_matching(graph(3, []))
-        assert m.pairs == () and m.total_weight == 0.0
+        assert max_weight_matching(graph(3, [])) == ()
 
     def test_triangle(self):
-        m = max_weight_matching(graph(3, [(0, 1, 3.0), (1, 2, 4.0), (0, 2, 5.0)]))
-        assert m.pairs == ((0, 2),)
-        assert m.total_weight == 5.0
+        assert max_weight_matching(graph(3, [(0, 1, 3.0), (1, 2, 4.0), (0, 2, 5.0)])) == ((0, 2),)
 
     def test_path(self):
         m = max_weight_matching(
             graph(4, [(0, 1, 10.0), (1, 2, 11.0), (2, 3, 10.0)]))
-        assert m.pairs == ((0, 1), (2, 3))
-        assert m.total_weight == 20.0
+        assert m == ((0, 1), (2, 3))
 
     def test_negative_edges_left_out(self):
-        m = max_weight_matching(graph(2, [(0, 1, -2.0)]))
-        assert m.pairs == ()
+        assert max_weight_matching(graph(2, [(0, 1, -2.0)])) == ()
 
     def test_complete_k4_unit_weights(self):
         edges = [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)]
-        m = max_weight_matching(graph(4, edges))
-        assert m.total_weight == 2.0
-        assert len(m.pairs) == 2
+        g = graph(4, edges)
+        m = max_weight_matching(g)
+        assert matching_weight(g, m) == 2.0
+        assert len(m) == 2
 
     def test_deterministic(self):
         g = random_graph(np.random.default_rng(0))
@@ -118,9 +115,9 @@ class TestMaxWeightMatching:
             g = random_graph(rng, max_vertices=12)
             fast = max_weight_matching(g)
             optima = optimal_matchings(g)
-            assert fast.total_weight == optima[0].total_weight
+            assert matching_weight(g, fast) == matching_weight(g, optima[0])
             if len(optima) == 1:
-                assert fast.pairs == optima[0].pairs
+                assert fast == optima[0]
 
     def test_many_vertices_few_edges(self):
         # state is O(V + E): a V x V table would not fit this in time or memory
@@ -128,8 +125,7 @@ class TestMaxWeightMatching:
         t0 = time.perf_counter()
         m = max_weight_matching(g)
         assert time.perf_counter() - t0 < 1.0
-        assert m.pairs == ((0, 9_999), (6, 7))
-        assert m.total_weight == 5.0
+        assert m == ((0, 9_999), (6, 7))
 
 
 class TestSameMatchingAsNetworkx:
@@ -190,16 +186,14 @@ def test_runtime_does_not_import_networkx():
 
 class TestBruteForceMatching:
     def test_single_positive_edge(self):
-        m = brute_force_matching(graph(2, [(0, 1, 2.0)]))
-        assert m.pairs == ((0, 1),)
+        assert brute_force_matching(graph(2, [(0, 1, 2.0)])) == ((0, 1),)
 
     def test_single_negative_edge(self):
-        m = brute_force_matching(graph(2, [(0, 1, -1.0)]))
-        assert m.pairs == ()
+        assert brute_force_matching(graph(2, [(0, 1, -1.0)])) == ()
 
     def test_triangle_agrees(self):
         g = graph(3, [(0, 1, 3.0), (1, 2, 4.0), (0, 2, 5.0)])
-        assert brute_force_matching(g).total_weight == 5.0
+        assert matching_weight(g, brute_force_matching(g)) == 5.0
 
     def test_vertex_guard(self):
         with pytest.raises(SearchSpaceError):

@@ -444,6 +444,22 @@ class TestChannelScale:
         if scale > 1.0:
             assert all(v > 0.0 for v in values)
 
+    @pytest.mark.parametrize("scale,cfg", [
+        (1e-160, PhyConfig()), (1e-160, MCS_WITH_MAC), (1e-150, PhyConfig(noise_power=1e20)),
+    ], ids=["shannon", "mcs_mac", "loud_noise"])
+    def test_mixed_scales_in_one_group(self, scale, cfg):
+        # beside unit users, a 1e-160 user leaves a subnormal pivot, which
+        # overflows the rest of that elimination row; at 1e-150 the pivot is
+        # tiny but normal, and the SINR of that discarded row must not overflow
+        channels, _ = rician_oracle(4, 4, seed=1, sc=8)
+        h = channels.entries.copy()
+        h[1] *= scale
+        oracle = make_rate_oracle(ChannelSet(4, 4, 8, h), cfg, 4)
+        groups = [g for s in range(1, 5) for g in combinations(range(4), s)]
+        values = oracle.rates(groups)
+        assert all(math.isfinite(v) and v >= 0.0 for v in values)
+        assert all(v == 0.0 for g, v in zip(groups, values) if 1 in g and len(g) > 1)
+
 
 class TestConditioningMask:
     """``_zf_sinr`` certifies most rows from trace and determinant and
