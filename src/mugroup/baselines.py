@@ -65,7 +65,7 @@ def zfs_grouping(oracle, num_users: int, max_size: int) -> GroupingSolution:
             best_user = -1
             best_weighted = current
             order = sorted(remaining)
-            cands = [canonical_group(members + [u]) for u in order]
+            cands = [(*members, u) for u in order]  # the oracle's check sorts each
             for u, cand, cand_rate in zip(order, cands, oracle.rates(cands)):
                 weighted = len(cand) * cand_rate
                 if weighted > best_weighted:
@@ -146,13 +146,19 @@ def sus_grouping(channels: ChannelSet, oracle, num_users: int, max_size: int,
     entries of M * Nt * SC values) shared by the sweep; each alpha
     thresholds the matrix once and each step reads its candidates' scores.
     A member adds no direction where its residual is at rounding level (``_RANK_TOL``).
+    Every alpha is grouped before any is scored, so one bulk
+    ``oracle.precompute`` over the union of their groups fills the memo
+    for the whole sweep (one rate-kernel call per group size), and each
+    ``objective`` then reads memo hits only.
     """
     norms = np.linalg.norm(channels.entries[:num_users], axis=1).mean(axis=1)
     correlation = correlation_matrix(channels, range(num_users))
     residuals = _Residuals(channels.entries[:num_users])
+    runs = [_sus_single_alpha(num_users, max_size, alpha, norms, correlation, residuals)
+            for alpha in params.sweep]
+    oracle.precompute([g for parts in runs for g in parts])
     best_parts, best_value = None, -1.0
-    for alpha in params.sweep:
-        parts = _sus_single_alpha(num_users, max_size, alpha, norms, correlation, residuals)
+    for parts in runs:
         value = objective(parts, oracle)
         if value > best_value:
             best_parts, best_value = parts, value

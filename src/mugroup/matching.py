@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 
-import numpy as np
-
 __all__ = ["WeightedGraph", "max_weight_matching", "hungarian"]
 
 
@@ -499,6 +497,30 @@ def _lexicographic_refine(tight: list[list[int]], assign: list[int]) -> list[int
     return assign
 
 
+def _float_rows(w) -> tuple[list[list[float]], float]:
+    """The rows of ``w`` as lists of floats, and the largest magnitude of
+    an entry, in one pass over the rows; ``ValueError`` unless ``w`` is a
+    square matrix of finite entries.  Nested sequences and numpy arrays
+    alike."""
+    if getattr(w, "ndim", 2) != 2:
+        raise ValueError("weight matrix must be 2-D")
+    n = len(w)
+    rows, big = [], 0.0
+    for row in w:
+        try:
+            row = list(map(float, row))
+        except TypeError:
+            raise ValueError("weight matrix must be 2-D") from None
+        # NaN and infinity carry into the sum; a finite row can overflow it
+        if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+            raise ValueError("weight matrix entries must be finite")
+        if len(row) != n:
+            raise ValueError(f"weight matrix must be square, got {n} x {len(row)}")
+        big = max(big, max(row), -min(row))
+        rows.append(row)
+    return rows, big
+
+
 def hungarian(w) -> tuple[tuple[int, ...], float]:
     """Maximum-benefit assignment of the rows of a square matrix to
     distinct columns; a matrix that is not square raises ``ValueError``.
@@ -513,19 +535,11 @@ def hungarian(w) -> tuple[tuple[int, ...], float]:
     lists, which beats numpy rows up to n ~ 130, well above GMA's n ~ M/3
     (see ``_solve_assignment``).
     """
-    values = np.asarray(w, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError("weight matrix must be 2-D")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("weight matrix entries must be finite")
-    rows, cols = values.shape
-    if rows != cols:
-        raise ValueError(f"weight matrix must be square, got {rows} x {cols}")
-    if rows == 0:
+    w_rows, big = _float_rows(w)
+    if not w_rows:
         return (), 0.0
-    w_rows = values.tolist()
     match_row, u, v = _solve_assignment(w_rows)
-    tol = 1e-9 * max(1.0, float(np.abs(values).max()))
+    tol = 1e-9 * max(1.0, big)
     tight = [[c for c, (vc, wc) in enumerate(zip(v, row)) if ur + vc - wc <= tol]
              for ur, row in zip(u, w_rows)]
     assign = _lexicographic_refine(tight, match_row)

@@ -42,7 +42,9 @@ does not depend on the batch it was computed in.  ``RateOracle.rate``
 answers one group, ``RateOracle.rates`` a list of groups in one bulk
 query, and ``RateOracle.precompute`` fills the memo per group size.
 Groups are checked and put in canonical order by
-``grouping.canonical_group``.
+``grouping.canonical_group``, except a tuple already in the memo: memo
+keys were checked when they were stored.  The MCS lookup (``_mcs_rates``)
+is built once per oracle, on its first computation, with its user Gram.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ __all__ = [
     "PhyConfig",
     "McsEntry",
     "DEFAULT_MCS_TABLE",
+    "MAX_POWER",
+    "MAX_POWER_RATIO",
     "RateOracle",
     "make_rate_oracle",
     "phy_rate",
@@ -77,6 +81,11 @@ _CERT_LIMIT = _COND_LIMIT / 100
 
 # most (group, subcarrier) rows that one ``_zf_sinr`` call gathers
 _MAX_BATCH_ROWS = 1024
+
+# largest total_power or noise_power, and largest total_power / noise_power
+# (600 dB); ``PhyConfig`` derives why every SINR intermediate stays finite
+MAX_POWER = 1e60
+MAX_POWER_RATIO = 1e60
 
 # 40 MHz OFDM numerology and MAC framing constants
 DATA_SUBCARRIERS = 108
@@ -121,7 +130,23 @@ DEFAULT_MCS_TABLE: tuple[McsEntry, ...] = (
 
 @dataclass(frozen=True)
 class PhyConfig:
-    """Link-budget and rate-model parameters."""
+    """Link-budget and rate-model parameters.
+
+    ``total_power`` and ``noise_power`` are at most ``MAX_POWER`` and their
+    ratio P / N0 at most ``MAX_POWER_RATIO``, so that every intermediate of
+    ``_zf_sinr``, SINR = (p tr G) / (N0 [A^-1]_mm) with p = P / k and
+    A = G / tr G, is finite for channels within ``MAX_CHANNEL_MAGNITUDE``
+    (1e100 per real or imaginary part) and any antenna count Nt < 1e40:
+
+    * a Gram diagonal entry is at most 2e200 Nt, so p tr G <= P 2e200 Nt
+      <= 2e260 Nt;
+    * [A^-1]_mm >= 1 / A_mm >= 1, and on a kept row (cond G <= 1e12)
+      [A^-1]_mm <= 1 / lambda_min(A) <= k 1e12 (a discarded row is set to
+      1), so N0 [A^-1]_mm <= 1e72 k;
+    * SINR <= (P / N0) 2e200 Nt <= 2e260 Nt.
+
+    All three stay below 1e301, far from overflow at 1.8e308.
+    """
 
     bandwidth_hz: float = 40e6
     noise_power: float = 1.0
@@ -135,6 +160,11 @@ class PhyConfig:
                    for v in (self.bandwidth_hz, self.noise_power, self.total_power)):
             raise ValueError(
                 "bandwidth_hz, noise_power and total_power must be finite and positive")
+        if not (self.total_power <= MAX_POWER and self.noise_power <= MAX_POWER):
+            raise ValueError(f"noise_power and total_power must be at most {MAX_POWER:g}")
+        if not self.total_power / self.noise_power <= MAX_POWER_RATIO:
+            raise ValueError(
+                f"total_power / noise_power must be at most {MAX_POWER_RATIO:g}")
 
 
 def _user_gram(channels: ChannelSet) -> np.ndarray:
@@ -254,12 +284,12 @@ def _mcs_rates(cfg: PhyConfig):
 
 
 def _batch_rates(gram: np.ndarray, groups: list[tuple[int, ...]],
-                 cfg: PhyConfig) -> np.ndarray:
+                 cfg: PhyConfig, mcs) -> np.ndarray:
     """Rates of same-size groups, averaged over subcarriers; 0 for a group
     that is rank deficient on any subcarrier.  ``_zf_sinr`` takes them in
     chunks of at most ``_MAX_BATCH_ROWS`` rows (whole groups, at least one
-    per chunk); the MCS lookup is built once for all chunks."""
-    mcs = _mcs_rates(cfg) if cfg.rate_mode is RateMode.MCS_MAPPED else None
+    per chunk).  ``mcs`` is the MCS lookup of ``cfg`` (``_mcs_rates``), or
+    None for Shannon rates."""
     step = max(1, _MAX_BATCH_ROWS // gram.shape[2])
     rates = []
     for i in range(0, len(groups), step):
@@ -270,7 +300,8 @@ def _batch_rates(gram: np.ndarray, groups: list[tuple[int, ...]],
         else:
             # summed user by user in order, like a scalar loop over the users
             per_sc = np.add.accumulate(mcs(sinr), axis=1)[:, -1]
-        chunk_rates = per_sc.reshape(len(chunk), -1).mean(axis=1)
+        # the sum and divide of mean(axis=1), without its Python wrapper
+        chunk_rates = per_sc.reshape(len(chunk), -1).sum(axis=1) / gram.shape[2]
         chunk_rates[~ok.reshape(len(chunk), -1).all(axis=1)] = 0.0
         rates.append(chunk_rates)
     return np.concatenate(rates)
@@ -285,14 +316,17 @@ class RateOracle:
     which batches them per group size in chunks of at most
     ``_MAX_BATCH_ROWS`` (group, subcarrier) rows; ``rate(g)`` is a query
     of one.  Each query adds one to ``query_count`` and each computed
-    group one to ``compute_count``.
+    group one to ``compute_count``.  A group is checked by ``_check``
+    unless it is a tuple already in the memo, whose keys were checked
+    when they were stored.
 
-    The first computation builds the oracle's user Gram (``_user_gram``,
-    SC*M^2*16 bytes), from which ``_zf_sinr`` gathers every group's Gram
-    matrix for its LDL^H elimination.  The Gram belongs to this oracle
-    alone and lives as long as it does, so a solve on a fresh oracle
-    starts cold.  Thread safe: concurrent identical queries return
-    identical values.
+    The first computation builds the oracle's MCS lookup (``_mcs_rates``,
+    in MCS mode; an empty table raises ``ConfigurationError`` there) and
+    its user Gram (``_user_gram``, SC*M^2*16 bytes), from which
+    ``_zf_sinr`` gathers every group's Gram matrix for its LDL^H
+    elimination.  Both belong to this oracle alone and live as long as it
+    does, so a solve on a fresh oracle starts cold.  Thread safe:
+    concurrent identical queries return identical values.
     """
 
     def __init__(self, channels: ChannelSet, cfg: PhyConfig, max_group_size: int):
@@ -311,6 +345,7 @@ class RateOracle:
         self.compute_count = 0
         self._memo: dict[tuple[int, ...], float] = {}
         self._gram: np.ndarray | None = None
+        self._mcs = None
         self._lock = threading.Lock()
 
     def _check(self, group) -> tuple[int, ...]:
@@ -323,6 +358,11 @@ class RateOracle:
             raise ValueError(f"group {members} out of range for {self.num_users} users")
         return members
 
+    def _members(self, groups) -> list[tuple[int, ...]]:
+        """Each group checked, except a tuple already in the memo."""
+        memo, check = self._memo, self._check
+        return [g if type(g) is tuple and g in memo else check(g) for g in groups]
+
     def rate(self, group) -> float:
         return self.rates([group])[0]
 
@@ -333,7 +373,7 @@ class RateOracle:
         a bad group leaves the memo and both counters as they were.  The
         groups not yet memoized go through ``precompute`` unchecked.
         """
-        members = [self._check(g) for g in groups]
+        members = self._members(groups)
         with self._lock:
             self.query_count += len(members)
             missing = [m for m in members if m not in self._memo]
@@ -349,17 +389,20 @@ class RateOracle:
         Every group is checked first, unless ``checked`` says the groups
         are canonical and in range already, as ``rates`` passes them.
         """
-        members = groups if checked else [self._check(g) for g in groups]
+        members = groups if checked else self._members(groups)
         with self._lock:
-            todo: dict[int, set[tuple[int, ...]]] = {}
+            todo: dict[int, dict[tuple[int, ...], None]] = {}
             for m in members:
                 if m not in self._memo:
-                    todo.setdefault(len(m), set()).add(m)
+                    todo.setdefault(len(m), {})[m] = None
             if todo and self._gram is None:
+                # the lookup first: an empty table raises at every query
+                if self.cfg.rate_mode is RateMode.MCS_MAPPED:
+                    self._mcs = _mcs_rates(self.cfg)
                 self._gram = _user_gram(self.channels)
             for size_groups in todo.values():
                 unique = sorted(size_groups)
-                rates = _batch_rates(self._gram, unique, self.cfg)
+                rates = _batch_rates(self._gram, unique, self.cfg, self._mcs)
                 self.compute_count += len(unique)
                 self._memo.update(zip(unique, rates.tolist()))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mugroup import baselines
+from mugroup import baselines, phy
 from mugroup.baselines import SusParams, random_grouping, sus_grouping, zfs_grouping
 from mugroup.channel import ChannelSet, correlation_matrix
 from mugroup.gma import gma, optimal_mu2_su
@@ -278,6 +278,55 @@ class ScalarOracle(RateOracle):
 
     def rates(self, groups):
         return [RateOracle.rates(self, [g])[0] for g in groups]
+
+
+def counted_kernel_calls(monkeypatch) -> list[int]:
+    """Group size of every ``phy._batch_rates`` call from now on."""
+    calls = []
+    batch_rates = phy._batch_rates
+
+    def counted(gram, groups, *args):
+        calls.append(len(groups[0]))
+        return batch_rates(gram, groups, *args)
+
+    monkeypatch.setattr(phy, "_batch_rates", counted)
+    return calls
+
+
+class TestKernelCalls:
+    """A cold solve asks for its rates in as few kernel calls as its own
+    logic allows."""
+
+    @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
+    def test_sus_one_call_per_group_size_of_the_sweep(self, cfg, monkeypatch):
+        channels, _ = rician_oracle(40, 4, seed=40, sc=8, rho=0.8, correlated=20, phy=cfg)
+        runs = [sus_grouping(channels, make_rate_oracle(channels, cfg, 4), 40, 4,
+                             SusParams(sweep=(a,))) for a in SusParams().sweep]
+        union = {g for run in runs for g in run.groups}
+        sizes = {len(g) for g in union}
+        calls = counted_kernel_calls(monkeypatch)
+        oracle = make_rate_oracle(channels, cfg, 4)
+        swept = sus_grouping(channels, oracle, 40, 4)
+        assert len(sizes) > 1 and sorted(calls) == sorted(sizes)
+        assert oracle.compute_count == len(union)
+        assert swept.objective_value == max(run.objective_value for run in runs)
+
+    @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
+    def test_zfs_one_call_for_singles_and_one_per_greedy_step(self, cfg, monkeypatch):
+        channels, oracle = rician_oracle(40, 4, seed=41, sc=8, rho=0.8, correlated=20, phy=cfg)
+        queries = []
+        rates = oracle.rates
+
+        def counted_rates(groups):
+            queries.append(len(groups))
+            return rates(groups)
+
+        monkeypatch.setattr(oracle, "rates", counted_rates)
+        calls = counted_kernel_calls(monkeypatch)
+        zfs_grouping(oracle, 40, 4)
+        steps = len(queries) - 2  # the singles and the final objective
+        assert steps > 0 and len(calls) == 1 + steps
+        assert calls[0] == 1 and min(calls[1:]) >= 2
 
 
 class TestBulkQueries:

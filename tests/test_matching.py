@@ -238,6 +238,31 @@ class TestHungarian:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             hungarian(np.array([[np.inf, 1.0]]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                hungarian([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(ValueError, match="finite"):
+            hungarian([[np.inf, -np.inf], [1.0, 2.0]])
+
+    def test_not_two_dimensional(self):
+        for bad in ([1.0, 2.0], [[[1.0]]], np.ones(2), np.ones((1, 1, 1))):
+            with pytest.raises(ValueError, match="2-D"):
+                hungarian(bad)
+
+    def test_row_sum_overflow_is_finite(self):
+        # the row sum overflows, every entry is finite
+        assign, benefit = hungarian([[1e308, 1e308], [1.0, 2.0]])
+        assert assign == (0, 1) and benefit == 1e308 + 2.0
+
+    def test_list_numpy_and_int_inputs_agree(self):
+        rng = np.random.default_rng(14)
+        for n in range(0, 9):
+            w = rng.integers(-9, 10, size=(n, n))
+            want = hungarian(w.astype(float))
+            for same in (w, w.tolist(), w.astype(float).tolist(), w.astype(np.float32),
+                         list(w.astype(float))):
+                got = hungarian(same)
+                assert got == want and type(got[1]) is float
 
     def test_matches_brute_force_random(self):
         rng = np.random.default_rng(2)

@@ -11,6 +11,8 @@ from mugroup.errors import ConfigurationError
 from mugroup.phy import (
     DEFAULT_MCS_TABLE,
     MAC_OVERHEAD_FACTOR,
+    MAX_POWER,
+    MAX_POWER_RATIO,
     McsEntry,
     PhyConfig,
     RateMode,
@@ -371,8 +373,55 @@ class TestRateOracle:
         cfg = PhyConfig(rate_mode=RateMode.MCS_MAPPED, mcs_table=())
         with pytest.raises(ConfigurationError):
             group_rate(identity_channels(2), (0,), cfg)
+        oracle = make_rate_oracle(identity_channels(2), cfg, 1)
+        for _ in range(2):  # nothing is kept from a failed first compute
+            with pytest.raises(ConfigurationError):
+                oracle.rate((0,))
         with pytest.raises(ConfigurationError):
-            make_rate_oracle(identity_channels(2), cfg, 1).rate((0,))
+            oracle.precompute([(0,)])
+        assert oracle.compute_count == 0 and not oracle._memo
+
+    def test_mcs_lookup_built_once_per_oracle(self, monkeypatch):
+        import mugroup.phy as phy
+
+        built = []
+
+        def counted(cfg):
+            built.append(cfg)
+            return _mcs_rates(cfg)
+
+        monkeypatch.setattr(phy, "_mcs_rates", counted)
+        channels, _ = rician_oracle(8, 3, seed=22, sc=8)
+        for cfg, builds in ((PhyConfig(), 0), (MCS_WITH_MAC, 1)):
+            built.clear()
+            oracle = make_rate_oracle(channels, cfg, 3)
+            assert not built  # built on the first compute, with the Gram
+            oracle.rate((0,))
+            oracle.rates([(1, 2), (0, 3, 4), (5,)])
+            oracle.precompute([g for s in (1, 2, 3) for g in combinations(range(8), s)])
+            assert len(built) == builds
+            fresh = make_rate_oracle(channels, cfg, 3)
+            assert fresh.rates([(1, 2), (0, 3, 4)]) == oracle.rates([(1, 2), (0, 3, 4)])
+            assert len(built) == 2 * builds
+
+    def test_memo_hits_skip_the_check_only_when_valid(self):
+        # a memoized tuple skips the check; any other group is checked as
+        # before, so every query returns the value or raises the error it did
+        _, oracle = rician_oracle(6, 3, seed=23, sc=8)
+        value = oracle.rate((0, 1, 2))
+        same = [[2, 0, 1], (2, 0, 1), (np.int64(0), 1, 2), (0, 1, 2)]
+        assert oracle.rates(same) == [value] * len(same)
+        oracle.precompute(same)
+        assert (oracle.query_count, oracle.compute_count) == (1 + len(same), 1)
+        bad = {(0, 0, 1): "distinct", (0, 1, 2, 3): "max group size", (0, 1, 6): "out of range",
+               (-1, 0, 1): "out of range"}
+        for group, message in bad.items():
+            for query in (oracle.rate, lambda g: oracle.rates([(0, 1, 2), (0, 1, 2), g]),
+                          lambda g: oracle.precompute([(0, 1, 2), g])):
+                with pytest.raises(ValueError, match=message):
+                    query(group)
+                assert (oracle.query_count, oracle.compute_count) == (1 + len(same), 1)
+        assert list(oracle._memo) == [(0, 1, 2)]
 
     def test_each_oracle_builds_its_own_gram(self):
         channels, _ = rician_oracle(6, 3, seed=21, sc=8)
@@ -499,10 +548,11 @@ class TestConditioningMask:
 
         channels = degenerate_channels(9, sc, seed=19)
         gram = phy._user_gram(channels)
+        mcs = _mcs_rates(cfg) if cfg.rate_mode is RateMode.MCS_MAPPED else None
         for k in (1, 2, 3, 4):
             groups = list(combinations(range(9), k))
             expected = [closed_form_rate(channels, g, cfg) for g in groups]
-            assert phy._batch_rates(gram, groups, cfg).tolist() == expected
+            assert phy._batch_rates(gram, groups, cfg, mcs).tolist() == expected
 
     def test_svd_only_for_uncertified_rows(self, monkeypatch):
         svd_rows = []
@@ -641,6 +691,36 @@ class TestMcsMapping:
 
 
 class TestPhyConfig:
+    def test_overflowing_power_ratio_refused(self):
+        # P / N0 = 1e600 used to overflow the SINR to inf
+        with pytest.raises(ValueError, match="1e\\+60"):
+            PhyConfig(noise_power=1e-300, total_power=1e300)
+        with pytest.raises(ValueError, match="total_power / noise_power .* 1e\\+60"):
+            PhyConfig(noise_power=1e-50, total_power=1e11)
+        with pytest.raises(ValueError, match="noise_power and total_power .* 1e\\+60"):
+            PhyConfig(noise_power=1e61, total_power=1e61)
+
+    @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
+    @pytest.mark.parametrize("noise", [MAX_POWER / MAX_POWER_RATIO, MAX_POWER])
+    def test_largest_accepted_corner_stays_finite(self, cfg, noise):
+        import dataclasses
+
+        import mugroup.phy as phy
+
+        corner = dataclasses.replace(cfg, total_power=MAX_POWER, noise_power=noise)
+        channels, _ = rician_oracle(8, 4, seed=24, sc=8, nt=4)
+        h = channels.entries / np.abs(channels.entries.view(np.float64)).max() * 1e100
+        scaled = ChannelSet(8, 4, 8, h)
+        assert np.abs(scaled.entries.view(np.float64)).max() == 1e100
+        groups = [g for s in (1, 2, 3, 4) for g in combinations(range(8), s)]
+        with np.errstate(all="raise"):
+            gram = phy._user_gram(scaled)
+            for k in (1, 2, 3, 4):
+                sinr, ok = phy._zf_sinr(gram, [g for g in groups if len(g) == k], corner)
+                assert np.isfinite(sinr).all() and ok.all()
+            values = make_rate_oracle(scaled, corner, 4).rates(groups)
+        assert all(math.isfinite(v) and v > 0.0 for v in values)
+
     def test_positive_parameters(self):
         with pytest.raises(ValueError):
             PhyConfig(bandwidth_hz=0)
