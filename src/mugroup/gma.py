@@ -28,16 +28,22 @@ def optimal_mu2_su(oracle, num_users: int) -> GroupingSolution:
     w(i, j) = 2 R({i,j}) - R({i}) - R({j}); a maximum-weight matching
     over the positive-gain edges therefore yields the optimal partition,
     with unmatched users served alone.
+
+    The singles query checks the user range, and the pairs are canonical,
+    so when the oracle takes pairs they fill its memo with one unchecked
+    ``precompute``; otherwise the pairs query raises the oracle's error.
     """
     if num_users < 1:
         raise ValueError("num_users must be >= 1")
     singles = oracle.rates([(u,) for u in range(num_users)])
     pairs = [(i, j) for i in range(num_users) for j in range(i + 1, num_users)]
-    edges = []
-    for (i, j), pair_rate in zip(pairs, oracle.rates(pairs)):
-        gain = 2.0 * pair_rate - singles[i] - singles[j]
-        if gain > 0.0:
-            edges.append((i, j, gain))
+    if oracle.max_group_size >= 2:
+        oracle.precompute(pairs, checked=True)
+    edges = [
+        (i, j, gain)
+        for (i, j), pair_rate in zip(pairs, oracle.rates(pairs))
+        if (gain := 2.0 * pair_rate - singles[i] - singles[j]) > 0.0
+    ]
     groups = list(max_weight_matching(WeightedGraph(num_users, tuple(edges))))
     paired = {u for pair in groups for u in pair}
     groups.extend((u,) for u in range(num_users) if u not in paired)

@@ -133,18 +133,24 @@ def count_partitions(num_users: int, max_size: int) -> int:
 
 def _rates_by_mask(num_users: int, max_size: int, oracle):
     """The 2**M table of subset rates by member bitmask, 0 above max_size,
-    filled from one bulk query."""
-    subsets = [
-        subset
-        for size in range(1, max_size + 1)
-        for subset in combinations(range(num_users), size)
-    ]
+    filled from one bulk query.
+
+    The subsets come from ``combinations``, so they are canonical; once
+    the batch as a whole fits the oracle (``num_users`` and ``max_size``
+    within its bounds) they fill the memo with one ``precompute`` that
+    checks no subset, and the query reads memo hits only.  A batch that
+    does not fit skips the fill, so the query raises the oracle's error
+    for its first bad subset.  Each subset's bitmask is the sum of its
+    members' bits, taken by ``combinations`` in the same order.
+    """
+    sizes = range(1, max_size + 1)
+    subsets = [s for size in sizes for s in combinations(range(num_users), size)]
+    if num_users <= oracle.num_users and max_size <= oracle.max_group_size:
+        oracle.precompute(subsets, checked=True)
+    bits = [1 << u for u in range(num_users)]
+    masks = [sum(s) for size in sizes for s in combinations(bits, size)]
     rates = np.zeros(2 ** num_users, dtype=np.float64)
-    for subset, rate in zip(subsets, oracle.rates(subsets)):
-        mask = 0
-        for u in subset:
-            mask |= 1 << u
-        rates[mask] = rate
+    rates[masks] = oracle.rates(subsets)
     return rates
 
 
@@ -184,7 +190,10 @@ def search_best_partition(rates: np.ndarray, n: int, max_block: int):
     a state's value is final before its layer expands.  Only reached
     states (count > 0) expand; many are never reached, such as {1}
     without {0}.  Each layer runs as numpy batches of at most
-    ``_BATCH_CELLS`` (state, block) cells, which bounds the memory.
+    ``_BATCH_CELLS`` (state, block) cells, which bounds the memory.  A
+    batch finds its disjoint cells by ``flatnonzero`` over the flattened
+    (state x shape) test and splits each flat index with ``divmod``,
+    row-major order as a 2-D ``nonzero`` gives them, at less cost.
 
     At a state the candidate with the largest score is kept and, among
     exactly equal scores, the one whose block-index string
@@ -222,7 +231,8 @@ def search_best_partition(rates: np.ndarray, n: int, max_block: int):
         sources = np.flatnonzero(count[(1 << low) - 1 :: step])
         per = max(1, _BATCH_CELLS // len(shapes))
         for start in range(0, len(sources), per):
-            rows, cols = np.nonzero((sources[start : start + per, None] & shapes) == 0)
+            disjoint = (sources[start : start + per, None] & shapes) == 0
+            rows, cols = np.divmod(np.flatnonzero(disjoint), len(shapes))
             t = (1 << low) - 1 + sources[start + rows] * step
             b = (1 << low) + shapes[cols] * step
             s = t + b

@@ -42,8 +42,9 @@ does not depend on the batch it was computed in.  ``RateOracle.rate``
 answers one group, ``RateOracle.rates`` a list of groups in one bulk
 query, and ``RateOracle.precompute`` fills the memo per group size.
 Groups are checked and put in canonical order by
-``grouping.canonical_group``, except a tuple already in the memo: memo
-keys were checked when they were stored.  The MCS lookup (``_mcs_rates``)
+``grouping.canonical_group``, except a tuple already in the memo (memo
+keys were checked when they were stored) and a batch that its caller
+passes to ``precompute`` as checked.  The MCS lookup (``_mcs_rates``)
 is built once per oracle, on its first computation, with its user Gram.
 """
 
@@ -53,6 +54,7 @@ import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -200,8 +202,8 @@ def _zf_sinr(gram: np.ndarray, groups: list[tuple[int, ...]], cfg: PhyConfig):
     clears keep the values of the one elimination, whose pivots are at
     least lambda_min(A) >= 1 / (k ``_COND_LIMIT``) > 0 there.
     """
-    idx = np.asarray(groups).T
-    k = idx.shape[0]
+    n, k = len(groups), len(groups[0])
+    idx = np.fromiter(chain.from_iterable(groups), np.intp, n * k).reshape(n, k).T
     g = gram[idx[:, None, :], idx[None, :, :]].reshape(k, k, -1)  # (k, k, n*sc)
     tr = sum(g[m, m].real for m in range(k))
     scale = np.where(tr > 0, tr, 1.0)
@@ -387,7 +389,11 @@ class RateOracle:
         each of at most ``_MAX_BATCH_ROWS`` (group, subcarrier) rows.
 
         Every group is checked first, unless ``checked`` says the groups
-        are canonical and in range already, as ``rates`` passes them.
+        are canonical and in range already.  Three callers pass it:
+        ``rates`` for its checked misses, ``grouping._rates_by_mask`` for
+        the subsets of a full search that fits the oracle, and
+        ``gma.optimal_mu2_su`` for its pairs once the singles query has
+        checked the user range.
         """
         members = groups if checked else self._members(groups)
         with self._lock:

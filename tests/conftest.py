@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mugroup.channel import ChannelSet, CorrelatedRicianSpec, generate_rician
-from mugroup.phy import PhyConfig, RateMode, make_rate_oracle
+from mugroup.phy import PhyConfig, RateMode, RateOracle, make_rate_oracle
 
 
 class FixtureOracle:
@@ -30,6 +30,10 @@ class FixtureOracle:
 
     def rates(self, groups):
         return [self.rate(g) for g in groups]
+
+    def precompute(self, groups, *, checked=False):
+        """Nothing to fill: every rate is in the table already, and only
+        queries count."""
 
 
 def vdot_correlation(channels, i, j):
@@ -114,6 +118,20 @@ def phy_unit():
 
 
 MCS_WITH_MAC = PhyConfig(rate_mode=RateMode.MCS_MAPPED, mac_overhead_enabled=True)
+
+
+@pytest.fixture
+def check_calls(monkeypatch) -> list:
+    """The group of every ``RateOracle._check`` call from now on."""
+    calls = []
+    check = RateOracle._check
+
+    def counted(self, group):
+        calls.append(group)
+        return check(self, group)
+
+    monkeypatch.setattr(RateOracle, "_check", counted)
+    return calls
 
 
 def rician_oracle(m, nu, seed, *, k_db=8.0, rho=0.0, correlated=0, nt=4, sc=1,

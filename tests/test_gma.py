@@ -49,6 +49,25 @@ class TestOptimalMu2Su:
             full = exhaustive_search(m, 2, oracle)
             assert fast.objective_value == full.objective_value
 
+    def test_cold_solve_checks_singles_only(self, check_calls):
+        # the singles query checks the user range; the 66 pairs then fill
+        # the memo unchecked, and the objective reads memo hits
+        _, oracle = rician_oracle(12, 4, seed=12)
+        optimal_mu2_su(oracle, 12)
+        assert check_calls == [(u,) for u in range(12)]
+
+    def test_pairs_beyond_the_group_cap_raise(self):
+        _, oracle = rician_oracle(5, 1, seed=5)
+        with pytest.raises(ValueError, match=r"group \(0, 1\) exceeds max group size 1"):
+            optimal_mu2_su(oracle, 5)
+        assert (oracle.query_count, oracle.compute_count) == (5, 5)  # the singles
+
+    def test_users_beyond_the_oracle_raise(self):
+        _, oracle = rician_oracle(5, 2, seed=5)
+        with pytest.raises(ValueError, match=r"group \(5,\) out of range for 5 users"):
+            optimal_mu2_su(oracle, 6)
+        assert (oracle.query_count, oracle.compute_count) == (0, 0)
+
     @pytest.mark.parametrize("m", [12, 14, 16])
     def test_matches_full_search_on_rician(self, m):
         _, oracle = rician_oracle(m, 2, seed=m)

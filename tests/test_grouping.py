@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from mugroup.grouping import (
 )
 from mugroup.phy import PhyConfig, RateOracle
 
-from conftest import FixtureOracle, random_oracle, rician_oracle
+from conftest import MCS_WITH_MAC, FixtureOracle, random_oracle, rician_oracle
 from reference import enumerate_partitions
 
 
@@ -241,6 +243,42 @@ class TestHypergraph:
         assert rates[mask((0, 1))] == 3.5
         assert rates[mask((2,))] == 4.0
         assert rates[mask((0, 1, 2))] == 0.0  # above max_size
+
+    def test_cold_full_search_checks_no_subset(self, check_calls):
+        # the 385 subsets of size <= 4 fit the oracle as one batch, so
+        # none of them is checked on its own
+        _, oracle = rician_oracle(10, 4, seed=0)
+        sol = exhaustive_search(10, 4, oracle)
+        assert check_calls == []
+        assert oracle.query_count == 385 + len(sol.groups)  # table, objective
+
+    @pytest.mark.parametrize("m, smax, message", [
+        (7, 2, r"group \(6,\) out of range for 6 users"),
+        (6, 3, r"group \(0, 1, 2\) exceeds max group size 2"),
+    ])
+    def test_batch_beyond_the_oracle_raises(self, m, smax, message):
+        _, oracle = rician_oracle(6, 2, seed=0)
+        with pytest.raises(ValueError, match=message):
+            exhaustive_search(m, smax, oracle)
+        assert (oracle.query_count, oracle.compute_count, oracle._memo) == (0, 0, {})
+
+    @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
+    @pytest.mark.parametrize("m, smax", [(5, 2), (8, 3), (10, 4), (12, 4)])
+    def test_batch_fill_matches_per_group_queries(self, cfg, m, smax):
+        seed, sc = m + smax, 1 + m % 2 * 7
+        _, batch = rician_oracle(m, 4, seed, sc=sc, phy=cfg)
+        _, single = rician_oracle(m, 4, seed, sc=sc, phy=cfg)
+        table = _rates_by_mask(m, smax, batch)
+        want = np.zeros(2 ** m)
+        for size in range(1, smax + 1):
+            for g in combinations(range(m), size):
+                want[mask(g)] = single.rates([g])[0]
+        assert table.tobytes() == want.tobytes()
+        assert batch.query_count == single.query_count
+        assert batch.compute_count == single.compute_count
+        assert list(batch._memo) == list(single._memo)
+        assert (np.array(list(batch._memo.values())).tobytes()
+                == np.array(list(single._memo.values())).tobytes())
 
 
 # A 12-vertex instance with ten hyperedges: three pair edges, four triples
