@@ -13,6 +13,7 @@ member adds no direction where its residual is at rounding level (``_RANK_TOL``)
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,32 +52,36 @@ def zfs_grouping(oracle, num_users: int, max_size: int) -> GroupingSolution:
     Seeds each group with the best remaining single-user rate, then keeps
     adding the user that most improves the group's weighted rate
     |g| * R(g), stopping when no addition strictly helps or the cap is
-    reached.
+    reached.  Members are a sorted tuple and ``bisect`` insertion keeps
+    each candidate canonical, so once the singles query has checked the
+    user range a step within the oracle's cap fills its candidates with one
+    unchecked ``precompute`` and queries memo hits; a step past the cap
+    skips the fill, and its query raises the oracle's error.
     """
     singles = oracle.rates([(u,) for u in range(num_users)])
     remaining = set(range(num_users))
     groups = []
     while remaining:
         seed = max(sorted(remaining), key=lambda u: singles[u])
-        members = [seed]
+        members = (seed,)
         remaining.remove(seed)
         current = singles[seed]
         while len(members) < max_size and remaining:
-            best_user = -1
-            best_weighted = current
             order = sorted(remaining)
-            cands = [(*members, u) for u in order]  # the oracle's check sorts each
+            cands = [members[:(at := bisect(members, u))] + (u,) + members[at:] for u in order]
+            size = len(members) + 1
+            if size <= oracle.max_group_size:
+                oracle.precompute(cands, checked=True)
+            best, best_weighted = None, current
             for u, cand, cand_rate in zip(order, cands, oracle.rates(cands)):
-                weighted = len(cand) * cand_rate
+                weighted = size * cand_rate
                 if weighted > best_weighted:
-                    best_weighted = weighted
-                    best_user = u
-            if best_user < 0:
+                    best, best_weighted = (u, cand), weighted
+            if best is None:
                 break
-            members.append(best_user)
-            remaining.remove(best_user)
-            current = best_weighted
-        groups.append(canonical_group(members))
+            remaining.remove(best[0])
+            members, current = best[1], best_weighted
+        groups.append(members)
     return GroupingSolution(groups, num_users, objective(groups, oracle))
 
 

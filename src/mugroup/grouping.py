@@ -225,6 +225,7 @@ def search_best_partition(rates: np.ndarray, n: int, max_block: int):
     count = np.zeros(full + 1, dtype=np.int64)
     key = np.zeros(full + 1, dtype=np.int64)  # block-index string of the kept path
     best[0], count[0] = 0.0, 1
+    no_key = np.iinfo(np.int64).max  # above every block-index string
     for low in range(n):
         step = 2 << low  # a state or block shape k * step covers bits above low
         shapes = np.flatnonzero(size[: (full + 1) // step] < max_block)
@@ -242,7 +243,7 @@ def search_best_partition(rates: np.ndarray, n: int, max_block: int):
             np.maximum.at(best, s, value)
             lead = np.flatnonzero(value == best[s])  # candidates at the max
             at = s[lead]
-            key[at[value[lead] > before[lead]]] = np.iinfo(np.int64).max  # a new max
+            key[at[value[lead] > before[lead]]] = no_key  # a new max
             np.minimum.at(key, at, key[t[lead]] + place[full - at])
     assign = key[full] >> 4 * np.arange(n - 1, -1, -1) & 15
     return int(count[full]), float(best[full]), assign

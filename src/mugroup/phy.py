@@ -37,10 +37,12 @@ one, so every solve on a fresh oracle starts cold.  A batch of same-size
 groups gathers its Gram matrices from U and eliminates them together, at
 most ``_MAX_BATCH_ROWS`` (group, subcarrier) rows per chunk, so the
 memory of a batch does not grow with its length.  With no LAPACK call,
-each numpy call applies one real operation to all rows alike, so a rate
-does not depend on the batch it was computed in.  ``RateOracle.rate``
-answers one group, ``RateOracle.rates`` a list of groups in one bulk
-query, and ``RateOracle.precompute`` fills the memo per group size.
+each numpy call applies one real operation to all rows alike, and sums
+over members run in member order on an axis that numpy does not sum
+pairwise, so a rate does not depend on the batch it was computed in (the
+tests hold it to the bits of one call per step, ``stepwise_batch_rates``).
+``RateOracle.rate`` answers one group, ``RateOracle.rates`` a list of
+groups in one bulk query, and ``RateOracle.precompute`` fills the memo.
 Groups are checked and put in canonical order by
 ``grouping.canonical_group``, except a tuple already in the memo (memo
 keys were checked when they were stored) and a batch that its caller
@@ -178,12 +180,14 @@ def _user_gram(channels: ChannelSet) -> np.ndarray:
     """
     m, sc = channels.num_users, channels.num_subcarriers
     gram = np.zeros((m, m, sc), dtype=np.complex128)
+    term = np.empty_like(gram)  # one product buffer for every antenna
     for t in range(channels.num_tx_antennas):
         h = channels.entries[:, t, :]
-        gram += h[:, None, :] * np.conj(h[None, :, :])
+        gram += np.multiply(h[:, None, :], np.conj(h[None, :, :]), out=term)
     return gram
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _zf_sinr(gram: np.ndarray, groups: list[tuple[int, ...]], cfg: PhyConfig):
     """Zero-forcing SINR of same-size groups on every subcarrier at once.
 
@@ -200,23 +204,25 @@ def _zf_sinr(gram: np.ndarray, groups: list[tuple[int, ...]], cfg: PhyConfig):
     rounding cannot bridge: it is ok without an SVD.  The rest get the
     exact rule, one SVD each, so ``ok`` is that rule's mask.  The rows it
     clears keep the values of the one elimination, whose pivots are at
-    least lambda_min(A) >= 1 / (k ``_COND_LIMIT``) > 0 there.
+    least lambda_min(A) >= 1 / (k ``_COND_LIMIT``) > 0 there.  Other rows
+    (zero trace, a pivot not positive or subnormal) may hold inf or NaN on
+    the way, with warnings off; they get [A^-1]_mm = 1 and rate 0 anyway.
     """
     n, k = len(groups), len(groups[0])
-    idx = np.fromiter(chain.from_iterable(groups), np.intp, n * k).reshape(n, k).T
+    # member-major and C-ordered, so the gathered g is C-contiguous
+    idx = np.fromiter(chain.from_iterable(zip(*groups)), np.intp, n * k).reshape(k, n)
     g = gram[idx[:, None, :], idx[None, :, :]].reshape(k, k, -1)  # (k, k, n*sc)
-    tr = sum(g[m, m].real for m in range(k))
-    scale = np.where(tr > 0, tr, 1.0)
-    inv_diag, ok = _ldl_inv_diag(g, scale)
+    # summed member by member: beside the (re, im) axis the member axis stays outer
+    tr = np.add.reduce(g.view(np.float64).reshape(k * k, -1)[::k + 1], axis=0)[::2]
+    inv_diag, ok = _ldl_inv_diag(g, tr)
     if not ok.all():
         rest = np.flatnonzero(~ok)
         ok[rest] = np.linalg.cond(np.moveaxis(g[:, :, rest], 2, 0)) <= _COND_LIMIT
-        inv_diag[~ok] = 1.0  # may have overflowed; the rate is 0 anyway
+        inv_diag[~ok] = 1.0
     p = cfg.total_power / k
     return (p * tr[:, None]) / (cfg.noise_power * inv_diag), ok
 
 
-@np.errstate(over="ignore")
 def _ldl_inv_diag(g: np.ndarray, scale: np.ndarray):
     """Diagonal of A^-1 for A = g / scale, g (k, k, rows) Hermitian.
 
@@ -224,13 +230,10 @@ def _ldl_inv_diag(g: np.ndarray, scale: np.ndarray):
     left and L^-1 on the right (Golub and Van Loan, 4.1), so [A^-1]_mm =
     sum_{j >= m} |(L^-1)_jm|^2 / D_j.  Returns ``inv_diag`` (rows, k) and
     ``cert`` (rows,), true where the pivots are all positive and multiply
-    to det A >= 1 / ``_CERT_LIMIT``; a pivot that is not positive is
-    replaced by 1.  The rows ``_zf_sinr`` keeps have pivots of at least
-    1 / (k ``_COND_LIMIT``), so only a discarded row can overflow (from a
-    subnormal pivot), and overflow is not reported.  Parts are divided as
-    reals (a complex divide takes 1/scale first, which overflows for a
-    subnormal trace); each numpy call applies one real operation to all
-    rows alike.
+    to det A >= 1 / ``_CERT_LIMIT``.  Parts are divided as reals (a
+    complex divide takes 1/scale first, which overflows for a subnormal
+    trace); each numpy call applies one real operation to all rows alike,
+    and each sum over members runs over an outer axis, so in index order.
     """
     k, rows = g.shape[0], g.shape[2]
     a = np.zeros((2, k, 2 * k, rows))  # real and imaginary parts of [A | I]
@@ -240,26 +243,24 @@ def _ldl_inv_diag(g: np.ndarray, scale: np.ndarray):
     work = np.empty(max(4 * (k - 1), 2 * k) * k * rows)
     for j in range(k - 1):
         # rows i > j: row i -= (a_ij / d) row j, on the k columns where row
-        # j is not yet zero; p[x, y] = l_x r_y over re/im parts x and y
+        # j is not yet zero; p[x, y] = l_x r_y over re/im parts x and y.
+        # Only this step reads column j below the pivot: l is divided in place.
         n, cols = k - j - 1, slice(j + 1, k + j + 1)
-        d = np.where(a[0, j, j] > 0.0, a[0, j, j], 1.0)
-        l, r = a[:, j + 1:, j] / d, a[:, j, cols]
+        l, r = a[:, j + 1:, j], a[:, j, cols]
+        l /= a[0, j, j]
         p = np.multiply(l[:, None, :, None], r[None, :, None],
                         out=work[:4 * n * k * rows].reshape(2, 2, n, k, rows))
         np.subtract(p[0, 0], p[1, 1], out=p[0, 0])
         np.add(p[0, 1], p[1, 0], out=p[0, 1])
         a[:, j + 1:, cols] -= p[0]
     # the pivots stay on the diagonal: later steps change later rows only
-    raw = a[0].reshape(2 * k * k, rows)[::2 * k + 1]
-    pivots = np.where(raw > 0.0, raw, 1.0)
-    cert = np.where(raw > 0.0, raw, 0.0).prod(axis=0) >= 1 / _CERT_LIMIT
+    pivots = a[0].reshape(2 * k * k, rows)[::2 * k + 1]
+    cert = np.maximum(pivots, 0.0).prod(axis=0) >= 1 / _CERT_LIMIT
     # t[j, m] = |(L^-1)_jm|^2 / D_j, exactly 0 for j < m
     sq = np.square(a[:, :, k:], out=work[:2 * k * k * rows].reshape(2, k, k, rows))
     t = np.add(sq[0], sq[1], out=sq[0])
     t /= pivots[:, None]
-    for j in range(1, k):
-        t[0] += t[j]
-    return np.ascontiguousarray(t[0].T), cert
+    return np.ascontiguousarray(np.add.reduce(t, axis=0).T), cert
 
 
 def _mcs_rates(cfg: PhyConfig):
@@ -292,8 +293,9 @@ def _batch_rates(gram: np.ndarray, groups: list[tuple[int, ...]],
     chunks of at most ``_MAX_BATCH_ROWS`` rows (whole groups, at least one
     per chunk).  ``mcs`` is the MCS lookup of ``cfg`` (``_mcs_rates``), or
     None for Shannon rates."""
-    step = max(1, _MAX_BATCH_ROWS // gram.shape[2])
-    rates = []
+    sc = gram.shape[2]
+    step = max(1, _MAX_BATCH_ROWS // sc)
+    rates = np.empty(len(groups))
     for i in range(0, len(groups), step):
         chunk = groups[i:i + step]
         sinr, ok = _zf_sinr(gram, chunk, cfg)
@@ -303,10 +305,10 @@ def _batch_rates(gram: np.ndarray, groups: list[tuple[int, ...]],
             # summed user by user in order, like a scalar loop over the users
             per_sc = np.add.accumulate(mcs(sinr), axis=1)[:, -1]
         # the sum and divide of mean(axis=1), without its Python wrapper
-        chunk_rates = per_sc.reshape(len(chunk), -1).sum(axis=1) / gram.shape[2]
-        chunk_rates[~ok.reshape(len(chunk), -1).all(axis=1)] = 0.0
-        rates.append(chunk_rates)
-    return np.concatenate(rates)
+        chunk_rates = np.divide(per_sc.reshape(-1, sc).sum(axis=1), sc, out=rates[i:i + step])
+        if not ok.all():
+            chunk_rates[~ok.reshape(-1, sc).all(axis=1)] = 0.0
+    return rates
 
 
 class RateOracle:
@@ -389,17 +391,19 @@ class RateOracle:
         each of at most ``_MAX_BATCH_ROWS`` (group, subcarrier) rows.
 
         Every group is checked first, unless ``checked`` says the groups
-        are canonical and in range already.  Three callers pass it:
+        are canonical and in range already.  Four callers pass it:
         ``rates`` for its checked misses, ``grouping._rates_by_mask`` for
         the subsets of a full search that fits the oracle, and
-        ``gma.optimal_mu2_su`` for its pairs once the singles query has
+        ``gma.optimal_mu2_su`` (its pairs) and ``baselines.zfs_grouping``
+        (each greedy step's candidates) once their singles query has
         checked the user range.
         """
         members = groups if checked else self._members(groups)
+        memo = self._memo
         with self._lock:
             todo: dict[int, dict[tuple[int, ...], None]] = {}
             for m in members:
-                if m not in self._memo:
+                if m not in memo:
                     todo.setdefault(len(m), {})[m] = None
             if todo and self._gram is None:
                 # the lookup first: an empty table raises at every query
@@ -410,7 +414,7 @@ class RateOracle:
                 unique = sorted(size_groups)
                 rates = _batch_rates(self._gram, unique, self.cfg, self._mcs)
                 self.compute_count += len(unique)
-                self._memo.update(zip(unique, rates.tolist()))
+                memo.update(zip(unique, rates.tolist()))
 
 
 def make_rate_oracle(channels: ChannelSet, cfg: PhyConfig, max_group_size: int) -> RateOracle:

@@ -6,7 +6,11 @@ are disjoint.
 ``closed_form_rate`` is the library's closed-form zero-forcing rate for
 one group, one subcarrier at a time, its LDL^H elimination
 (``ldl_inverse_diagonal``) written out in Python floats; ``inverse_rate``
-is the same rate from one LAPACK inverse per subcarrier.  ``zf_batch``,
+is the same rate from one LAPACK inverse per subcarrier.
+``stepwise_batch_rates`` (with ``stepwise_zf_sinr`` and
+``stepwise_ldl_inv_diag``) is the library's batched rate kernel written
+one numpy call per elementwise step, which the library must match bit
+for bit.  ``zf_batch``,
 ``zf_steering`` and ``group_rate`` build the zero-forcing steering
 vectors and sum the interference in full, the model the closed form is
 derived from; they use the plain SVD rank rule and raise
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from typing import Iterator
 
 import networkx as nx
@@ -34,7 +38,8 @@ import numpy as np
 from mugroup.errors import ConfigurationError, SearchSpaceError
 from mugroup.grouping import canonical_group
 from mugroup.matching import WeightedGraph
-from mugroup.phy import DEFAULT_MCS_TABLE, McsEntry, RateMode, _mcs_rates, phy_rate
+from mugroup.phy import (_CERT_LIMIT, _COND_LIMIT, _MAX_BATCH_ROWS, DEFAULT_MCS_TABLE, McsEntry,
+                         PhyConfig, RateMode, _mcs_rates, phy_rate)
 
 BRUTE_FORCE_VERTEX_LIMIT = 12
 
@@ -465,6 +470,114 @@ def closed_form_rate(channels, group, cfg) -> float:
         sinr = [(p * tr) / (cfg.noise_power * v) for v in ldl_inverse_diagonal(re, im)]
         rates.append(_subcarrier_rate(sinr, cfg))
     return float(np.mean(rates))
+
+
+# The rate kernel as it stood before its calls were merged: one numpy call
+# per elementwise step, pivots and a zero trace replaced by 1 before they
+# divide, and the member sums written out.  Bodies verbatim, names
+# prefixed; the library's ``_batch_rates`` must match its bits.
+
+
+def stepwise_batch_rates(gram: np.ndarray, groups: list[tuple[int, ...]],
+                         cfg: PhyConfig, mcs) -> np.ndarray:
+    """Rates of same-size groups, averaged over subcarriers; 0 for a group
+    that is rank deficient on any subcarrier.  ``_zf_sinr`` takes them in
+    chunks of at most ``_MAX_BATCH_ROWS`` rows (whole groups, at least one
+    per chunk).  ``mcs`` is the MCS lookup of ``cfg`` (``_mcs_rates``), or
+    None for Shannon rates."""
+    step = max(1, _MAX_BATCH_ROWS // gram.shape[2])
+    rates = []
+    for i in range(0, len(groups), step):
+        chunk = groups[i:i + step]
+        sinr, ok = stepwise_zf_sinr(gram, chunk, cfg)
+        if mcs is None:
+            per_sc = cfg.bandwidth_hz * np.log2(1.0 + sinr).sum(axis=1)
+        else:
+            # summed user by user in order, like a scalar loop over the users
+            per_sc = np.add.accumulate(mcs(sinr), axis=1)[:, -1]
+        # the sum and divide of mean(axis=1), without its Python wrapper
+        chunk_rates = per_sc.reshape(len(chunk), -1).sum(axis=1) / gram.shape[2]
+        chunk_rates[~ok.reshape(len(chunk), -1).all(axis=1)] = 0.0
+        rates.append(chunk_rates)
+    return np.concatenate(rates)
+
+
+def stepwise_zf_sinr(gram: np.ndarray, groups: list[tuple[int, ...]], cfg: PhyConfig):
+    """Zero-forcing SINR of same-size groups on every subcarrier at once.
+
+    Returns ``(sinr, ok)`` with one row per (group, subcarrier), group
+    major: ``sinr`` (n*sc, k) holds p tr(G) / (N0 [(G / tr G)^-1]_mm) for
+    member m, with G the group's k x k Gram matrix gathered from ``gram``
+    (``_user_gram``), and ``ok`` (n*sc,) marks rows whose G has condition
+    number at most ``_COND_LIMIT``, the only rows whose SINR means anything.
+
+    ``_ldl_inv_diag`` factors every A = G / tr G.  For positive-definite
+    G, cond(G) <= tr(G)^k / det G = 1 / det A (lambda_max <= tr G and
+    lambda_min >= det G / tr(G)^(k-1)), so a row with det A >= 1 /
+    ``_CERT_LIMIT`` has cond at most 1e10, 100x below the limit, which
+    rounding cannot bridge: it is ok without an SVD.  The rest get the
+    exact rule, one SVD each, so ``ok`` is that rule's mask.  The rows it
+    clears keep the values of the one elimination, whose pivots are at
+    least lambda_min(A) >= 1 / (k ``_COND_LIMIT``) > 0 there.
+    """
+    n, k = len(groups), len(groups[0])
+    idx = np.fromiter(chain.from_iterable(groups), np.intp, n * k).reshape(n, k).T
+    g = gram[idx[:, None, :], idx[None, :, :]].reshape(k, k, -1)  # (k, k, n*sc)
+    tr = sum(g[m, m].real for m in range(k))
+    scale = np.where(tr > 0, tr, 1.0)
+    inv_diag, ok = stepwise_ldl_inv_diag(g, scale)
+    if not ok.all():
+        rest = np.flatnonzero(~ok)
+        ok[rest] = np.linalg.cond(np.moveaxis(g[:, :, rest], 2, 0)) <= _COND_LIMIT
+        inv_diag[~ok] = 1.0  # may have overflowed; the rate is 0 anyway
+    p = cfg.total_power / k
+    return (p * tr[:, None]) / (cfg.noise_power * inv_diag), ok
+
+
+@np.errstate(over="ignore")
+def stepwise_ldl_inv_diag(g: np.ndarray, scale: np.ndarray):
+    """Diagonal of A^-1 for A = g / scale, g (k, k, rows) Hermitian.
+
+    Gaussian elimination without pivoting on [A | I] leaves D L^H on the
+    left and L^-1 on the right (Golub and Van Loan, 4.1), so [A^-1]_mm =
+    sum_{j >= m} |(L^-1)_jm|^2 / D_j.  Returns ``inv_diag`` (rows, k) and
+    ``cert`` (rows,), true where the pivots are all positive and multiply
+    to det A >= 1 / ``_CERT_LIMIT``; a pivot that is not positive is
+    replaced by 1.  The rows ``_zf_sinr`` keeps have pivots of at least
+    1 / (k ``_COND_LIMIT``), so only a discarded row can overflow (from a
+    subnormal pivot), and overflow is not reported.  Parts are divided as
+    reals (a complex divide takes 1/scale first, which overflows for a
+    subnormal trace); each numpy call applies one real operation to all
+    rows alike.
+    """
+    k, rows = g.shape[0], g.shape[2]
+    a = np.zeros((2, k, 2 * k, rows))  # real and imaginary parts of [A | I]
+    np.divide(g.real, scale, out=a[0, :, :k])
+    np.divide(g.imag, scale, out=a[1, :, :k])
+    a[0].reshape(2 * k * k, rows)[k::2 * k + 1] = 1.0  # the diagonal of I
+    work = np.empty(max(4 * (k - 1), 2 * k) * k * rows)
+    for j in range(k - 1):
+        # rows i > j: row i -= (a_ij / d) row j, on the k columns where row
+        # j is not yet zero; p[x, y] = l_x r_y over re/im parts x and y
+        n, cols = k - j - 1, slice(j + 1, k + j + 1)
+        d = np.where(a[0, j, j] > 0.0, a[0, j, j], 1.0)
+        l, r = a[:, j + 1:, j] / d, a[:, j, cols]
+        p = np.multiply(l[:, None, :, None], r[None, :, None],
+                        out=work[:4 * n * k * rows].reshape(2, 2, n, k, rows))
+        np.subtract(p[0, 0], p[1, 1], out=p[0, 0])
+        np.add(p[0, 1], p[1, 0], out=p[0, 1])
+        a[:, j + 1:, cols] -= p[0]
+    # the pivots stay on the diagonal: later steps change later rows only
+    raw = a[0].reshape(2 * k * k, rows)[::2 * k + 1]
+    pivots = np.where(raw > 0.0, raw, 1.0)
+    cert = np.where(raw > 0.0, raw, 0.0).prod(axis=0) >= 1 / _CERT_LIMIT
+    # t[j, m] = |(L^-1)_jm|^2 / D_j, exactly 0 for j < m
+    sq = np.square(a[:, :, k:], out=work[:2 * k * k * rows].reshape(2, k, k, rows))
+    t = np.add(sq[0], sq[1], out=sq[0])
+    t /= pivots[:, None]
+    for j in range(1, k):
+        t[0] += t[j]
+    return np.ascontiguousarray(t[0].T), cert
 
 
 def inverse_rate(channels, group, cfg) -> float:

@@ -40,6 +40,38 @@ class TestZfs:
             sol = zfs_grouping(oracle, m, cap)
             assert validate_partition(sol.groups, m, cap) is None
 
+    def test_cold_solve_checks_singles_only(self, check_calls):
+        # the singles query checks the user range; each step's candidates
+        # are canonical by construction and fill the memo unchecked, and
+        # the step's query and the objective read memo hits
+        _, oracle = rician_oracle(40, 4, seed=40, sc=8, rho=0.8, correlated=20,
+                                  phy=MCS_WITH_MAC)
+        zfs_grouping(oracle, 40, 4)
+        assert check_calls == [(u,) for u in range(40)]
+
+    def test_groups_beyond_the_oracle_cap_raise(self, monkeypatch):
+        # the step that would grow a group past the oracle's cap raises the
+        # oracle's error from its query, which leaves everything as it was
+        _, oracle = rician_oracle(12, 2, seed=5)
+        states = []
+        rates = oracle.rates
+
+        def recorded(groups):
+            states.append((oracle.query_count, oracle.compute_count, list(oracle._memo.items())))
+            return rates(groups)
+
+        monkeypatch.setattr(oracle, "rates", recorded)
+        with pytest.raises(ValueError, match=r"group \(\d+, \d+, \d+\) exceeds max group size 2"):
+            zfs_grouping(oracle, 12, 3)
+        assert (oracle.query_count, oracle.compute_count, list(oracle._memo.items())) == states[-1]
+        assert max(len(g) for g in oracle._memo) == 2
+
+    def test_users_beyond_the_oracle_raise(self):
+        _, oracle = rician_oracle(5, 2, seed=5)
+        with pytest.raises(ValueError, match=r"group \(5,\) out of range for 5 users"):
+            zfs_grouping(oracle, 6, 2)
+        assert (oracle.query_count, oracle.compute_count, oracle._memo) == (0, 0, {})
+
 
 def fresh_orthogonal_norm(channels, user, members):
     """Mean over subcarriers of the user's channel norm outside the span of

@@ -23,6 +23,7 @@ from mugroup.phy import (
 
 from reference import (SingularChannelError, closed_form_rate, group_rate, inverse_rate,
                        ldl_inverse_diagonal, map_sinr_to_mcs, zf_steering)
+from reference import stepwise_batch_rates
 from reference import zf_batch as reference_zf_batch
 from conftest import MCS_WITH_MAC, identity_channels, rician_oracle
 
@@ -458,7 +459,9 @@ class TestRateOracle:
 
 class TestZeroChannelUser:
     """A user whose channel is all zero is rank deficient in every group;
-    the tests' RuntimeWarning filter fails any 0/0 on the way."""
+    its 0/0 stays inside ``_zf_sinr``, which turns warnings off for the
+    rows it discards, and the tests' RuntimeWarning filter fails any 0/0
+    outside it."""
 
     @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
     def test_oracle_scores_zero(self, cfg):
@@ -569,6 +572,65 @@ class TestConditioningMask:
         channels = conditioned_channels([1e11])
         assert make_rate_oracle(channels, PhyConfig(), 3).rate((0, 1, 2)) > 0.0
         assert svd_rows == [1]
+
+
+def bits(values):
+    """The bit patterns of float64 values, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestKernelReference:
+    """The rate kernel against ``stepwise_batch_rates``, the same kernel
+    with one numpy call per elementwise step: the memo must hold its bits.
+    Random batches of every group size, single groups and batches past
+    ``_MAX_BATCH_ROWS``; near-identical (rho 0.999999), identical and
+    all-zero channels send rows to the SVD rule and to rate 0."""
+
+    @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
+    @pytest.mark.parametrize("sc", [1, 8])
+    @pytest.mark.parametrize("nt,sizes", [(4, (1, 2, 3, 4)), (8, (5, 6, 7, 8))],
+                             ids=["nt4", "nt8"])
+    @pytest.mark.parametrize("rho", [0.0, 0.999999])
+    def test_memo_bits_match_stepwise_kernel(self, cfg, sc, nt, sizes, rho, monkeypatch):
+        import mugroup.phy as phy
+
+        conds = []
+        cond = np.linalg.cond
+
+        def recorded(x, *args, **kwargs):
+            values = cond(x, *args, **kwargs)
+            conds.extend(values.tolist())
+            return values
+
+        monkeypatch.setattr(np.linalg, "cond", recorded)
+
+        m = 16
+        channels, _ = rician_oracle(m, 1, seed=25, sc=sc, nt=nt, rho=rho, correlated=m)
+        entries = np.array(channels.entries)
+        entries[m - 1] = entries[m - 2]  # identical channels
+        entries[0] = 0.0  # an all-zero channel
+        channels = ChannelSet(m, nt, sc, entries)
+        gram = phy._user_gram(channels)
+        mcs = _mcs_rates(cfg) if cfg.rate_mode is RateMode.MCS_MAPPED else None
+        rng = np.random.default_rng(26)
+        rows = phy._MAX_BATCH_ROWS // sc
+        for k in sizes:
+            everything = list(combinations(range(m), k))
+            for n in (rows + 3, 2, 37):
+                picked = rng.choice(len(everything), min(n, len(everything)), replace=False)
+                groups = [everything[i] for i in sorted(picked)]
+                expected = bits(stepwise_batch_rates(gram, groups, cfg, mcs))
+                assert bits(phy._batch_rates(gram, groups, cfg, mcs)) == expected
+                oracle = make_rate_oracle(channels, cfg, nt)
+                oracle.precompute(groups)
+                assert bits(list(oracle._memo.values())) == expected
+            # the last 37 again, one query each: single rows when sc is 1
+            oracle = make_rate_oracle(channels, cfg, nt)
+            assert bits([oracle.rate(g) for g in groups]) == expected
+        # rows the SVD rule rejects occur, and near-identical channels
+        # also give uncertified rows that it clears
+        assert any(not c <= phy._COND_LIMIT for c in conds)
+        assert any(c <= phy._COND_LIMIT for c in conds) or rho == 0.0
 
 
 class TestInverseAgreement:
