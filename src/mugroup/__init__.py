@@ -6,6 +6,8 @@ maximizing sum throughput weighted by group air time.  Ships the exact
 pair-or-single solver, the general graph-matching heuristic, greedy and
 random baselines, an exhaustive-search reference, a correlated Rician
 channel generator, and a benchmark harness with a CLI (``mugroup``).
+Every solver takes one ``RateOracle``, which holds the problem: the
+stations' channels, their number M and the group cap Nu.
 """
 
 from .baselines import SusParams, random_grouping, sus_grouping, zfs_grouping
@@ -14,7 +16,6 @@ from .bench import (
     ResultRow,
     Scenario,
     run_experiment,
-    system_throughput,
     write_csv,
 )
 from .channel import (

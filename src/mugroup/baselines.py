@@ -4,7 +4,8 @@ and random chunking.
 Each baseline partitions the whole network (the cited single-group
 selectors are wrapped in an outer loop over the remaining users) and is
 scored through the same rate oracle as the optimal and graph-matching
-solvers so that objectives are directly comparable.
+solvers so that objectives are directly comparable; like them, each takes
+M, the group cap and (SUS) the channels from that oracle.
 
 SUS scores are incremental Gram-Schmidt residuals (Yoo and Goldsmith, IEEE
 JSAC 2006), memoized per ordered member tuple and shared by a sweep; a
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet, correlation_matrix
+from .channel import correlation_matrix
 # Unused here; kept because the benchmark trace wraps
 # ``baselines.pairwise_correlation`` by name and fails without it.
 from .channel import pairwise_correlation  # noqa: F401
@@ -46,18 +47,17 @@ class SusParams:
                 raise ValueError(f"alpha must be in (0, 1), got {a}")
 
 
-def zfs_grouping(oracle, num_users: int, max_size: int) -> GroupingSolution:
+def zfs_grouping(oracle) -> GroupingSolution:
     """Greedy capacity-based grouping.
 
     Seeds each group with the best remaining single-user rate, then keeps
     adding the user that most improves the group's weighted rate
-    |g| * R(g), stopping when no addition strictly helps or the cap is
-    reached.  Members are a sorted tuple and ``bisect`` insertion keeps
-    each candidate canonical, so once the singles query has checked the
-    user range a step within the oracle's cap fills its candidates with one
-    unchecked ``precompute`` and queries memo hits; a step past the cap
-    skips the fill, and its query raises the oracle's error.
+    |g| * R(g), stopping when no addition strictly helps or the oracle's
+    cap is reached.  Members are a sorted tuple and ``bisect`` insertion
+    keeps each candidate canonical, so a step fills its candidates with
+    one unchecked ``precompute`` and queries memo hits.
     """
+    num_users, max_size = oracle.num_users, oracle.max_group_size
     singles = oracle.rates([(u,) for u in range(num_users)])
     remaining = set(range(num_users))
     groups = []
@@ -70,8 +70,7 @@ def zfs_grouping(oracle, num_users: int, max_size: int) -> GroupingSolution:
             order = sorted(remaining)
             cands = [members[:(at := bisect(members, u))] + (u,) + members[at:] for u in order]
             size = len(members) + 1
-            if size <= oracle.max_group_size:
-                oracle.precompute(cands, checked=True)
+            oracle.precompute(cands, checked=True)
             best, best_weighted = None, current
             for u, cand, cand_rate in zip(order, cands, oracle.rates(cands)):
                 weighted = size * cand_rate
@@ -137,9 +136,8 @@ def _sus_single_alpha(num_users: int, max_size: int, alpha: float, norms: np.nda
     return groups
 
 
-def sus_grouping(channels: ChannelSet, oracle, num_users: int, max_size: int,
-                 params: SusParams = SusParams()) -> GroupingSolution:
-    """Semi-orthogonal user selection.
+def sus_grouping(oracle, params: SusParams = SusParams()) -> GroupingSolution:
+    """Semi-orthogonal user selection over the oracle's channels.
 
     Groups are grown from the largest-norm remaining user; a candidate
     qualifies when its normalized correlation with every selected member
@@ -154,14 +152,16 @@ def sus_grouping(channels: ChannelSet, oracle, num_users: int, max_size: int,
     Every alpha is grouped before any is scored, so one bulk
     ``oracle.precompute`` over the union of their groups fills the memo
     for the whole sweep (one rate-kernel call per group size), and each
-    ``objective`` then reads memo hits only.
+    ``objective`` then reads memo hits only.  ``canonical_group`` builds
+    every group within the oracle's users and cap, so the fill checks none.
     """
-    norms = np.linalg.norm(channels.entries[:num_users], axis=1).mean(axis=1)
-    correlation = correlation_matrix(channels, range(num_users))
-    residuals = _Residuals(channels.entries[:num_users])
+    channels, num_users, max_size = oracle.channels, oracle.num_users, oracle.max_group_size
+    norms = np.linalg.norm(channels.entries, axis=1).mean(axis=1)
+    correlation = correlation_matrix(channels)
+    residuals = _Residuals(channels.entries)
     runs = [_sus_single_alpha(num_users, max_size, alpha, norms, correlation, residuals)
             for alpha in params.sweep]
-    oracle.precompute([g for parts in runs for g in parts])
+    oracle.precompute([g for parts in runs for g in parts], checked=True)
     best_parts, best_value = None, -1.0
     for parts in runs:
         value = objective(parts, oracle)
@@ -170,15 +170,13 @@ def sus_grouping(channels: ChannelSet, oracle, num_users: int, max_size: int,
     return GroupingSolution(best_parts, num_users, best_value)
 
 
-def random_grouping(num_users: int, max_size: int, seed: int,
-                    oracle=None) -> GroupingSolution:
-    """Seeded uniform shuffle chunked into groups of ``max_size`` (the
-    last group takes the remainder).  The objective is filled only when
-    an oracle is supplied."""
+def random_grouping(oracle, seed: int) -> GroupingSolution:
+    """Seeded uniform shuffle of the oracle's users chunked into groups of
+    its cap (the last group takes the remainder)."""
+    num_users, max_size = oracle.num_users, oracle.max_group_size
     order = np.random.default_rng(seed).permutation(num_users)
     groups = [
         canonical_group(order[i:i + max_size].tolist())
         for i in range(0, num_users, max_size)
     ]
-    value = objective(groups, oracle) if oracle is not None else None
-    return GroupingSolution(groups, num_users, value)
+    return GroupingSolution(groups, num_users, objective(groups, oracle))

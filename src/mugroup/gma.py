@@ -10,7 +10,8 @@ ones into singletons, matches groups against singletons with the
 assignment solver, and accepts a merge only when it strictly beats
 keeping the parts separate: (|g|+1) R(g+u) - |g| R(g) - R(u) > 0, read
 from the assignment matrix and one bulk query of the parts' rates.
-One round is needed for a cap of three, two for four, and so on.
+One round is needed for a cap of three, two for four, and so on.  Both
+take M and the cap, which must be at least two, from the rate oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .matching import WeightedGraph, hungarian, max_weight_matching
 __all__ = ["optimal_mu2_su", "gma"]
 
 
-def optimal_mu2_su(oracle, num_users: int) -> GroupingSolution:
+def optimal_mu2_su(oracle) -> GroupingSolution:
     """Exact optimum when only singletons and pairs are allowed.
 
     Pairing user i with j changes the objective by
@@ -29,16 +30,16 @@ def optimal_mu2_su(oracle, num_users: int) -> GroupingSolution:
     over the positive-gain edges therefore yields the optimal partition,
     with unmatched users served alone.
 
-    The singles query checks the user range, and the pairs are canonical,
-    so when the oracle takes pairs they fill its memo with one unchecked
-    ``precompute``; otherwise the pairs query raises the oracle's error.
+    An oracle capped at one user per group is refused before any rate
+    query.  The pairs are canonical, in range and within the cap, so they
+    fill the memo with one unchecked ``precompute``.
     """
-    if num_users < 1:
-        raise ValueError("num_users must be >= 1")
+    if oracle.max_group_size < 2:
+        raise ValueError(f"pairing needs a group cap of at least 2, got {oracle.max_group_size}")
+    num_users = oracle.num_users
     singles = oracle.rates([(u,) for u in range(num_users)])
     pairs = [(i, j) for i in range(num_users) for j in range(i + 1, num_users)]
-    if oracle.max_group_size >= 2:
-        oracle.precompute(pairs, checked=True)
+    oracle.precompute(pairs, checked=True)
     edges = [
         (i, j, gain)
         for (i, j), pair_rate in zip(pairs, oracle.rates(pairs))
@@ -112,14 +113,12 @@ def _merge_pass(groups: list[Group], oracle, max_group_size: int) -> list[Group]
     return committed
 
 
-def gma(oracle, num_users: int, max_group_size: int) -> GroupingSolution:
-    """Graph-matching grouping heuristic for group sizes up to
-    ``max_group_size``; equals ``optimal_mu2_su`` exactly when the cap
-    is two."""
-    if max_group_size < 2:
-        raise ValueError("max_group_size must be >= 2")
-    solution = optimal_mu2_su(oracle, num_users)
-    groups = list(solution.groups)
-    for _ in range(max_group_size - 2):  # one round per size above two
-        groups = _merge_pass(groups, oracle, max_group_size)
-    return GroupingSolution(groups, num_users, objective(groups, oracle))
+def gma(oracle) -> GroupingSolution:
+    """Graph-matching grouping heuristic for groups up to the oracle's cap;
+    equals ``optimal_mu2_su`` exactly at a cap of two and, like it,
+    refuses a cap of one."""
+    cap = oracle.max_group_size
+    groups = list(optimal_mu2_su(oracle).groups)
+    for _ in range(cap - 2):  # one round per size above two
+        groups = _merge_pass(groups, oracle, cap)
+    return GroupingSolution(groups, oracle.num_users, objective(groups, oracle))

@@ -1,15 +1,16 @@
 """Partitions of the user set, the weighted-rate objective, and full search.
 
 A grouping decision is a partition of the stations {0..M-1} into groups
-of size at most ``max_size``.  Its value is sum(|G| * R(G)) over groups,
-which equals system throughput times M under air-time fair scheduling
-with rotating primary users.  In the hypergraph view each candidate
-group is a hyperedge weighted by its rate, and the valid partitions are
-the complete matchings of that hypergraph.  Full search stores the
-hypergraph as the 2**M table of ``_rates_by_mask`` (one weight per member
-bitmask) and finds the best complete matching with the subset DP of
-``search_best_partition``, run in numpy layer by layer over the states
-it reaches.
+of at most Nu members; the rate oracle holds M and Nu (``num_users`` and
+``max_group_size``), so full search takes the oracle alone.  Its value
+is sum(|G| * R(G)) over groups, which equals system throughput times M
+under air-time fair scheduling with rotating primary users.  In the
+hypergraph view each candidate group is a hyperedge weighted by its
+rate, and the valid partitions are the complete matchings of that
+hypergraph.  Full search stores the hypergraph as the 2**M table of
+``_rates_by_mask`` (one weight per member bitmask) and finds the best
+complete matching with the subset DP of ``search_best_partition``, run
+in numpy layer by layer over the states it reaches.
 """
 
 from __future__ import annotations
@@ -131,22 +132,19 @@ def count_partitions(num_users: int, max_size: int) -> int:
     return a[num_users]
 
 
-def _rates_by_mask(num_users: int, max_size: int, oracle):
-    """The 2**M table of subset rates by member bitmask, 0 above max_size,
-    filled from one bulk query.
+def _rates_by_mask(oracle):
+    """The 2**M table of subset rates by member bitmask, 0 above the
+    oracle's cap, filled from one bulk query.
 
-    The subsets come from ``combinations``, so they are canonical; once
-    the batch as a whole fits the oracle (``num_users`` and ``max_size``
-    within its bounds) they fill the memo with one ``precompute`` that
-    checks no subset, and the query reads memo hits only.  A batch that
-    does not fit skips the fill, so the query raises the oracle's error
-    for its first bad subset.  Each subset's bitmask is the sum of its
+    The subsets come from ``combinations`` over the oracle's own users,
+    up to its own cap, so they are canonical and in range: they fill the
+    memo with one ``precompute`` that checks no subset, and the query
+    reads memo hits only.  Each subset's bitmask is the sum of its
     members' bits, taken by ``combinations`` in the same order.
     """
-    sizes = range(1, max_size + 1)
+    num_users, sizes = oracle.num_users, range(1, oracle.max_group_size + 1)
     subsets = [s for size in sizes for s in combinations(range(num_users), size)]
-    if num_users <= oracle.num_users and max_size <= oracle.max_group_size:
-        oracle.precompute(subsets, checked=True)
+    oracle.precompute(subsets, checked=True)
     bits = [1 << u for u in range(num_users)]
     masks = [sum(s) for size in sizes for s in combinations(bits, size)]
     rates = np.zeros(2 ** num_users, dtype=np.float64)
@@ -255,19 +253,17 @@ def exhaustive_search_fits(num_users: int, max_size: int) -> bool:
     return max_size == 1 or num_users <= MAX_SEARCH_USERS
 
 
-def exhaustive_search(num_users: int, max_size: int, oracle) -> GroupingSolution:
-    """Optimal partition by the subset DP of ``search_best_partition``.
+def exhaustive_search(oracle) -> GroupingSolution:
+    """Optimal partition of the oracle's users into groups within its cap,
+    by the subset DP of ``search_best_partition``.
 
     Ties keep the first partition in canonical order (that docstring
-    names the one exception, under rounding).  With ``max_size >= 2`` it
-    refuses more than ``MAX_SEARCH_USERS`` (16) users before making any
-    rate query; use the heuristics for larger networks.  With
-    ``max_size == 1`` every user is served alone, at any M.
+    names the one exception, under rounding).  With a cap of two or more
+    it refuses more than ``MAX_SEARCH_USERS`` (16) users before making
+    any rate query; use the heuristics for larger networks.  With a cap
+    of one every user is served alone, at any M.
     """
-    if num_users < 1:
-        raise ValueError("num_users must be >= 1")
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
+    num_users, max_size = oracle.num_users, oracle.max_group_size
     if not exhaustive_search_fits(num_users, max_size):
         raise SearchSpaceError(
             f"full search over M={num_users} users with max_size={max_size} "
@@ -277,7 +273,7 @@ def exhaustive_search(num_users: int, max_size: int, oracle) -> GroupingSolution
         groups = tuple((u,) for u in range(num_users))
         return GroupingSolution(groups, num_users, objective(groups, oracle))
     expected = count_partitions(num_users, max_size)
-    rates = _rates_by_mask(num_users, max_size, oracle)
+    rates = _rates_by_mask(oracle)
     count, _, assign = search_best_partition(rates, num_users, max_size)
     if count != expected:
         raise AssertionError(

@@ -391,12 +391,12 @@ class RateOracle:
         each of at most ``_MAX_BATCH_ROWS`` (group, subcarrier) rows.
 
         Every group is checked first, unless ``checked`` says the groups
-        are canonical and in range already.  Four callers pass it:
-        ``rates`` for its checked misses, ``grouping._rates_by_mask`` for
-        the subsets of a full search that fits the oracle, and
-        ``gma.optimal_mu2_su`` (its pairs) and ``baselines.zfs_grouping``
-        (each greedy step's candidates) once their singles query has
-        checked the user range.
+        are canonical, in range and within the cap already.  ``rates``
+        passes it for its checked misses, and four solvers whose groups
+        are so by construction, from the oracle's own users and cap:
+        ``grouping._rates_by_mask`` (a full search's subsets),
+        ``gma.optimal_mu2_su`` (its pairs), ``baselines.zfs_grouping``
+        (each greedy step) and ``baselines.sus_grouping`` (its sweep).
         """
         members = groups if checked else self._members(groups)
         memo = self._memo

@@ -59,20 +59,30 @@ def random_oracle(rng, num_users, max_group_size, low=1.0, high=10.0):
     return FixtureOracle(table, num_users=num_users, max_group_size=max_group_size)
 
 
-@pytest.fixture
-def oracle_o1():
+def o1(max_group_size=3):
+    """Three users whose every grouping scores below serving all alone."""
     return FixtureOracle(
         {(0,): 4, (1,): 4, (2,): 4, (0, 1): 3.5, (0, 2): 1, (1, 2): 1, (0, 1, 2): 0.8},
-        num_users=3,
+        num_users=3, max_group_size=max_group_size,
     )
+
+
+def o2(max_group_size=3):
+    """Three users where only the pair (0, 1) pays off."""
+    return FixtureOracle(
+        {(0,): 4, (1,): 4, (2,): 4, (0, 1): 4.5, (0, 2): 1, (1, 2): 1, (0, 1, 2): 0.8},
+        num_users=3, max_group_size=max_group_size,
+    )
+
+
+@pytest.fixture
+def oracle_o1():
+    return o1()
 
 
 @pytest.fixture
 def oracle_o2():
-    return FixtureOracle(
-        {(0,): 4, (1,): 4, (2,): 4, (0, 1): 4.5, (0, 2): 1, (1, 2): 1, (0, 1, 2): 0.8},
-        num_users=3,
-    )
+    return o2()
 
 
 # Twelve stations A..L = 0..11.  Designed so the pairing stage yields

@@ -8,27 +8,27 @@ from mugroup.gma import gma, optimal_mu2_su
 from mugroup.grouping import canonical_partition, objective, validate_partition
 from mugroup.phy import PhyConfig, RateOracle, make_rate_oracle
 
-from conftest import (MCS_WITH_MAC, identity_channels, random_oracle, rician_oracle,
-                      vdot_correlation)
+from conftest import (MCS_WITH_MAC, FixtureOracle, identity_channels, o1, o2, random_oracle,
+                      rician_oracle, vdot_correlation)
 
 
 class TestZfs:
-    def test_greedy_overshoots_on_o1(self, oracle_o1):
+    def test_greedy_overshoots_on_o1(self):
         # the weighted-rate greedy accepts {0,1} (7 > 4) even though all-SU
         # scores 12; documented illustration of greedy suboptimality
-        sol = zfs_grouping(oracle_o1, 3, 2)
+        sol = zfs_grouping(o1(max_group_size=2))
         assert sol.groups == ((0, 1), (2,))
         assert sol.objective_value == 11
 
-    def test_matches_optimum_on_o2(self, oracle_o2):
-        sol = zfs_grouping(oracle_o2, 3, 2)
+    def test_matches_optimum_on_o2(self):
+        sol = zfs_grouping(o2(max_group_size=2))
         assert sol.groups == ((0, 1), (2,))
         assert sol.objective_value == 13
 
     def test_orthogonal_channels_form_full_group(self, phy_unit):
         channels = identity_channels(2)
         oracle = make_rate_oracle(channels, phy_unit, 2)
-        sol = zfs_grouping(oracle, 2, 2)
+        sol = zfs_grouping(oracle)
         assert sol.groups == ((0, 1),)
 
     def test_respects_max_size(self):
@@ -36,8 +36,8 @@ class TestZfs:
         for _ in range(20):
             m = int(rng.integers(2, 12))
             cap = int(rng.integers(1, 4))
-            oracle = random_oracle(rng, m, max(cap, 1))
-            sol = zfs_grouping(oracle, m, cap)
+            oracle = random_oracle(rng, m, cap)
+            sol = zfs_grouping(oracle)
             assert validate_partition(sol.groups, m, cap) is None
 
     def test_cold_solve_checks_singles_only(self, check_calls):
@@ -46,31 +46,8 @@ class TestZfs:
         # the step's query and the objective read memo hits
         _, oracle = rician_oracle(40, 4, seed=40, sc=8, rho=0.8, correlated=20,
                                   phy=MCS_WITH_MAC)
-        zfs_grouping(oracle, 40, 4)
+        zfs_grouping(oracle)
         assert check_calls == [(u,) for u in range(40)]
-
-    def test_groups_beyond_the_oracle_cap_raise(self, monkeypatch):
-        # the step that would grow a group past the oracle's cap raises the
-        # oracle's error from its query, which leaves everything as it was
-        _, oracle = rician_oracle(12, 2, seed=5)
-        states = []
-        rates = oracle.rates
-
-        def recorded(groups):
-            states.append((oracle.query_count, oracle.compute_count, list(oracle._memo.items())))
-            return rates(groups)
-
-        monkeypatch.setattr(oracle, "rates", recorded)
-        with pytest.raises(ValueError, match=r"group \(\d+, \d+, \d+\) exceeds max group size 2"):
-            zfs_grouping(oracle, 12, 3)
-        assert (oracle.query_count, oracle.compute_count, list(oracle._memo.items())) == states[-1]
-        assert max(len(g) for g in oracle._memo) == 2
-
-    def test_users_beyond_the_oracle_raise(self):
-        _, oracle = rician_oracle(5, 2, seed=5)
-        with pytest.raises(ValueError, match=r"group \(5,\) out of range for 5 users"):
-            zfs_grouping(oracle, 6, 2)
-        assert (oracle.query_count, oracle.compute_count, oracle._memo) == (0, 0, {})
 
 
 def fresh_orthogonal_norm(channels, user, members):
@@ -140,37 +117,34 @@ class TestSus:
     def test_orthogonal_three_users_one_group(self):
         channels = identity_channels(3)
         oracle = make_rate_oracle(channels, PhyConfig(), 3)
-        sol = sus_grouping(channels, oracle, 3, 3, SusParams(sweep=(0.5,)))
+        sol = sus_grouping(oracle, SusParams(sweep=(0.5,)))
         assert sol.groups == ((0, 1, 2),)
 
     def test_ties_pick_lowest_index(self):
         # equal norms and equal orthogonal components everywhere
         channels = identity_channels(4)
         oracle = make_rate_oracle(channels, PhyConfig(), 2)
-        sol = sus_grouping(channels, oracle, 4, 2, SusParams(sweep=(0.5,)))
+        sol = sus_grouping(oracle, SusParams(sweep=(0.5,)))
         assert sol.groups == ((0, 1), (2, 3))
 
     def test_collinear_users_never_grouped(self):
         h = np.array([[1, 0, 0], [2, 0, 0], [0, 1, 0]], dtype=complex)[:, :, None]
         channels = ChannelSet(3, 3, 1, h)
         oracle = make_rate_oracle(channels, PhyConfig(), 3)
-        sol = sus_grouping(channels, oracle, 3, 3, SusParams(sweep=(0.3,)))
+        sol = sus_grouping(oracle, SusParams(sweep=(0.3,)))
         for g in sol.groups:
             assert not (0 in g and 1 in g)
 
     def test_sweep_returns_best_single_alpha_run(self):
-        channels, oracle = rician_oracle(8, 3, seed=30)
+        _, oracle = rician_oracle(8, 3, seed=30)
         alphas = (0.2, 0.4, 0.6)
-        best = max(
-            sus_grouping(channels, oracle, 8, 3, SusParams(sweep=(a,)))
-            .objective_value
-            for a in alphas
-        )
-        swept = sus_grouping(channels, oracle, 8, 3, SusParams(sweep=alphas))
+        best = max(sus_grouping(oracle, SusParams(sweep=(a,))).objective_value
+                   for a in alphas)
+        swept = sus_grouping(oracle, SusParams(sweep=alphas))
         assert swept.objective_value == best
 
     def test_sweep_computes_each_correlation_once(self, monkeypatch):
-        channels, oracle = rician_oracle(12, 4, seed=31)
+        _, oracle = rician_oracle(12, 4, seed=31)
         calls = []
 
         def counted(chs, users=None):
@@ -178,10 +152,10 @@ class TestSus:
             return correlation_matrix(chs, users)
 
         monkeypatch.setattr(baselines, "correlation_matrix", counted)
-        swept = sus_grouping(channels, oracle, 12, 4)
+        swept = sus_grouping(oracle)
         assert len(calls) == 1
         monkeypatch.undo()
-        runs = [sus_grouping(channels, oracle, 12, 4, SusParams(sweep=(a,)))
+        runs = [sus_grouping(oracle, SusParams(sweep=(a,)))
                 for a in SusParams().sweep]
         best = max(runs, key=lambda r: r.objective_value)
         assert swept.groups == best.groups
@@ -196,7 +170,7 @@ class TestSus:
 
         extend = baselines._Residuals.__missing__
         monkeypatch.setattr(baselines._Residuals, "__missing__", counted)
-        sus_grouping(channels, oracle, 16, 4)
+        sus_grouping(oracle)
         monkeypatch.undo()
         assert calls and len(calls) == len(set(calls))
         # a batch scores each candidate exactly as a batch of the members and
@@ -265,43 +239,61 @@ class TestSus:
                                         correlated=m // 2)
             oracle = RateOracle(channels, cfg, nu)
             ref_oracle = RateOracle(channels, cfg, nu)
-            got = sus_grouping(channels, oracle, m, nu)
+            got = sus_grouping(oracle)
             groups, value = reference_sus(channels, ref_oracle, m, nu)
             assert got.groups == groups
             assert got.objective_value == value
             assert oracle.compute_count == ref_oracle.compute_count
             assert oracle.query_count == ref_oracle.query_count
 
+    def test_cold_solve_checks_no_group(self, check_calls):
+        # every group of the sweep comes from canonical_group over the
+        # oracle's users and within its cap, so the fill checks none
+        _, oracle = rician_oracle(40, 4, seed=40, sc=8, rho=0.8, correlated=20,
+                                  phy=MCS_WITH_MAC)
+        sus_grouping(oracle)
+        assert check_calls == []
+
     def test_valid_partitions(self):
         for seed in range(5):
-            channels, oracle = rician_oracle(9, 3, seed=seed)
-            sol = sus_grouping(channels, oracle, 9, 3)
+            _, oracle = rician_oracle(9, 3, seed=seed)
+            sol = sus_grouping(oracle)
             assert validate_partition(sol.groups, 9, 3) is None
+
+
+def chunk_oracle(num_users, max_group_size):
+    """Every group of up to ``max_group_size`` users rates 1."""
+    return FixtureOracle({}, size_defaults=dict.fromkeys(range(1, max_group_size + 1), 1.0),
+                         num_users=num_users, max_group_size=max_group_size)
 
 
 class TestRandomGrouping:
     def test_chunk_sizes_even(self):
-        sol = random_grouping(6, 3, seed=1)
+        sol = random_grouping(chunk_oracle(6, 3), seed=1)
         assert sorted(len(g) for g in sol.groups) == [3, 3]
 
     def test_chunk_sizes_remainder(self):
-        sol = random_grouping(7, 3, seed=2)
+        sol = random_grouping(chunk_oracle(7, 3), seed=2)
         assert sorted(len(g) for g in sol.groups) == [1, 3, 3]
 
     def test_deterministic_per_seed(self):
-        assert random_grouping(9, 3, seed=3).groups == random_grouping(9, 3, seed=3).groups
+        oracle = chunk_oracle(9, 3)
+        assert random_grouping(oracle, seed=3).groups == random_grouping(oracle, seed=3).groups
 
     def test_seeds_differ(self):
-        outcomes = {random_grouping(9, 3, seed=s).groups for s in range(8)}
+        oracle = chunk_oracle(9, 3)
+        outcomes = {random_grouping(oracle, seed=s).groups for s in range(8)}
         assert len(outcomes) > 1
 
-    def test_objective_filled_with_oracle(self, oracle_o1):
-        sol = random_grouping(3, 1, seed=0, oracle=oracle_o1)
-        assert sol.objective_value == objective(sol.groups, oracle_o1)
+    def test_objective_filled_with_oracle(self):
+        oracle = o1(max_group_size=1)
+        sol = random_grouping(oracle, seed=0)
+        assert sol.objective_value == objective(sol.groups, oracle)
 
     def test_valid_partition_any_seed(self):
+        oracle = chunk_oracle(11, 4)
         for seed in range(10):
-            sol = random_grouping(11, 4, seed=seed)
+            sol = random_grouping(oracle, seed=seed)
             assert validate_partition(sol.groups, 11, 4) is None
 
 
@@ -332,13 +324,13 @@ class TestKernelCalls:
     @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
     def test_sus_one_call_per_group_size_of_the_sweep(self, cfg, monkeypatch):
         channels, _ = rician_oracle(40, 4, seed=40, sc=8, rho=0.8, correlated=20, phy=cfg)
-        runs = [sus_grouping(channels, make_rate_oracle(channels, cfg, 4), 40, 4,
-                             SusParams(sweep=(a,))) for a in SusParams().sweep]
+        runs = [sus_grouping(make_rate_oracle(channels, cfg, 4), SusParams(sweep=(a,)))
+                for a in SusParams().sweep]
         union = {g for run in runs for g in run.groups}
         sizes = {len(g) for g in union}
         calls = counted_kernel_calls(monkeypatch)
         oracle = make_rate_oracle(channels, cfg, 4)
-        swept = sus_grouping(channels, oracle, 40, 4)
+        swept = sus_grouping(oracle)
         assert len(sizes) > 1 and sorted(calls) == sorted(sizes)
         assert oracle.compute_count == len(union)
         assert swept.objective_value == max(run.objective_value for run in runs)
@@ -355,7 +347,7 @@ class TestKernelCalls:
 
         monkeypatch.setattr(oracle, "rates", counted_rates)
         calls = counted_kernel_calls(monkeypatch)
-        zfs_grouping(oracle, 40, 4)
+        zfs_grouping(oracle)
         steps = len(queries) - 2  # the singles and the final objective
         assert steps > 0 and len(calls) == 1 + steps
         assert calls[0] == 1 and min(calls[1:]) >= 2
@@ -367,15 +359,15 @@ class TestBulkQueries:
     def test_bulk_path_matches_scalar_path(self, m, cfg):
         channels, _ = rician_oracle(m, 4, seed=m, sc=8, rho=0.8, correlated=m // 2)
         solvers = {
-            "blossom": lambda o: optimal_mu2_su(o, m),
-            "gma3": lambda o: gma(o, m, 3),
-            "gma4": lambda o: gma(o, m, 4),
-            "zfs": lambda o: zfs_grouping(o, m, 4),
-            "sus": lambda o: sus_grouping(channels, o, m, 4),
+            "blossom": (optimal_mu2_su, 4),
+            "gma3": (gma, 3),
+            "gma4": (gma, 4),
+            "zfs": (zfs_grouping, 4),
+            "sus": (sus_grouping, 4),
         }
-        for name, solve in solvers.items():
-            bulk = RateOracle(channels, cfg, 4)
-            scalar = ScalarOracle(channels, cfg, 4)
+        for name, (solve, cap) in solvers.items():
+            bulk = RateOracle(channels, cfg, cap)
+            scalar = ScalarOracle(channels, cfg, cap)
             got, want = solve(bulk), solve(scalar)
             assert got.groups == want.groups, name
             assert got.objective_value == want.objective_value, name

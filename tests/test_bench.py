@@ -10,38 +10,17 @@ from mugroup.bench import (
     ExperimentConfig,
     Scenario,
     run_experiment,
-    system_throughput,
     write_csv,
 )
 from mugroup import bench
 from mugroup.baselines import SusParams
 from mugroup.errors import ConfigurationError
-from mugroup.grouping import GroupingSolution, objective
-from mugroup.phy import RateOracle
+from mugroup.grouping import objective
+from mugroup.phy import RateOracle, make_rate_oracle
 
-from conftest import FixtureOracle, random_oracle
-from reference import enumerate_partitions
-
-
-class TestSystemThroughput:
-    def test_definition(self):
-        oracle = FixtureOracle({(0,): 2.0, (1, 2): 3.0}, num_users=3)
-        sol = GroupingSolution(((0,), (1, 2)), 3)
-        assert system_throughput(sol, oracle) == pytest.approx(8.0 / 3.0)
-
-    def test_all_single_equal_rates(self):
-        oracle = FixtureOracle({(0,): 5.0, (1,): 5.0}, num_users=2)
-        sol = GroupingSolution(((0,), (1,)), 2)
-        assert system_throughput(sol, oracle) == 5.0
-
-    def test_argmax_matches_objective_argmax(self):
-        rng = np.random.default_rng(0)
-        oracle = random_oracle(rng, 5, 2)
-        parts = list(enumerate_partitions(5, 2))
-        by_tput = max(parts, key=lambda p: system_throughput(
-            GroupingSolution(p, 5), oracle))
-        by_obj = max(parts, key=lambda p: objective(p, oracle))
-        assert by_tput == by_obj
+SOLVER_BINDINGS = {"full_search": "exhaustive_search", "blossom": "optimal_mu2_su",
+                   "gma": "gma", "zfs": "zfs_grouping", "sus": "sus_grouping",
+                   "random": "random_grouping"}
 
 
 def small_config(**overrides):
@@ -73,6 +52,27 @@ class TestRunExperiment:
             at_m = {r.algorithm: r for r in rows if r.m == m}
             assert at_m["blossom"].mean_mbps == at_m["full_search"].mean_mbps
             assert at_m["blossom"].ratio_to_opt == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("scenario", [Scenario.USER_SWEEP, Scenario.RUNTIME_SWEEP])
+    def test_throughput_is_objective_per_user(self, scenario, monkeypatch):
+        # each row's mean is the seed mean of objective / M in Mbit/s, the
+        # objective recomputed on a fresh oracle from the solve's groups
+        solved = {}
+        for name, attr in SOLVER_BINDINGS.items():
+            def solve(oracle, *args, _fn=getattr(bench, attr), _name=name):
+                solution = _fn(oracle, *args)
+                fresh = make_rate_oracle(oracle.channels, oracle.cfg, oracle.max_group_size)
+                solved.setdefault((oracle.num_users, oracle.max_group_size, _name), []).append(
+                    objective(solution.groups, fresh) / oracle.num_users / 1e6)
+                return solution
+            monkeypatch.setattr(bench, attr, solve)
+        rows = run_experiment(small_config(scenario=scenario, m_values=(5, 7),
+                                           nu_values=(2, 3)))
+        assert len(rows) == 24
+        for r in rows:
+            tput = solved[(r.m, r.nu, r.algorithm)]
+            assert len(tput) == 3
+            assert r.mean_mbps == np.mean(tput)
 
     def test_rho_sweep_grid(self):
         cfg = small_config(scenario=Scenario.RHO_SWEEP,

@@ -80,7 +80,7 @@ def test_search_is_looked_up_as_a_module_global(monkeypatch):
 
     monkeypatch.setattr(grouping, "search_best_partition", wrapped)
     _, oracle = rician_oracle(5, 2, seed=0)
-    grouping.exhaustive_search(5, 2, oracle)
+    grouping.exhaustive_search(oracle)
     assert calls == [(5, 2)]
 
 
@@ -91,9 +91,9 @@ def test_solvers_are_looked_up_as_module_globals(monkeypatch):
     calls = []
     solve = bench.gma
 
-    def wrapped(*args):
-        calls.append(args[1:])
-        return solve(*args)
+    def wrapped(oracle):
+        calls.append((oracle.num_users, oracle.max_group_size))
+        return solve(oracle)
 
     monkeypatch.setattr(bench, "gma", wrapped)
     bench.run_experiment(bench.ExperimentConfig(

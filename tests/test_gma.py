@@ -25,18 +25,18 @@ from reference import brute_force_assignment, networkx_matching
 
 class TestOptimalMu2Su:
     def test_o1_all_single(self, oracle_o1):
-        sol = optimal_mu2_su(oracle_o1, 3)
+        sol = optimal_mu2_su(oracle_o1)
         assert sol.groups == ((0,), (1,), (2,))
         assert sol.objective_value == 12
 
     def test_o2_pairs_users(self, oracle_o2):
-        sol = optimal_mu2_su(oracle_o2, 3)
+        sol = optimal_mu2_su(oracle_o2)
         assert sol.groups == ((0, 1), (2,))
         assert sol.objective_value == 13
 
     def test_single_user(self):
         oracle = FixtureOracle({(0,): 7.0}, num_users=1)
-        sol = optimal_mu2_su(oracle, 1)
+        sol = optimal_mu2_su(oracle)
         assert sol.groups == ((0,),)
         assert sol.objective_value == 7.0
 
@@ -45,34 +45,29 @@ class TestOptimalMu2Su:
         for _ in range(200):
             m = int(rng.integers(2, 11))
             oracle = random_oracle(rng, m, 2)
-            fast = optimal_mu2_su(oracle, m)
-            full = exhaustive_search(m, 2, oracle)
+            fast = optimal_mu2_su(oracle)
+            full = exhaustive_search(oracle)
             assert fast.objective_value == full.objective_value
 
     def test_cold_solve_checks_singles_only(self, check_calls):
         # the singles query checks the user range; the 66 pairs then fill
         # the memo unchecked, and the objective reads memo hits
         _, oracle = rician_oracle(12, 4, seed=12)
-        optimal_mu2_su(oracle, 12)
+        optimal_mu2_su(oracle)
         assert check_calls == [(u,) for u in range(12)]
 
     def test_pairs_beyond_the_group_cap_raise(self):
+        # a cap of one is refused before any rate query
         _, oracle = rician_oracle(5, 1, seed=5)
-        with pytest.raises(ValueError, match=r"group \(0, 1\) exceeds max group size 1"):
-            optimal_mu2_su(oracle, 5)
-        assert (oracle.query_count, oracle.compute_count) == (5, 5)  # the singles
-
-    def test_users_beyond_the_oracle_raise(self):
-        _, oracle = rician_oracle(5, 2, seed=5)
-        with pytest.raises(ValueError, match=r"group \(5,\) out of range for 5 users"):
-            optimal_mu2_su(oracle, 6)
-        assert (oracle.query_count, oracle.compute_count) == (0, 0)
+        with pytest.raises(ValueError, match="pairing needs a group cap of at least 2, got 1"):
+            optimal_mu2_su(oracle)
+        assert (oracle.query_count, oracle.compute_count, oracle._memo) == (0, 0, {})
 
     @pytest.mark.parametrize("m", [12, 14, 16])
     def test_matches_full_search_on_rician(self, m):
         _, oracle = rician_oracle(m, 2, seed=m)
-        fast = optimal_mu2_su(oracle, m)
-        full = exhaustive_search(m, 2, oracle)
+        fast = optimal_mu2_su(oracle)
+        full = exhaustive_search(oracle)
         assert fast.groups == full.groups
         assert fast.objective_value == full.objective_value
 
@@ -105,7 +100,7 @@ class TestMergeGain:
         # beyond the queries of the split, a pass asks for every S1 x S2
         # merge and the rate of every part, once each
         _, oracle = rician_oracle(10, 4, seed, phy=phy)
-        groups = list(optimal_mu2_su(oracle, 10).groups)
+        groups = list(optimal_mu2_su(oracle).groups)
         before = oracle.query_count
         _, s1, s2 = _split_and_balance(groups, oracle, 4)
         split = oracle.query_count - before
@@ -117,12 +112,12 @@ class TestMergeGain:
 
 class TestGma:
     def test_o1_keeps_singles(self, oracle_o1):
-        sol = gma(oracle_o1, 3, 3)
+        sol = gma(oracle_o1)
         assert sol.groups == ((0,), (1,), (2,))
         assert sol.objective_value == 12
 
     def test_o2_keeps_best_pair(self, oracle_o2):
-        sol = gma(oracle_o2, 3, 3)
+        sol = gma(oracle_o2)
         assert sol.groups == ((0, 1), (2,))
         assert sol.objective_value == 13
 
@@ -131,25 +126,28 @@ class TestGma:
         for _ in range(60):
             m = int(rng.integers(2, 10))
             oracle = random_oracle(rng, m, 2)
-            assert gma(oracle, m, 2).groups == optimal_mu2_su(oracle, m).groups
+            assert gma(oracle).groups == optimal_mu2_su(oracle).groups
 
-    def test_cap_below_two_rejected(self, oracle_o1):
-        with pytest.raises(ValueError):
-            gma(oracle_o1, 3, 1)
+    def test_cap_below_two_rejected(self):
+        # refused by the pairing pass, before any rate query
+        _, oracle = rician_oracle(5, 1, seed=5)
+        with pytest.raises(ValueError, match="pairing needs a group cap of at least 2, got 1"):
+            gma(oracle)
+        assert (oracle.query_count, oracle.compute_count, oracle._memo) == (0, 0, {})
 
     def test_twelve_station_flow(self, twelve_station_oracle):
-        pairs = optimal_mu2_su(twelve_station_oracle, 12)
+        pairs = optimal_mu2_su(twelve_station_oracle)
         pair_groups = sorted(g for g in pairs.groups if len(g) == 2)
         assert pair_groups == TWELVE_STATION_PAIRS
-        sol = gma(twelve_station_oracle, 12, 3)
+        sol = gma(twelve_station_oracle)
         assert sorted(sol.groups) == TWELVE_STATION_RESULT
 
     def test_sort_metric_variants_agree_on_flow(self, twelve_station_oracle,
                                                 monkeypatch):
         # ordering by R(g) instead of |g| * R(g) must not change the outcome
-        baseline = gma(twelve_station_oracle, 12, 3)
+        baseline = gma(twelve_station_oracle)
         monkeypatch.setattr(gma_mod, "_group_metric", lambda g, oracle: oracle.rate(g))
-        variant = gma(twelve_station_oracle, 12, 3)
+        variant = gma(twelve_station_oracle)
         assert variant.groups == baseline.groups
 
     def test_output_is_valid_partition(self):
@@ -158,14 +156,14 @@ class TestGma:
             m = int(rng.integers(2, 13))
             cap = int(rng.integers(2, 5))
             oracle = random_oracle(rng, m, cap)
-            sol = gma(oracle, m, cap)
+            sol = gma(oracle)
             assert validate_partition(sol.groups, m, cap) is None
             assert sol.objective_value == pytest.approx(
                 objective(sol.groups, oracle), rel=1e-9)
 
     def test_deterministic(self):
         _, oracle = rician_oracle(12, 3, seed=21)
-        assert gma(oracle, 12, 3).groups == gma(oracle, 12, 3).groups
+        assert gma(oracle).groups == gma(oracle).groups
 
     def test_anytime_monotone_over_split_configuration(self):
         # after splitting, each accept/reject can only hold or raise the
@@ -174,7 +172,7 @@ class TestGma:
         for _ in range(30):
             m = int(rng.integers(3, 12))
             oracle = random_oracle(rng, m, 3)
-            start = list(optimal_mu2_su(oracle, m).groups)
+            start = list(optimal_mu2_su(oracle).groups)
             committed, s1, s2 = _split_and_balance(start, oracle, 3)
             pre = objective(committed + s1 + s2, oracle)
             merged = _merge_pass(start, oracle, 3)
@@ -185,7 +183,7 @@ class TestGma:
         "to 6.946e9 on this instance, seed 3 of the exact_m10 benchmark config"))
     def test_no_merge_pass_lowers_objective(self):
         _, oracle = rician_oracle(10, 4, seed=3)
-        groups = list(optimal_mu2_su(oracle, 10).groups)
+        groups = list(optimal_mu2_su(oracle).groups)
         before = objective(groups, oracle)
         for _ in range(2):
             groups = _merge_pass(groups, oracle, 4)
@@ -195,7 +193,7 @@ class TestGma:
 
     def test_never_below_all_singletons_from_split(self):
         _, oracle = rician_oracle(10, 3, seed=22)
-        sol = gma(oracle, 10, 3)
+        sol = gma(oracle)
         singles = objective([(u,) for u in range(10)], oracle)
         # pairing stage is exact, so the result beats pure SU
         assert sol.objective_value >= singles - 1e-9
@@ -210,10 +208,10 @@ def test_solves_unchanged_with_networkx_matching(monkeypatch, m, seeds, sc, phy)
     # solve may move when the networkx reference stands in for it
     for seed in seeds:
         _, oracle = rician_oracle(m, 4, seed, sc=sc, phy=phy)
-        ours = optimal_mu2_su(oracle, m), gma(oracle, m, 4)
+        ours = optimal_mu2_su(oracle), gma(oracle)
         with monkeypatch.context() as patch:
             patch.setattr(gma_mod, "max_weight_matching", networkx_matching)
-            ref = optimal_mu2_su(oracle, m), gma(oracle, m, 4)
+            ref = optimal_mu2_su(oracle), gma(oracle)
         for a, b in zip(ours, ref):
             assert a.groups == b.groups
             assert a.objective_value == b.objective_value
@@ -236,7 +234,7 @@ class TestMcsTieBreak:
             return hungarian(w)
 
         monkeypatch.setattr(gma_mod, "hungarian", recording)
-        sol = gma(oracle, 10, 4)
+        sol = gma(oracle)
         assert sol.groups == ((0, 9), (1,), (2, 4, 5), (3, 7, 8), (6,))
 
         first = matrices[0]  # the benefits of the first merge pass
@@ -255,7 +253,7 @@ class TestMcsTieBreak:
 
 class TestSplitBalance:
     def test_balances_cardinalities(self, twelve_station_oracle):
-        groups = list(optimal_mu2_su(twelve_station_oracle, 12).groups)
+        groups = list(optimal_mu2_su(twelve_station_oracle).groups)
         committed, s1, s2 = _split_and_balance(groups, twelve_station_oracle, 3)
         assert len(s1) == len(s2)
         assert all(len(g) == 1 for g in s2)
@@ -264,7 +262,7 @@ class TestSplitBalance:
         assert everyone == list(range(12))
 
     def test_weakest_groups_are_decomposed(self, twelve_station_oracle):
-        groups = list(optimal_mu2_su(twelve_station_oracle, 12).groups)
+        groups = list(optimal_mu2_su(twelve_station_oracle).groups)
         _, _, s2 = _split_and_balance(groups, twelve_station_oracle, 3)
         # the low-rate pair (F, I) and both singles C, L land in s2
         assert sorted(s2) == [(2,), (5,), (8,), (11,)]

@@ -19,7 +19,7 @@ from mugroup.grouping import (
 )
 from mugroup.phy import PhyConfig, RateOracle
 
-from conftest import MCS_WITH_MAC, FixtureOracle, random_oracle, rician_oracle
+from conftest import MCS_WITH_MAC, FixtureOracle, o1, o2, random_oracle, rician_oracle
 from reference import enumerate_partitions
 
 
@@ -133,39 +133,40 @@ class TestEnumeration:
 
 
 class TestExhaustiveSearch:
-    def test_o1_prefers_all_single(self, oracle_o1):
-        sol = exhaustive_search(3, 2, oracle_o1)
+    def test_o1_prefers_all_single(self):
+        sol = exhaustive_search(o1(max_group_size=2))
         assert sol.groups == ((0,), (1,), (2,))
         assert sol.objective_value == 12
 
-    def test_o2_prefers_pair(self, oracle_o2):
-        sol = exhaustive_search(3, 2, oracle_o2)
+    def test_o2_prefers_pair(self):
+        sol = exhaustive_search(o2(max_group_size=2))
         assert sol.groups == ((0, 1), (2,))
         assert sol.objective_value == 13
 
     def test_single_user(self):
-        oracle = FixtureOracle({(0,): 5.0}, num_users=1)
-        sol = exhaustive_search(1, 1, oracle)
+        oracle = FixtureOracle({(0,): 5.0}, num_users=1, max_group_size=1)
+        sol = exhaustive_search(oracle)
         assert sol.groups == ((0,),)
         assert sol.objective_value == 5.0
 
     def test_cap_enforced(self):
         # more than 16 users is refused before any rate query
-        oracle = FixtureOracle({}, size_defaults={1: 1.0, 2: 1.0}, num_users=17)
+        oracle = FixtureOracle({}, size_defaults={1: 1.0, 2: 1.0}, num_users=17,
+                               max_group_size=2)
         with pytest.raises(SearchSpaceError):
-            exhaustive_search(17, 2, oracle)
+            exhaustive_search(oracle)
         assert oracle.query_count == 0
 
     def test_all_single_at_any_size(self):
-        oracle = FixtureOracle({}, size_defaults={1: 1.0}, num_users=40)
-        sol = exhaustive_search(40, 1, oracle)
+        oracle = FixtureOracle({}, size_defaults={1: 1.0}, num_users=40, max_group_size=1)
+        sol = exhaustive_search(oracle)
         assert sol.groups == tuple((u,) for u in range(40))
         assert sol.objective_value == 40.0
 
     def test_beats_every_sampled_partition(self):
         rng = np.random.default_rng(3)
         oracle = random_oracle(rng, 7, 3)
-        sol = exhaustive_search(7, 3, oracle)
+        sol = exhaustive_search(oracle)
         parts = list(enumerate_partitions(7, 3))
         for idx in rng.choice(len(parts), size=40, replace=False):
             assert sol.objective_value >= objective(parts[idx], oracle) - 1e-12
@@ -176,7 +177,7 @@ class TestExhaustiveSearch:
             m = int(rng.integers(2, 8))
             smax = int(rng.integers(2, 4))
             oracle = random_oracle(rng, m, smax)
-            sol = exhaustive_search(m, smax, oracle)
+            sol = exhaustive_search(oracle)
             best = max(objective(p, oracle) for p in enumerate_partitions(m, smax))
             assert sol.objective_value == pytest.approx(best, rel=1e-12)
 
@@ -185,26 +186,26 @@ class TestExhaustiveSearch:
         # the first canonical partition must win
         m, smax = 5, 3
         oracle = FixtureOracle({}, size_defaults={1: 2.0, 2: 2.0, 3: 2.0},
-                               num_users=m)
-        sol = exhaustive_search(m, smax, oracle)
+                               num_users=m, max_group_size=smax)
+        sol = exhaustive_search(oracle)
         first = next(iter(enumerate_partitions(m, smax)))
         assert sol.groups == canonical_partition(first)
 
     def test_solution_invariants(self):
         _, oracle = rician_oracle(8, 3, seed=13)
-        sol = exhaustive_search(8, 3, oracle)
+        sol = exhaustive_search(oracle)
         assert validate_partition(sol.groups, 8, 3) is None
         assert sol.objective_value == pytest.approx(
             objective(sol.groups, oracle), rel=1e-9)
 
 
 def assert_no_heuristic_beats_optimum(m, seed):
-    channels, oracle = rician_oracle(m, 4, seed=seed)
-    best = exhaustive_search(m, 4, oracle).objective_value
-    for sol in (optimal_mu2_su(oracle, m), gma(oracle, m, 4),
-                zfs_grouping(oracle, m, 4), sus_grouping(channels, oracle, m, 4),
-                random_grouping(m, 4, seed, oracle)):
-        assert sol.objective_value <= best
+    _, oracle = rician_oracle(m, 4, seed=seed)
+    best = exhaustive_search(oracle)
+    for sol in (best, optimal_mu2_su(oracle), gma(oracle), zfs_grouping(oracle),
+                sus_grouping(oracle), random_grouping(oracle, seed)):
+        assert validate_partition(sol.groups, oracle.num_users, oracle.max_group_size) is None
+        assert sol.objective_value <= best.objective_value
 
 
 class TestCrossSolvers:
@@ -227,48 +228,39 @@ class TestHypergraph:
     """The group hypergraph as full search stores it: the rate of every
     candidate group by member bitmask, from ``_rates_by_mask``."""
 
-    def test_edge_counts_small(self, oracle_o1):
-        rates = _rates_by_mask(3, 2, oracle_o1)
+    def test_edge_counts_small(self):
+        oracle = o1(max_group_size=2)
+        rates = _rates_by_mask(oracle)
         assert np.count_nonzero(rates) == 6  # 3 singletons + 3 pairs
-        assert oracle_o1.query_count == 6
+        assert oracle.query_count == 6
 
     def test_edge_counts_m12(self):
         oracle = FixtureOracle({}, size_defaults={1: 1.0, 2: 1.0, 3: 1.0}, num_users=12)
-        rates = _rates_by_mask(12, 3, oracle)
+        rates = _rates_by_mask(oracle)
         assert len(rates) == 2 ** 12
         assert np.count_nonzero(rates) == 12 + 66 + 220
 
-    def test_weights_delegate_to_oracle(self, oracle_o1):
-        rates = _rates_by_mask(3, 2, oracle_o1)
+    def test_weights_delegate_to_oracle(self):
+        rates = _rates_by_mask(o1(max_group_size=2))
         assert rates[mask((0, 1))] == 3.5
         assert rates[mask((2,))] == 4.0
-        assert rates[mask((0, 1, 2))] == 0.0  # above max_size
+        assert rates[mask((0, 1, 2))] == 0.0  # above the cap
 
     def test_cold_full_search_checks_no_subset(self, check_calls):
-        # the 385 subsets of size <= 4 fit the oracle as one batch, so
-        # none of them is checked on its own
+        # the 385 subsets of size <= 4 come from the oracle's own users and
+        # cap, so none of them is checked on its own
         _, oracle = rician_oracle(10, 4, seed=0)
-        sol = exhaustive_search(10, 4, oracle)
+        sol = exhaustive_search(oracle)
         assert check_calls == []
         assert oracle.query_count == 385 + len(sol.groups)  # table, objective
-
-    @pytest.mark.parametrize("m, smax, message", [
-        (7, 2, r"group \(6,\) out of range for 6 users"),
-        (6, 3, r"group \(0, 1, 2\) exceeds max group size 2"),
-    ])
-    def test_batch_beyond_the_oracle_raises(self, m, smax, message):
-        _, oracle = rician_oracle(6, 2, seed=0)
-        with pytest.raises(ValueError, match=message):
-            exhaustive_search(m, smax, oracle)
-        assert (oracle.query_count, oracle.compute_count, oracle._memo) == (0, 0, {})
 
     @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
     @pytest.mark.parametrize("m, smax", [(5, 2), (8, 3), (10, 4), (12, 4)])
     def test_batch_fill_matches_per_group_queries(self, cfg, m, smax):
         seed, sc = m + smax, 1 + m % 2 * 7
-        _, batch = rician_oracle(m, 4, seed, sc=sc, phy=cfg)
-        _, single = rician_oracle(m, 4, seed, sc=sc, phy=cfg)
-        table = _rates_by_mask(m, smax, batch)
+        _, batch = rician_oracle(m, smax, seed, sc=sc, phy=cfg)
+        _, single = rician_oracle(m, smax, seed, sc=sc, phy=cfg)
+        table = _rates_by_mask(batch)
         want = np.zeros(2 ** m)
         for size in range(1, smax + 1):
             for g in combinations(range(m), size):
@@ -320,7 +312,7 @@ class TestCompleteMatching:
         rng = np.random.default_rng(5)
         for m in (3, 4, 5, 6):
             oracle = random_oracle(rng, m, 3)
-            rates = _rates_by_mask(m, 3, oracle)
+            rates = _rates_by_mask(oracle)
             for parts in enumerate_partitions(m, 3):
                 assert validate_partition(parts, m, 3) is None
                 score = 0.0

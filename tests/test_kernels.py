@@ -152,9 +152,9 @@ class TestAgainstLoop:
     def test_exhaustive_search_on_mcs_rates(self, m):
         for seed in range(2):
             _, oracle = rician_oracle(m, 4, seed=seed, phy=MCS_WITH_MAC)
-            rates = _rates_by_mask(m, 4, oracle)
+            rates = _rates_by_mask(oracle)
             _, _, assign = loop_best_partition(rates, m, 4)
-            assert exhaustive_search(m, 4, oracle).groups == canonical_partition(
+            assert exhaustive_search(oracle).groups == canonical_partition(
                 blocks_of(assign))
 
 

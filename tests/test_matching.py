@@ -155,7 +155,7 @@ class TestSameMatchingAsNetworkx:
         monkeypatch.setattr(gma_mod, "max_weight_matching", recording)
         for seed in range(20):
             _, oracle = rician_oracle(40, 4, seed, sc=8, phy=MCS_WITH_MAC)
-            optimal_mu2_su(oracle, 40)
+            optimal_mu2_su(oracle)
         weights = [w for g in graphs for _, _, w in g.edges]
         assert len(set(weights)) < len(weights)  # the graphs do tie
         for g in graphs:
