@@ -8,8 +8,9 @@ solvers so that objectives are directly comparable; like them, each takes
 M, the group cap and (SUS) the channels from that oracle.
 
 SUS scores are incremental Gram-Schmidt residuals (Yoo and Goldsmith, IEEE
-JSAC 2006), memoized per ordered member tuple and shared by a sweep; a
-member adds no direction where its residual is at rounding level (``_RANK_TOL``).
+JSAC 2006), memoized per ordered member tuple and shared by a sweep, where a
+member adds no direction at rounding level (``_RANK_TOL``); selection runs
+on Python lists, thresholded once per alpha by ``not corr > alpha``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ __all__ = ["SusParams", "zfs_grouping", "sus_grouping", "random_grouping"]
 # a member whose residual norm on a subcarrier is at most this fraction of
 # its channel norm there lies in the earlier members' span up to rounding
 _RANK_TOL = 1e-12
+
+_TIMES_I = np.array([-1.0, 1.0]).reshape(2, 1, 1, 1)  # i z = z[::-1] * _TIMES_I, exactly
 
 
 @dataclass(frozen=True)
@@ -87,52 +90,48 @@ def zfs_grouping(oracle) -> GroupingSolution:
 class _Residuals(dict):
     """Memo for one ``sus_grouping`` call, keyed by ordered member tuple:
     each user's channel residual outside the members' span (real and
-    imaginary parts, (Nt, M, SC)), its squared norm per subcarrier and its
-    score, the mean of the residual norms over subcarriers.  A tuple adds
-    one Gram-Schmidt step to its parent: per subcarrier q = r_p / ||r_p||
+    imaginary parts, (2, Nt, M, SC)), its squared norm and norm per
+    subcarrier and its score (their mean) as a list.  A tuple adds one
+    Gram-Schmidt step to its parent: per subcarrier q = r_p / ||r_p||
     from the last member's residual (q = 0 where ||r_p|| <= ``_RANK_TOL``
     ||h_p||) and r <- r - q (q^H r) for every user.  Real arithmetic and
-    antenna sums in index order keep a user's values independent of the
-    other users."""
+    antenna sums in index order keep each user's values independent."""
 
     def __init__(self, h: np.ndarray):
-        hr, hi = h.real.transpose(1, 0, 2), h.imag.transpose(1, 0, 2)
-        super().__init__({(): (hr, hi, sum(hr * hr + hi * hi), None)})
+        r = np.ascontiguousarray(np.stack((h.real, h.imag)).transpose(0, 2, 1, 3))
+        sq = np.add.reduce(np.add(*(r * r)), axis=0)
+        self.tol = _RANK_TOL * np.sqrt(sq)
+        super().__init__({(): (r, sq, np.sqrt(sq), None)})
 
     def __missing__(self, members: tuple[int, ...]):
-        rr, ri, sq, _ = self[members[:-1]]
+        r, _, norm, _ = self[members[:-1]]
         p = members[-1]
-        norm = np.sqrt(sq[p])
-        spans = norm > _RANK_TOL * np.sqrt(self[()][2][p])
-        qr, qi = (np.divide(x[:, p], norm, out=np.zeros(x[:, p].shape), where=spans)[:, None]
-                  for x in (rr, ri))
-        cr, ci = sum(qr * rr + qi * ri), sum(qr * ri - qi * rr)  # q^H r, (M, SC)
-        rr, ri = rr - (qr * cr - qi * ci), ri - (qr * ci + qi * cr)
-        sq = sum(rr * rr + ri * ri)
-        self[members] = entry = (rr, ri, sq, np.sqrt(sq).mean(axis=1))
+        qr, qi = np.divide(r[:, :, p], norm[p], out=np.zeros(r[:, :, p].shape),
+                           where=norm[p] > self.tol[p])[:, :, None]
+        c = np.add.reduce(qr * r + qi * (r[::-1] * -_TIMES_I), axis=1)[:, None]  # q^H r
+        r = r - (qr * c + qi * (c[::-1] * _TIMES_I))  # r - q (q^H r)
+        sq = np.add.reduce(np.add(*(r * r)), axis=0)
+        norm = np.sqrt(sq)
+        scores = (np.add.reduce(norm, axis=1) / norm.shape[1]).tolist()  # mean(axis=1)
+        self[members] = entry = (r, sq, norm, scores)
         return entry
 
 
-def _sus_single_alpha(num_users: int, max_size: int, alpha: float, norms: np.ndarray,
+def _sus_single_alpha(max_size: int, alpha: float, norms: list[float],
                       correlation: np.ndarray, residuals: _Residuals) -> list[tuple[int, ...]]:
-    close = correlation > alpha
-    free = np.ones(num_users, dtype=bool)
+    apart = (~(correlation > alpha)).tolist()  # j may join a group holding i
+    free = list(range(len(norms)))
     groups = []
-    while free.any():
-        seed = int(np.argmax(np.where(free, norms, -1.0)))
-        members = [seed]
-        free[seed] = False
-        qualified = free & ~close[seed]
-        while len(members) < max_size:
-            cands = np.flatnonzero(qualified)
-            if not cands.size:
-                break
-            scores = residuals[tuple(members)][3][cands]
-            pick = int(cands[np.argmax(scores)])
-            members.append(pick)
-            free[pick] = False
-            qualified &= free & ~close[pick]
-        groups.append(canonical_group(members))
+    while free:
+        seed = max(free, key=norms.__getitem__)  # the first maximum, as argmax
+        free.remove(seed)
+        members, qualified = (seed,), [u for u in free if apart[seed][u]]
+        while qualified and len(members) < max_size:
+            pick = max(qualified, key=residuals[members][3].__getitem__)
+            free.remove(pick)
+            members, row = members + (pick,), apart[pick]
+            qualified = [u for u in qualified if u != pick and row[u]]
+        groups.append(tuple(sorted(members)))
     return groups
 
 
@@ -141,33 +140,30 @@ def sus_grouping(oracle, params: SusParams = SusParams()) -> GroupingSolution:
 
     Groups are grown from the largest-norm remaining user; a candidate
     qualifies when its normalized correlation with every selected member
-    is at most alpha, and the qualified user with the largest orthogonal
+    is not above alpha, and the qualified user with the largest orthogonal
     component is added (the lowest index on a tie).  Each alpha of the
-    sweep runs independently and the best objective wins (ties keep the
-    earlier alpha).  Each call builds one ``correlation_matrix``, the
+    sweep runs on its own and the best objective wins (ties keep the
+    earlier alpha).  The sweep shares one ``correlation_matrix``, the
     channel norms and one ``_Residuals`` cache (at most len(sweep) * M
-    entries of M * Nt * SC values) shared by the sweep; each alpha
-    thresholds the matrix once and each step reads its candidates' scores.
-    A member adds no direction where its residual is at rounding level (``_RANK_TOL``).
-    Every alpha is grouped before any is scored, so one bulk
-    ``oracle.precompute`` over the union of their groups fills the memo
-    for the whole sweep (one rate-kernel call per group size), and each
-    ``objective`` then reads memo hits only.  ``canonical_group`` builds
-    every group within the oracle's users and cap, so the fill checks none.
+    entries of M * Nt * SC values).  One unchecked ``oracle.precompute``
+    of the sweep's groups, sorted tuples within the oracle's users and
+    cap, fills the memo (one rate-kernel call per group size); each alpha
+    is then scored by one ``oracle.rates`` query of its groups.
     """
-    channels, num_users, max_size = oracle.channels, oracle.num_users, oracle.max_group_size
-    norms = np.linalg.norm(channels.entries, axis=1).mean(axis=1)
-    correlation = correlation_matrix(channels)
-    residuals = _Residuals(channels.entries)
-    runs = [_sus_single_alpha(num_users, max_size, alpha, norms, correlation, residuals)
+    norms = np.linalg.norm(oracle.channels.entries, axis=1).mean(axis=1).tolist()
+    correlation = correlation_matrix(oracle.channels)
+    residuals = _Residuals(oracle.channels.entries)
+    runs = [sorted(_sus_single_alpha(oracle.max_group_size, alpha, norms, correlation, residuals))
             for alpha in params.sweep]
     oracle.precompute([g for parts in runs for g in parts], checked=True)
     best_parts, best_value = None, -1.0
     for parts in runs:
-        value = objective(parts, oracle)
+        value = 0.0  # sum(|G| rate(G)) from left to right, as ``objective`` adds
+        for g, rate in zip(parts, oracle.rates(parts)):
+            value += len(g) * rate
         if value > best_value:
             best_parts, best_value = parts, value
-    return GroupingSolution(best_parts, num_users, best_value)
+    return GroupingSolution(best_parts, oracle.num_users, best_value)
 
 
 def random_grouping(oracle, seed: int) -> GroupingSolution:

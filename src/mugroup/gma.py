@@ -55,15 +55,15 @@ def _group_metric(g: Group, oracle) -> float:
     return len(g) * oracle.rate(g)
 
 
-def _split_and_balance(groups: list[Group], oracle, max_group_size: int):
+def _split_and_balance(groups: list[Group], oracle):
     """Sort, decompose the weakest groups, and balance |S1| with |S2|.
 
     Returns ``(committed, s1, s2)``: the groups kept out of this round,
-    the groups open to a merge (each below ``max_group_size``) and as
+    the groups open to a merge (each below the oracle's cap) and as
     many singletons.
     """
-    committed = [g for g in groups if len(g) >= max_group_size]
-    s1 = [g for g in groups if len(g) < max_group_size]
+    committed = [g for g in groups if len(g) >= oracle.max_group_size]
+    s1 = [g for g in groups if len(g) < oracle.max_group_size]
     # strongest first; ties broken by smallest member for reproducibility
     s1.sort(key=lambda g: (-_group_metric(g, oracle), g))
     s2: list[Group] = []
@@ -82,8 +82,8 @@ def _split_and_balance(groups: list[Group], oracle, max_group_size: int):
     return committed, s1, s2
 
 
-def _merge_pass(groups: list[Group], oracle, max_group_size: int) -> list[Group]:
-    committed, s1, s2 = _split_and_balance(groups, oracle, max_group_size)
+def _merge_pass(groups: list[Group], oracle) -> list[Group]:
+    committed, s1, s2 = _split_and_balance(groups, oracle)
     if not s2:
         return committed + s1
 
@@ -117,8 +117,7 @@ def gma(oracle) -> GroupingSolution:
     """Graph-matching grouping heuristic for groups up to the oracle's cap;
     equals ``optimal_mu2_su`` exactly at a cap of two and, like it,
     refuses a cap of one."""
-    cap = oracle.max_group_size
     groups = list(optimal_mu2_su(oracle).groups)
-    for _ in range(cap - 2):  # one round per size above two
-        groups = _merge_pass(groups, oracle, cap)
+    for _ in range(oracle.max_group_size - 2):  # one round per size above two
+        groups = _merge_pass(groups, oracle)
     return GroupingSolution(groups, oracle.num_users, objective(groups, oracle))

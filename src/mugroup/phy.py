@@ -371,19 +371,26 @@ class RateOracle:
         return self.rates([group])[0]
 
     def rates(self, groups) -> list[float]:
-        """``[rate(g) for g in groups]`` as one bulk query.
-
-        Every group is checked before anything is computed or counted, so
-        a bad group leaves the memo and both counters as they were.  The
-        groups not yet memoized go through ``precompute`` unchecked.
-        """
+        """``[rate(g) for g in groups]`` as one bulk query, in one pass when
+        every group equals a memo key.  Otherwise every group is checked
+        before anything is computed or counted (a bad group leaves the memo
+        and both counters as they were); the misses go through
+        ``precompute`` unchecked."""
+        memo = self._memo  # entries are never removed or changed
+        try:
+            values = [memo[g] for g in groups]
+        except (KeyError, TypeError):  # a miss, or an unhashable group
+            pass
+        else:
+            with self._lock:
+                self.query_count += len(values)
+            return values
         members = self._members(groups)
         with self._lock:
             self.query_count += len(members)
             missing = [m for m in members if m not in self._memo]
         if missing:
             self.precompute(missing, checked=True)
-        memo = self._memo  # entries are never removed or changed
         return [memo[m] for m in members]
 
     def precompute(self, groups, *, checked: bool = False) -> None:
@@ -391,12 +398,10 @@ class RateOracle:
         each of at most ``_MAX_BATCH_ROWS`` (group, subcarrier) rows.
 
         Every group is checked first, unless ``checked`` says the groups
-        are canonical, in range and within the cap already.  ``rates``
-        passes it for its checked misses, and four solvers whose groups
-        are so by construction, from the oracle's own users and cap:
-        ``grouping._rates_by_mask`` (a full search's subsets),
-        ``gma.optimal_mu2_su`` (its pairs), ``baselines.zfs_grouping``
-        (each greedy step) and ``baselines.sus_grouping`` (its sweep).
+        are canonical, in range and within the cap already: the misses of
+        ``rates``, and the groups that ``grouping._rates_by_mask``,
+        ``gma.optimal_mu2_su``, ``baselines.zfs_grouping`` and
+        ``baselines.sus_grouping`` build from the oracle's users and cap.
         """
         members = groups if checked else self._members(groups)
         memo = self._memo

@@ -20,7 +20,10 @@ arrays.  ``numpy_solve_assignment`` is the labeling solver of
 ``hungarian`` on numpy rows.  ``matchability_hungarian`` is ``hungarian``
 with its lexicographic rule found by Kuhn matchability checks per
 candidate column instead of alternating cycles.  ``loop_best_partition``
-is the subset DP of full search as a plain loop over the states.  The others
+is the subset DP of full search as a plain loop over the states.
+``stepwise_sus_grouping`` (with ``StepwiseResiduals`` and
+``stepwise_sus_single_alpha``) is the library's SUS with one numpy call
+per selection step, which the library must match bit for bit.  The others
 enumerate their whole search space, so they are only usable on small
 instances.
 """
@@ -35,8 +38,10 @@ from typing import Iterator
 import networkx as nx
 import numpy as np
 
+from mugroup.baselines import _RANK_TOL, SusParams
+from mugroup.channel import correlation_matrix
 from mugroup.errors import ConfigurationError, SearchSpaceError
-from mugroup.grouping import canonical_group
+from mugroup.grouping import GroupingSolution, canonical_group, objective
 from mugroup.matching import WeightedGraph
 from mugroup.phy import (_CERT_LIMIT, _COND_LIMIT, _MAX_BATCH_ROWS, DEFAULT_MCS_TABLE, McsEntry,
                          PhyConfig, RateMode, _mcs_rates, phy_rate)
@@ -692,3 +697,95 @@ def group_rate(channels, group, cfg) -> float:
     rank-deficient group."""
     _, h, w, ok = _zf_group(channels, group)
     return float(zf_rates(h, w, ok, 1, cfg)[0])
+
+
+# SUS as it stood before its selection moved to Python lists: one numpy
+# call per selection step and per elementwise Gram-Schmidt step, and each
+# alpha scored by ``objective``.  Bodies verbatim, names prefixed; the
+# library's ``_Residuals`` and ``sus_grouping`` must match its bits.
+
+
+class StepwiseResiduals(dict):
+    """Memo for one ``sus_grouping`` call, keyed by ordered member tuple:
+    each user's channel residual outside the members' span (real and
+    imaginary parts, (Nt, M, SC)), its squared norm per subcarrier and its
+    score, the mean of the residual norms over subcarriers.  A tuple adds
+    one Gram-Schmidt step to its parent: per subcarrier q = r_p / ||r_p||
+    from the last member's residual (q = 0 where ||r_p|| <= ``_RANK_TOL``
+    ||h_p||) and r <- r - q (q^H r) for every user.  Real arithmetic and
+    antenna sums in index order keep a user's values independent of the
+    other users."""
+
+    def __init__(self, h: np.ndarray):
+        hr, hi = h.real.transpose(1, 0, 2), h.imag.transpose(1, 0, 2)
+        super().__init__({(): (hr, hi, sum(hr * hr + hi * hi), None)})
+
+    def __missing__(self, members: tuple[int, ...]):
+        rr, ri, sq, _ = self[members[:-1]]
+        p = members[-1]
+        norm = np.sqrt(sq[p])
+        spans = norm > _RANK_TOL * np.sqrt(self[()][2][p])
+        qr, qi = (np.divide(x[:, p], norm, out=np.zeros(x[:, p].shape), where=spans)[:, None]
+                  for x in (rr, ri))
+        cr, ci = sum(qr * rr + qi * ri), sum(qr * ri - qi * rr)  # q^H r, (M, SC)
+        rr, ri = rr - (qr * cr - qi * ci), ri - (qr * ci + qi * cr)
+        sq = sum(rr * rr + ri * ri)
+        self[members] = entry = (rr, ri, sq, np.sqrt(sq).mean(axis=1))
+        return entry
+
+
+def stepwise_sus_single_alpha(num_users: int, max_size: int, alpha: float, norms: np.ndarray,
+                      correlation: np.ndarray, residuals: StepwiseResiduals) -> list[tuple[int, ...]]:
+    close = correlation > alpha
+    free = np.ones(num_users, dtype=bool)
+    groups = []
+    while free.any():
+        seed = int(np.argmax(np.where(free, norms, -1.0)))
+        members = [seed]
+        free[seed] = False
+        qualified = free & ~close[seed]
+        while len(members) < max_size:
+            cands = np.flatnonzero(qualified)
+            if not cands.size:
+                break
+            scores = residuals[tuple(members)][3][cands]
+            pick = int(cands[np.argmax(scores)])
+            members.append(pick)
+            free[pick] = False
+            qualified &= free & ~close[pick]
+        groups.append(canonical_group(members))
+    return groups
+
+
+def stepwise_sus_grouping(oracle, params: SusParams = SusParams()) -> GroupingSolution:
+    """Semi-orthogonal user selection over the oracle's channels.
+
+    Groups are grown from the largest-norm remaining user; a candidate
+    qualifies when its normalized correlation with every selected member
+    is at most alpha, and the qualified user with the largest orthogonal
+    component is added (the lowest index on a tie).  Each alpha of the
+    sweep runs independently and the best objective wins (ties keep the
+    earlier alpha).  Each call builds one ``correlation_matrix``, the
+    channel norms and one ``_Residuals`` cache (at most len(sweep) * M
+    entries of M * Nt * SC values) shared by the sweep; each alpha
+    thresholds the matrix once and each step reads its candidates' scores.
+    A member adds no direction where its residual is at rounding level (``_RANK_TOL``).
+    Every alpha is grouped before any is scored, so one bulk
+    ``oracle.precompute`` over the union of their groups fills the memo
+    for the whole sweep (one rate-kernel call per group size), and each
+    ``objective`` then reads memo hits only.  ``canonical_group`` builds
+    every group within the oracle's users and cap, so the fill checks none.
+    """
+    channels, num_users, max_size = oracle.channels, oracle.num_users, oracle.max_group_size
+    norms = np.linalg.norm(channels.entries, axis=1).mean(axis=1)
+    correlation = correlation_matrix(channels)
+    residuals = StepwiseResiduals(channels.entries)
+    runs = [stepwise_sus_single_alpha(num_users, max_size, alpha, norms, correlation, residuals)
+            for alpha in params.sweep]
+    oracle.precompute([g for parts in runs for g in parts], checked=True)
+    best_parts, best_value = None, -1.0
+    for parts in runs:
+        value = objective(parts, oracle)
+        if value > best_value:
+            best_parts, best_value = parts, value
+    return GroupingSolution(best_parts, num_users, best_value)

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from mugroup.gma import gma, optimal_mu2_su
 from mugroup.grouping import canonical_partition, objective, validate_partition
 from mugroup.phy import PhyConfig, RateOracle, make_rate_oracle
 
+import reference
 from conftest import (MCS_WITH_MAC, FixtureOracle, identity_channels, o1, o2, random_oracle,
                       rician_oracle, vdot_correlation)
 
@@ -259,6 +262,134 @@ class TestSus:
             _, oracle = rician_oracle(9, 3, seed=seed)
             sol = sus_grouping(oracle)
             assert validate_partition(sol.groups, 9, 3) is None
+
+
+def recording(monkeypatch, module, name) -> list:
+    """Every instance of the residual memo ``module.name`` made from now on."""
+    made = []
+
+    class Recording(getattr(module, name)):
+        def __init__(self, h):
+            super().__init__(h)
+            made.append(self)
+
+    monkeypatch.setattr(module, name, Recording)
+    return made
+
+
+def bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def assert_sus_matches_reference(monkeypatch, channels, cfg, cap, params=SusParams()):
+    """``sus_grouping`` against ``reference.stepwise_sus_grouping`` on fresh
+    oracles: the same member tuples, scores and residuals, and the same
+    solve, counters and memo."""
+    made, ref_made = (recording(monkeypatch, baselines, "_Residuals"),
+                      recording(monkeypatch, reference, "StepwiseResiduals"))
+    oracle, ref_oracle = RateOracle(channels, cfg, cap), RateOracle(channels, cfg, cap)
+    got = sus_grouping(oracle, params)
+    want = reference.stepwise_sus_grouping(ref_oracle, params)
+    monkeypatch.undo()
+    (residuals,), (ref_residuals,) = made, ref_made
+    assert residuals.keys() == ref_residuals.keys()
+    for members, (r, sq, norm, scores) in residuals.items():
+        rr, ri, ref_sq, ref_scores = ref_residuals[members]
+        # equal as numbers; only the sign of a zero residual may differ, and
+        # squares drop it, so the squared norms and scores are bitwise equal
+        assert np.array_equal(r[0], rr) and np.array_equal(r[1], ri)
+        assert bits(sq.ravel()) == bits(ref_sq.ravel())
+        assert bits(norm.ravel()) == bits(np.sqrt(ref_sq).ravel())
+        if members:
+            assert bits(scores) == bits(ref_scores)
+    assert got.groups == want.groups
+    assert got.objective_value.hex() == want.objective_value.hex()
+    assert (oracle.query_count, oracle.compute_count) == (ref_oracle.query_count,
+                                                         ref_oracle.compute_count)
+    assert {g: v.hex() for g, v in oracle._memo.items()} == {
+        g: v.hex() for g, v in ref_oracle._memo.items()}
+    return got
+
+
+class TestSusReference:
+    """SUS matches its stepwise form (``reference.stepwise_sus_grouping``)
+    bit for bit; the SIMD-free CI step runs these too."""
+
+    @pytest.mark.parametrize("nt,sc,rho,cfg", [
+        pytest.param(nt, sc, rho, cfg, id=f"nt{nt}-sc{sc}-rho{rho}-{name}")
+        for nt in (4, 8) for sc in (1, 8) for rho in (0.0, 0.8)
+        for name, cfg in [("shannon", PhyConfig()), ("mcs_mac", MCS_WITH_MAC)]
+    ])
+    def test_seeded_instances(self, monkeypatch, nt, sc, rho, cfg):
+        caps = range(2, 9) if nt == 8 else range(2, 5)
+        for i, (m, seed) in enumerate(product((2, 3, 7, 12, 23, 40), (500, 600))):
+            channels, _ = rician_oracle(m, 2, seed=seed + i, nt=nt, sc=sc, rho=rho,
+                                        correlated=m // 2)
+            cap = caps[(i + sc + int(10 * rho)) % len(caps)]
+            assert_sus_matches_reference(monkeypatch, channels, cfg, cap)
+
+    @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
+    def test_identity_channels(self, monkeypatch, cfg):
+        for n, cap in [(2, 2), (4, 2), (4, 4), (8, 8)]:
+            sol = assert_sus_matches_reference(monkeypatch, identity_channels(n), cfg, cap)
+            assert all(len(g) == cap for g in sol.groups)
+        h = np.repeat(np.eye(8, dtype=complex)[:, :, None], 8, axis=2)
+        assert_sus_matches_reference(monkeypatch, ChannelSet(8, 8, 8, h), cfg, 8)
+
+    @pytest.mark.parametrize("sc", [1, 8])
+    def test_duplicated_users_tie_to_the_lowest_index(self, monkeypatch, sc):
+        # users 5, 7 copy user 2 and user 9 copies user 1: exact ties in the
+        # norms and in every score, which the lowest index wins
+        channels, _ = rician_oracle(10, 4, seed=34, sc=sc)
+        h = channels.entries.copy()
+        h[[5, 7]] = h[2]
+        h[9] = h[1]
+        channels = ChannelSet(10, 4, sc, h)
+        for cap in (2, 3, 4):
+            assert_sus_matches_reference(monkeypatch, channels, MCS_WITH_MAC, cap)
+        residuals = baselines._Residuals(h)
+        scores = residuals[(0,)][3]
+        assert scores[2] == scores[5] == scores[7] and scores[1] == scores[9]
+
+    @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
+    def test_users_zero_on_some_subcarriers(self, monkeypatch, cfg):
+        # six subcarriers: a mean over them is a divide that no product
+        # by 1/6 reproduces
+        channels, _ = rician_oracle(12, 4, seed=33, sc=6)
+        h = channels.entries.copy()
+        h[1, :, [0, 2]] = 0
+        h[6, :, 1:5] = 0
+        channels = ChannelSet(12, 4, 6, h)
+        for cap in (2, 3, 4):
+            assert_sus_matches_reference(monkeypatch, channels, cfg, cap)
+
+    @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
+    def test_users_collinear_up_to_rounding(self, monkeypatch, cfg):
+        # user 3 is (2 - 1j) times user 0 on subcarrier 1, and user 8 is 3
+        # times user 4 everywhere: their residuals after those members are
+        # rounding noise
+        channels, _ = rician_oracle(10, 4, seed=33, sc=4)
+        h = channels.entries.copy()
+        h[3, :, 1] = (2 - 1j) * h[0, :, 1]
+        h[8] = 3 * h[4]
+        channels = ChannelSet(10, 4, 4, h)
+        for cap in (2, 3, 4):
+            assert_sus_matches_reference(monkeypatch, channels, cfg, cap)
+        for members in [(0, 3), (3, 0), (4, 8, 1), (2, 0, 3)]:
+            reference_scores = reference.StepwiseResiduals(h)[members][3]
+            assert bits(baselines._Residuals(h)[members][3]) == bits(reference_scores)
+
+    def test_correlation_equal_to_alpha_qualifies(self, monkeypatch):
+        # users 0 and 1 correlate at 3 / 5, exactly the float 0.6, so they
+        # may share a group at alpha 0.6 (not corr > alpha) and not below
+        h = np.zeros((2, 4, 1), dtype=complex)
+        h[0, 0, 0], h[1, :2, 0] = 1, (3, 4)
+        channels = ChannelSet(2, 4, 1, h)
+        assert correlation_matrix(channels)[0, 1] == 0.6
+        for alpha, groups in [(0.6, ((0, 1),)), (0.5, ((0,), (1,)))]:
+            sol = assert_sus_matches_reference(monkeypatch, channels, PhyConfig(), 2,
+                                               SusParams(sweep=(alpha,)))
+            assert sol.groups == groups
 
 
 def chunk_oracle(num_users, max_group_size):

@@ -17,6 +17,7 @@ from conftest import (
     FixtureOracle,
     TWELVE_STATION_PAIRS,
     TWELVE_STATION_RESULT,
+    o2,
     random_oracle,
     rician_oracle,
 )
@@ -78,21 +79,22 @@ class TestMergeGain:
 
     def test_reject_case(self, oracle_o2):
         # 3 * 0.8 - 2 * 4.5 - 4 = -10.6
-        assert _merge_pass([(0, 1), (2,)], oracle_o2, 3) == [(0, 1), (2,)]
+        assert _merge_pass([(0, 1), (2,)], oracle_o2) == [(0, 1), (2,)]
 
-    def test_accept_case(self, oracle_o2):
+    def test_accept_case(self):
         # 2 * 4.5 - 4 - 4 = 1
-        assert _merge_pass([(0,), (1,)], oracle_o2, 2) == [(0, 1)]
+        assert _merge_pass([(0,), (1,)], o2(2)) == [(0, 1)]
 
     def test_zero_rate_merge_never_accepted(self):
-        oracle = FixtureOracle({(0,): 3.0, (1,): 2.0, (0, 1): 0.0}, num_users=2)
-        assert _merge_pass([(0,), (1,)], oracle, 2) == [(0,), (1,)]
+        oracle = FixtureOracle({(0,): 3.0, (1,): 2.0, (0, 1): 0.0}, num_users=2,
+                               max_group_size=2)
+        assert _merge_pass([(0,), (1,)], oracle) == [(0,), (1,)]
         # every merge of group (0,) has rate 0, so the assignment has to give
         # it a sentinel entry, and that merge is not taken
         oracle = FixtureOracle({(0,): 4.0, (1,): 3.0, (2,): 2.0, (3,): 1.0,
                                 (0, 2): 0.0, (0, 3): 0.0, (1, 2): 5.0, (1, 3): 5.0},
-                               num_users=4)
-        assert _merge_pass([(0,), (1,), (2,), (3,)], oracle, 2) == [(0,), (2,), (1, 3)]
+                               num_users=4, max_group_size=2)
+        assert _merge_pass([(0,), (1,), (2,), (3,)], oracle) == [(0,), (2,), (1, 3)]
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("phy", [None, MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
@@ -102,10 +104,10 @@ class TestMergeGain:
         _, oracle = rician_oracle(10, 4, seed, phy=phy)
         groups = list(optimal_mu2_su(oracle).groups)
         before = oracle.query_count
-        _, s1, s2 = _split_and_balance(groups, oracle, 4)
+        _, s1, s2 = _split_and_balance(groups, oracle)
         split = oracle.query_count - before
         before = oracle.query_count
-        _merge_pass(groups, oracle, 4)
+        _merge_pass(groups, oracle)
         added = oracle.query_count - before - split
         assert s2 and added == len(s1) * len(s2) + len(s1) + len(s2)
 
@@ -173,9 +175,9 @@ class TestGma:
             m = int(rng.integers(3, 12))
             oracle = random_oracle(rng, m, 3)
             start = list(optimal_mu2_su(oracle).groups)
-            committed, s1, s2 = _split_and_balance(start, oracle, 3)
+            committed, s1, s2 = _split_and_balance(start, oracle)
             pre = objective(committed + s1 + s2, oracle)
-            merged = _merge_pass(start, oracle, 3)
+            merged = _merge_pass(start, oracle)
             assert objective(merged, oracle) >= pre - 1e-9
 
     @pytest.mark.xfail(strict=True, reason=(
@@ -186,7 +188,7 @@ class TestGma:
         groups = list(optimal_mu2_su(oracle).groups)
         before = objective(groups, oracle)
         for _ in range(2):
-            groups = _merge_pass(groups, oracle, 4)
+            groups = _merge_pass(groups, oracle)
             after = objective(groups, oracle)
             assert after >= before
             before = after
@@ -254,7 +256,7 @@ class TestMcsTieBreak:
 class TestSplitBalance:
     def test_balances_cardinalities(self, twelve_station_oracle):
         groups = list(optimal_mu2_su(twelve_station_oracle).groups)
-        committed, s1, s2 = _split_and_balance(groups, twelve_station_oracle, 3)
+        committed, s1, s2 = _split_and_balance(groups, twelve_station_oracle)
         assert len(s1) == len(s2)
         assert all(len(g) == 1 for g in s2)
         # every user is accounted for exactly once
@@ -263,6 +265,6 @@ class TestSplitBalance:
 
     def test_weakest_groups_are_decomposed(self, twelve_station_oracle):
         groups = list(optimal_mu2_su(twelve_station_oracle).groups)
-        _, _, s2 = _split_and_balance(groups, twelve_station_oracle, 3)
+        _, _, s2 = _split_and_balance(groups, twelve_station_oracle)
         # the low-rate pair (F, I) and both singles C, L land in s2
         assert sorted(s2) == [(2,), (5,), (8,), (11,)]

@@ -16,6 +16,7 @@ from mugroup.phy import (
     McsEntry,
     PhyConfig,
     RateMode,
+    RateOracle,
     _mcs_rates,
     make_rate_oracle,
     phy_rate,
@@ -423,6 +424,23 @@ class TestRateOracle:
                     query(group)
                 assert (oracle.query_count, oracle.compute_count) == (1 + len(same), 1)
         assert list(oracle._memo) == [(0, 1, 2)]
+
+    def test_all_hit_query_is_read_in_one_pass(self, monkeypatch):
+        # a query of memo keys only is counted and read without the
+        # check-and-scan of ``_members``; any other query still takes it
+        _, oracle = rician_oracle(6, 3, seed=24, sc=8)
+        oracle.precompute([(0, 1), (2,), (3, 4, 5)])
+        walked = []
+        members = RateOracle._members
+        monkeypatch.setattr(RateOracle, "_members",
+                            lambda self, groups: walked.append(groups) or members(self, groups))
+        hits = [(0, 1), (2,), (3, 4, 5), (2,)]
+        assert oracle.rates(hits) == [oracle._memo[g] for g in hits]
+        assert walked == [] and oracle.query_count == 4
+        for query in ([(2,), [1, 0]], [(2,), (1, 0)], [(2,), (0, 1, 2)]):
+            oracle.rates(query)
+        assert walked == [[(2,), [1, 0]], [(2,), (1, 0)], [(2,), (0, 1, 2)]]
+        assert (oracle.query_count, oracle.compute_count) == (10, 4)
 
     def test_each_oracle_builds_its_own_gram(self):
         channels, _ = rician_oracle(6, 3, seed=21, sc=8)
