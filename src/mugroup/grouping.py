@@ -10,14 +10,17 @@ rate, and the valid partitions are the complete matchings of that
 hypergraph.  Full search stores the hypergraph as the 2**M table of
 ``_rates_by_mask`` (one weight per member bitmask) and finds the best
 complete matching with the subset DP of ``search_best_partition``, run
-in numpy layer by layer over the states it reaches.
+in numpy layer by layer over the states it reaches.  The DP's cells and
+the subsets depend on (M, Nu) alone: the last such plan is kept while
+it fits one DP batch, read-only and so shared safely between threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 from typing import Iterable
 
 import numpy as np
@@ -139,17 +142,24 @@ def _rates_by_mask(oracle):
     The subsets come from ``combinations`` over the oracle's own users,
     up to its own cap, so they are canonical and in range: they fill the
     memo with one ``precompute`` that checks no subset, and the query
-    reads memo hits only.  Each subset's bitmask is the sum of its
-    members' bits, taken by ``combinations`` in the same order.
+    reads memo hits only.  The subsets and their bitmasks come from the
+    plan of (M, cap), kept read-only while its DP cells fit one batch
+    (``_plan``), else from ``_subsets``.
     """
-    num_users, sizes = oracle.num_users, range(1, oracle.max_group_size + 1)
-    subsets = [s for size in sizes for s in combinations(range(num_users), size)]
+    num_users, cap = oracle.num_users, oracle.max_group_size
+    subsets, masks = (_plan(num_users, cap, _BATCH_CELLS) or _subsets(num_users, cap))[:2]
     oracle.precompute(subsets, checked=True)
-    bits = [1 << u for u in range(num_users)]
-    masks = [sum(s) for size in sizes for s in combinations(bits, size)]
     rates = np.zeros(2 ** num_users, dtype=np.float64)
     rates[masks] = oracle.rates(subsets)
     return rates
+
+
+def _subsets(n, max_block):
+    """Subsets of {0..n-1} with 1..max_block members, and their bitmasks."""
+    sizes = range(1, max_block + 1)
+    subsets = tuple([s for size in sizes for s in combinations(range(n), size)])
+    bits = [1 << u for u in range(n)]  # the sums of combinations in the same order
+    return subsets, np.array([sum(s) for size in sizes for s in combinations(bits, size)])
 
 
 def active_backend() -> str:
@@ -157,8 +167,58 @@ def active_backend() -> str:
     return "python"
 
 
-# Most (source state, block shape) cells one batch of the subset DP holds.
+# Most (state, block) cells of one DP batch, and of a kept ``_plan``.
 _BATCH_CELLS = 1 << 16
+
+
+def _cells(n, max_block):
+    """Members of each bitmask below 2**n (``size``), the sum of their key
+    digits (``place``), and an iterator over the DP's (state, block,
+    union) batches."""
+    size = np.zeros(1 << n, dtype=np.int64)
+    place = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):  # by doubling
+        np.add(size[: 1 << i], 1, out=size[1 << i : 2 << i])
+        np.add(place[: 1 << i], 16 ** (n - 1 - i), out=place[1 << i : 2 << i])
+
+    def batches():
+        for low in range(n):
+            step = 2 << low  # a state or block shape k * step covers bits above low
+            above = size[: (1 << n) // step]
+            shapes = (1 << low) + np.flatnonzero(above < max_block) * step
+            if low * (max_block - 1) >= n - 1 - low:  # every state is reached
+                states = np.arange((1 << low) - 1, 1 << n, step)
+            else:
+                states = (1 << low) - 1 + np.flatnonzero(above <= low * (max_block - 1)) * step
+            per = max(1, _BATCH_CELLS // len(shapes))
+            for start in range(0, len(states), per):
+                part = states[start : start + per]
+                disjoint = np.flatnonzero((part[:, None] & shapes) == 0)  # row-major
+                rows, cols = np.divmod(disjoint, len(shapes))
+                t, b = part[rows], shapes[cols]
+                yield t, b, t + b
+    return size, place, batches()
+
+
+def _cell_count(n, max_block):
+    """The cells of ``_cells``: at layer L, h = n - 1 - L, C(h, a) states
+    with a <= L * (max_block - 1) members above L meet shapes[h - a]."""
+    shapes = [sum(math.comb(m, j) for j in range(min(max_block, m + 1))) for m in range(n)]
+    return sum(math.comb(h, a) * shapes[h - a] for h in range(n)
+               for a in range(min(h, (n - 1 - h) * (max_block - 1)) + 1))
+
+
+@lru_cache(maxsize=1)
+def _plan(n, max_block, batch_cells):
+    """``_subsets`` and ``_cells`` of (n, max_block), read-only so that
+    threads may share them; None above ``batch_cells`` cells."""
+    if _cell_count(n, max_block) > batch_cells:
+        return None
+    size, place, batches = _cells(n, max_block)
+    plan = (*_subsets(n, max_block), size, place, tuple(batches))
+    for array in (*plan[1:4], *chain(*plan[4])):
+        array.setflags(write=False)
+    return plan
 
 
 def search_best_partition(rates: np.ndarray, n: int, max_block: int):
@@ -186,12 +246,13 @@ def search_best_partition(rates: np.ndarray, n: int, max_block: int):
     the strided slice ``count[2**L - 1 :: 2**(L + 1)]``.  Every block
     added from a layer-L state holds L, so it leads to a higher layer and
     a state's value is final before its layer expands.  Only reached
-    states (count > 0) expand; many are never reached, such as {1}
-    without {0}.  Each layer runs as numpy batches of at most
-    ``_BATCH_CELLS`` (state, block) cells, which bounds the memory.  A
-    batch finds its disjoint cells by ``flatnonzero`` over the flattened
-    (state x shape) test and splits each flat index with ``divmod``,
-    row-major order as a 2-D ``nonzero`` gives them, at less cost.
+    states expand: those with at most L * (max_block - 1) members above
+    L.  The (state, block) cells depend on (n, max_block) alone and run as
+    numpy batches of at most ``_BATCH_CELLS`` cells, which bounds the
+    memory.  ``_plan`` keeps the last call's cells as read-only arrays,
+    which threads may share, when they number at most ``_BATCH_CELLS``
+    (``_cell_count``), as at n=12 and max_block=4; more cells stream
+    from ``_cells``.
 
     At a state the candidate with the largest score is kept and, among
     exactly equal scores, the one whose block-index string
@@ -210,11 +271,8 @@ def search_best_partition(rates: np.ndarray, n: int, max_block: int):
         raise ValueError("max_block must be >= 1")
     if len(rates) != 2 ** n:
         raise ValueError(f"rates must have length 2**{n}, got {len(rates)}")
-    size = np.zeros(1, dtype=np.int64)  # members of each mask, by doubling
-    place = np.zeros(1, dtype=np.int64)  # sum of the members' digits
-    for i in range(n):
-        size = np.concatenate([size, size + 1])
-        place = np.concatenate([place, place + 16 ** (n - 1 - i)])
+    plan = _plan(n, max_block, _BATCH_CELLS)
+    size, place, batches = _cells(n, max_block) if plan is None else plan[2:]
     weight = size * np.asarray(rates, dtype=np.float64)
     if not np.isfinite(weight).all():
         raise ValueError("rates must be finite")
@@ -224,25 +282,15 @@ def search_best_partition(rates: np.ndarray, n: int, max_block: int):
     key = np.zeros(full + 1, dtype=np.int64)  # block-index string of the kept path
     best[0], count[0] = 0.0, 1
     no_key = np.iinfo(np.int64).max  # above every block-index string
-    for low in range(n):
-        step = 2 << low  # a state or block shape k * step covers bits above low
-        shapes = np.flatnonzero(size[: (full + 1) // step] < max_block)
-        sources = np.flatnonzero(count[(1 << low) - 1 :: step])
-        per = max(1, _BATCH_CELLS // len(shapes))
-        for start in range(0, len(sources), per):
-            disjoint = (sources[start : start + per, None] & shapes) == 0
-            rows, cols = np.divmod(np.flatnonzero(disjoint), len(shapes))
-            t = (1 << low) - 1 + sources[start + rows] * step
-            b = (1 << low) + shapes[cols] * step
-            s = t + b
-            value = best[t] + weight[b]
-            before = best[s]
-            np.add.at(count, s, count[t])
-            np.maximum.at(best, s, value)
-            lead = np.flatnonzero(value == best[s])  # candidates at the max
-            at = s[lead]
-            key[at[value[lead] > before[lead]]] = no_key  # a new max
-            np.minimum.at(key, at, key[t[lead]] + place[full - at])
+    for t, b, s in batches:
+        value = best[t] + weight[b]
+        before = best[s]
+        np.add.at(count, s, count[t])
+        np.maximum.at(best, s, value)
+        lead = np.flatnonzero(value == best[s])  # candidates at the max
+        at = s[lead]
+        key[at[value[lead] > before[lead]]] = no_key  # a new max
+        np.minimum.at(key, at, key[t[lead]] + place[full - at])
     assign = key[full] >> 4 * np.arange(n - 1, -1, -1) & 15
     return int(count[full]), float(best[full]), assign
 
@@ -279,8 +327,7 @@ def exhaustive_search(oracle) -> GroupingSolution:
         raise AssertionError(
             f"search visited {count} partitions, recurrence predicts {expected}"
         )
-    nblocks = int(assign.max()) + 1
-    blocks: list[list[int]] = [[] for _ in range(nblocks)]
-    for u in range(num_users):
-        blocks[int(assign[u])].append(u)
+    blocks: list[list[int]] = [[] for _ in range(int(assign.max()) + 1)]
+    for u, index in enumerate(assign.tolist()):
+        blocks[index].append(u)
     return GroupingSolution(blocks, num_users, objective(blocks, oracle))

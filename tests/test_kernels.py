@@ -1,4 +1,8 @@
+import sys
+import threading
 import tracemalloc
+from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -125,6 +129,25 @@ class TestKernel:
 KINDS = ["float", "int", "mcs", "zero"]
 
 
+def record_layers(monkeypatch):
+    """Count the batches of each layer that ``grouping._cells`` yields:
+    a layer-L state has bits 0..L-1 set and bit L clear."""
+    layers = Counter()
+    cells = grouping._cells
+
+    def recording(n, max_block):
+        size, place, batches = cells(n, max_block)
+
+        def counted():
+            for t, b, s in batches:
+                layers[(~int(t[0]) & int(t[0]) + 1).bit_length()] += 1
+                yield t, b, s
+        return size, place, counted()
+    monkeypatch.setattr(grouping, "_cells", recording)
+    grouping._plan.cache_clear()  # a kept plan would skip _cells
+    return layers
+
+
 class TestAgainstLoop:
     """The layered numpy DP against the plain loop over states in
     ``tests/reference.py``: same count, same score bits, same partition."""
@@ -142,11 +165,17 @@ class TestAgainstLoop:
         # 8 cells hold one or a few sources, so most layers run as many
         # batches and tied candidates meet across batches
         monkeypatch.setattr(grouping, "_BATCH_CELLS", 8)
+        layers = record_layers(monkeypatch)
         rng = np.random.default_rng(10 + KINDS.index(kind))
         for n in range(1, 10):
             for smax in range(1, 6):
                 for _ in range(2):
+                    layers.clear()
                     assert_same_as_loop(rate_table(rng, n, smax, kind), n, smax)
+                    if n >= 4 and smax >= 2:
+                        # the batches ran under the patched budget, not from
+                        # a plan built under the default one
+                        assert max(layers.values()) > 1
 
     @pytest.mark.parametrize("m", [10, 12, 14, 16])
     def test_exhaustive_search_on_mcs_rates(self, m):
@@ -156,6 +185,83 @@ class TestAgainstLoop:
             _, _, assign = loop_best_partition(rates, m, 4)
             assert exhaustive_search(oracle).groups == canonical_partition(
                 blocks_of(assign))
+
+
+def solution_bits(solution):
+    return solution.groups, solution.objective_value.hex()
+
+
+class TestPlan:
+    """The rate-independent plan of full search, kept for the last
+    (M, cap) when its cells fit one batch."""
+
+    def test_cell_count_is_the_cells_visited(self):
+        for n in range(1, 13):
+            for cap in range(1, n + 1):
+                _, _, batches = grouping._cells(n, cap)
+                assert sum(len(t) for t, _, _ in batches) == grouping._cell_count(n, cap)
+
+    def test_cell_count_without_allocation(self):
+        # the DP-cell table at and past the size limit, from the formula alone
+        tracemalloc.start()
+        try:
+            counts = [grouping._cell_count(n, cap)
+                      for n, cap in [(10, 4), (14, 4), (16, 4), (16, 8), (16, 16), (20, 4)]]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == [6_182, 174_379, 858_980, 6_572_679, 7_207_221, 18_398_104]
+        assert peak < 64 * 2 ** 10
+
+    def test_kept_plan_is_reused_exactly(self):
+        # sizes that switch the kept plan, return to an evicted one and
+        # cross the budget: (14, 4) has 174,379 cells and streams
+        grouping._plan.cache_clear()
+        for m, cap in [(10, 4), (10, 3), (12, 4), (10, 4), (14, 4)]:
+            kept = grouping._cell_count(m, cap) <= grouping._BATCH_CELLS
+            for seed in range(2):
+                misses = grouping._plan.cache_info().misses
+                _, oracle = rician_oracle(m, cap, seed=seed)
+                got = exhaustive_search(oracle)
+                # a switch looks the plan up once; the second seed reuses it
+                assert grouping._plan.cache_info().misses == misses + (seed == 0)
+                assert (grouping._plan(m, cap, grouping._BATCH_CELLS) is None) != kept
+                _, _, assign = loop_best_partition(_rates_by_mask(oracle), m, cap)
+                assert got.groups == canonical_partition(blocks_of(assign))
+                grouping._plan.cache_clear()
+                _, fresh = rician_oracle(m, cap, seed=seed)
+                assert solution_bits(got) == solution_bits(exhaustive_search(fresh))
+
+    def test_threads_share_the_kept_plan(self):
+        # eight threads switch between sizes, two of them kept and one
+        # streamed, and each gets the solution a lone run gets
+        cases = [(10, 4), (10, 3), (14, 4)]
+        want = {c: solution_bits(exhaustive_search(rician_oracle(*c, seed=0)[1]))
+                for c in cases}
+        errors = []
+
+        def worker(i):
+            try:
+                for j in range(4):
+                    c = cases[(i + j) % len(cases)]
+                    got = solution_bits(exhaustive_search(rician_oracle(*c, seed=0)[1]))
+                    if got != want[c]:
+                        errors.append((c, got))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
 
 class TestLimits:
@@ -177,3 +283,26 @@ class TestLimits:
             tracemalloc.stop()
         assert count == count_partitions(16, 6)
         assert peak < 32 * 2 ** 20
+
+    def test_no_plan_above_the_budget_is_kept(self):
+        _, oracle = rician_oracle(10, 4, seed=0)
+        exhaustive_search(oracle)
+        plan = grouping._plan(10, 4, grouping._BATCH_CELLS)
+        for array in (*plan[1:4], *chain(*plan[4])):  # masks, size, place, cells
+            assert array.flags.writeable is False
+        with pytest.raises(ValueError, match="read-only"):
+            plan[2][0] = 1
+        _, oracle = rician_oracle(16, 4, seed=0)
+        _rates_by_mask(oracle)  # the memo is filled before the trace starts
+        tracemalloc.start()
+        try:
+            exhaustive_search(oracle)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # 858,980 cells in three int64 arrays would hold about 20 MB
+        assert grouping._cell_count(16, 4) > grouping._BATCH_CELLS
+        assert held < 2 ** 20
+        hits = grouping._plan.cache_info().hits
+        assert grouping._plan(16, 4, grouping._BATCH_CELLS) is None
+        assert grouping._plan.cache_info().hits == hits + 1  # the one slot
