@@ -16,7 +16,9 @@ take M and the cap, which must be at least two, from the rate oracle.
 
 from __future__ import annotations
 
-from .grouping import Group, GroupingSolution, canonical_group, objective
+from bisect import bisect
+
+from .grouping import Group, GroupingSolution, objective
 from .matching import WeightedGraph, hungarian, max_weight_matching
 
 __all__ = ["optimal_mu2_su", "gma"]
@@ -87,9 +89,10 @@ def _merge_pass(groups: list[Group], oracle) -> list[Group]:
     if not s2:
         return committed + s1
 
-    # |S1| = |S2| and every S1 group has room for one more member
-    # all S1 x S2 merges in one bulk query, row by row
-    merged_rates = iter(oracle.rates([g + u for g in s1 for u in s2]))
+    # |S1| = |S2|; S1 groups have room for one more, so sorted merges go in unchecked
+    merged = [g[:(at := bisect(g, u[0]))] + u + g[at:] for g in s1 for u in s2]
+    oracle.precompute(merged, checked=True)
+    merged_rates = iter(oracle.rates(merged))
     benefit = [[(len(g) + 1) * next(merged_rates) for _ in s2] for g in s1]
     # added in order: sum() compensates float sums from Python 3.12 on
     finite_total = 1.0
@@ -107,7 +110,7 @@ def _merge_pass(groups: list[Group], oracle) -> list[Group]:
         g, u = s1[i], s2[j]
         x = benefit[i][j]  # (|g|+1) R(g+u), or the sentinel
         if x > sentinel and x - len(g) * parts[i] - parts[len(s1) + j] > 0.0:
-            committed.append(canonical_group(g + u))
+            committed.append(merged[i * len(s2) + j])
         else:
             committed.extend((g, u))
     return committed

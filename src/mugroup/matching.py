@@ -15,21 +15,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import index
 
 __all__ = ["WeightedGraph", "max_weight_matching", "hungarian"]
 
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Simple undirected graph with finite (possibly negative) edge weights."""
+    """Simple undirected graph, integer vertex ids, finite (possibly negative) weights."""
 
     num_vertices: int
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
+        try:  # one pass; if a check fails, the loop names the first bad edge
+            edges = tuple((index(u), index(v), float(w)) if u < v
+                          else (index(v), index(u), float(w)) for u, v, w in self.edges)
+            ok = (all(0 <= u < v < self.num_vertices for u, v, _ in edges)
+                  and len({(u, v) for u, v, _ in edges}) == len(edges)
+                  and all(map(math.isfinite, [w for _, _, w in edges])))
+        except (ArithmeticError, TypeError, ValueError):
+            ok = False
         seen = set()
-        norm = []
-        for u, v, w in self.edges:
+        for u, v, w in () if ok else self.edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
@@ -40,8 +48,9 @@ class WeightedGraph:
             if key in seen:
                 raise ValueError(f"parallel edge {key}")
             seen.add(key)
-            norm.append((key[0], key[1], float(w)))
-        object.__setattr__(self, "edges", tuple(norm))
+            if not (hasattr(type(u), "__index__") and hasattr(type(v), "__index__")):
+                raise ValueError(f"edge ({u}, {v}) has a non-integer vertex id")
+        object.__setattr__(self, "edges", edges)
 
 
 def max_weight_matching(graph: WeightedGraph) -> tuple[tuple[int, int], ...]:
@@ -93,12 +102,10 @@ def _blossom_mates(n: int, edges) -> list[int]:
     reads the bits it would compute.
     """
     nbrs: list[list[tuple[int, int, float]]] = [[] for _ in range(n)]
-    twice = []
-    for k, (u, v, w) in enumerate(edges):
-        w2 = 2 * w
-        nbrs[u].append((v, k, w2))
-        nbrs[v].append((u, k, w2))
-        twice.append(w2)
+    twice = [2 * w for _, _, w in edges]
+    for k, (u, v, _) in enumerate(edges):
+        nbrs[u].append((v, k, twice[k]))
+        nbrs[v].append((u, k, twice[k]))
     dual = [max(0.0, max(w for _, _, w in edges))] * n
     mate, mate_edge = [-1] * n, [-1] * n
     # label of a top-level blossom: 0 free, 1 S, 2 T, 5 S with a breadcrumb;
@@ -117,9 +124,6 @@ def _blossom_mates(n: int, edges) -> list[int]:
     free = list(range(2 * n - 1, n - 1, -1))
     allowed = [False] * len(edges)      # edge known to have zero slack
     queue: list[int] = []               # S-vertices still to scan
-
-    def slack(e):
-        return dual[e[0]] + dual[e[1]] - twice[e[2]]
 
     def leaves(b):
         out, stack = [], list(childs[b])
@@ -193,17 +197,21 @@ def _blossom_mates(n: int, edges) -> list[int]:
         best_to: dict[int, tuple] = {}
         for s in path:
             if s >= n and mybest[s] is not None:
-                nblist, mybest[s] = mybest[s], None
-            else:
-                nblist = [(x, y, k) for x in (leaves(s) if s >= n else (s,))
-                          for y, k, _ in nbrs[x]]
-            for f in nblist:
-                bj = inblossom[f[1]] if inblossom[f[1]] != b else inblossom[f[0]]
-                if bj != b and label[bj] == 1:
-                    d = slack(f)
-                    if bj not in best_to or d < best_to[bj][0]:
+                for f in mybest[s]:
+                    bj = inblossom[f[1]] if inblossom[f[1]] != b else inblossom[f[0]]
+                    d = dual[f[0]] + dual[f[1]] - twice[f[2]]
+                    if bj != b and label[bj] == 1 and (bj not in best_to or d < best_to[bj][0]):
                         best_to[bj] = (d, f)
-            bestedge[s], bslack[s] = None, math.inf
+            else:
+                for x in leaves(s) if s >= n else (s,):
+                    dx = dual[x]
+                    for y, k, w2 in nbrs[x]:
+                        by = inblossom[y]
+                        if by != b and label[by] == 1:
+                            d = dx + dual[y] - w2
+                            if by not in best_to or d < best_to[by][0]:
+                                best_to[by] = (d, (x, y, k))
+            bestedge[s], bslack[s], mybest[s] = None, math.inf, None
         mybest[b] = [f for _, f in best_to.values()]
         bslack[b], bestedge[b] = min(best_to.values(), key=lambda t: t[0],  # first of ties
                                      default=(math.inf, None))
@@ -254,11 +262,9 @@ def _blossom_mates(n: int, edges) -> list[int]:
             j += jstep
             if label[bv] == 1:
                 continue
-            x = bv
-            if bv >= n:
-                for x in leaves(bv):
-                    if label[x]:
-                        break
+            for x in leaves(bv) if bv >= n else (bv,):
+                if label[x]:
+                    break
             if label[x]:
                 label[x] = label[mate[base[bv]]] = 0
                 assign_label(x, 2, labeledge[x])
@@ -313,8 +319,11 @@ def _blossom_mates(n: int, edges) -> list[int]:
         bslack[:] = [math.inf] * (2 * n)
         allowed[:] = [False] * len(edges)
         queue.clear()
-        for v in range(n):
-            if mate[v] < 0 and label[inblossom[v]] == 0:
+        for v in range(n):  # assign_label(v, 1, None) on the free vertices
+            if mate[v] < 0 and inblossom[v] == v:
+                label[v] = 1
+                queue.append(v)
+            elif mate[v] < 0 and label[inblossom[v]] == 0:
                 assign_label(v, 1, None)
         augmented = False
         while True:  # a substage: label from the queue, then move the duals
@@ -325,11 +334,12 @@ def _blossom_mates(n: int, edges) -> list[int]:
                     bw = inblossom[w]
                     if bv == bw:
                         continue
+                    lw = label[bw]
                     if allowed[k] or (k_slack := dv + dual[w] - w2) <= 0:
                         allowed[k] = True
-                        if label[bw] == 0:
+                        if lw == 0:
                             assign_label(w, 2, (v, w, k))
-                        elif label[bw] == 1:
+                        elif lw == 1:
                             bs = scan_blossom(v, w)
                             if bs >= 0:
                                 add_blossom(bs, (v, w, k))
@@ -340,12 +350,12 @@ def _blossom_mates(n: int, edges) -> list[int]:
                                 break
                         elif label[w] == 0:
                             label[w], labeledge[w] = 2, (v, w, k)
-                    elif label[bw] == 1 or label[w] == 0:
-                        # least-slack edge from S-blossom bv to another
-                        # S-blossom, or into the unreached vertex w
-                        x = bv if label[bw] == 1 else w
-                        if k_slack < bslack[x]:
-                            bestedge[x], bslack[x] = (v, w, k), k_slack
+                    elif lw == 1:  # least-slack edge from bv to another S-blossom
+                        if k_slack < bslack[bv]:
+                            bestedge[bv], bslack[bv] = (v, w, k), k_slack
+                    elif label[w] == 0:  # or into the unreached vertex w
+                        if k_slack < bslack[w]:
+                            bestedge[w], bslack[w] = (v, w, k), k_slack
             if augmented:
                 break
             # delta types: 1 a vertex dual hits zero (optimum), 2 an S-free
@@ -361,16 +371,13 @@ def _blossom_mates(n: int, edges) -> list[int]:
                 if parent[b] < 0 and label[b] == 2 and z < delta:
                     delta_type, delta, delta_blossom = 4, z, b
             shift = (0.0, -delta, delta)  # by label: free, S, T
-            for v in range(n):
-                dual[v] += shift[label[inblossom[v]]]
-            for b in blossom_dual:
-                if parent[b] < 0:
-                    blossom_dual[b] -= shift[label[b]]
+            dual[:] = [d + shift[label[b]] for d, b in zip(dual, inblossom)]
+            blossom_dual.update({b: z - shift[label[b]]
+                                 for b, z in blossom_dual.items() if parent[b] < 0})
             if delta_type == 1:
                 break
-            for x, e in enumerate(bestedge):
-                if e is not None:
-                    bslack[x] = dual[e[0]] + dual[e[1]] - twice[e[2]]
+            bslack[:] = [math.inf if e is None else dual[e[0]] + dual[e[1]] - twice[e[2]]
+                         for e in bestedge]
             if delta_type == 4:
                 expand_blossom(delta_blossom, False)
             else:

@@ -56,6 +56,7 @@ import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from itertools import chain
 
 import numpy as np
@@ -303,7 +304,7 @@ def _batch_rates(gram: np.ndarray, groups: list[tuple[int, ...]],
             per_sc = cfg.bandwidth_hz * np.log2(1.0 + sinr).sum(axis=1)
         else:
             # summed user by user in order, like a scalar loop over the users
-            per_sc = np.add.accumulate(mcs(sinr), axis=1)[:, -1]
+            per_sc = reduce(np.add, mcs(sinr).T)
         # the sum and divide of mean(axis=1), without its Python wrapper
         chunk_rates = np.divide(per_sc.reshape(-1, sc).sum(axis=1), sc, out=rates[i:i + step])
         if not ok.all():
@@ -400,8 +401,8 @@ class RateOracle:
         Every group is checked first, unless ``checked`` says the groups
         are canonical, in range and within the cap already: the misses of
         ``rates``, and the groups that ``grouping._rates_by_mask``,
-        ``gma.optimal_mu2_su``, ``baselines.zfs_grouping`` and
-        ``baselines.sus_grouping`` build from the oracle's users and cap.
+        ``gma.optimal_mu2_su``, ``gma._merge_pass``, ``baselines.zfs_grouping``
+        and ``baselines.sus_grouping`` build from the oracle's users and cap.
         """
         members = groups if checked else self._members(groups)
         memo = self._memo

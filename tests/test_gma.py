@@ -130,6 +130,16 @@ class TestGma:
             oracle = random_oracle(rng, m, 2)
             assert gma(oracle).groups == optimal_mu2_su(oracle).groups
 
+    @pytest.mark.parametrize("phy", [None, MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
+    def test_cold_solve_checks_singles_only(self, check_calls, phy):
+        # the merge passes build each S1 x S2 merge sorted and fill the
+        # memo unchecked; every later query reads memo hits
+        _, oracle = rician_oracle(24, 4, seed=24, sc=8, phy=phy)
+        sol = gma(oracle)
+        assert check_calls == [(u,) for u in range(24)]
+        assert any(len(g) > 2 for g in sol.groups)
+        assert all(g in oracle._memo for g in sol.groups)
+
     def test_cap_below_two_rejected(self):
         # refused by the pairing pass, before any rate query
         _, oracle = rician_oracle(5, 1, seed=5)

@@ -77,6 +77,36 @@ class TestWeightedGraphInvariants:
         with pytest.raises(ValueError):
             graph(2, [(0, 2, 1.0)])
 
+    def test_rejects_non_integer_ids(self):
+        # refused before the matching, which would index lists with them
+        for u, v in [(0, 1.0), (1.5, 0), (0, np.float64(2.0))]:
+            with pytest.raises(ValueError, match=r"edge \(.*\) has a non-integer vertex id"):
+                graph(3, [(1, 2, 1.0), (u, v, 1.0)])
+
+    def test_accepts_numpy_integer_ids(self):
+        g = graph(4, [(np.int64(2), np.int32(3), 1.0), (np.uint8(0), np.int16(1), 2.0)])
+        assert g.edges == ((2, 3, 1.0), (0, 1, 2.0))
+        assert all(type(x) is int for u, v, _ in g.edges for x in (u, v))
+        assert max_weight_matching(g) == ((0, 1), (2, 3))
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1, 1.0), (2, 2, 1.0), (0, 5, 1.0)], "self-loop at vertex 2"),
+        ([(0, 5, 1.0), (2, 2, 1.0)], r"edge \(0, 5\) out of range"),
+        ([(0, 1, np.inf), (1, 0.5, 1.0)], r"edge \(0, 1\) has non-finite weight inf"),
+        ([(0, 1, 1.0), (2, 0.5, 1.0), (1, 0, 1.0)], r"edge \(2, 0.5\) has a non-integer"),
+        ([(0, 1, 1.0), (1, 0, 1.0), (2, 0.5, 1.0)], r"parallel edge \(0, 1\)"),
+        ([(0, 1, 1.0), (1, 2, np.nan), (3, 3, 1.0)], r"edge \(1, 2\) has non-finite weight nan"),
+    ])
+    def test_first_bad_edge_decides(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            graph(4, edges)
+
+    def test_edges_normalised(self):
+        # reversed pairs put in order, weights as floats, input order kept
+        g = graph(4, [(3, 1, 2), (0, 2, -1), (2, 1, 0.5), (True, 0, np.float32(1.5))])
+        assert g.edges == ((1, 3, 2.0), (0, 2, -1.0), (1, 2, 0.5), (0, 1, 1.5))
+        assert all(type(w) is float for _, _, w in g.edges)
+
     def test_matching_rejects_vertex_reuse(self):
         g = graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         with pytest.raises(ValueError):
