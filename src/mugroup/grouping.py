@@ -210,17 +210,12 @@ def _cell_count(n, max_block):
 
 @lru_cache(maxsize=1)
 def _plan(n, max_block, batch_cells):
-    """``_subsets``, ``_cells`` and partition count of (n, max_block), read-only
-    so that threads may share them; None above ``batch_cells`` cells."""
+    """``_subsets`` and ``_cells`` of (n, max_block), read-only so that
+    threads may share them; None above ``batch_cells`` cells."""
     if _cell_count(n, max_block) > batch_cells:
         return None
     size, place, batches = _cells(n, max_block)
-    batches = tuple(batches)
-    count = np.zeros(1 << n, dtype=np.int64)  # partitions of each state
-    count[0] = 1
-    for t, _, s in batches:
-        np.add.at(count, s, count[t])
-    plan = (*_subsets(n, max_block), size, place, batches, int(count[-1]))
+    plan = (*_subsets(n, max_block), size, place, tuple(batches))
     for array in (*plan[1:4], *chain(*plan[4])):
         array.setflags(write=False)
     return plan
@@ -245,7 +240,7 @@ def search_best_partition(rates: np.ndarray, n: int, max_block: int):
     partition is built exactly once.  ``best[T | B] = best[T] + |B| *
     rates[B]`` adds in the order of the score and float addition is
     monotone, so the result is the largest score as a float;
-    ``count[T | B] += count[T]`` counts the partitions (once per kept plan).
+    ``count[T | B] += count[T]`` counts the partitions.
 
     States are expanded in layers by their lowest uncovered element L,
     the strided slice ``count[2**L - 1 :: 2**(L + 1)]``.  Every block
@@ -277,7 +272,7 @@ def search_best_partition(rates: np.ndarray, n: int, max_block: int):
     if len(rates) != 2 ** n:
         raise ValueError(f"rates must have length 2**{n}, got {len(rates)}")
     plan = _plan(n, max_block, _BATCH_CELLS)
-    size, place, batches, partitions = (*_cells(n, max_block), None) if plan is None else plan[2:]
+    size, place, batches = _cells(n, max_block) if plan is None else plan[2:]
     weight = size * np.asarray(rates, dtype=np.float64)
     if not np.isfinite(weight).all():
         raise ValueError("rates must be finite")
@@ -290,15 +285,14 @@ def search_best_partition(rates: np.ndarray, n: int, max_block: int):
     for t, b, s in batches:
         value = best[t] + weight[b]
         before = best[s]
-        if partitions is None:
-            np.add.at(count, s, count[t])
+        np.add.at(count, s, count[t])
         np.maximum.at(best, s, value)
         lead = np.flatnonzero(value == best[s])  # candidates at the max
         at = s[lead]
         key[at[value[lead] > before[lead]]] = no_key  # a new max
         np.minimum.at(key, at, key[t[lead]] + place[full - at])
     assign = key[full] >> 4 * np.arange(n - 1, -1, -1) & 15
-    return int(count[full]) if partitions is None else partitions, float(best[full]), assign
+    return int(count[full]), float(best[full]), assign
 
 
 def exhaustive_search_fits(num_users: int, max_size: int) -> bool:
@@ -330,7 +324,9 @@ def exhaustive_search(oracle) -> GroupingSolution:
     rates = _rates_by_mask(oracle)
     count, _, assign = search_best_partition(rates, num_users, max_size)
     if count != expected:
-        raise AssertionError(f"search visited {count} partitions, recurrence predicts {expected}")
+        raise AssertionError(
+            f"search visited {count} partitions, recurrence predicts {expected}"
+        )
     blocks: list[list[int]] = [[] for _ in range(int(assign.max()) + 1)]
     for u, index in enumerate(assign.tolist()):
         blocks[index].append(u)

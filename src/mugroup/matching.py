@@ -28,29 +28,24 @@ class WeightedGraph:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        try:  # one pass; if a check fails, the loop names the first bad edge
-            edges = tuple((index(u), index(v), float(w)) if u < v
-                          else (index(v), index(u), float(w)) for u, v, w in self.edges)
-            ok = (all(0 <= u < v < self.num_vertices for u, v, _ in edges)
-                  and len({(u, v) for u, v, _ in edges}) == len(edges)
-                  and all(map(math.isfinite, [w for _, _, w in edges])))
-        except (ArithmeticError, TypeError, ValueError):
-            ok = False
         seen = set()
-        for u, v, w in () if ok else self.edges:
+        norm = []
+        for u, v, w in self.edges:
+            try:
+                key = (index(u), index(v)) if u < v else (index(v), index(u))
+            except TypeError:
+                raise ValueError(f"edge ({u}, {v}) has a non-integer vertex id") from None
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
+            if not (0 <= key[0] and key[1] < self.num_vertices):
                 raise ValueError(f"edge ({u}, {v}) out of range")
             if not math.isfinite(w):
                 raise ValueError(f"edge ({u}, {v}) has non-finite weight {w}")
-            key = (min(u, v), max(u, v))
             if key in seen:
                 raise ValueError(f"parallel edge {key}")
             seen.add(key)
-            if not (hasattr(type(u), "__index__") and hasattr(type(v), "__index__")):
-                raise ValueError(f"edge ({u}, {v}) has a non-integer vertex id")
-        object.__setattr__(self, "edges", edges)
+            norm.append((*key, float(w)))
+        object.__setattr__(self, "edges", tuple(norm))
 
 
 def max_weight_matching(graph: WeightedGraph) -> tuple[tuple[int, int], ...]:
@@ -199,9 +194,10 @@ def _blossom_mates(n: int, edges) -> list[int]:
             if s >= n and mybest[s] is not None:
                 for f in mybest[s]:
                     bj = inblossom[f[1]] if inblossom[f[1]] != b else inblossom[f[0]]
-                    d = dual[f[0]] + dual[f[1]] - twice[f[2]]
-                    if bj != b and label[bj] == 1 and (bj not in best_to or d < best_to[bj][0]):
-                        best_to[bj] = (d, f)
+                    if bj != b and label[bj] == 1:
+                        d = dual[f[0]] + dual[f[1]] - twice[f[2]]
+                        if bj not in best_to or d < best_to[bj][0]:
+                            best_to[bj] = (d, f)
             else:
                 for x in leaves(s) if s >= n else (s,):
                     dx = dual[x]

@@ -213,21 +213,6 @@ class TestPlan:
         assert counts == [6_182, 174_379, 858_980, 6_572_679, 7_207_221, 18_398_104]
         assert peak < 64 * 2 ** 10
 
-    def test_kept_plan_counts_the_partitions(self, monkeypatch):
-        # a kept plan counts once, when built; the streamed search counts
-        # on every call, and both agree with the recurrence
-        rates = np.ones(2 ** 10)
-        for cap in range(1, 11):
-            grouping._plan.cache_clear()
-            plan = grouping._plan(10, cap, grouping._BATCH_CELLS)
-            assert plan is not None and plan[-1] == count_partitions(10, cap)
-            assert grouping.search_best_partition(rates, 10, cap)[0] == plan[-1]
-        monkeypatch.setattr(grouping, "_BATCH_CELLS", 8)
-        for cap in range(1, 11):
-            assert grouping._plan(10, cap, grouping._BATCH_CELLS) is None
-            assert grouping.search_best_partition(rates, 10, cap)[0] == count_partitions(10, cap)
-        grouping._plan.cache_clear()
-
     def test_kept_plan_is_reused_exactly(self):
         # sizes that switch the kept plan, return to an evicted one and
         # cross the budget: (14, 4) has 174,379 cells and streams

@@ -101,6 +101,12 @@ class TestWeightedGraphInvariants:
         with pytest.raises(ValueError, match=message):
             graph(4, edges)
 
+    def test_rejects_non_numeric_weights(self):
+        # finiteness is tested on the weight as given, before any float()
+        for w in ["1.5", b"1.5", None]:
+            with pytest.raises(TypeError):
+                graph(3, [(0, 1, 1.0), (1, 2, w)])
+
     def test_edges_normalised(self):
         # reversed pairs put in order, weights as floats, input order kept
         g = graph(4, [(3, 1, 2), (0, 2, -1), (2, 1, 0.5), (True, 0, np.float32(1.5))])
