@@ -21,12 +21,14 @@ import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import SusParams, random_grouping, sus_grouping, zfs_grouping
-from .channel import ChannelSet, CorrelatedRicianSpec, generate_rician, load_channels
+from .channel import (ChannelSet, CorrelatedRicianSpec, generate_rician, load_channels,
+                      read_header)
 from .errors import ConfigurationError
 from .gma import gma, optimal_mu2_su
 from .grouping import (MAX_SEARCH_USERS, GroupingSolution, exhaustive_search,
@@ -58,7 +60,8 @@ class Scenario(Enum):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: scenario grid, channel model, PHY, algorithms, seeds."""
+    """One sweep: scenario grid, channel model, PHY, algorithms, seeds.
+    An invalid one raises ConfigurationError on construction."""
 
     scenario: Scenario
     m_values: tuple[int, ...]
@@ -75,9 +78,11 @@ class ExperimentConfig:
     output: str | None = None
     sus_params: SusParams = field(default_factory=SusParams)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.seeds:
             raise ConfigurationError("seed list must not be empty")
+        if min(self.seeds) < 0:
+            raise ConfigurationError(f"seed {min(self.seeds)} must not be negative")
         if not self.m_values or not self.nu_values or not self.rho_values:
             raise ConfigurationError(
                 "m_values, nu_values and rho_values must not be empty")
@@ -89,18 +94,26 @@ class ExperimentConfig:
                 raise ConfigurationError(f"repeated algorithm {name!r}")
         if min(self.m_values) < 1:
             raise ConfigurationError(f"M={min(self.m_values)} must be at least 1")
+        if len(self.rho_values) > 1 and self.scenario is not Scenario.RHO_SWEEP:
+            raise ConfigurationError(f"rho_values {list(self.rho_values)} need a rho_sweep")
+        antennas = self.num_tx_antennas
+        if self.channel_file is not None:
+            if not Path(self.channel_file).exists():
+                raise ConfigurationError(f"channel file not found: {self.channel_file}")
+            users, antennas, _ = read_header(self.channel_file)
+            if max(self.m_values) > users:
+                raise ConfigurationError(
+                    f"channel file holds {users} users, need {max(self.m_values)}")
+            if self.scenario is Scenario.RHO_SWEEP or self.correlated_users:
+                raise ConfigurationError(
+                    "a rho_sweep or correlated_users needs drawn channels, not a channel_file")
         pairing = " and ".join(a for a in ("blossom", "gma") if a in self.algorithms)
         for nu in self.nu_values:
             if nu < 1 or nu < 2 and pairing:
                 raise ConfigurationError(
                     f"Nu={nu} must be at least {f'2 for {pairing}' if pairing else 1}")
-            if nu > self.num_tx_antennas:
-                raise ConfigurationError(
-                    f"Nu={nu} exceeds {self.num_tx_antennas} transmit antennas")
-        if len(self.rho_values) > 1 and self.scenario is not Scenario.RHO_SWEEP:
-            raise ConfigurationError(f"rho_values {list(self.rho_values)} need a rho_sweep")
-        if self.channel_file is not None and not Path(self.channel_file).exists():
-            raise ConfigurationError(f"channel file not found: {self.channel_file}")
+            if nu > antennas:
+                raise ConfigurationError(f"Nu={nu} exceeds {antennas} transmit antennas")
         if "full_search" in self.algorithms and self.scenario is not Scenario.RUNTIME_SWEEP:
             for m in self.m_values:
                 for nu in self.nu_values:
@@ -110,12 +123,8 @@ class ExperimentConfig:
                             f"of {MAX_SEARCH_USERS} users")
 
     @staticmethod
-    def from_json(path_or_text) -> "ExperimentConfig":
-        """Build a config from a JSON object; accepts a file path or a JSON string.
-
-        A ``str`` that starts with ``{`` (after white space) is JSON text,
-        any other ``str`` a path; the file system is not consulted to
-        tell them apart, so JSON text of any length parses.
+    def from_json(path) -> "ExperimentConfig":
+        """Build a config from the JSON object in the file at ``path``.
 
         Required keys: ``scenario`` ("user_sweep", "rho_sweep" or
         "runtime_sweep"), ``m_values`` and ``nu_values`` (lists of ints).
@@ -137,13 +146,7 @@ class ExperimentConfig:
         Unknown keys are ignored, but ``sus.alpha`` is refused.  Raises
         ConfigurationError on a missing or invalid value.
         """
-        if isinstance(path_or_text, str) and not path_or_text.lstrip().startswith("{"):
-            path_or_text = Path(path_or_text)
-        if isinstance(path_or_text, Path):
-            raw = json.loads(path_or_text.read_text())
-        else:
-            raw = json.loads(path_or_text)
-        return _config_from_dict(raw)
+        return _config_from_dict(json.loads(Path(path).read_text()))
 
 
 _JSON_TYPES = {list: "array", bool: "boolean", int: "integer", float: "finite number"}
@@ -202,7 +205,7 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         if "sweep" in sus_raw:
             sus_params = SusParams(tuple(_json(a, float, "sus sweep")
                                          for a in _json(sus_raw["sweep"], list, "sus sweep")))
-        cfg = ExperimentConfig(
+        fields = dict(
             scenario=scenario,
             m_values=tuple(_json(m, int, "m_values")
                            for m in _json(raw["m_values"], list, "m_values")),
@@ -227,8 +230,7 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
     except (TypeError, ValueError) as exc:
         # a value out of range, an unknown rate mode or a malformed MCS entry
         raise ConfigurationError(f"invalid config value: {exc}") from None
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**fields)
 
 
 @dataclass(frozen=True)
@@ -253,9 +255,6 @@ class ResultRow:
 def _channels_for(cfg: ExperimentConfig, m: int, rho: float, seed: int,
                   file_channels: ChannelSet | None) -> ChannelSet:
     if file_channels is not None:
-        if m > file_channels.num_users:
-            raise ConfigurationError(
-                f"channel file holds {file_channels.num_users} users, need {m}")
         pick = np.sort(np.random.default_rng(seed).choice(
             file_channels.num_users, size=m, replace=False))
         return ChannelSet(m, file_channels.num_tx_antennas,
@@ -284,19 +283,7 @@ def _run_algorithm(name: str, oracle, seed: int, cfg: ExperimentConfig) -> Group
         return zfs_grouping(oracle)
     if name == "sus":
         return sus_grouping(oracle, cfg.sus_params)
-    if name == "random":
-        return random_grouping(oracle, seed)
-    raise ConfigurationError(f"unknown algorithm {name!r}")
-
-
-def _grid(cfg: ExperimentConfig):
-    for m in cfg.m_values:
-        for nu in cfg.nu_values:
-            if cfg.scenario is Scenario.RHO_SWEEP:
-                for rho in cfg.rho_values:
-                    yield m, nu, rho
-            else:
-                yield m, nu, cfg.rho_values[0]
+    return random_grouping(oracle, seed)  # "random": the config admits no other name
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -311,10 +298,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     Throughput is ``objective_value`` / M, as the solver scored it.
     ratio-to-optimal is the mean over seeds of the per-seed ratio against
     full search.  Full search gets a row of empty cells, marked
-    ``skipped``, wherever it would refuse the network size; ``validate``
+    ``skipped``, wherever it would refuse the network size; the config
     admits that case for a runtime sweep only.
     """
-    cfg.validate()
     file_channels = load_channels(cfg.channel_file) if cfg.channel_file else None
     fresh = cfg.scenario is Scenario.RUNTIME_SWEEP
     first = "random" if fresh else "full_search"
@@ -322,7 +308,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     if fresh and first not in ordered:
         ordered.insert(0, first)
     rows = []
-    for m, nu, rho in _grid(cfg):
+    for m, nu, rho in product(cfg.m_values, cfg.nu_values, cfg.rho_values):
         solved = [a for a in ordered
                   if a != "full_search" or exhaustive_search_fits(m, nu)]
         tput = {name: [] for name in solved}

@@ -28,6 +28,7 @@ __all__ = [
     "correlation_matrix",
     "pairwise_correlation",
     "load_channels",
+    "read_header",
     "write_channels",
 ]
 
@@ -97,6 +98,8 @@ class CorrelatedRicianSpec:
             raise ValueError("correlated_user_count must be in [0, num_users]")
         if not math.isfinite(self.k_factor_db):
             raise ValueError("k_factor_db must be finite")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must not be negative")
 
     @property
     def k_linear(self) -> float:
@@ -145,22 +148,17 @@ def generate_rician(spec: CorrelatedRicianSpec) -> ChannelSet:
     return ChannelSet(spec.num_users, spec.num_tx_antennas, spec.num_subcarriers, h)
 
 
-def correlation_matrix(channels: ChannelSet, users=None) -> np.ndarray:
-    """Normalized inner-product magnitudes of the users' channels, (n, n).
+def correlation_matrix(channels: ChannelSet) -> np.ndarray:
+    """Normalized inner-product magnitudes of all users' channels, (M, M).
 
     Entry (i, j) is |<h_i, h_j>| / (||h_i|| ||h_j||) per subcarrier,
     averaged over subcarriers and capped at 1; a zero-norm vector
-    contributes 0.  ``users`` picks the rows and columns (default: every
-    user).  The inner products are summed per antenna in real arithmetic,
-    so the matrix is exactly symmetric and an entry does not depend on
-    which other users are in ``users``.  Memory is O(n^2) per subcarrier.
+    contributes 0.  The inner products are summed per antenna in real
+    arithmetic, so the matrix is exactly symmetric.  Memory is O(M^2) per
+    subcarrier.
     """
-    users = list(range(channels.num_users)) if users is None else list(users)
-    for u in users:
-        if not 0 <= u < channels.num_users:
-            raise ValueError(f"user index {u} out of range [0, {channels.num_users})")
-    h = channels.entries[users]  # (n, Nt, SC)
-    n, sc = len(users), channels.num_subcarriers
+    h = channels.entries  # (M, Nt, SC)
+    n, sc = channels.num_users, channels.num_subcarriers
     re = np.zeros((n, n, sc))
     im = np.zeros((n, n, sc))
     for a in range(channels.num_tx_antennas):
@@ -176,10 +174,13 @@ def correlation_matrix(channels: ChannelSet, users=None) -> np.ndarray:
 
 def pairwise_correlation(channels: ChannelSet, i: int, j: int) -> float:
     """Normalized inner-product magnitude of two users' channels in [0, 1]:
-    the off-diagonal entry of ``correlation_matrix`` for the two users."""
+    entry (i, j) of ``correlation_matrix``, which it builds whole."""
     if i == j:
         raise ValueError("pairwise correlation requires two distinct users")
-    return float(correlation_matrix(channels, (i, j))[0, 1])
+    for u in (i, j):
+        if not 0 <= u < channels.num_users:
+            raise ValueError(f"user index {u} out of range [0, {channels.num_users})")
+    return float(correlation_matrix(channels)[i, j])
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +232,21 @@ def _parse_header(line: str) -> tuple[int, int, int]:
     return dims["M"], dims["NT"], dims["SC"]
 
 
+def read_header(path) -> tuple[int, int, int]:
+    """(M, NT, SC) from the first non-blank line of the channel file at ``path``."""
+    with open(path, "r", encoding="ascii") as fh:
+        return _parse_header(next(filter(str.strip, fh), ""))
+
+
 def load_channels(source) -> ChannelSet:
-    """Parse a channel set from a path, a text stream, or a str holding
-    the text (one with a newline).
+    """Parse a channel set from a path or an open text stream.
 
     The stream must follow the interchange format exactly; errors name the
     offending line.
     """
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
+    if isinstance(source, (str, Path)):
         with open(source, "r", encoding="ascii") as fh:
             return load_channels(fh)
-    if isinstance(source, str):
-        source = source.split("\n")
 
     lines = [line for line in map(str.strip, source) if line]
     if not lines:

@@ -86,9 +86,6 @@ def _split_and_balance(groups: list[Group], oracle):
 
 def _merge_pass(groups: list[Group], oracle) -> list[Group]:
     committed, s1, s2 = _split_and_balance(groups, oracle)
-    if not s2:
-        return committed + s1
-
     # |S1| = |S2|; S1 groups have room for one more, so sorted merges go in unchecked
     merged = [g[:(at := bisect(g, u[0]))] + u + g[at:] for g in s1 for u in s2]
     oracle.precompute(merged, checked=True)

@@ -186,10 +186,7 @@ def _cells(n, max_block):
             step = 2 << low  # a state or block shape k * step covers bits above low
             above = size[: (1 << n) // step]
             shapes = (1 << low) + np.flatnonzero(above < max_block) * step
-            if low * (max_block - 1) >= n - 1 - low:  # every state is reached
-                states = np.arange((1 << low) - 1, 1 << n, step)
-            else:
-                states = (1 << low) - 1 + np.flatnonzero(above <= low * (max_block - 1)) * step
+            states = (1 << low) - 1 + np.flatnonzero(above <= low * (max_block - 1)) * step
             per = max(1, _BATCH_CELLS // len(shapes))
             for start in range(0, len(states), per):
                 part = states[start : start + per]

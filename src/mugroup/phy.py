@@ -375,8 +375,8 @@ class RateOracle:
         """``[rate(g) for g in groups]`` as one bulk query, in one pass when
         every group equals a memo key.  Otherwise every group is checked
         before anything is computed or counted (a bad group leaves the memo
-        and both counters as they were); the misses go through
-        ``precompute`` unchecked."""
+        and both counters as they were) and goes to ``precompute``
+        unchecked, which computes the misses."""
         memo = self._memo  # entries are never removed or changed
         try:
             values = [memo[g] for g in groups]
@@ -389,9 +389,7 @@ class RateOracle:
         members = self._members(groups)
         with self._lock:
             self.query_count += len(members)
-            missing = [m for m in members if m not in self._memo]
-        if missing:
-            self.precompute(missing, checked=True)
+        self.precompute(members, checked=True)
         return [memo[m] for m in members]
 
     def precompute(self, groups, *, checked: bool = False) -> None:
@@ -399,8 +397,8 @@ class RateOracle:
         each of at most ``_MAX_BATCH_ROWS`` (group, subcarrier) rows.
 
         Every group is checked first, unless ``checked`` says the groups
-        are canonical, in range and within the cap already: the misses of
-        ``rates``, and the groups that ``grouping._rates_by_mask``,
+        are canonical, in range and within the cap already: the groups
+        ``rates`` checked, and those that ``grouping._rates_by_mask``,
         ``gma.optimal_mu2_su``, ``gma._merge_pass``, ``baselines.zfs_grouping``
         and ``baselines.sus_grouping`` build from the oracle's users and cap.
         """

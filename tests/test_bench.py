@@ -14,7 +14,8 @@ from mugroup.bench import (
 )
 from mugroup import bench
 from mugroup.baselines import SusParams
-from mugroup.errors import ConfigurationError
+from mugroup.channel import CorrelatedRicianSpec, generate_rician, write_channels
+from mugroup.errors import ChannelFormatError, ConfigurationError
 from mugroup.grouping import objective
 from mugroup.phy import RateOracle, make_rate_oracle
 
@@ -33,6 +34,20 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def from_text(tmp_path, text):
+    """``ExperimentConfig.from_json`` of ``text`` written to a file."""
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    return ExperimentConfig.from_json(path)
+
+
+def channel_file(tmp_path, num_users, num_tx_antennas):
+    path = tmp_path / "chan.txt"
+    write_channels(generate_rician(CorrelatedRicianSpec(
+        num_users=num_users, num_tx_antennas=num_tx_antennas, seed=5)), path)
+    return str(path)
 
 
 class TestRunExperiment:
@@ -98,12 +113,7 @@ class TestRunExperiment:
         assert buf_a.getvalue().splitlines()[0] == CSV_HEADER
 
     def test_channel_file_source(self, tmp_path):
-        from mugroup.channel import CorrelatedRicianSpec, generate_rician, write_channels
-
-        path = tmp_path / "chan.txt"
-        write_channels(generate_rician(CorrelatedRicianSpec(
-            num_users=8, num_tx_antennas=4, seed=5)), path)
-        cfg = small_config(channel_file=str(path), m_values=(5,),
+        cfg = small_config(channel_file=channel_file(tmp_path, 8, 4), m_values=(5,),
                            algorithms=("gma", "random"))
         rows = run_experiment(cfg)
         assert {r.algorithm for r in rows} == {"gma", "random"}
@@ -113,51 +123,50 @@ class TestRunExperiment:
 class TestConfigValidation:
     def test_empty_seeds(self):
         with pytest.raises(ConfigurationError):
-            small_config(seeds=()).validate()
+            small_config(seeds=())
 
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigurationError):
-            small_config(algorithms=("gma", "simulated_annealing")).validate()
+            small_config(algorithms=("gma", "simulated_annealing"))
 
     def test_nu_above_antennas(self):
         with pytest.raises(ConfigurationError):
-            small_config(nu_values=(5,)).validate()
+            small_config(nu_values=(5,))
 
     def test_empty_rho_values(self):
         with pytest.raises(ConfigurationError):
-            small_config(rho_values=()).validate()
+            small_config(rho_values=())
 
     def test_missing_channel_file(self):
         with pytest.raises(ConfigurationError):
-            small_config(channel_file="/nonexistent/chan.txt").validate()
+            small_config(channel_file="/nonexistent/chan.txt")
 
     def test_cap_blocks_full_search_upfront(self):
         with pytest.raises(ConfigurationError):
-            small_config(m_values=(17,), nu_values=(3,), num_tx_antennas=4).validate()
-        small_config(m_values=(16,), nu_values=(4,), num_tx_antennas=4).validate()
+            small_config(m_values=(17,), nu_values=(3,), num_tx_antennas=4)
+        small_config(m_values=(16,), nu_values=(4,), num_tx_antennas=4)
         small_config(m_values=(17,), nu_values=(1,), num_tx_antennas=4,
-                     algorithms=("full_search", "zfs", "sus", "random")).validate()
+                     algorithms=("full_search", "zfs", "sus", "random"))
 
     @pytest.mark.parametrize("algorithms", [("blossom",), ("gma", "random")])
     def test_pairing_solvers_need_nu_two(self, algorithms):
         with pytest.raises(ConfigurationError, match="Nu=1"):
-            small_config(nu_values=(1,), algorithms=algorithms).validate()
-        small_config(nu_values=(2,), algorithms=algorithms).validate()
+            small_config(nu_values=(1,), algorithms=algorithms)
+        small_config(nu_values=(2,), algorithms=algorithms)
 
     @pytest.mark.parametrize("field, value, named", [
         ("m_values", (0,), "M=0"), ("m_values", (5, -1), "M=-1"), ("nu_values", (0,), "Nu=0"),
     ])
     def test_sizes_below_one(self, field, value, named):
-        cfg = small_config(**{field: value}, algorithms=("full_search", "zfs", "random"))
         with pytest.raises(ConfigurationError, match=named):
-            cfg.validate()
+            small_config(**{field: value}, algorithms=("full_search", "zfs", "random"))
 
     @pytest.mark.parametrize("scenario", [Scenario.USER_SWEEP, Scenario.RUNTIME_SWEEP])
     def test_several_rho_values_need_rho_sweep(self, scenario):
         with pytest.raises(ConfigurationError, match=r"rho_values \[0.0, 0.9\]"):
-            small_config(scenario=scenario, rho_values=(0.0, 0.9)).validate()
-        small_config(scenario=scenario, rho_values=(0.9,)).validate()
-        small_config(scenario=Scenario.RHO_SWEEP, rho_values=(0.0, 0.9)).validate()
+            small_config(scenario=scenario, rho_values=(0.0, 0.9))
+        small_config(scenario=scenario, rho_values=(0.9,))
+        small_config(scenario=Scenario.RHO_SWEEP, rho_values=(0.0, 0.9))
 
     @pytest.mark.parametrize("patch, named", [
         ({"m_values": "78"}, "m_values"),
@@ -188,13 +197,13 @@ class TestConfigValidation:
         ({"sus": {"sweep": 0.3}}, "sus sweep"),
         ({"sus": {"sweep": ["0.3"]}}, "sus sweep"),
     ])
-    def test_from_json_refuses_wrong_types(self, patch, named):
+    def test_from_json_refuses_wrong_types(self, patch, named, tmp_path):
         raw = {"scenario": "user_sweep", "m_values": [6], "nu_values": [2], **patch}
         with pytest.raises(ConfigurationError, match=f"{named} must be a JSON"):
-            ExperimentConfig.from_json(json.dumps(raw))
+            from_text(tmp_path, json.dumps(raw))
 
-    def test_from_json_typed_values(self):
-        cfg = ExperimentConfig.from_json(json.dumps({
+    def test_from_json_typed_values(self, tmp_path):
+        cfg = from_text(tmp_path, json.dumps({
             "scenario": "user_sweep", "m_values": [6], "nu_values": [2],
             "channel": {"num_tx_antennas": 4, "num_subcarriers": 2},
             "phy": {"rate_mode": "mcs", "mac_overhead": False, "mcs_table": [[0, 1, 2]],
@@ -231,36 +240,99 @@ class TestConfigValidation:
         assert cfg.phy.total_power == 50.0
         assert cfg.output == "out.csv"
 
-    def test_from_json_ignores_unknown_keys(self):
-        cfg = ExperimentConfig.from_json(json.dumps(
+    def test_from_json_ignores_unknown_keys(self, tmp_path):
+        cfg = from_text(tmp_path, json.dumps(
             {"scenario": "user_sweep", "m_values": [6], "nu_values": [2],
              "retired_option": 100}))
         assert cfg.m_values == (6,)
 
-    def test_from_json_long_text_and_str_path(self, tmp_path):
-        # 60 seeds make JSON text longer than a file name may be
+    def test_from_json_str_or_path(self, tmp_path):
         raw = {"scenario": "user_sweep", "m_values": [6], "nu_values": [2],
                "seeds": list(range(60))}
-        text = json.dumps(raw)
-        assert len(text) > 255
-        assert ExperimentConfig.from_json(text).seeds == tuple(range(60))
-        assert ExperimentConfig.from_json("\n  " + text).seeds == tuple(range(60))
         path = tmp_path / "cfg.json"
-        path.write_text(text)
+        path.write_text(json.dumps(raw))
         assert ExperimentConfig.from_json(str(path)).seeds == tuple(range(60))
         assert ExperimentConfig.from_json(path).seeds == tuple(range(60))
+        # JSON text is not a path
+        with pytest.raises(OSError):
+            ExperimentConfig.from_json(json.dumps(raw))
 
-    def test_from_json_sus_sweep_and_no_alpha(self):
+    def test_validation_error_is_not_rewrapped(self, tmp_path):
+        with pytest.raises(ConfigurationError) as info:
+            from_text(tmp_path, json.dumps(
+                {"scenario": "user_sweep", "m_values": [6], "nu_values": [5]}))
+        assert str(info.value) == "Nu=5 exceeds 4 transmit antennas"
+
+    @pytest.mark.parametrize("seeds", [(-1,), (0, 1, -3)])
+    def test_negative_seed(self, seeds):
+        with pytest.raises(ConfigurationError, match=f"seed {min(seeds)} must not be negative"):
+            small_config(seeds=seeds)
+
+
+    def test_from_json_sus_sweep_and_no_alpha(self, tmp_path):
         base = {"scenario": "user_sweep", "m_values": [6], "nu_values": [2]}
-        cfg = ExperimentConfig.from_json(json.dumps({**base, "sus": {"sweep": [0.3]}}))
+        cfg = from_text(tmp_path, json.dumps({**base, "sus": {"sweep": [0.3]}}))
         assert cfg.sus_params == SusParams(sweep=(0.3,))
-        assert ExperimentConfig.from_json(json.dumps(base)).sus_params == SusParams()
+        assert from_text(tmp_path, json.dumps(base)).sus_params == SusParams()
         with pytest.raises(ConfigurationError, match="sweep"):
-            ExperimentConfig.from_json(json.dumps({**base, "sus": {"alpha": 0.3}}))
+            from_text(tmp_path, json.dumps({**base, "sus": {"alpha": 0.3}}))
 
-    def test_from_json_bad_scenario(self):
+    def test_from_json_bad_scenario(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            ExperimentConfig.from_json(json.dumps({"scenario": "bogus"}))
+            from_text(tmp_path, json.dumps({"scenario": "bogus"}))
+
+
+class TestChannelFileConfig:
+    """A channel file fixes the users and antennas: a config is checked
+    against its header when it is built, before any solve."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        for attr in SOLVER_BINDINGS.values():
+            def solve(*args, _fn=getattr(bench, attr), _attr=attr):
+                calls.append(_attr)
+                return _fn(*args)
+            monkeypatch.setattr(bench, attr, solve)
+        return calls
+
+    def run(self, tmp_path, **raw):
+        raw = {"scenario": "user_sweep", "m_values": [5], "nu_values": [2],
+               "algorithms": ["gma", "random"], "seeds": [0, 1], **raw}
+        return run_experiment(from_text(tmp_path, json.dumps(raw)))
+
+    def test_nu_checked_against_file_antennas(self, tmp_path, solves):
+        # the synthetic default of 4 antennas does not apply
+        rows = self.run(tmp_path, channel_file=channel_file(tmp_path, 12, 8),
+                        m_values=[12], nu_values=[6], algorithms=["gma", "zfs", "random"])
+        assert len(rows) == 3 and all(r.mean_mbps > 0 for r in rows)
+        assert len(solves) == 6
+
+    def test_nu_above_file_antennas(self, tmp_path, solves):
+        with pytest.raises(ConfigurationError, match="Nu=4 exceeds 2 transmit antennas"):
+            self.run(tmp_path, channel_file=channel_file(tmp_path, 8, 2), nu_values=[2, 4])
+        assert solves == []
+
+    def test_too_few_users_in_file(self, tmp_path, solves):
+        with pytest.raises(ConfigurationError, match="channel file holds 8 users, need 9"):
+            self.run(tmp_path, channel_file=channel_file(tmp_path, 8, 4), m_values=[5, 9])
+        assert solves == []
+
+    @pytest.mark.parametrize("raw", [
+        {"scenario": "rho_sweep", "rho_values": [0.0, 0.9]},
+        {"scenario": "rho_sweep"},
+        {"correlated_users": 2},
+    ], ids=["rho_sweep", "one_rho_sweep", "correlated_users"])
+    def test_drawn_channel_options_refused(self, tmp_path, solves, raw):
+        with pytest.raises(ConfigurationError, match="needs drawn channels"):
+            self.run(tmp_path, channel_file=channel_file(tmp_path, 8, 4), **raw)
+        assert solves == []
+
+    def test_bad_header_refused_when_built(self, tmp_path):
+        path = tmp_path / "chan.txt"
+        path.write_text("chset v1 M=8 NT=4\n")
+        with pytest.raises(ChannelFormatError, match="bad header line"):
+            small_config(channel_file=str(path))
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +362,19 @@ class TestRuntimeComparison:
         assert by_alg["full_search"].ratio_to_opt == 1.0
         for r in rows:
             assert r.ratio_to_opt <= 1.0
+
+    def test_random_timed_but_not_reported_when_omitted(self, monkeypatch):
+        solved = []
+
+        def timed_random(oracle, seed, _fn=bench.random_grouping):
+            solved.append(seed)
+            return _fn(oracle, seed)
+        monkeypatch.setattr(bench, "random_grouping", timed_random)
+        rows = run_experiment(small_config(scenario=Scenario.RUNTIME_SWEEP,
+                                           algorithms=("gma", "zfs"), seeds=(0, 1)))
+        assert solved == [0, 1]  # the 0 dB reference is still timed per seed
+        assert [r.algorithm for r in rows] == ["gma", "zfs"]
+        assert all(math.isfinite(r.runtime_db_vs_random) for r in rows)
 
     def test_full_search_skip_marker_above_cap(self):
         cfg = ExperimentConfig(

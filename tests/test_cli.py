@@ -126,11 +126,25 @@ def test_gen_channels_wrong_typed_field(tmp_path, capsys, field, value):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"num_users": 6}, "error: channel spec is missing field 'num_tx_antennas'"),
+    ({"num_users": 6, "num_tx_antennas": 4, "seed": -1}, "error: seed -1 must not be negative"),
+])
+def test_gen_channels_refused_spec(tmp_path, capsys, spec, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out_path = tmp_path / "chan.txt"
+    assert main(["gen-channels", "--spec", str(spec_path), "--out", str(out_path)]) == 1
+    assert capsys.readouterr().err.strip() == message
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("patch", [
     {"m_values": [4, 6], "nu_values": [1], "algorithms": ["random", "blossom"]},
     {"phy": {"rate_mode": "mcs", "mac_overhead": "false"}},
     {"scenario": "user_sweep", "rho_values": [0.0, 0.9]},
-], ids=["nu_one_blossom", "mac_overhead_string", "two_rho_user_sweep"])
+    {"seeds": [0, -2]},
+], ids=["nu_one_blossom", "mac_overhead_string", "two_rho_user_sweep", "negative_seed"])
 def test_refused_config_runs_nothing(tmp_path, capsys, patch):
     # refused before the first grid point, so no CSV is written
     cfg_path = tmp_path / "cfg.json"

@@ -140,6 +140,15 @@ class TestGma:
         assert any(len(g) > 2 for g in sol.groups)
         assert all(g in oracle._memo for g in sol.groups)
 
+    @pytest.mark.parametrize("cap, queries", [(3, 5), (4, 7)])
+    def test_single_user_above_cap_two(self, cap, queries):
+        # the merge passes find S1 and S2 empty and keep the singleton
+        _, oracle = rician_oracle(1, cap, seed=4)
+        sol = gma(oracle)
+        assert (oracle.query_count, oracle.compute_count) == (queries, 1)
+        assert sol.groups == ((0,),)
+        assert sol.objective_value == oracle.rate((0,)) > 0
+
     def test_cap_below_two_rejected(self):
         # refused by the pairing pass, before any rate query
         _, oracle = rician_oracle(5, 1, seed=5)

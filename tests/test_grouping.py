@@ -11,6 +11,7 @@ from mugroup.gma import gma, optimal_mu2_su
 from mugroup.grouping import (
     GroupingSolution,
     _rates_by_mask,
+    canonical_group,
     canonical_partition,
     count_partitions,
     exhaustive_search,
@@ -24,6 +25,11 @@ from reference import enumerate_partitions
 
 
 class TestValidatePartition:
+    @pytest.mark.parametrize("members, message", [((), "non-empty"), ((2, 1, 2), "distinct")])
+    def test_canonical_group_refusals(self, members, message):
+        with pytest.raises(ValueError, match=message):
+            canonical_group(members)
+
     def test_all_single_ok(self):
         assert validate_partition([(0,), (1,), (2,)], 3, 1) is None
 
@@ -100,6 +106,11 @@ class TestEnumeration:
     def test_counts(self, m, smax, expected):
         assert count_partitions(m, smax) == expected
         assert sum(1 for _ in enumerate_partitions(m, smax)) == expected
+
+    @pytest.mark.parametrize("m, smax, named", [(-1, 2, "num_users"), (3, 0, "max_size")])
+    def test_count_refuses_bad_sizes(self, m, smax, named):
+        with pytest.raises(ValueError, match=f"{named} must be >= "):
+            count_partitions(m, smax)
 
     def test_recurrence_matches_enumeration(self):
         for m in range(1, 10):

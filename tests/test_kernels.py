@@ -106,6 +106,8 @@ class TestKernel:
         rates[1] = rates[2] = 1.0
         with pytest.raises(ValueError):
             search_best_partition(rates, 3, 1)  # wrong table length
+        with pytest.raises(ValueError, match="max_block must be >= 1"):
+            search_best_partition(rates, 2, 0)
 
     def test_refuses_more_users_than_the_key_holds(self):
         # checked before anything is allocated: the table is not even read

@@ -474,6 +474,12 @@ class TestRateOracle:
         with pytest.raises(ValueError):
             make_rate_oracle(channels, PhyConfig(), 5)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_rejects_cap_below_one(self, cap):
+        channels, _ = rician_oracle(5, 3, seed=11)
+        with pytest.raises(ValueError, match="max_group_size must be >= 1"):
+            RateOracle(channels, PhyConfig(), cap)
+
 
 class TestZeroChannelUser:
     """A user whose channel is all zero is rank deficient in every group;
