@@ -98,7 +98,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"rho_values {list(self.rho_values)} need a rho_sweep")
         antennas = self.num_tx_antennas
         if self.channel_file is not None:
-            if not Path(self.channel_file).exists():
+            if not Path(self.channel_file).is_file():
                 raise ConfigurationError(f"channel file not found: {self.channel_file}")
             users, antennas, _ = read_header(self.channel_file)
             if max(self.m_values) > users:
@@ -107,6 +107,12 @@ class ExperimentConfig:
             if self.scenario is Scenario.RHO_SWEEP or self.correlated_users:
                 raise ConfigurationError(
                     "a rho_sweep or correlated_users needs drawn channels, not a channel_file")
+        else:  # the spec checks the channel model, one rho at a time
+            for rho in self.rho_values:
+                try:
+                    _rician_spec(self, max(self.m_values), rho, 0)
+                except ValueError as exc:
+                    raise ConfigurationError(f"invalid channel model: {exc}") from None
         pairing = " and ".join(a for a in ("blossom", "gma") if a in self.algorithms)
         for nu in self.nu_values:
             if nu < 1 or nu < 2 and pairing:
@@ -143,18 +149,20 @@ class ExperimentConfig:
         * ``output`` (CSV path);
         * ``sus``: ``sweep`` (list of floats, one alpha per SUS run).
 
-        Unknown keys are ignored, but ``sus.alpha`` is refused.  Raises
-        ConfigurationError on a missing or invalid value.
+        An absent optional key takes its field's default.  Unknown keys are
+        ignored, but ``sus.alpha`` is refused.  Raises ConfigurationError on
+        a missing or invalid value.
         """
         return _config_from_dict(json.loads(Path(path).read_text()))
 
 
-_JSON_TYPES = {list: "array", bool: "boolean", int: "integer", float: "finite number"}
+_JSON_TYPES = {list: "array", bool: "boolean", int: "integer", float: "finite number",
+               str: "string"}
 
 
 def _json(value, kind: type, name: str):
-    """``value`` when its JSON type is ``kind`` (list, bool, int or float;
-    true and false are not numbers), else a ConfigurationError naming it.
+    """``value`` when its JSON type is ``kind`` (list, bool, int, float or
+    str; true and false are not numbers), else a ConfigurationError naming it.
     A float field takes any finite JSON number and returns it as a float."""
     if kind is float:
         if type(value) in (int, float) and abs(value) <= sys.float_info.max:
@@ -163,6 +171,11 @@ def _json(value, kind: type, name: str):
         return value
     raise ConfigurationError(
         f"{name} must be a JSON {_JSON_TYPES[kind]}, got {json.dumps(value)}")
+
+
+def _json_list(value, kind: type, name: str) -> tuple:
+    """``value``, a JSON array of ``kind`` values, as a tuple; errors name ``name``."""
+    return tuple(_json(v, kind, name) for v in _json(value, list, name))
 
 
 def _config_from_dict(raw: dict) -> ExperimentConfig:
@@ -182,6 +195,8 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
                for key in ("channel_file", "output")):
         raise ConfigurationError("channel_file and output must be strings")
     try:
+        fields = dict(scenario=scenario, m_values=_json_list(raw["m_values"], int, "m_values"),
+                      nu_values=_json_list(raw["nu_values"], int, "nu_values"))
         phy_kwargs = {key: _json(phy_raw[key], float, key)
                       for key in ("bandwidth_hz", "noise_power", "total_power")
                       if key in phy_raw}
@@ -195,36 +210,22 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
                 McsEntry(_json(i, int, "MCS index"), _json(b, float, "MCS bits"),
                          _json(s, float, "MCS threshold"))
                 for i, b, s in _json(phy_raw["mcs_table"], list, "mcs_table"))
-        seeds_raw = raw.get("seeds", {"count": 50, "base": 0})
-        if isinstance(seeds_raw, dict):
-            base = _json(seeds_raw.get("base", 0), int, "seeds base")
-            seeds = tuple(range(base, base + _json(seeds_raw["count"], int, "seeds count")))
-        else:
-            seeds = tuple(_json(s, int, "seeds") for s in _json(seeds_raw, list, "seeds"))
-        sus_params = SusParams()
+        seeds = raw.get("seeds")
+        if isinstance(seeds, dict):
+            base = _json(seeds.get("base", 0), int, "seeds base")
+            fields["seeds"] = tuple(range(base, base + _json(seeds["count"], int, "seeds count")))
+        for key, kind in (("seeds", int), ("rho_values", float), ("algorithms", str)):
+            if key in raw and key not in fields:  # not seeds read from an object
+                fields[key] = _json_list(raw[key], kind, key)
+        scalars = {"correlated_users": (raw, int), "num_tx_antennas": (channel, int),
+                   "num_subcarriers": (channel, int), "k_factor_db": (channel, float)}
+        for key, (section, kind) in scalars.items():
+            if key in section:
+                fields[key] = _json(section[key], kind, key)
+        fields.update((key, raw[key]) for key in ("channel_file", "output") if key in raw)
         if "sweep" in sus_raw:
-            sus_params = SusParams(tuple(_json(a, float, "sus sweep")
-                                         for a in _json(sus_raw["sweep"], list, "sus sweep")))
-        fields = dict(
-            scenario=scenario,
-            m_values=tuple(_json(m, int, "m_values")
-                           for m in _json(raw["m_values"], list, "m_values")),
-            nu_values=tuple(_json(n, int, "nu_values")
-                            for n in _json(raw["nu_values"], list, "nu_values")),
-            rho_values=tuple(_json(r, float, "rho_values")
-                             for r in _json(raw.get("rho_values", [0.0]), list, "rho_values")),
-            correlated_users=_json(raw.get("correlated_users", 0), int, "correlated_users"),
-            num_tx_antennas=_json(channel.get("num_tx_antennas", 4), int, "num_tx_antennas"),
-            num_subcarriers=_json(channel.get("num_subcarriers", 1), int, "num_subcarriers"),
-            k_factor_db=_json(channel.get("k_factor_db", 8.0), float, "k_factor_db"),
-            channel_file=raw.get("channel_file"),
-            phy=PhyConfig(**phy_kwargs),
-            algorithms=tuple(_json(raw.get("algorithms", list(ExperimentConfig.algorithms)),
-                                   list, "algorithms")),
-            seeds=seeds,
-            output=raw.get("output"),
-            sus_params=sus_params,
-        )
+            fields["sus_params"] = SusParams(_json_list(sus_raw["sweep"], float, "sus sweep"))
+        fields["phy"] = PhyConfig(**phy_kwargs)
     except KeyError as exc:
         raise ConfigurationError(f"missing config field {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -260,7 +261,12 @@ def _channels_for(cfg: ExperimentConfig, m: int, rho: float, seed: int,
         return ChannelSet(m, file_channels.num_tx_antennas,
                           file_channels.num_subcarriers,
                           file_channels.entries[pick])
-    spec = CorrelatedRicianSpec(
+    return generate_rician(_rician_spec(cfg, m, rho, seed))
+
+
+def _rician_spec(cfg: ExperimentConfig, m: int, rho: float, seed: int) -> CorrelatedRicianSpec:
+    """Spec of the channels drawn for ``m`` users; ValueError if it cannot be drawn."""
+    return CorrelatedRicianSpec(
         num_users=m,
         num_tx_antennas=cfg.num_tx_antennas,
         num_subcarriers=cfg.num_subcarriers,
@@ -269,7 +275,6 @@ def _channels_for(cfg: ExperimentConfig, m: int, rho: float, seed: int,
         correlated_user_count=min(cfg.correlated_users, m),
         seed=seed,
     )
-    return generate_rician(spec)
 
 
 def _run_algorithm(name: str, oracle, seed: int, cfg: ExperimentConfig) -> GroupingSolution:

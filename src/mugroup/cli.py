@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .bench import ExperimentConfig, Scenario, _json, run_experiment, write_csv
 from .channel import CorrelatedRicianSpec, generate_rician, write_channels
-from .errors import ChannelFormatError, ConfigurationError, SearchSpaceError
+from .errors import ConfigurationError, SearchSpaceError
 from .grouping import MAX_SEARCH_USERS, count_partitions
 
 
@@ -43,17 +44,10 @@ def _cmd_gen_channels(args) -> int:
     raw = json.loads(Path(args.spec).read_text())
     if not isinstance(raw, dict):
         raise ConfigurationError("channel spec must be a JSON object")
-    try:
-        spec = CorrelatedRicianSpec(
-            num_users=_json(raw["num_users"], int, "num_users"),
-            num_tx_antennas=_json(raw["num_tx_antennas"], int, "num_tx_antennas"),
-            num_subcarriers=_json(raw.get("num_subcarriers", 1), int, "num_subcarriers"),
-            k_factor_db=_json(raw.get("k_factor_db", 8.0), float, "k_factor_db"),
-            rho=_json(raw.get("rho", 0.0), float, "rho"),
-            correlated_user_count=_json(raw.get("correlated_user_count", 0), int,
-                                        "correlated_user_count"),
-            seed=_json(raw.get("seed", 0), int, "seed"),
-        )
+    try:  # each key the spec holds, read as its field's type; absent ones take its defaults
+        spec = CorrelatedRicianSpec(**{
+            f.name: _json(raw[f.name], {"int": int, "float": float}[f.type], f.name)
+            for f in fields(CorrelatedRicianSpec) if f.name in raw or f.default is MISSING})
     except KeyError as exc:
         raise ConfigurationError(f"channel spec is missing field {exc}") from None
     except ConfigurationError as exc:  # a value of the wrong JSON type, e.g. a list
@@ -98,8 +92,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ChannelFormatError, SearchSpaceError,
-            FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, SearchSpaceError, ValueError) as exc:  # ValueError: config, channels, JSON
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -539,8 +539,6 @@ def hungarian(w) -> tuple[tuple[int, ...], float]:
     (see ``_solve_assignment``).
     """
     w_rows, big = _float_rows(w)
-    if not w_rows:
-        return (), 0.0
     match_row, u, v = _solve_assignment(w_rows)
     tol = 1e-9 * max(1.0, big)
     tight = [[c for c, (vc, wc) in enumerate(zip(v, row)) if ur + vc - wc <= tol]

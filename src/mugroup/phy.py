@@ -47,7 +47,7 @@ Groups are checked and put in canonical order by
 ``grouping.canonical_group``, except a tuple already in the memo (memo
 keys were checked when they were stored) and a batch that its caller
 passes to ``precompute`` as checked.  The MCS lookup (``_mcs_rates``)
-is built once per oracle, on its first computation, with its user Gram.
+is built once per ``PhyConfig``, when the config is.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain
 
 import numpy as np
@@ -115,6 +115,10 @@ class McsEntry:
     bits_per_subcarrier: float  # modulation bits times coding rate
     min_snr_db: float
 
+    def __post_init__(self):
+        if not (0 <= self.bits_per_subcarrier < math.inf and math.isfinite(self.min_snr_db)):
+            raise ValueError(f"MCS entry {self.index} needs finite values and bits >= 0")
+
 
 # Modulation ladder BPSK..256-QAM with the usual coding rates; the SNR
 # thresholds are this package's documented defaults and can be overridden
@@ -150,7 +154,8 @@ class PhyConfig:
       1), so N0 [A^-1]_mm <= 1e72 k;
     * SINR <= (P / N0) 2e200 Nt <= 2e260 Nt.
 
-    All three stay below 1e301, far from overflow at 1.8e308.
+    All three stay below 1e301, far from overflow at 1.8e308.  ``mcs_rates``,
+    not a field, is the MCS lookup (``_mcs_rates``) in MCS mode, else None.
     """
 
     bandwidth_hz: float = 40e6
@@ -170,6 +175,8 @@ class PhyConfig:
         if not self.total_power / self.noise_power <= MAX_POWER_RATIO:
             raise ValueError(
                 f"total_power / noise_power must be at most {MAX_POWER_RATIO:g}")
+        mcs = self.rate_mode is RateMode.MCS_MAPPED  # an empty table raises in _mcs_rates
+        object.__setattr__(self, "mcs_rates", _mcs_rates(self) if mcs else None)
 
 
 def _user_gram(channels: ChannelSet) -> np.ndarray:
@@ -279,22 +286,20 @@ def _mcs_rates(cfg: PhyConfig):
         raise ConfigurationError("MCS table must not be empty")
     thresholds = np.maximum.accumulate([e.min_snr_db for e in cfg.mcs_table])
     values = np.array([0.0] + [phy_rate(e, cfg) for e in cfg.mcs_table])
-
-    def rates(sinr: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            sinr_db = 10.0 * np.log10(sinr)
-        return values[np.searchsorted(thresholds, sinr_db, side="right")]
-    return rates
+    return partial(_mcs_lookup, thresholds, values)  # unlike a closure, a partial pickles
 
 
-def _batch_rates(gram: np.ndarray, groups: list[tuple[int, ...]],
-                 cfg: PhyConfig, mcs) -> np.ndarray:
+@np.errstate(divide="ignore")
+def _mcs_lookup(thresholds: np.ndarray, values: np.ndarray, sinr: np.ndarray) -> np.ndarray:
+    return values[np.searchsorted(thresholds, 10.0 * np.log10(sinr), side="right")]
+
+
+def _batch_rates(gram: np.ndarray, groups: list[tuple[int, ...]], cfg: PhyConfig) -> np.ndarray:
     """Rates of same-size groups, averaged over subcarriers; 0 for a group
     that is rank deficient on any subcarrier.  ``_zf_sinr`` takes them in
     chunks of at most ``_MAX_BATCH_ROWS`` rows (whole groups, at least one
-    per chunk).  ``mcs`` is the MCS lookup of ``cfg`` (``_mcs_rates``), or
-    None for Shannon rates."""
-    sc = gram.shape[2]
+    per chunk)."""
+    sc, mcs = gram.shape[2], cfg.mcs_rates
     step = max(1, _MAX_BATCH_ROWS // sc)
     rates = np.empty(len(groups))
     for i in range(0, len(groups), step):
@@ -325,13 +330,12 @@ class RateOracle:
     unless it is a tuple already in the memo, whose keys were checked
     when they were stored.
 
-    The first computation builds the oracle's MCS lookup (``_mcs_rates``,
-    in MCS mode; an empty table raises ``ConfigurationError`` there) and
-    its user Gram (``_user_gram``, SC*M^2*16 bytes), from which
-    ``_zf_sinr`` gathers every group's Gram matrix for its LDL^H
-    elimination.  Both belong to this oracle alone and live as long as it
-    does, so a solve on a fresh oracle starts cold.  Thread safe:
-    concurrent identical queries return identical values.
+    The first computation builds the oracle's user Gram (``_user_gram``,
+    SC*M^2*16 bytes), from which ``_zf_sinr`` gathers every group's Gram
+    matrix for its LDL^H elimination.  It belongs to this oracle alone
+    and lives as long as it does, so a solve on a fresh oracle starts
+    cold.  Thread safe: concurrent identical queries return identical
+    values.
     """
 
     def __init__(self, channels: ChannelSet, cfg: PhyConfig, max_group_size: int):
@@ -350,7 +354,6 @@ class RateOracle:
         self.compute_count = 0
         self._memo: dict[tuple[int, ...], float] = {}
         self._gram: np.ndarray | None = None
-        self._mcs = None
         self._lock = threading.Lock()
 
     def _check(self, group) -> tuple[int, ...]:
@@ -410,13 +413,10 @@ class RateOracle:
                 if m not in memo:
                     todo.setdefault(len(m), {})[m] = None
             if todo and self._gram is None:
-                # the lookup first: an empty table raises at every query
-                if self.cfg.rate_mode is RateMode.MCS_MAPPED:
-                    self._mcs = _mcs_rates(self.cfg)
                 self._gram = _user_gram(self.channels)
             for size_groups in todo.values():
                 unique = sorted(size_groups)
-                rates = _batch_rates(self._gram, unique, self.cfg, self._mcs)
+                rates = _batch_rates(self._gram, unique, self.cfg)
                 self.compute_count += len(unique)
                 memo.update(zip(unique, rates.tolist()))
 

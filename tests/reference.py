@@ -484,12 +484,12 @@ def closed_form_rate(channels, group, cfg) -> float:
 
 
 def stepwise_batch_rates(gram: np.ndarray, groups: list[tuple[int, ...]],
-                         cfg: PhyConfig, mcs) -> np.ndarray:
+                         cfg: PhyConfig) -> np.ndarray:
     """Rates of same-size groups, averaged over subcarriers; 0 for a group
     that is rank deficient on any subcarrier.  ``_zf_sinr`` takes them in
     chunks of at most ``_MAX_BATCH_ROWS`` rows (whole groups, at least one
-    per chunk).  ``mcs`` is the MCS lookup of ``cfg`` (``_mcs_rates``), or
-    None for Shannon rates."""
+    per chunk)."""
+    mcs = cfg.mcs_rates
     step = max(1, _MAX_BATCH_ROWS // gram.shape[2])
     rates = []
     for i in range(0, len(groups), step):

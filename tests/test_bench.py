@@ -43,6 +43,18 @@ def from_text(tmp_path, text):
     return ExperimentConfig.from_json(path)
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """Names of the solver bindings of ``mugroup.bench`` called from now on."""
+    calls = []
+    for attr in SOLVER_BINDINGS.values():
+        def solve(*args, _fn=getattr(bench, attr), _attr=attr):
+            calls.append(_attr)
+            return _fn(*args)
+        monkeypatch.setattr(bench, attr, solve)
+    return calls
+
+
 def channel_file(tmp_path, num_users, num_tx_antennas):
     path = tmp_path / "chan.txt"
     write_channels(generate_rician(CorrelatedRicianSpec(
@@ -277,24 +289,55 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="sweep"):
             from_text(tmp_path, json.dumps({**base, "sus": {"alpha": 0.3}}))
 
+    def test_from_json_defaults_are_the_dataclass_defaults(self, tmp_path):
+        base = {"scenario": "user_sweep", "m_values": [6], "nu_values": [2]}
+        want = ExperimentConfig(Scenario.USER_SWEEP, (6,), (2,))
+        assert from_text(tmp_path, json.dumps(base)) == want
+        sections = {"channel": {}, "phy": {}, "sus": {}, "seeds": {"count": 50}}
+        assert from_text(tmp_path, json.dumps({**base, **sections})) == want
+
     def test_from_json_bad_scenario(self, tmp_path):
         with pytest.raises(ConfigurationError):
             from_text(tmp_path, json.dumps({"scenario": "bogus"}))
 
 
+class TestRefusedWhenBuilt:
+    """A channel model or MCS table that the run could not use is refused
+    when the config is built, before the first grid point is solved."""
+
+    @pytest.mark.parametrize("patch, named", [
+        ({"scenario": "rho_sweep", "rho_values": [0.0, 1.5]}, r"rho must be in \[0, 1\], got 1.5"),
+        ({"correlated_users": -2}, "correlated_user_count"),
+        ({"channel": {"num_subcarriers": 0}}, "dimensions must be positive"),
+        ({"phy": {"rate_mode": "mcs", "mcs_table": []}}, "MCS table must not be empty"),
+        ({"phy": {"mcs_table": [[0, -1, 2.0]]}}, "MCS entry 0 needs finite values"),
+    ], ids=["rho_above_one", "negative_correlated_users", "no_subcarriers", "empty_mcs_table",
+            "negative_mcs_bits"])
+    def test_from_json(self, tmp_path, solves, patch, named):
+        raw = {"scenario": "user_sweep", "m_values": [4, 6], "nu_values": [2],
+               "algorithms": ["full_search", "gma", "random"], "seeds": [0, 1], **patch}
+        with pytest.raises(ConfigurationError, match=named):
+            run_experiment(from_text(tmp_path, json.dumps(raw)))
+        assert solves == []
+
+    @pytest.mark.parametrize("overrides, named", [
+        (dict(scenario=Scenario.RHO_SWEEP, rho_values=(0.0, 1.5)), "rho must be in"),
+        (dict(correlated_users=-2), "correlated_user_count"),
+        (dict(num_subcarriers=0), "spec dimensions must be positive"),
+        (dict(k_factor_db=math.inf), "k_factor_db must be finite"),
+        (dict(k_factor_db=math.nan), "k_factor_db must be finite"),
+    ], ids=["rho_above_one", "negative_correlated_users", "no_subcarriers", "infinite_k_factor",
+            "nan_k_factor"])
+    def test_python_api(self, solves, overrides, named):
+        # JSON holds no infinite number, so an infinite K factor comes only this way
+        with pytest.raises(ConfigurationError, match=f"invalid channel model: {named}"):
+            run_experiment(small_config(**overrides))
+        assert solves == []
+
+
 class TestChannelFileConfig:
     """A channel file fixes the users and antennas: a config is checked
     against its header when it is built, before any solve."""
-
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        calls = []
-        for attr in SOLVER_BINDINGS.values():
-            def solve(*args, _fn=getattr(bench, attr), _attr=attr):
-                calls.append(_attr)
-                return _fn(*args)
-            monkeypatch.setattr(bench, attr, solve)
-        return calls
 
     def run(self, tmp_path, **raw):
         raw = {"scenario": "user_sweep", "m_values": [5], "nu_values": [2],
@@ -327,6 +370,10 @@ class TestChannelFileConfig:
         with pytest.raises(ConfigurationError, match="needs drawn channels"):
             self.run(tmp_path, channel_file=channel_file(tmp_path, 8, 4), **raw)
         assert solves == []
+
+    def test_directory_refused_when_built(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="channel file not found"):
+            small_config(channel_file=str(tmp_path))
 
     def test_bad_header_refused_when_built(self, tmp_path):
         path = tmp_path / "chan.txt"

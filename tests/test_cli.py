@@ -101,6 +101,16 @@ def test_malformed_config_exits_nonzero(tmp_path, capsys, raw):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_gen_channels_defaults_are_the_spec_defaults(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"num_users": 7, "num_tx_antennas": 3}))
+    out_path = tmp_path / "chan.txt"
+    assert main(["gen-channels", "--spec", str(spec_path), "--out", str(out_path)]) == 0
+    want = tmp_path / "want.txt"
+    write_channels(generate_rician(CorrelatedRicianSpec(7, 3)), want)
+    assert out_path.read_bytes() == want.read_bytes()
+
+
 def test_gen_channels_spec_not_an_object(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps([60, 4]))
@@ -144,7 +154,11 @@ def test_gen_channels_refused_spec(tmp_path, capsys, spec, message):
     {"phy": {"rate_mode": "mcs", "mac_overhead": "false"}},
     {"scenario": "user_sweep", "rho_values": [0.0, 0.9]},
     {"seeds": [0, -2]},
-], ids=["nu_one_blossom", "mac_overhead_string", "two_rho_user_sweep", "negative_seed"])
+    {"scenario": "rho_sweep", "rho_values": [0.0, 1.5]},
+    {"phy": {"rate_mode": "mcs", "mcs_table": []}},
+    {"channel_file": "."},
+], ids=["nu_one_blossom", "mac_overhead_string", "two_rho_user_sweep", "negative_seed",
+        "rho_above_one", "empty_mcs_table", "channel_file_directory"])
 def test_refused_config_runs_nothing(tmp_path, capsys, patch):
     # refused before the first grid point, so no CSV is written
     cfg_path = tmp_path / "cfg.json"
@@ -153,6 +167,29 @@ def test_refused_config_runs_nothing(tmp_path, capsys, patch):
     assert main(["run", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "results.csv").exists()
+
+
+def test_unreadable_files_exit_with_an_error_line(tmp_path, capsys, monkeypatch):
+    # a directory where a file belongs, and a channel file that cannot be
+    # read, each end in one error line: main catches every OSError
+    from mugroup import bench
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"num_users": 4, "num_tx_antennas": 2}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE_CONFIG, "channel_file": str(spec_path)}))
+
+    def unreadable(path):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(bench, "read_header", unreadable)
+    for argv, named in ((["run", "--config", str(tmp_path)], "Is a directory"),
+                        (["gen-channels", "--spec", str(spec_path), "--out", str(tmp_path)],
+                         "Is a directory"),
+                        (["run", "--config", str(cfg_path)], "Permission denied")):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
 
 
 def test_missing_config_file_exits_nonzero(capsys):

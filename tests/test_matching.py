@@ -257,6 +257,8 @@ class TestHungarian:
         assign, benefit = hungarian(np.eye(3))
         assert assign == (0, 1, 2)
         assert benefit == 3.0
+        for empty in ([], np.zeros((0, 0))):  # the empty assignment, through the general path
+            assert hungarian(empty) == ((), 0.0)
 
     def test_two_by_two(self):
         assign, benefit = hungarian([[1.0, 2.0], [3.0, 5.0]])

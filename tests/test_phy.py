@@ -1,4 +1,5 @@
 import math
+import pickle
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations
@@ -372,18 +373,12 @@ class TestRateOracle:
         assert any(oracle.rate(g) != reordered.rate(g) for g in groups)
 
     def test_mcs_empty_table(self):
-        cfg = PhyConfig(rate_mode=RateMode.MCS_MAPPED, mcs_table=())
-        with pytest.raises(ConfigurationError):
-            group_rate(identity_channels(2), (0,), cfg)
-        oracle = make_rate_oracle(identity_channels(2), cfg, 1)
-        for _ in range(2):  # nothing is kept from a failed first compute
-            with pytest.raises(ConfigurationError):
-                oracle.rate((0,))
-        with pytest.raises(ConfigurationError):
-            oracle.precompute([(0,)])
-        assert oracle.compute_count == 0 and not oracle._memo
+        # refused when the config is built, so no oracle or rate sees it
+        with pytest.raises(ConfigurationError, match="MCS table must not be empty"):
+            PhyConfig(rate_mode=RateMode.MCS_MAPPED, mcs_table=())
+        assert PhyConfig(mcs_table=()).mcs_rates is None  # Shannon mode reads no table
 
-    def test_mcs_lookup_built_once_per_oracle(self, monkeypatch):
+    def test_mcs_lookup_built_once_per_config(self, monkeypatch):
         import mugroup.phy as phy
 
         built = []
@@ -394,17 +389,25 @@ class TestRateOracle:
 
         monkeypatch.setattr(phy, "_mcs_rates", counted)
         channels, _ = rician_oracle(8, 3, seed=22, sc=8)
-        for cfg, builds in ((PhyConfig(), 0), (MCS_WITH_MAC, 1)):
+        for mode, builds in ((RateMode.SHANNON, 0), (RateMode.MCS_MAPPED, 1)):
             built.clear()
+            cfg = PhyConfig(rate_mode=mode, mac_overhead_enabled=True)
+            assert len(built) == builds  # built with the config
             oracle = make_rate_oracle(channels, cfg, 3)
-            assert not built  # built on the first compute, with the Gram
             oracle.rate((0,))
             oracle.rates([(1, 2), (0, 3, 4), (5,)])
             oracle.precompute([g for s in (1, 2, 3) for g in combinations(range(8), s)])
-            assert len(built) == builds
             fresh = make_rate_oracle(channels, cfg, 3)
             assert fresh.rates([(1, 2), (0, 3, 4)]) == oracle.rates([(1, 2), (0, 3, 4)])
-            assert len(built) == 2 * builds
+            assert len(built) == builds  # no oracle builds another
+            # the lookup is not a field: equality, hashing and repr ignore it,
+            # and the config pickles with it
+            twin = pickle.loads(pickle.dumps(cfg))
+            assert twin == cfg and hash(twin) == hash(cfg) and repr(twin) == repr(cfg)
+            assert "mcs_rates" not in repr(cfg)
+            if builds:
+                sinr = np.array([[0.5, 10.0, 1e3]])
+                assert twin.mcs_rates(sinr).tolist() == cfg.mcs_rates(sinr).tolist()
 
     def test_memo_hits_skip_the_check_only_when_valid(self):
         # a memoized tuple skips the check; any other group is checked as
@@ -575,11 +578,10 @@ class TestConditioningMask:
 
         channels = degenerate_channels(9, sc, seed=19)
         gram = phy._user_gram(channels)
-        mcs = _mcs_rates(cfg) if cfg.rate_mode is RateMode.MCS_MAPPED else None
         for k in (1, 2, 3, 4):
             groups = list(combinations(range(9), k))
             expected = [closed_form_rate(channels, g, cfg) for g in groups]
-            assert phy._batch_rates(gram, groups, cfg, mcs).tolist() == expected
+            assert phy._batch_rates(gram, groups, cfg).tolist() == expected
 
     def test_svd_only_for_uncertified_rows(self, monkeypatch):
         svd_rows = []
@@ -635,7 +637,6 @@ class TestKernelReference:
         entries[0] = 0.0  # an all-zero channel
         channels = ChannelSet(m, nt, sc, entries)
         gram = phy._user_gram(channels)
-        mcs = _mcs_rates(cfg) if cfg.rate_mode is RateMode.MCS_MAPPED else None
         rng = np.random.default_rng(26)
         rows = phy._MAX_BATCH_ROWS // sc
         for k in sizes:
@@ -643,8 +644,8 @@ class TestKernelReference:
             for n in (rows + 3, 2, 37):
                 picked = rng.choice(len(everything), min(n, len(everything)), replace=False)
                 groups = [everything[i] for i in sorted(picked)]
-                expected = bits(stepwise_batch_rates(gram, groups, cfg, mcs))
-                assert bits(phy._batch_rates(gram, groups, cfg, mcs)) == expected
+                expected = bits(stepwise_batch_rates(gram, groups, cfg))
+                assert bits(phy._batch_rates(gram, groups, cfg)) == expected
                 oracle = make_rate_oracle(channels, cfg, nt)
                 oracle.precompute(groups)
                 assert bits(list(oracle._memo.values())) == expected
@@ -729,6 +730,17 @@ class TestMcsMapping:
     def test_empty_table(self):
         with pytest.raises(ConfigurationError):
             map_sinr_to_mcs(10.0, table=())
+
+    @pytest.mark.parametrize("bits, threshold", [
+        (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf),
+        (-1.0, 2.0), (math.inf, 2.0), (math.nan, 2.0),
+    ])
+    def test_entry_values_checked(self, bits, threshold):
+        # a NaN threshold would score every group 0, negative or infinite
+        # bits a negative or infinite objective
+        with pytest.raises(ValueError, match="MCS entry 3 needs finite values and bits >= 0"):
+            McsEntry(3, bits, threshold)
+        McsEntry(3, 0.0, -40.0)  # a zero-rate entry and a negative threshold are fine
 
     @pytest.mark.parametrize("order", ["default", "ascending", "shuffled", "descending",
                                        "repeated"])
