@@ -24,7 +24,9 @@ from .channel import correlation_matrix
 # Unused here; kept because the benchmark trace wraps
 # ``baselines.pairwise_correlation`` by name and fails without it.
 from .channel import pairwise_correlation  # noqa: F401
-from .grouping import GroupingSolution, canonical_group, objective
+from .grouping import GroupingSolution, _weighted_sum
+# Unused here; kept because the benchmark trace wraps ``baselines.objective`` by name.
+from .grouping import objective  # noqa: F401
 
 __all__ = ["SusParams", "zfs_grouping", "sus_grouping", "random_grouping"]
 
@@ -57,8 +59,8 @@ def zfs_grouping(oracle) -> GroupingSolution:
     adding the user that most improves the group's weighted rate
     |g| * R(g), stopping when no addition strictly helps or the oracle's
     cap is reached.  Members are a sorted tuple and ``bisect`` insertion
-    keeps each candidate canonical, so a step fills its candidates with
-    one unchecked ``precompute`` and queries memo hits.
+    keeps each candidate canonical, so a step reads its candidates' rates
+    with one unchecked bulk query.
     """
     num_users, max_size = oracle.num_users, oracle.max_group_size
     singles = oracle.rates([(u,) for u in range(num_users)])
@@ -73,9 +75,8 @@ def zfs_grouping(oracle) -> GroupingSolution:
             order = sorted(remaining)
             cands = [members[:(at := bisect(members, u))] + (u,) + members[at:] for u in order]
             size = len(members) + 1
-            oracle.precompute(cands, checked=True)
             best, best_weighted = None, current
-            for u, cand, cand_rate in zip(order, cands, oracle.rates(cands)):
+            for u, cand, cand_rate in zip(order, cands, oracle.rates(cands, checked=True)):
                 weighted = size * cand_rate
                 if weighted > best_weighted:
                     best, best_weighted = (u, cand), weighted
@@ -84,7 +85,7 @@ def zfs_grouping(oracle) -> GroupingSolution:
             remaining.remove(best[0])
             members, current = best[1], best_weighted
         groups.append(members)
-    return GroupingSolution(groups, num_users, objective(groups, oracle))
+    return GroupingSolution.scored(groups, oracle)
 
 
 class _Residuals(dict):
@@ -156,23 +157,15 @@ def sus_grouping(oracle, params: SusParams = SusParams()) -> GroupingSolution:
     runs = [sorted(_sus_single_alpha(oracle.max_group_size, alpha, norms, correlation, residuals))
             for alpha in params.sweep]
     oracle.precompute([g for parts in runs for g in parts], checked=True)
-    best_parts, best_value = None, -1.0
-    for parts in runs:
-        value = 0.0  # sum(|G| rate(G)) from left to right, as ``objective`` adds
-        for g, rate in zip(parts, oracle.rates(parts)):
-            value += len(g) * rate
-        if value > best_value:
-            best_parts, best_value = parts, value
-    return GroupingSolution(best_parts, oracle.num_users, best_value)
+    values = [_weighted_sum(parts, oracle) for parts in runs]  # as ``objective`` adds
+    best = values.index(max(values))  # the earlier alpha wins a tie
+    return GroupingSolution(runs[best], oracle.num_users, values[best])
 
 
 def random_grouping(oracle, seed: int) -> GroupingSolution:
     """Seeded uniform shuffle of the oracle's users chunked into groups of
     its cap (the last group takes the remainder)."""
     num_users, max_size = oracle.num_users, oracle.max_group_size
-    order = np.random.default_rng(seed).permutation(num_users)
-    groups = [
-        canonical_group(order[i:i + max_size].tolist())
-        for i in range(0, num_users, max_size)
-    ]
-    return GroupingSolution(groups, num_users, objective(groups, oracle))
+    order = np.random.default_rng(seed).permutation(num_users).tolist()
+    return GroupingSolution.scored(
+        [order[i:i + max_size] for i in range(0, num_users, max_size)], oracle)

@@ -69,8 +69,8 @@ class ExperimentConfig:
     rho_values: tuple[float, ...] = (0.0,)
     correlated_users: int = 0
     num_tx_antennas: int = 4
-    num_subcarriers: int = 1
-    k_factor_db: float = 8.0
+    num_subcarriers: int = CorrelatedRicianSpec.num_subcarriers
+    k_factor_db: float = CorrelatedRicianSpec.k_factor_db
     channel_file: str | None = None
     phy: PhyConfig = field(default_factory=PhyConfig)
     algorithms: tuple[str, ...] = ("full_search", "gma", "zfs", "sus", "random")
@@ -278,17 +278,13 @@ def _rician_spec(cfg: ExperimentConfig, m: int, rho: float, seed: int) -> Correl
 
 
 def _run_algorithm(name: str, oracle, seed: int, cfg: ExperimentConfig) -> GroupingSolution:
-    if name == "full_search":
-        return exhaustive_search(oracle)
-    if name == "blossom":
-        return optimal_mu2_su(oracle)
-    if name == "gma":
-        return gma(oracle)
-    if name == "zfs":
-        return zfs_grouping(oracle)
     if name == "sus":
         return sus_grouping(oracle, cfg.sus_params)
-    return random_grouping(oracle, seed)  # "random": the config admits no other name
+    if name == "random":
+        return random_grouping(oracle, seed)
+    # read at each call: the benchmark wraps these bindings of this module
+    return {"full_search": exhaustive_search, "blossom": optimal_mu2_su, "gma": gma,
+            "zfs": zfs_grouping}[name](oracle)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:

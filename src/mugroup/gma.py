@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from bisect import bisect
 
-from .grouping import Group, GroupingSolution, objective
+from .grouping import Group, GroupingSolution
+# Unused here; kept because the benchmark trace wraps ``gma.objective`` by name.
+from .grouping import objective  # noqa: F401
 from .matching import WeightedGraph, hungarian, max_weight_matching
 
 __all__ = ["optimal_mu2_su", "gma"]
@@ -32,25 +34,28 @@ def optimal_mu2_su(oracle) -> GroupingSolution:
     over the positive-gain edges therefore yields the optimal partition,
     with unmatched users served alone.
 
-    An oracle capped at one user per group is refused before any rate
-    query.  The pairs are canonical, in range and within the cap, so they
-    fill the memo with one unchecked ``precompute``.
+    An oracle capped at one user per group is refused before any query.
     """
+    return GroupingSolution.scored(_pairing(oracle), oracle)
+
+
+def _pairing(oracle) -> list[Group]:
+    """The groups of ``optimal_mu2_su``, unscored, which ``gma`` refines; the
+    pairs are canonical, in range and within the cap, so queried unchecked."""
     if oracle.max_group_size < 2:
         raise ValueError(f"pairing needs a group cap of at least 2, got {oracle.max_group_size}")
     num_users = oracle.num_users
     singles = oracle.rates([(u,) for u in range(num_users)])
     pairs = [(i, j) for i in range(num_users) for j in range(i + 1, num_users)]
-    oracle.precompute(pairs, checked=True)
     edges = [
         (i, j, gain)
-        for (i, j), pair_rate in zip(pairs, oracle.rates(pairs))
+        for (i, j), pair_rate in zip(pairs, oracle.rates(pairs, checked=True))
         if (gain := 2.0 * pair_rate - singles[i] - singles[j]) > 0.0
     ]
     groups = list(max_weight_matching(WeightedGraph(num_users, tuple(edges))))
     paired = {u for pair in groups for u in pair}
     groups.extend((u,) for u in range(num_users) if u not in paired)
-    return GroupingSolution(groups, num_users, objective(groups, oracle))
+    return groups
 
 
 def _group_metric(g: Group, oracle) -> float:
@@ -88,8 +93,7 @@ def _merge_pass(groups: list[Group], oracle) -> list[Group]:
     committed, s1, s2 = _split_and_balance(groups, oracle)
     # |S1| = |S2|; S1 groups have room for one more, so sorted merges go in unchecked
     merged = [g[:(at := bisect(g, u[0]))] + u + g[at:] for g in s1 for u in s2]
-    oracle.precompute(merged, checked=True)
-    merged_rates = iter(oracle.rates(merged))
+    merged_rates = iter(oracle.rates(merged, checked=True))
     benefit = [[(len(g) + 1) * next(merged_rates) for _ in s2] for g in s1]
     # added in order: sum() compensates float sums from Python 3.12 on
     finite_total = 1.0
@@ -117,7 +121,7 @@ def gma(oracle) -> GroupingSolution:
     """Graph-matching grouping heuristic for groups up to the oracle's cap;
     equals ``optimal_mu2_su`` exactly at a cap of two and, like it,
     refuses a cap of one."""
-    groups = list(optimal_mu2_su(oracle).groups)
+    groups = _pairing(oracle)
     for _ in range(oracle.max_group_size - 2):  # one round per size above two
         groups = _merge_pass(groups, oracle)
-    return GroupingSolution(groups, oracle.num_users, objective(groups, oracle))
+    return GroupingSolution.scored(groups, oracle)

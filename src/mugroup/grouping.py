@@ -4,15 +4,16 @@ A grouping decision is a partition of the stations {0..M-1} into groups
 of at most Nu members; the rate oracle holds M and Nu (``num_users`` and
 ``max_group_size``), so full search takes the oracle alone.  Its value
 is sum(|G| * R(G)) over groups, which equals system throughput times M
-under air-time fair scheduling with rotating primary users.  In the
-hypergraph view each candidate group is a hyperedge weighted by its
-rate, and the valid partitions are the complete matchings of that
-hypergraph.  Full search stores the hypergraph as the 2**M table of
-``_rates_by_mask`` (one weight per member bitmask) and finds the best
-complete matching with the subset DP of ``search_best_partition``, run
-in numpy layer by layer over the states it reaches.  The DP's cells and
-the subsets depend on (M, Nu) alone: the last such plan is kept while
-it fits one DP batch, read-only and so shared safely between threads.
+under air-time fair scheduling with rotating primary users; solvers
+return through ``GroupingSolution.scored``.  In the hypergraph view each
+candidate group is a hyperedge weighted by its rate, and the valid
+partitions are the complete matchings of that hypergraph.  Full search
+stores the hypergraph as the 2**M table of ``_rates_by_mask`` (one
+weight per member bitmask) and finds the best complete matching with the
+subset DP of ``search_best_partition``, run in numpy layer by layer over
+the states it reaches.  The DP's cells and the subsets depend on (M, Nu)
+alone: the last such plan is kept while it fits one DP batch, read-only
+and so shared safely between threads.
 """
 
 from __future__ import annotations
@@ -78,6 +79,14 @@ class GroupingSolution:
             raise ValueError(f"invalid partition: {report}")
         object.__setattr__(self, "groups", canonical_partition(self.groups))
 
+    @classmethod
+    def scored(cls, groups, oracle) -> "GroupingSolution":
+        """The solution of ``groups`` over the oracle's users, validated and
+        canonicalized once, with the value ``objective`` gives it, bit for bit."""
+        solution = cls(groups, oracle.num_users)
+        object.__setattr__(solution, "objective_value", _weighted_sum(solution.groups, oracle))
+        return solution
+
 
 def validate_partition(groups, num_users: int, max_size: int) -> str | None:
     """None when groups partition {0..num_users-1} with sizes <= max_size,
@@ -102,16 +111,14 @@ def validate_partition(groups, num_users: int, max_size: int) -> str | None:
 
 
 def objective(groups, oracle) -> float:
-    """sum(|G| * rate(G)) over the groups, summed in canonical order.
-
-    The rates come from one bulk ``oracle.rates`` query of all groups.
-    """
+    """sum(|G| * rate(G)) over a partition of the users the groups hold,
+    summed in canonical order from one bulk ``oracle.rates`` query."""
     parts = canonical_partition(groups)
-    num_users = sum(len(g) for g in parts)
-    report = validate_partition(parts, num_users, num_users)
-    if report is not None:
-        raise ValueError(f"invalid partition: {report}")
-    total = 0.0
+    return _weighted_sum(GroupingSolution(parts, sum(len(g) for g in parts)).groups, oracle)
+
+
+def _weighted_sum(parts, oracle) -> float:
+    total = 0.0  # added in order: sum() compensates float sums from Python 3.12 on
     for g, rate in zip(parts, oracle.rates(parts)):
         total += len(g) * rate
     return total
@@ -139,18 +146,16 @@ def _rates_by_mask(oracle):
     """The 2**M table of subset rates by member bitmask, 0 above the
     oracle's cap, filled from one bulk query.
 
-    The subsets come from ``combinations`` over the oracle's own users,
-    up to its own cap, so they are canonical and in range: they fill the
-    memo with one ``precompute`` that checks no subset, and the query
-    reads memo hits only.  The subsets and their bitmasks come from the
-    plan of (M, cap), kept read-only while its DP cells fit one batch
-    (``_plan``), else from ``_subsets``.
+    The subsets come from ``combinations`` over the oracle's own users, up
+    to its own cap, so they are canonical and in range: the query checks
+    no subset and fills its misses with one ``precompute``.  The subsets
+    and their bitmasks come from the plan of (M, cap), kept read-only
+    while its DP cells fit one batch (``_plan``), else from ``_subsets``.
     """
     num_users, cap = oracle.num_users, oracle.max_group_size
     subsets, masks = (_plan(num_users, cap, _BATCH_CELLS) or _subsets(num_users, cap))[:2]
-    oracle.precompute(subsets, checked=True)
     rates = np.zeros(2 ** num_users, dtype=np.float64)
-    rates[masks] = oracle.rates(subsets)
+    rates[masks] = oracle.rates(subsets, checked=True)
     return rates
 
 
@@ -315,8 +320,7 @@ def exhaustive_search(oracle) -> GroupingSolution:
             f"exceeds the limit of {MAX_SEARCH_USERS} users; use gma or another heuristic"
         )
     if max_size == 1:
-        groups = tuple((u,) for u in range(num_users))
-        return GroupingSolution(groups, num_users, objective(groups, oracle))
+        return GroupingSolution.scored([(u,) for u in range(num_users)], oracle)
     expected = count_partitions(num_users, max_size)
     rates = _rates_by_mask(oracle)
     count, _, assign = search_best_partition(rates, num_users, max_size)
@@ -327,4 +331,4 @@ def exhaustive_search(oracle) -> GroupingSolution:
     blocks: list[list[int]] = [[] for _ in range(int(assign.max()) + 1)]
     for u, index in enumerate(assign.tolist()):
         blocks[index].append(u)
-    return GroupingSolution(blocks, num_users, objective(blocks, oracle))
+    return GroupingSolution.scored(blocks, oracle)

@@ -46,8 +46,8 @@ groups in one bulk query, and ``RateOracle.precompute`` fills the memo.
 Groups are checked and put in canonical order by
 ``grouping.canonical_group``, except a tuple already in the memo (memo
 keys were checked when they were stored) and a batch that its caller
-passes to ``precompute`` as checked.  The MCS lookup (``_mcs_rates``)
-is built once per ``PhyConfig``, when the config is.
+passes to ``rates`` or ``precompute`` as checked.  The MCS lookup
+(``_mcs_rates``) is built once per ``PhyConfig``, when the config is.
 """
 
 from __future__ import annotations
@@ -328,7 +328,7 @@ class RateOracle:
     of one.  Each query adds one to ``query_count`` and each computed
     group one to ``compute_count``.  A group is checked by ``_check``
     unless it is a tuple already in the memo, whose keys were checked
-    when they were stored.
+    when they were stored, or its caller passes it as checked.
 
     The first computation builds the oracle's user Gram (``_user_gram``,
     SC*M^2*16 bytes), from which ``_zf_sinr`` gathers every group's Gram
@@ -374,12 +374,13 @@ class RateOracle:
     def rate(self, group) -> float:
         return self.rates([group])[0]
 
-    def rates(self, groups) -> list[float]:
+    def rates(self, groups, *, checked: bool = False) -> list[float]:
         """``[rate(g) for g in groups]`` as one bulk query, in one pass when
-        every group equals a memo key.  Otherwise every group is checked
-        before anything is computed or counted (a bad group leaves the memo
-        and both counters as they were) and goes to ``precompute``
-        unchecked, which computes the misses."""
+        every group equals a memo key.  Otherwise every group is checked,
+        unless ``checked`` vouches for them as in ``precompute``, before
+        anything is computed or counted (a bad group leaves the memo and
+        both counters as they were) and goes to ``precompute`` unchecked,
+        which computes the misses."""
         memo = self._memo  # entries are never removed or changed
         try:
             values = [memo[g] for g in groups]
@@ -389,7 +390,7 @@ class RateOracle:
             with self._lock:
                 self.query_count += len(values)
             return values
-        members = self._members(groups)
+        members = groups if checked else self._members(groups)
         with self._lock:
             self.query_count += len(members)
         self.precompute(members, checked=True)
@@ -401,9 +402,10 @@ class RateOracle:
 
         Every group is checked first, unless ``checked`` says the groups
         are canonical, in range and within the cap already: the groups
-        ``rates`` checked, and those that ``grouping._rates_by_mask``,
-        ``gma.optimal_mu2_su``, ``gma._merge_pass``, ``baselines.zfs_grouping``
-        and ``baselines.sus_grouping`` build from the oracle's users and cap.
+        ``rates`` passes on, and those built from the oracle's users and cap
+        that ``grouping._rates_by_mask``, ``gma._pairing``, ``gma._merge_pass``
+        and ``baselines.zfs_grouping`` pass to ``rates`` as checked and
+        ``baselines.sus_grouping`` passes here.
         """
         members = groups if checked else self._members(groups)
         memo = self._memo

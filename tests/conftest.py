@@ -28,7 +28,7 @@ class FixtureOracle:
             return self.size_defaults[len(g)]
         raise KeyError(f"no rate for group {g}")
 
-    def rates(self, groups):
+    def rates(self, groups, *, checked=False):
         return [self.rate(g) for g in groups]
 
     def precompute(self, groups, *, checked=False):

@@ -45,8 +45,8 @@ class TestZfs:
 
     def test_cold_solve_checks_singles_only(self, check_calls):
         # the singles query checks the user range; each step's candidates
-        # are canonical by construction and fill the memo unchecked, and
-        # the step's query and the objective read memo hits
+        # are canonical by construction and queried unchecked, and the
+        # score of the solution reads memo hits
         _, oracle = rician_oracle(40, 4, seed=40, sc=8, rho=0.8, correlated=20,
                                   phy=MCS_WITH_MAC)
         zfs_grouping(oracle)
@@ -431,8 +431,8 @@ class TestRandomGrouping:
 class ScalarOracle(RateOracle):
     """A rate oracle whose bulk query asks one group at a time."""
 
-    def rates(self, groups):
-        return [RateOracle.rates(self, [g])[0] for g in groups]
+    def rates(self, groups, *, checked=False):
+        return [RateOracle.rates(self, [g], checked=checked)[0] for g in groups]
 
 
 def counted_kernel_calls(monkeypatch) -> list[int]:
@@ -472,9 +472,9 @@ class TestKernelCalls:
         queries = []
         rates = oracle.rates
 
-        def counted_rates(groups):
+        def counted_rates(groups, *, checked=False):
             queries.append(len(groups))
-            return rates(groups)
+            return rates(groups, checked=checked)
 
         monkeypatch.setattr(oracle, "rates", counted_rates)
         calls = counted_kernel_calls(monkeypatch)

@@ -296,6 +296,17 @@ class TestConfigValidation:
         sections = {"channel": {}, "phy": {}, "sus": {}, "seeds": {"count": 50}}
         assert from_text(tmp_path, json.dumps({**base, **sections})) == want
 
+    def test_channels_drawn_with_the_spec_defaults(self):
+        # a config that leaves out the channel fields draws what a spec
+        # that leaves them out draws: the defaults are the spec's own
+        cfg = ExperimentConfig(Scenario.USER_SWEEP, (6,), (2,))
+        for seed in (0, 3):
+            got = bench._channels_for(cfg, 6, 0.0, seed, None)
+            want = generate_rician(CorrelatedRicianSpec(num_users=6, num_tx_antennas=4,
+                                                        seed=seed))
+            assert got.num_subcarriers == want.num_subcarriers
+            assert np.array_equal(got.entries, want.entries)
+
     def test_from_json_bad_scenario(self, tmp_path):
         with pytest.raises(ConfigurationError):
             from_text(tmp_path, json.dumps({"scenario": "bogus"}))

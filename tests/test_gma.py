@@ -51,8 +51,8 @@ class TestOptimalMu2Su:
             assert fast.objective_value == full.objective_value
 
     def test_cold_solve_checks_singles_only(self, check_calls):
-        # the singles query checks the user range; the 66 pairs then fill
-        # the memo unchecked, and the objective reads memo hits
+        # the singles query checks the user range; the 66 pairs are then
+        # queried unchecked, and the score reads memo hits
         _, oracle = rician_oracle(12, 4, seed=12)
         optimal_mu2_su(oracle)
         assert check_calls == [(u,) for u in range(12)]
@@ -132,15 +132,15 @@ class TestGma:
 
     @pytest.mark.parametrize("phy", [None, MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
     def test_cold_solve_checks_singles_only(self, check_calls, phy):
-        # the merge passes build each S1 x S2 merge sorted and fill the
-        # memo unchecked; every later query reads memo hits
+        # the merge passes build each S1 x S2 merge sorted and query it
+        # unchecked; every later query reads memo hits
         _, oracle = rician_oracle(24, 4, seed=24, sc=8, phy=phy)
         sol = gma(oracle)
         assert check_calls == [(u,) for u in range(24)]
         assert any(len(g) > 2 for g in sol.groups)
         assert all(g in oracle._memo for g in sol.groups)
 
-    @pytest.mark.parametrize("cap, queries", [(3, 5), (4, 7)])
+    @pytest.mark.parametrize("cap, queries", [(3, 4), (4, 6)])
     def test_single_user_above_cap_two(self, cap, queries):
         # the merge passes find S1 and S2 empty and keep the singleton
         _, oracle = rician_oracle(1, cap, seed=4)

@@ -18,6 +18,7 @@ from mugroup.grouping import (
     objective,
     validate_partition,
 )
+from mugroup import grouping
 from mugroup.phy import PhyConfig, RateOracle
 
 from conftest import MCS_WITH_MAC, FixtureOracle, o1, o2, random_oracle, rician_oracle
@@ -348,3 +349,27 @@ class TestGroupingSolution:
     def test_canonicalizes(self):
         sol = GroupingSolution(((2,), (1, 0)), 3, 1.0)
         assert sol.groups == ((0, 1), (2,))
+
+    @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_solve_checks_and_scores_its_partition_once(self, cfg, seed, monkeypatch):
+        # every solver validates and canonicalizes the partition it returns
+        # once, when its solution is built, and the value it reports has
+        # the bits of ``objective`` on a fresh oracle; cold oracles and one
+        # shared oracle, full search first, as a user sweep runs them
+        solvers = {"full_search": exhaustive_search, "blossom": optimal_mu2_su, "gma": gma,
+                   "zfs": zfs_grouping, "sus": sus_grouping,
+                   "random": lambda oracle: random_grouping(oracle, seed)}
+        channels, shared = rician_oracle(10, 4, seed=seed, sc=2, rho=0.5, correlated=4, phy=cfg)
+        calls = []
+        for name in ("validate_partition", "canonical_partition"):
+            fn = getattr(grouping, name)
+            monkeypatch.setattr(grouping, name,
+                                lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+        for solver, solve in solvers.items():
+            for oracle in (RateOracle(channels, cfg, 4), shared):
+                calls.clear()
+                sol = solve(oracle)
+                assert calls == ["validate_partition", "canonical_partition"], solver
+                fresh = RateOracle(channels, cfg, 4)
+                assert sol.objective_value == objective(sol.groups, fresh), solver

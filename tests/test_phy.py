@@ -445,6 +445,55 @@ class TestRateOracle:
         assert walked == [[(2,), [1, 0]], [(2,), (1, 0)], [(2,), (0, 1, 2)]]
         assert (oracle.query_count, oracle.compute_count) == (10, 4)
 
+    @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
+    def test_checked_query_equals_checked_fill_then_query(self, cfg):
+        # a query of trusted groups leaves what a trusted fill and a query
+        # leave: the same values, both counters and the memo, in its order
+        channels = channels_with_duplicate(8, 8, seed=25)
+        groups = [g for s in (1, 2, 3) for g in combinations(range(8), s)]
+        one, two = (make_rate_oracle(channels, cfg, 3) for _ in range(2))
+        for oracle in (one, two):
+            oracle.rates(groups[::5])  # part of the query is warm
+        values = one.rates(groups, checked=True)
+        two.precompute(groups, checked=True)
+        assert values == two.rates(groups)
+        assert (one.query_count, one.compute_count) == (two.query_count, two.compute_count)
+        assert list(one._memo.items()) == list(two._memo.items())
+        assert one.rates(groups, checked=True) == values  # all hits
+        assert one.query_count == two.query_count + len(groups)
+
+    def test_checked_query_fills_through_precompute(self, check_calls, monkeypatch):
+        # the misses of a trusted query go to ``precompute``, where a wrapper
+        # sees every computation, and no group is checked on the way
+        _, oracle = rician_oracle(6, 3, seed=26, sc=8)
+        oracle.rate((0, 1))
+        fills = []
+        precompute = RateOracle.precompute
+        monkeypatch.setattr(
+            RateOracle, "precompute", lambda self, groups, *, checked=False:
+            fills.append((list(groups), checked, self.compute_count))
+            or precompute(self, groups, checked=checked))
+        check_calls.clear()
+        groups = [(0, 1), (2, 3), (0, 4, 5), (2, 3)]
+        oracle.rates(groups, checked=True)
+        assert fills == [(groups, True, 1)] and check_calls == []
+        assert (oracle.query_count, oracle.compute_count) == (5, 3)
+        oracle.rates(groups, checked=True)  # memo hits only: no fill
+        assert len(fills) == 1 and oracle.query_count == 9
+
+    def test_default_query_checks_every_group_before_counting(self, check_calls,
+                                                              monkeypatch):
+        _, oracle = rician_oracle(6, 3, seed=27, sc=8)
+        seen = []
+        precompute = RateOracle.precompute
+        monkeypatch.setattr(
+            RateOracle, "precompute", lambda self, groups, *, checked=False:
+            seen.append((list(check_calls), self.query_count))
+            or precompute(self, groups, checked=checked))
+        groups = [(1,), [3, 2], (0, 4, 5)]
+        assert oracle.rates(groups) == oracle.rates([(1,), (2, 3), (0, 4, 5)])
+        assert seen[0] == (groups, 3)  # all three checked and counted before the fill
+
     def test_each_oracle_builds_its_own_gram(self):
         channels, _ = rician_oracle(6, 3, seed=21, sc=8)
         first = make_rate_oracle(channels, MCS_WITH_MAC, 3)
