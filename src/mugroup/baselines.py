@@ -9,8 +9,9 @@ M, the group cap and (SUS) the channels from that oracle.
 
 SUS scores are incremental Gram-Schmidt residuals (Yoo and Goldsmith, IEEE
 JSAC 2006), memoized per ordered member tuple and shared by a sweep, where a
-member adds no direction at rounding level (``_RANK_TOL``); selection runs
-on Python lists, thresholded once per alpha by ``not corr > alpha``.
+member adds no direction at rounding level (``_RANK_TOL``) and a lone
+qualified user is picked unscored; selection runs on Python lists,
+thresholded once per alpha by ``not corr > alpha``.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ class _Residuals(dict):
     Gram-Schmidt step to its parent: per subcarrier q = r_p / ||r_p||
     from the last member's residual (q = 0 where ||r_p|| <= ``_RANK_TOL``
     ||h_p||) and r <- r - q (q^H r) for every user.  Real arithmetic and
-    antenna sums in index order keep each user's values independent."""
+    antenna sums in index order keep each user's values independent.  Only
+    a tuple whose pick compares scores, or a prefix of one, gets an entry."""
 
     def __init__(self, h: np.ndarray):
         r = np.ascontiguousarray(np.stack((h.real, h.imag)).transpose(0, 2, 1, 3))
@@ -128,7 +130,8 @@ def _sus_single_alpha(max_size: int, alpha: float, norms: list[float],
         free.remove(seed)
         members, qualified = (seed,), [u for u in free if apart[seed][u]]
         while qualified and len(members) < max_size:
-            pick = max(qualified, key=residuals[members][3].__getitem__)
+            pick = (qualified[0] if len(qualified) == 1 else
+                    max(qualified, key=residuals[members][3].__getitem__))
             free.remove(pick)
             members, row = members + (pick,), apart[pick]
             qualified = [u for u in qualified if u != pick and row[u]]
@@ -145,8 +148,9 @@ def sus_grouping(oracle, params: SusParams = SusParams()) -> GroupingSolution:
     component is added (the lowest index on a tie).  Each alpha of the
     sweep runs on its own and the best objective wins (ties keep the
     earlier alpha).  The sweep shares one ``correlation_matrix``, the
-    channel norms and one ``_Residuals`` cache (at most len(sweep) * M
-    entries of M * Nt * SC values).  One unchecked ``oracle.precompute``
+    channel norms and one ``_Residuals`` cache, with an entry of M * Nt * SC
+    values for each member tuple after which a pick compares two or more
+    users' scores, and for its prefixes.  One unchecked ``oracle.precompute``
     of the sweep's groups, sorted tuples within the oracle's users and
     cap, fills the memo (one rate-kernel call per group size); each alpha
     is then scored by one ``oracle.rates`` query of its groups.

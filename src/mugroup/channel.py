@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -248,38 +249,37 @@ def load_channels(source) -> ChannelSet:
         with open(source, "r", encoding="ascii") as fh:
             return load_channels(fh)
 
-    lines = [line for line in map(str.strip, source) if line]
+    raw = list(map(str.strip, source))
+    lines = [line for line in raw if line]
     if not lines:
         raise ChannelFormatError("empty channel stream")
 
     m, nt, sc = _parse_header(lines[0])
-    expected = m * nt * sc
     records = lines[1:]
-    if len(records) != expected:
+    if len(records) != (expected := m * nt * sc):
         raise ChannelFormatError(
             f"expected {expected} entry lines for M={m} NT={nt} SC={sc}, got {len(records)}"
         )
 
-    entries = np.empty((m, nt, sc), dtype=np.complex128)
-    idx = 0
-    for u in range(m):
-        for a in range(nt):
-            for s in range(sc):
-                line = records[idx]
-                parts = line.split()
-                if len(parts) != 5:
-                    raise ChannelFormatError(f"line {idx + 2}: expected 5 fields, got {line!r}")
-                try:
-                    lu, la, ls = int(parts[0]), int(parts[1]), int(parts[2])
-                    re, im = float(parts[3]), float(parts[4])
-                except ValueError:
-                    raise ChannelFormatError(f"line {idx + 2}: unparsable fields in {line!r}") from None
-                if (lu, la, ls) != (u, a, s):
-                    raise ChannelFormatError(
-                        f"line {idx + 2}: index ({lu},{la},{ls}) out of order, expected ({u},{a},{s})"
-                    )
-                if not (math.isfinite(re) and math.isfinite(im)):
-                    raise ChannelFormatError(f"line {idx + 2}: non-finite value in {line!r}")
-                entries[u, a, s] = complex(re, im)
-                idx += 1
-    return ChannelSet(m, nt, sc, entries)
+    entries = np.empty(expected, dtype=np.complex128)
+    indices = product(range(m), range(nt), range(sc))
+    try:
+        for idx, (line, (u, a, s)) in enumerate(zip(records, indices)):
+            parts = line.split()
+            if len(parts) != 5:
+                raise ChannelFormatError(f"expected 5 fields, got {line!r}")
+            try:
+                lu, la, ls = int(parts[0]), int(parts[1]), int(parts[2])
+                re, im = float(parts[3]), float(parts[4])
+            except ValueError:
+                raise ChannelFormatError(f"unparsable fields in {line!r}") from None
+            if (lu, la, ls) != (u, a, s):
+                raise ChannelFormatError(
+                    f"index ({lu},{la},{ls}) out of order, expected ({u},{a},{s})")
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ChannelFormatError(f"non-finite value in {line!r}")
+            entries[idx] = complex(re, im)
+    except ChannelFormatError as err:  # name the physical line, blank lines counted
+        number = [n for n, text in enumerate(raw, 1) if text][idx + 1]
+        raise ChannelFormatError(f"line {number}: {err}") from None
+    return ChannelSet(m, nt, sc, entries.reshape(m, nt, sc))

@@ -56,7 +56,7 @@ def canonical_group(members: Iterable[int]) -> Group:
     if not g:
         raise ValueError("group must be non-empty")
     if len(set(g)) != len(g):
-        raise ValueError(f"group members must be distinct, got {members}")
+        raise ValueError(f"group members must be distinct, got {g}")
     return g
 
 

@@ -165,14 +165,7 @@ class TestSus:
 
     def test_sweep_extends_each_member_tuple_once(self, monkeypatch):
         channels, oracle = rician_oracle(16, 4, seed=32, sc=8)
-        calls = []
-
-        def counted(residuals, members):
-            calls.append(members)
-            return extend(residuals, members)
-
-        extend = baselines._Residuals.__missing__
-        monkeypatch.setattr(baselines._Residuals, "__missing__", counted)
+        calls = extensions(monkeypatch, baselines._Residuals)
         sus_grouping(oracle)
         monkeypatch.undo()
         assert calls and len(calls) == len(set(calls))
@@ -277,14 +270,30 @@ def recording(monkeypatch, module, name) -> list:
     return made
 
 
+def extensions(monkeypatch, memo) -> list:
+    """Every member tuple passed to ``memo.__missing__`` from now on."""
+    calls = []
+    extend = memo.__missing__
+
+    def counted(residuals, members):
+        calls.append(members)
+        return extend(residuals, members)
+
+    monkeypatch.setattr(memo, "__missing__", counted)
+    return calls
+
+
 def bits(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
 def assert_sus_matches_reference(monkeypatch, channels, cfg, cap, params=SusParams()):
     """``sus_grouping`` against ``reference.stepwise_sus_grouping`` on fresh
-    oracles: the same member tuples, scores and residuals, and the same
-    solve, counters and memo."""
+    oracles: the same scores and residuals for every member tuple the
+    library keeps, and the same solve, counters and memo.  The reference
+    scores every step; the library skips a step whose pick is a lone
+    qualified user, so it keeps a subset of the tuples, closed under
+    prefixes."""
     made, ref_made = (recording(monkeypatch, baselines, "_Residuals"),
                       recording(monkeypatch, reference, "StepwiseResiduals"))
     oracle, ref_oracle = RateOracle(channels, cfg, cap), RateOracle(channels, cfg, cap)
@@ -292,7 +301,9 @@ def assert_sus_matches_reference(monkeypatch, channels, cfg, cap, params=SusPara
     want = reference.stepwise_sus_grouping(ref_oracle, params)
     monkeypatch.undo()
     (residuals,), (ref_residuals,) = made, ref_made
-    assert residuals.keys() == ref_residuals.keys()
+    assert residuals.keys() <= ref_residuals.keys()
+    omitted = ref_residuals.keys() - residuals.keys()
+    assert not any(kept[:len(key)] == key for key in omitted for kept in residuals)
     for members, (r, sq, norm, scores) in residuals.items():
         rr, ri, ref_sq, ref_scores = ref_residuals[members]
         # equal as numbers; only the sign of a zero residual may differ, and
@@ -390,6 +401,23 @@ class TestSusReference:
             sol = assert_sus_matches_reference(monkeypatch, channels, PhyConfig(), 2,
                                                SusParams(sweep=(alpha,)))
             assert sol.groups == groups
+
+    def test_lone_last_candidate_is_picked_unscored(self, monkeypatch):
+        # users 0, 1, 2 are nearly orthogonal and user 3 lies close to user
+        # 0: from (0,), users 1 and 2 qualify and (0,) scores them; user 2
+        # is then the lone candidate after (0, 1) and is picked unscored
+        h = np.zeros((4, 3, 1), dtype=complex)
+        h[0, :, 0] = 3, 0.1, 0
+        h[1, :, 0] = 0.2, 2, 0.1j
+        h[2, :, 0] = 0.1, -0.1, 1
+        h[3, :, 0] = 1, 0.1j, 0.1
+        channels = ChannelSet(4, 3, 1, h)
+        calls = extensions(monkeypatch, baselines._Residuals)
+        ref_calls = extensions(monkeypatch, reference.StepwiseResiduals)
+        sol = assert_sus_matches_reference(monkeypatch, channels, MCS_WITH_MAC, 3,
+                                           SusParams(sweep=(0.5,)))
+        assert sol.groups == ((0, 1, 2), (3,))
+        assert (calls, ref_calls) == ([(0,)], [(0,), (0, 1)])
 
 
 def chunk_oracle(num_users, max_group_size):

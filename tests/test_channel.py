@@ -310,6 +310,18 @@ class TestInterchangeFormat:
         with pytest.raises(ChannelFormatError, match="line 2"):
             load_channels(io.StringIO(text))
 
+    @pytest.mark.parametrize("record, named", [
+        ("0 0 1 x 0.0", "unparsable fields"),
+        ("0 0 1 1", "expected 5 fields"),
+        ("0 0 2 1 0", r"index \(0,0,2\) out of order"),
+        ("0 0 1 inf 0", "non-finite value"),
+    ])
+    def test_errors_name_the_physical_line(self, record, named):
+        # blank lines count: the bad record is line 5 of the stream
+        text = f"chset v1 M=1 NT=1 SC=2\n\n0 0 0 1 0\n  \n{record}\n\n"
+        with pytest.raises(ChannelFormatError, match=f"^line 5: {named}"):
+            load_channels(io.StringIO(text))
+
     def test_nonfinite_value(self):
         text = "\n".join([
             "chset v1 M=1 NT=1 SC=1",

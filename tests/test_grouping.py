@@ -31,6 +31,10 @@ class TestValidatePartition:
         with pytest.raises(ValueError, match=message):
             canonical_group(members)
 
+    def test_canonical_group_names_members_of_a_generator(self):
+        with pytest.raises(ValueError, match=r"distinct, got \(1, 1\)$"):
+            canonical_group(u for u in (1, 1))
+
     def test_all_single_ok(self):
         assert validate_partition([(0,), (1,), (2,)], 3, 1) is None
 
