@@ -11,6 +11,9 @@ run through one loop and differ in the oracle policy only: a user or rho
 sweep scores the algorithms of a seed on one shared memoized oracle, full
 search first; a runtime sweep gives each solve a fresh oracle and times
 random selection first as its 0 dB reference.
+A config is checked whole when built, before any solve: its channel file
+is read then, once, and full search is refused (a runtime sweep skips it)
+wherever ``grouping.search_refusal`` refuses (M, Nu).
 """
 
 from __future__ import annotations
@@ -27,15 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import SusParams, random_grouping, sus_grouping, zfs_grouping
-from .channel import (ChannelSet, CorrelatedRicianSpec, generate_rician, load_channels,
-                      read_header)
+from .channel import ChannelSet, CorrelatedRicianSpec, generate_rician, load_channels
 from .errors import ConfigurationError
 from .gma import gma, optimal_mu2_su
-from .grouping import (MAX_SEARCH_USERS, GroupingSolution, exhaustive_search,
-                       exhaustive_search_fits)
+from .grouping import GroupingSolution, exhaustive_search, search_refusal
 # Unused here; kept because the benchmark trace wraps ``bench.objective`` by name.
 from .grouping import objective  # noqa: F401
-from .phy import McsEntry, PhyConfig, RateMode, make_rate_oracle
+from .phy import McsEntry, PhyConfig, make_rate_oracle
 
 __all__ = [
     "Scenario",
@@ -61,7 +62,10 @@ class Scenario(Enum):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: scenario grid, channel model, PHY, algorithms, seeds.
-    An invalid one raises ConfigurationError on construction."""
+    An invalid one raises ConfigurationError on construction.  ``scenario``
+    takes a ``Scenario`` or its value.  ``file_channels``, not a field, is
+    the set read from ``channel_file`` (else None) that every seed draws from.
+    """
 
     scenario: Scenario
     m_values: tuple[int, ...]
@@ -79,6 +83,11 @@ class ExperimentConfig:
     sus_params: SusParams = field(default_factory=SusParams)
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "scenario", Scenario(self.scenario))
+        except ValueError:
+            raise ConfigurationError(
+                f"scenario must be one of {[s.value for s in Scenario]}") from None
         if not self.seeds:
             raise ConfigurationError("seed list must not be empty")
         if min(self.seeds) < 0:
@@ -96,14 +105,15 @@ class ExperimentConfig:
             raise ConfigurationError(f"M={min(self.m_values)} must be at least 1")
         if len(self.rho_values) > 1 and self.scenario is not Scenario.RHO_SWEEP:
             raise ConfigurationError(f"rho_values {list(self.rho_values)} need a rho_sweep")
-        antennas = self.num_tx_antennas
+        antennas, loaded = self.num_tx_antennas, None
         if self.channel_file is not None:
             if not Path(self.channel_file).is_file():
                 raise ConfigurationError(f"channel file not found: {self.channel_file}")
-            users, antennas, _ = read_header(self.channel_file)
-            if max(self.m_values) > users:
+            loaded = load_channels(self.channel_file)  # once: the run draws from this set
+            antennas = loaded.num_tx_antennas
+            if max(self.m_values) > loaded.num_users:
                 raise ConfigurationError(
-                    f"channel file holds {users} users, need {max(self.m_values)}")
+                    f"channel file holds {loaded.num_users} users, need {max(self.m_values)}")
             if self.scenario is Scenario.RHO_SWEEP or self.correlated_users:
                 raise ConfigurationError(
                     "a rho_sweep or correlated_users needs drawn channels, not a channel_file")
@@ -121,12 +131,10 @@ class ExperimentConfig:
             if nu > antennas:
                 raise ConfigurationError(f"Nu={nu} exceeds {antennas} transmit antennas")
         if "full_search" in self.algorithms and self.scenario is not Scenario.RUNTIME_SWEEP:
-            for m in self.m_values:
-                for nu in self.nu_values:
-                    if not exhaustive_search_fits(m, nu):
-                        raise ConfigurationError(
-                            f"full search over M={m}, Nu={nu} exceeds the limit "
-                            f"of {MAX_SEARCH_USERS} users")
+            for m, nu in product(self.m_values, self.nu_values):
+                if refusal := search_refusal(m, nu):
+                    raise ConfigurationError(refusal)
+        object.__setattr__(self, "file_channels", loaded)
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
@@ -141,7 +149,8 @@ class ExperimentConfig:
           ``k_factor_db``;
         * ``channel_file``: path of a channel file to draw users from;
         * ``phy``: ``bandwidth_hz``, ``noise_power``, ``total_power``,
-          ``rate_mode`` ("shannon" or "mcs"), ``mac_overhead`` (bool),
+          ``rate_mode`` ("shannon" or "mcs"), ``mac_overhead`` (bool; the
+          MAC factor scales MCS rates only, Shannon rates never read it),
           ``mcs_table`` (list of ``[index, bits_per_subcarrier,
           min_snr_db]``);
         * ``algorithms`` (list of names from ``ALGORITHMS``);
@@ -181,11 +190,6 @@ def _json_list(value, kind: type, name: str) -> tuple:
 def _config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a JSON object")
-    try:
-        scenario = Scenario(raw["scenario"])
-    except (KeyError, ValueError):
-        raise ConfigurationError(
-            f"scenario must be one of {[s.value for s in Scenario]}") from None
     channel, phy_raw, sus_raw = (raw.get(key, {}) for key in ("channel", "phy", "sus"))
     if not all(isinstance(section, dict) for section in (channel, phy_raw, sus_raw)):
         raise ConfigurationError("channel, phy and sus must be JSON objects")
@@ -195,13 +199,14 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
                for key in ("channel_file", "output")):
         raise ConfigurationError("channel_file and output must be strings")
     try:
-        fields = dict(scenario=scenario, m_values=_json_list(raw["m_values"], int, "m_values"),
+        fields = dict(scenario=raw.get("scenario"),
+                      m_values=_json_list(raw["m_values"], int, "m_values"),
                       nu_values=_json_list(raw["nu_values"], int, "nu_values"))
         phy_kwargs = {key: _json(phy_raw[key], float, key)
                       for key in ("bandwidth_hz", "noise_power", "total_power")
                       if key in phy_raw}
         if "rate_mode" in phy_raw:
-            phy_kwargs["rate_mode"] = RateMode(phy_raw["rate_mode"])
+            phy_kwargs["rate_mode"] = phy_raw["rate_mode"]
         if "mac_overhead" in phy_raw:
             phy_kwargs["mac_overhead_enabled"] = _json(phy_raw["mac_overhead"], bool,
                                                        "mac_overhead")
@@ -253,15 +258,11 @@ class ResultRow:
     skipped: bool = False
 
 
-def _channels_for(cfg: ExperimentConfig, m: int, rho: float, seed: int,
-                  file_channels: ChannelSet | None) -> ChannelSet:
-    if file_channels is not None:
-        pick = np.sort(np.random.default_rng(seed).choice(
-            file_channels.num_users, size=m, replace=False))
-        return ChannelSet(m, file_channels.num_tx_antennas,
-                          file_channels.num_subcarriers,
-                          file_channels.entries[pick])
-    return generate_rician(_rician_spec(cfg, m, rho, seed))
+def _channels_for(cfg: ExperimentConfig, m: int, rho: float, seed: int) -> ChannelSet:
+    if (file := cfg.file_channels) is None:
+        return generate_rician(_rician_spec(cfg, m, rho, seed))
+    pick = np.sort(np.random.default_rng(seed).choice(file.num_users, size=m, replace=False))
+    return ChannelSet(m, file.num_tx_antennas, file.num_subcarriers, file.entries[pick])
 
 
 def _rician_spec(cfg: ExperimentConfig, m: int, rho: float, seed: int) -> CorrelatedRicianSpec:
@@ -299,10 +300,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     Throughput is ``objective_value`` / M, as the solver scored it.
     ratio-to-optimal is the mean over seeds of the per-seed ratio against
     full search.  Full search gets a row of empty cells, marked
-    ``skipped``, wherever it would refuse the network size; the config
-    admits that case for a runtime sweep only.
+    ``skipped``, wherever ``search_refusal`` refuses the network size;
+    the config admits that case for a runtime sweep only.
     """
-    file_channels = load_channels(cfg.channel_file) if cfg.channel_file else None
     fresh = cfg.scenario is Scenario.RUNTIME_SWEEP
     first = "random" if fresh else "full_search"
     ordered = sorted(cfg.algorithms, key=lambda a: a != first)
@@ -310,12 +310,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
         ordered.insert(0, first)
     rows = []
     for m, nu, rho in product(cfg.m_values, cfg.nu_values, cfg.rho_values):
-        solved = [a for a in ordered
-                  if a != "full_search" or exhaustive_search_fits(m, nu)]
+        solved = [a for a in ordered if a != "full_search" or not search_refusal(m, nu)]
         tput = {name: [] for name in solved}
         runtime = {name: [] for name in solved}
         for seed in cfg.seeds:
-            channels = _channels_for(cfg, m, rho, seed, file_channels)
+            channels = _channels_for(cfg, m, rho, seed)
             shared = None if fresh else make_rate_oracle(channels, cfg.phy, nu)
             for name in solved:
                 oracle = make_rate_oracle(channels, cfg.phy, nu) if fresh else shared

@@ -29,7 +29,6 @@ __all__ = [
     "correlation_matrix",
     "pairwise_correlation",
     "load_channels",
-    "read_header",
     "write_channels",
 ]
 
@@ -215,30 +214,6 @@ def write_channels(channels: ChannelSet, dest) -> None:
                 dest.write(f"{u} {a} {s} {z.real:.17g} {z.imag:.17g}\n")
 
 
-def _parse_header(line: str) -> tuple[int, int, int]:
-    parts = line.split()
-    if len(parts) != 5 or parts[0] != "chset" or parts[1] != "v1":
-        raise ChannelFormatError(f"bad header line: {line!r}")
-    dims = {}
-    for token, key in zip(parts[2:], ("M", "NT", "SC")):
-        name, _, value = token.partition("=")
-        if name != key or not value:
-            raise ChannelFormatError(f"bad header field {token!r} (expected {key}=<int>)")
-        try:
-            dims[key] = int(value)
-        except ValueError:
-            raise ChannelFormatError(f"non-integer header field {token!r}") from None
-        if dims[key] <= 0:
-            raise ChannelFormatError(f"header field {token!r} must be positive")
-    return dims["M"], dims["NT"], dims["SC"]
-
-
-def read_header(path) -> tuple[int, int, int]:
-    """(M, NT, SC) from the first non-blank line of the channel file at ``path``."""
-    with open(path, "r", encoding="ascii") as fh:
-        return _parse_header(next(filter(str.strip, fh), ""))
-
-
 def load_channels(source) -> ChannelSet:
     """Parse a channel set from a path or an open text stream.
 
@@ -254,8 +229,20 @@ def load_channels(source) -> ChannelSet:
     if not lines:
         raise ChannelFormatError("empty channel stream")
 
-    m, nt, sc = _parse_header(lines[0])
-    records = lines[1:]
+    parts, dims = lines[0].split(), []
+    if len(parts) != 5 or parts[0] != "chset" or parts[1] != "v1":
+        raise ChannelFormatError(f"bad header line: {lines[0]!r}")
+    for token, key in zip(parts[2:], ("M", "NT", "SC")):
+        name, _, value = token.partition("=")
+        if name != key or not value:
+            raise ChannelFormatError(f"bad header field {token!r} (expected {key}=<int>)")
+        try:
+            dims.append(int(value))
+        except ValueError:
+            raise ChannelFormatError(f"non-integer header field {token!r}") from None
+        if dims[-1] <= 0:
+            raise ChannelFormatError(f"header field {token!r} must be positive")
+    (m, nt, sc), records = dims, lines[1:]
     if len(records) != (expected := m * nt * sc):
         raise ChannelFormatError(
             f"expected {expected} entry lines for M={m} NT={nt} SC={sc}, got {len(records)}"

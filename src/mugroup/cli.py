@@ -17,7 +17,7 @@ from pathlib import Path
 from .bench import ExperimentConfig, Scenario, _json, run_experiment, write_csv
 from .channel import CorrelatedRicianSpec, generate_rician, write_channels
 from .errors import ConfigurationError, SearchSpaceError
-from .grouping import MAX_SEARCH_USERS, count_partitions
+from .grouping import count_partitions, search_refusal
 
 
 def _cmd_run(args) -> int:
@@ -33,8 +33,7 @@ def _cmd_run(args) -> int:
         print("\nruntime relative to random selection (dB):")
         for r in rows:
             if r.skipped:
-                print(f"  M={r.m:<4d} {r.algorithm:<12s} skipped "
-                      f"(more than {MAX_SEARCH_USERS} users)")
+                print(f"  M={r.m:<4d} {r.algorithm:<12s} skipped ({search_refusal(r.m, r.nu)})")
             elif r.algorithm != "random":
                 print(f"  M={r.m:<4d} {r.algorithm:<12s} {r.runtime_db_vs_random:8.2f} dB")
     return 0

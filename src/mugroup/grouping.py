@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
+from operator import index
 from typing import Iterable
 
 import numpy as np
@@ -38,7 +39,7 @@ __all__ = [
     "count_partitions",
     "search_best_partition",
     "exhaustive_search",
-    "exhaustive_search_fits",
+    "search_refusal",
     "MAX_SEARCH_USERS",
     "active_backend",
 ]
@@ -51,8 +52,12 @@ MAX_SEARCH_USERS = 16
 
 
 def canonical_group(members: Iterable[int]) -> Group:
-    """Sorted tuple of distinct member indices."""
-    g = tuple(sorted(members))
+    """Sorted tuple of distinct integer member indices."""
+    g = tuple(members)
+    try:
+        g = tuple(sorted(map(index, g)))
+    except TypeError:
+        raise ValueError(f"group members must be integers, got {g}") from None
     if not g:
         raise ValueError("group must be non-empty")
     if len(set(g)) != len(g):
@@ -297,10 +302,14 @@ def search_best_partition(rates: np.ndarray, n: int, max_block: int):
     return int(count[full]), float(best[full]), assign
 
 
-def exhaustive_search_fits(num_users: int, max_size: int) -> bool:
-    """Whether ``exhaustive_search`` takes this size: any M when every
-    group is a single user, else at most ``MAX_SEARCH_USERS`` users."""
-    return max_size == 1 or num_users <= MAX_SEARCH_USERS
+def search_refusal(num_users: int, max_size: int) -> str | None:
+    """Why ``exhaustive_search`` refuses M users in groups of at most
+    ``max_size``, or None when it takes them: any M when every group is a
+    single user, else at most ``MAX_SEARCH_USERS`` users."""
+    if max_size > 1 and num_users > MAX_SEARCH_USERS:
+        return (f"full search over M={num_users}, Nu={max_size} exceeds the limit "
+                f"of {MAX_SEARCH_USERS} users")
+    return None
 
 
 def exhaustive_search(oracle) -> GroupingSolution:
@@ -308,17 +317,15 @@ def exhaustive_search(oracle) -> GroupingSolution:
     by the subset DP of ``search_best_partition``.
 
     Ties keep the first partition in canonical order (that docstring
-    names the one exception, under rounding).  With a cap of two or more
-    it refuses more than ``MAX_SEARCH_USERS`` (16) users before making
-    any rate query; use the heuristics for larger networks.  With a cap
-    of one every user is served alone, at any M.
+    names the one exception, under rounding).  It refuses what
+    ``search_refusal`` refuses, more than ``MAX_SEARCH_USERS`` (16) users
+    with a cap of two or more, before making any rate query; use the
+    heuristics for larger networks.  With a cap of one every user is
+    served alone, at any M.
     """
     num_users, max_size = oracle.num_users, oracle.max_group_size
-    if not exhaustive_search_fits(num_users, max_size):
-        raise SearchSpaceError(
-            f"full search over M={num_users} users with max_size={max_size} "
-            f"exceeds the limit of {MAX_SEARCH_USERS} users; use gma or another heuristic"
-        )
+    if refusal := search_refusal(num_users, max_size):
+        raise SearchSpaceError(refusal)
     if max_size == 1:
         return GroupingSolution.scored([(u,) for u in range(num_users)], oracle)
     expected = count_partitions(num_users, max_size)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
 from operator import index
 
 __all__ = ["WeightedGraph", "max_weight_matching", "hungarian"]
@@ -28,6 +29,8 @@ class WeightedGraph:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
+        if not isinstance(self.num_vertices, Integral) or self.num_vertices < 0:
+            raise ValueError(f"num_vertices must be >= 0 and integral, got {self.num_vertices!r}")
         seen = set()
         norm = []
         for u, v, w in self.edges:

@@ -58,6 +58,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial, reduce
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -154,8 +155,10 @@ class PhyConfig:
       1), so N0 [A^-1]_mm <= 1e72 k;
     * SINR <= (P / N0) 2e200 Nt <= 2e260 Nt.
 
-    All three stay below 1e301, far from overflow at 1.8e308.  ``mcs_rates``,
-    not a field, is the MCS lookup (``_mcs_rates``) in MCS mode, else None.
+    All three stay below 1e301, far from overflow at 1.8e308.  ``rate_mode``
+    takes a ``RateMode`` or its value; the MAC factor scales MCS rates only.
+    ``mcs_rates``, not a field, is the MCS lookup (``_mcs_rates``) in MCS
+    mode, else None.
     """
 
     bandwidth_hz: float = 40e6
@@ -166,6 +169,7 @@ class PhyConfig:
     mcs_table: tuple[McsEntry, ...] = DEFAULT_MCS_TABLE
 
     def __post_init__(self):
+        object.__setattr__(self, "rate_mode", RateMode(self.rate_mode))
         if not all(0 < v < math.inf
                    for v in (self.bandwidth_hz, self.noise_power, self.total_power)):
             raise ValueError(
@@ -339,8 +343,8 @@ class RateOracle:
     """
 
     def __init__(self, channels: ChannelSet, cfg: PhyConfig, max_group_size: int):
-        if max_group_size < 1:
-            raise ValueError("max_group_size must be >= 1")
+        if not isinstance(max_group_size, Integral) or max_group_size < 1:
+            raise ValueError(f"max_group_size must be >= 1 and integral, got {max_group_size!r}")
         if max_group_size > channels.num_tx_antennas:
             raise ValueError(
                 f"max_group_size {max_group_size} exceeds "

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from mugroup.bench import (
     run_experiment,
     write_csv,
 )
-from mugroup import bench
+from mugroup import bench, channel, cli, grouping
 from mugroup.baselines import SusParams
 from mugroup.channel import CorrelatedRicianSpec, generate_rician, write_channels
-from mugroup.errors import ChannelFormatError, ConfigurationError
-from mugroup.grouping import objective
-from mugroup.phy import RateOracle, make_rate_oracle
+from mugroup.errors import ChannelFormatError, ConfigurationError, SearchSpaceError
+from mugroup.grouping import exhaustive_search, objective
+from mugroup.phy import PhyConfig, RateMode, RateOracle, make_rate_oracle
+
+from conftest import rician_oracle
 
 SOLVER_BINDINGS = {"full_search": "exhaustive_search", "blossom": "optimal_mu2_su",
                    "gma": "gma", "zfs": "zfs_grouping", "sus": "sus_grouping",
@@ -55,11 +58,16 @@ def solves(monkeypatch):
     return calls
 
 
-def channel_file(tmp_path, num_users, num_tx_antennas):
+def channel_file(tmp_path, num_users, num_tx_antennas, seed=5):
     path = tmp_path / "chan.txt"
     write_channels(generate_rician(CorrelatedRicianSpec(
-        num_users=num_users, num_tx_antennas=num_tx_antennas, seed=5)), path)
+        num_users=num_users, num_tx_antennas=num_tx_antennas, seed=seed)), path)
     return str(path)
+
+
+def untimed(rows):
+    """``rows`` with the timing cells zeroed, so that equal results compare equal."""
+    return [replace(r, runtime_ms=0.0, runtime_db_vs_random=0.0) for r in rows]
 
 
 class TestRunExperiment:
@@ -301,7 +309,7 @@ class TestConfigValidation:
         # that leaves them out draws: the defaults are the spec's own
         cfg = ExperimentConfig(Scenario.USER_SWEEP, (6,), (2,))
         for seed in (0, 3):
-            got = bench._channels_for(cfg, 6, 0.0, seed, None)
+            got = bench._channels_for(cfg, 6, 0.0, seed)
             want = generate_rician(CorrelatedRicianSpec(num_users=6, num_tx_antennas=4,
                                                         seed=seed))
             assert got.num_subcarriers == want.num_subcarriers
@@ -310,6 +318,47 @@ class TestConfigValidation:
     def test_from_json_bad_scenario(self, tmp_path):
         with pytest.raises(ConfigurationError):
             from_text(tmp_path, json.dumps({"scenario": "bogus"}))
+
+
+class TestEnumSettings:
+    """``scenario`` and ``rate_mode`` take the enum or its value; their
+    dataclasses convert or refuse it when built."""
+
+    def test_value_and_enum_build_equal_configs(self):
+        by_value = ExperimentConfig("user_sweep", (6,), (2,), phy=PhyConfig(rate_mode="mcs"))
+        by_enum = ExperimentConfig(Scenario.USER_SWEEP, (6,), (2,),
+                                   phy=PhyConfig(rate_mode=RateMode.MCS_MAPPED))
+        assert by_value == by_enum
+        assert by_value.scenario is Scenario.USER_SWEEP
+        assert by_value.phy.rate_mode is RateMode.MCS_MAPPED
+
+    @pytest.mark.parametrize("mode", list(RateMode))
+    def test_value_and_enum_give_bit_identical_rates(self, mode):
+        channels = generate_rician(CorrelatedRicianSpec(6, 4, 2, seed=1))
+        groups = [(0, 1), (2, 3, 4), (0, 2, 4, 5), (5,)]
+        by_value, by_enum = (
+            np.array(make_rate_oracle(channels, PhyConfig(rate_mode=m), 4).rates(groups))
+            for m in (mode.value, mode))
+        assert by_value.view(np.int64).tolist() == by_enum.view(np.int64).tolist()
+        # the value "mcs" used to compute Shannon rates, 604.25 Mbit/s here
+        assert by_value[0] == {"mcs": 270e6, "shannon": 604252970.9795822}[mode.value]
+
+    def test_unknown_values_refused_before_any_solve(self, solves, tmp_path):
+        with pytest.raises(ConfigurationError, match=(
+                r"^scenario must be one of \['user_sweep', 'rho_sweep', 'runtime_sweep'\]$")):
+            ExperimentConfig("user sweep", (6,), (2,), algorithms=("gma",), seeds=(0, 1, 2))
+        with pytest.raises(ValueError, match="^'MCS' is not a valid RateMode$"):
+            PhyConfig(rate_mode="MCS")
+        base = {"scenario": "user_sweep", "m_values": [6], "nu_values": [2]}
+        with pytest.raises(ConfigurationError, match=(
+                "^invalid config value: 'MCS' is not a valid RateMode$")):
+            from_text(tmp_path, json.dumps({**base, "phy": {"rate_mode": "MCS"}}))
+        for scenario in ("bogus", None, ["user_sweep"]):
+            with pytest.raises(ConfigurationError, match="^scenario must be one of"):
+                from_text(tmp_path, json.dumps({**base, "scenario": scenario}))
+        with pytest.raises(ConfigurationError, match="^scenario must be one of"):
+            from_text(tmp_path, json.dumps({"m_values": [6], "nu_values": [2]}))
+        assert solves == []
 
 
 class TestRefusedWhenBuilt:
@@ -347,8 +396,9 @@ class TestRefusedWhenBuilt:
 
 
 class TestChannelFileConfig:
-    """A channel file fixes the users and antennas: a config is checked
-    against its header when it is built, before any solve."""
+    """A channel file fixes the users and antennas: a config reads it once
+    when it is built, is checked against the set it holds before any solve,
+    and draws every seed's users from that set."""
 
     def run(self, tmp_path, **raw):
         raw = {"scenario": "user_sweep", "m_values": [5], "nu_values": [2],
@@ -391,6 +441,81 @@ class TestChannelFileConfig:
         path.write_text("chset v1 M=8 NT=4\n")
         with pytest.raises(ChannelFormatError, match="bad header line"):
             small_config(channel_file=str(path))
+
+    def test_cli_run_loads_the_file_once(self, tmp_path, monkeypatch):
+        path = channel_file(tmp_path, 8, 4)
+        calls, opened = [], []
+
+        def counted(path, _fn=bench.load_channels):
+            calls.append(path)
+            return _fn(path)
+
+        def counted_open(path, *args, **kwargs):
+            opened.append(str(path))
+            return open(path, *args, **kwargs)
+        monkeypatch.setattr(bench, "load_channels", counted)
+        monkeypatch.setattr(channel, "open", counted_open, raising=False)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "scenario": "user_sweep", "m_values": [5, 6], "nu_values": [2],
+            "channel_file": path, "algorithms": ["gma", "random"], "seeds": [0, 1],
+            "output": str(tmp_path / "out.csv")}))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 0
+        assert calls == opened == [path]
+
+    def test_file_rewritten_after_build_leaves_rows(self, tmp_path):
+        path = channel_file(tmp_path, 8, 4)
+        point = dict(m_values=(5,), algorithms=("full_search", "gma", "random"))
+        cfg = small_config(channel_file=path, **point)
+        before = run_experiment(cfg)
+        channel_file(tmp_path, 8, 4, seed=6)  # same shape, other channels
+        assert untimed(run_experiment(cfg)) == untimed(before)
+        assert untimed(run_experiment(small_config(channel_file=path, **point))) != untimed(
+            before)
+        open(path, "w").close()  # even an empty file changes nothing now
+        assert untimed(run_experiment(cfg)) == untimed(before)
+
+
+class TestSearchRefusal:
+    """Full search, config validation, the runtime sweep's skip and the
+    CLI's skipped line all follow one rule, ``grouping.search_refusal``:
+    a stub that refuses M=5 alone, at every cap, moves all four."""
+
+    @pytest.fixture
+    def stub(self, monkeypatch):
+        def refusal(num_users, max_size):
+            return f"stub refuses M={num_users}" if num_users == 5 else None
+        assert bench.search_refusal is cli.search_refusal is grouping.search_refusal
+        for module in (grouping, bench, cli):
+            monkeypatch.setattr(module, "search_refusal", refusal)
+
+    def test_exhaustive_search(self, stub):
+        _, oracle = rician_oracle(5, 1, seed=0)
+        with pytest.raises(SearchSpaceError, match="^stub refuses M=5$"):
+            exhaustive_search(oracle)
+        assert oracle.query_count == 0
+        _, oracle = rician_oracle(4, 2, seed=0)
+        assert exhaustive_search(oracle).num_users == 4
+
+    def test_config_validation(self, stub, solves):
+        with pytest.raises(ConfigurationError, match="^stub refuses M=5$"):
+            small_config(m_values=(4, 5))
+        assert solves == []
+        small_config(m_values=(4, 6), nu_values=(2,))
+
+    def test_runtime_sweep_skip_and_cli_line(self, stub, solves, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "scenario": "runtime_sweep", "m_values": [4, 5], "nu_values": [2],
+            "algorithms": ["full_search", "random"], "seeds": [0],
+            "output": str(tmp_path / "rt.csv")}))
+        assert cli.main(["run", "--config", str(cfg_path)]) == 0
+        assert solves.count("exhaustive_search") == 1  # at M=4 only
+        lines = capsys.readouterr().out.splitlines()
+        assert "  M=5    full_search  skipped (stub refuses M=5)" in lines
+        assert not any("M=4" in line and "skipped" in line for line in lines)
+        csv = (tmp_path / "rt.csv").read_text().splitlines()
+        assert [line.endswith(",,,,,") for line in csv[1:]] == [False, False, True, False]
 
 
 @pytest.fixture(scope="module")

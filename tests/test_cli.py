@@ -182,7 +182,7 @@ def test_unreadable_files_exit_with_an_error_line(tmp_path, capsys, monkeypatch)
     def unreadable(path):
         raise PermissionError(13, "Permission denied", str(path))
 
-    monkeypatch.setattr(bench, "read_header", unreadable)
+    monkeypatch.setattr(bench, "load_channels", unreadable)
     for argv, named in ((["run", "--config", str(tmp_path)], "Is a directory"),
                         (["gen-channels", "--spec", str(spec_path), "--out", str(tmp_path)],
                          "Is a directory"),
@@ -224,7 +224,8 @@ def test_runtime_sweep_marks_skipped_full_search(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(cfg_path)]) == 0
-    assert "full_search  skipped (more than 16 users)" in capsys.readouterr().out
+    assert ("full_search  skipped (full search over M=17, Nu=2 exceeds the limit of 16 users)"
+            in capsys.readouterr().out)
 
 
 def test_run_with_zero_channel_user(tmp_path, capsys):

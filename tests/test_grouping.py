@@ -35,6 +35,15 @@ class TestValidatePartition:
         with pytest.raises(ValueError, match=r"distinct, got \(1, 1\)$"):
             canonical_group(u for u in (1, 1))
 
+    @pytest.mark.parametrize("members", [(0.0, 1), (0.5,), (2, np.float64(3.0)), ("1",)])
+    def test_canonical_group_refuses_non_integers(self, members):
+        with pytest.raises(ValueError, match="members must be integers"):
+            canonical_group(members)
+
+    def test_canonical_group_takes_numpy_integers_as_ints(self):
+        group = canonical_group((np.int64(3), np.uint8(1)))
+        assert group == (1, 3) and all(type(u) is int for u in group)
+
     def test_all_single_ok(self):
         assert validate_partition([(0,), (1,), (2,)], 3, 1) is None
 
@@ -349,6 +358,11 @@ class TestGroupingSolution:
         with pytest.raises(ValueError) as err:
             objective([(0, 1), (3,)], FixtureOracle({(0,): 1.0}, num_users=4))
         assert str(err.value) == "invalid partition: missing users [2]; out-of-range users [3]"
+
+    def test_rejects_non_integer_users(self):
+        # 0.0 counts as user 0 in the partition check; its type is refused
+        with pytest.raises(ValueError, match=r"members must be integers, got \(0.0, 1\)"):
+            GroupingSolution([(0.0, 1), (2, 3, 4, 5)], 6)
 
     def test_canonicalizes(self):
         sol = GroupingSolution(((2,), (1, 0)), 3, 1.0)

@@ -83,6 +83,14 @@ class TestWeightedGraphInvariants:
             with pytest.raises(ValueError, match=r"edge \(.*\) has a non-integer vertex id"):
                 graph(3, [(1, 2, 1.0), (u, v, 1.0)])
 
+    @pytest.mark.parametrize("n", [-1, 2.0, 2.5, np.float64(3.0), None])
+    def test_rejects_bad_vertex_count(self, n):
+        with pytest.raises(ValueError, match="num_vertices must be >= 0 and integral"):
+            WeightedGraph(n, ())
+
+    def test_accepts_numpy_vertex_count(self):
+        assert max_weight_matching(WeightedGraph(np.int64(2), ((0, 1, 1.0),))) == ((0, 1),)
+
     def test_accepts_numpy_integer_ids(self):
         g = graph(4, [(np.int64(2), np.int32(3), 1.0), (np.uint8(0), np.int16(1), 2.0)])
         assert g.edges == ((2, 3, 1.0), (0, 1, 2.0))

@@ -532,6 +532,30 @@ class TestRateOracle:
         with pytest.raises(ValueError, match="max_group_size must be >= 1"):
             RateOracle(channels, PhyConfig(), cap)
 
+    @pytest.mark.parametrize("cap", [2.5, 2.0, np.float64(2.0), "2", None])
+    def test_rejects_non_integer_cap(self, cap):
+        # refused when built, not deep inside a solver's first range()
+        channels, _ = rician_oracle(5, 3, seed=11)
+        with pytest.raises(ValueError, match="max_group_size must be >= 1 and integral"):
+            RateOracle(channels, PhyConfig(), cap)
+
+    def test_accepts_numpy_integer_cap(self):
+        channels, oracle = rician_oracle(5, 3, seed=11)
+        assert RateOracle(channels, PhyConfig(), np.int64(3)).rate((0, 1, 2)) == oracle.rate(
+            (0, 1, 2))
+
+    @pytest.mark.parametrize("group", [(0.5,), (1, 2.0), (np.float64(3.0),), ("1",)])
+    def test_refuses_non_integer_members(self, group):
+        # checked before anything is computed or counted, and never a memo key
+        _, oracle = rician_oracle(5, 2, seed=10)
+        oracle.rate((0,))
+        memo, counts = dict(oracle._memo), (oracle.query_count, oracle.compute_count)
+        with pytest.raises(ValueError, match="members must be integers"):
+            oracle.rate(group)
+        with pytest.raises(ValueError, match="members must be integers"):
+            oracle.rates([(0, 1), group])
+        assert oracle._memo == memo and (oracle.query_count, oracle.compute_count) == counts
+
 
 class TestZeroChannelUser:
     """A user whose channel is all zero is rank deficient in every group;
