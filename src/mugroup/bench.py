@@ -152,15 +152,17 @@ class ExperimentConfig:
           ``rate_mode`` ("shannon" or "mcs"), ``mac_overhead`` (bool; the
           MAC factor scales MCS rates only, Shannon rates never read it),
           ``mcs_table`` (list of ``[index, bits_per_subcarrier,
-          min_snr_db]``);
+          min_snr_db]``); MCS rates use the 40 MHz numerology (108 data
+          tones, 3.6 us symbols) whatever ``bandwidth_hz`` says;
         * ``algorithms`` (list of names from ``ALGORITHMS``);
         * ``seeds``: ``{"count": n, "base": b}`` or a list of ints;
         * ``output`` (CSV path);
         * ``sus``: ``sweep`` (list of floats, one alpha per SUS run).
 
         An absent optional key takes its field's default.  Unknown keys are
-        ignored, but ``sus.alpha`` is refused.  Raises ConfigurationError on
-        a missing or invalid value.
+        ignored, but ``sus.alpha`` is refused, and so is ``channel`` beside
+        ``channel_file``, which fixes the channel.  Raises
+        ConfigurationError on a missing or invalid value.
         """
         return _config_from_dict(json.loads(Path(path).read_text()))
 
@@ -195,6 +197,8 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigurationError("channel, phy and sus must be JSON objects")
     if "alpha" in sus_raw:
         raise ConfigurationError('sus takes no "alpha"; give one threshold as "sweep": [alpha]')
+    if "channel" in raw and "channel_file" in raw:
+        raise ConfigurationError("a channel section needs drawn channels, not a channel_file")
     if not all(isinstance(raw.get(key), (str, type(None)))
                for key in ("channel_file", "output")):
         raise ConfigurationError("channel_file and output must be strings")
@@ -262,7 +266,7 @@ def _channels_for(cfg: ExperimentConfig, m: int, rho: float, seed: int) -> Chann
     if (file := cfg.file_channels) is None:
         return generate_rician(_rician_spec(cfg, m, rho, seed))
     pick = np.sort(np.random.default_rng(seed).choice(file.num_users, size=m, replace=False))
-    return ChannelSet(m, file.num_tx_antennas, file.num_subcarriers, file.entries[pick])
+    return ChannelSet(file.entries[pick])
 
 
 def _rician_spec(cfg: ExperimentConfig, m: int, rho: float, seed: int) -> CorrelatedRicianSpec:

@@ -1,10 +1,11 @@
 """Downlink channel generation and interchange.
 
-Channels are complex gains indexed ``[user][tx_antenna][subcarrier]``.
+Channels are complex gains indexed ``[user][tx_antenna][subcarrier]``,
+and a ``ChannelSet`` reads its three sizes from that array's shape.
 Synthetic channels follow a Rician model with a uniform-linear-array
 line-of-sight steering vector and an optional shared scattered component
-that correlates a chosen subset of users.  Entries have unit average
-power; the link budget lives in the PHY configuration, not here.
+that correlates a chosen subset of users, with unit average power per
+entry; the link budget lives in the PHY configuration, not here.
 ``correlation_matrix`` gives the normalized channel correlation of every
 pair of users as one array; ``pairwise_correlation`` reads one pair.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -41,35 +41,29 @@ MAX_CHANNEL_MAGNITUDE = 1e100
 class ChannelSet:
     """Dense set of downlink channel vectors for every station.
 
-    ``entries`` has shape ``(num_users, num_tx_antennas, num_subcarriers)``
-    and is frozen after construction so instances can be shared freely.
+    ``entries``, of shape (M, Nt, SC) with all three positive, is frozen
+    after construction so instances can be shared freely; its shape gives
+    ``num_users``, ``num_tx_antennas`` and ``num_subcarriers``, not fields.
     Entries must be finite, with real and imaginary parts of magnitude at
     most ``MAX_CHANNEL_MAGNITUDE``.
     """
 
-    num_users: int
-    num_tx_antennas: int
-    num_subcarriers: int
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.num_users <= 0 or self.num_tx_antennas <= 0 or self.num_subcarriers <= 0:
+        arr = np.array(self.entries, dtype=np.complex128, order="C")  # a copy
+        if arr.ndim != 3 or 0 in arr.shape:
             raise ValueError(
-                f"channel dimensions must be positive, got "
-                f"({self.num_users}, {self.num_tx_antennas}, {self.num_subcarriers})"
-            )
-        arr = np.asarray(self.entries, dtype=np.complex128)
-        shape = (self.num_users, self.num_tx_antennas, self.num_subcarriers)
-        if arr.shape != shape:
-            raise ValueError(f"entries shape {arr.shape} does not match declared {shape}")
+                f"channel entries must be a 3-D array with positive sides, got shape {arr.shape}")
         if not np.abs(arr.view(np.float64)).max() <= MAX_CHANNEL_MAGNITUDE:
             raise ValueError(
                 f"channel entries must be finite, with real and imaginary parts "
                 f"of magnitude at most {MAX_CHANNEL_MAGNITUDE:g}"
             )
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
+        for name, size in zip(("num_users", "num_tx_antennas", "num_subcarriers"), arr.shape):
+            object.__setattr__(self, name, size)
 
 
 @dataclass(frozen=True)
@@ -78,7 +72,8 @@ class CorrelatedRicianSpec:
 
     The first ``correlated_user_count`` users share a common scattered
     component mixed in with weight ``sqrt(rho)``; everyone else fades
-    independently.  ``k_factor_db`` is the LOS-to-scattered power ratio.
+    independently.  ``k_factor_db`` is the LOS-to-scattered power ratio,
+    at most 3000 dB; a large negative one leaves pure scattering.
     """
 
     num_users: int
@@ -96,8 +91,9 @@ class CorrelatedRicianSpec:
             raise ValueError(f"rho must be in [0, 1], got {self.rho}")
         if not 0 <= self.correlated_user_count <= self.num_users:
             raise ValueError("correlated_user_count must be in [0, num_users]")
-        if not math.isfinite(self.k_factor_db):
-            raise ValueError("k_factor_db must be finite")
+        if not -math.inf < self.k_factor_db <= 3000.0:  # K = 1e300 keeps K + 1 finite
+            raise ValueError(
+                f"k_factor_db must be finite and at most 3000 dB, got {self.k_factor_db}")
         if self.seed < 0:
             raise ValueError(f"seed {self.seed} must not be negative")
 
@@ -145,7 +141,7 @@ def generate_rician(spec: CorrelatedRicianSpec) -> ChannelSet:
     los, nlos = rician_components(spec)
     k = spec.k_linear
     h = math.sqrt(k / (k + 1.0)) * los + math.sqrt(1.0 / (k + 1.0)) * nlos
-    return ChannelSet(spec.num_users, spec.num_tx_antennas, spec.num_subcarriers, h)
+    return ChannelSet(h)
 
 
 def correlation_matrix(channels: ChannelSet) -> np.ndarray:
@@ -203,15 +199,9 @@ def write_channels(channels: ChannelSet, dest) -> None:
         with open(dest, "w", encoding="ascii") as fh:
             write_channels(channels, fh)
         return
-    dest.write(
-        f"{_HEADER_PREFIX} M={channels.num_users} "
-        f"NT={channels.num_tx_antennas} SC={channels.num_subcarriers}\n"
-    )
-    for u in range(channels.num_users):
-        for a in range(channels.num_tx_antennas):
-            for s in range(channels.num_subcarriers):
-                z = channels.entries[u, a, s]
-                dest.write(f"{u} {a} {s} {z.real:.17g} {z.imag:.17g}\n")
+    dest.write("{} M={} NT={} SC={}\n".format(_HEADER_PREFIX, *channels.entries.shape))
+    for (u, a, s), z in np.ndenumerate(channels.entries):
+        dest.write(f"{u} {a} {s} {z.real:.17g} {z.imag:.17g}\n")
 
 
 def load_channels(source) -> ChannelSet:
@@ -249,7 +239,7 @@ def load_channels(source) -> ChannelSet:
         )
 
     entries = np.empty(expected, dtype=np.complex128)
-    indices = product(range(m), range(nt), range(sc))
+    indices = np.ndindex(m, nt, sc)
     try:
         for idx, (line, (u, a, s)) in enumerate(zip(records, indices)):
             parts = line.split()
@@ -269,4 +259,4 @@ def load_channels(source) -> ChannelSet:
     except ChannelFormatError as err:  # name the physical line, blank lines counted
         number = [n for n, text in enumerate(raw, 1) if text][idx + 1]
         raise ChannelFormatError(f"line {number}: {err}") from None
-    return ChannelSet(m, nt, sc, entries.reshape(m, nt, sc))
+    return ChannelSet(entries.reshape(m, nt, sc))

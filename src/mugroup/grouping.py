@@ -79,7 +79,7 @@ class GroupingSolution:
     objective_value: float | None = None
 
     def __post_init__(self):
-        report = validate_partition(self.groups, self.num_users, self.num_users)
+        report = validate_partition(self.groups, self.num_users)
         if report is not None:
             raise ValueError(f"invalid partition: {report}")
         object.__setattr__(self, "groups", canonical_partition(self.groups))
@@ -93,25 +93,17 @@ class GroupingSolution:
         return solution
 
 
-def validate_partition(groups, num_users: int, max_size: int) -> str | None:
-    """None when groups partition {0..num_users-1} with sizes <= max_size,
-    else a message naming duplicated, missing and out-of-range users and
-    oversize groups."""
-    seen: set[int] = set()
-    duplicated: set[int] = set()
-    oversize: list[Group] = []
-    for g in groups:
-        members = tuple(g)
-        if len(members) > max_size:
-            oversize.append(tuple(sorted(members)))
-        for u in members:
-            if u in seen:
-                duplicated.add(u)
-            seen.add(u)
+def validate_partition(groups, num_users: int) -> str | None:
+    """None when groups partition {0..num_users-1}, else a message naming
+    duplicated, missing and out-of-range users.  The group cap is the rate
+    oracle's, which checks it when the partition is scored."""
+    seen, duplicated = set(), set()
+    for u in chain.from_iterable(groups):
+        (duplicated if u in seen else seen).add(u)
     missing = [u for u in range(num_users) if u not in seen]
     stray = sorted(u for u in seen if not 0 <= u < num_users)
     found = (("duplicated users", sorted(duplicated)), ("missing users", missing),
-             ("oversize groups", oversize), ("out-of-range users", stray))
+             ("out-of-range users", stray))
     return "; ".join(f"{what} {items}" for what, items in found if items) or None
 
 
@@ -228,16 +220,16 @@ def _plan(n, max_block, batch_cells):
     return plan
 
 
-def search_best_partition(rates: np.ndarray, n: int, max_block: int):
+def search_best_partition(rates: np.ndarray, max_block: int):
     """Best partition of {0..n-1} into blocks of at most ``max_block``
-    members under the bitmask rate table ``rates``.
+    members under the bitmask rate table ``rates`` of length 2**n.
 
     Returns (partition_count, best_score, block_index_per_element).
-    ``n`` is at most ``MAX_SEARCH_USERS``, the most the tie key holds.
-    ``rates`` must have length 2**n with entries for every non-empty
-    subset of size <= max_block, and every entry must be finite: a NaN
-    or infinite rate raises ``ValueError``, since it leaves the largest
-    score undefined.
+    ``n`` is at most ``MAX_SEARCH_USERS``, the most the tie key holds; a
+    table of any other length is refused before it is read.  ``rates``
+    holds an entry for every non-empty subset of size <= max_block, and
+    every entry must be finite: a NaN or infinite rate raises
+    ``ValueError``, since it leaves the largest score undefined.
 
     A partition scores sum(|B| * rates[bitmask(B)]), added left to right
     over its blocks in least-element order.  The search is the forward
@@ -272,12 +264,12 @@ def search_best_partition(rates: np.ndarray, n: int, max_block: int):
     rounding hides a difference between two prefix sums, an optimum later
     in that order may be returned.
     """
-    if not 1 <= n <= MAX_SEARCH_USERS:
-        raise ValueError(f"n must be in 1..{MAX_SEARCH_USERS}, got {n}")
+    n = len(rates).bit_length() - 1
+    if not 1 <= n <= MAX_SEARCH_USERS or len(rates) != 1 << n:
+        raise ValueError(f"rates must have length 2**n with n in 1..{MAX_SEARCH_USERS}, "
+                         f"got {len(rates)}")
     if max_block < 1:
         raise ValueError("max_block must be >= 1")
-    if len(rates) != 2 ** n:
-        raise ValueError(f"rates must have length 2**{n}, got {len(rates)}")
     plan = _plan(n, max_block, _BATCH_CELLS)
     size, place, batches = _cells(n, max_block) if plan is None else plan[2:]
     weight = size * np.asarray(rates, dtype=np.float64)
@@ -330,7 +322,7 @@ def exhaustive_search(oracle) -> GroupingSolution:
         return GroupingSolution.scored([(u,) for u in range(num_users)], oracle)
     expected = count_partitions(num_users, max_size)
     rates = _rates_by_mask(oracle)
-    count, _, assign = search_best_partition(rates, num_users, max_size)
+    count, _, assign = search_best_partition(rates, max_size)
     if count != expected:
         raise AssertionError(
             f"search visited {count} partitions, recurrence predicts {expected}"

@@ -73,6 +73,7 @@ __all__ = [
     "DEFAULT_MCS_TABLE",
     "MAX_POWER",
     "MAX_POWER_RATIO",
+    "MAX_BANDWIDTH_HZ",
     "RateOracle",
     "make_rate_oracle",
     "phy_rate",
@@ -88,10 +89,12 @@ _CERT_LIMIT = _COND_LIMIT / 100
 # most (group, subcarrier) rows that one ``_zf_sinr`` call gathers
 _MAX_BATCH_ROWS = 1024
 
-# largest total_power or noise_power, and largest total_power / noise_power
-# (600 dB); ``PhyConfig`` derives why every SINR intermediate stays finite
+# largest total_power or noise_power, largest total_power / noise_power
+# (600 dB) and largest bandwidth_hz; ``PhyConfig`` derives why every SINR
+# intermediate, rate and objective stays finite
 MAX_POWER = 1e60
 MAX_POWER_RATIO = 1e60
+MAX_BANDWIDTH_HZ = 1e12
 
 # 40 MHz OFDM numerology and MAC framing constants
 DATA_SUBCARRIERS = 108
@@ -117,8 +120,9 @@ class McsEntry:
     min_snr_db: float
 
     def __post_init__(self):
-        if not (0 <= self.bits_per_subcarrier < math.inf and math.isfinite(self.min_snr_db)):
-            raise ValueError(f"MCS entry {self.index} needs finite values and bits >= 0")
+        if not (0 <= self.bits_per_subcarrier <= 1e3 and math.isfinite(self.min_snr_db)):
+            raise ValueError(
+                f"MCS entry {self.index} needs finite values and bits >= 0, at most 1000")
 
 
 # Modulation ladder BPSK..256-QAM with the usual coding rates; the SNR
@@ -155,8 +159,15 @@ class PhyConfig:
       1), so N0 [A^-1]_mm <= 1e72 k;
     * SINR <= (P / N0) 2e200 Nt <= 2e260 Nt.
 
-    All three stay below 1e301, far from overflow at 1.8e308.  ``rate_mode``
-    takes a ``RateMode`` or its value; the MAC factor scales MCS rates only.
+    All three stay below 1e301, far from overflow at 1.8e308.  So
+    log2(1 + SINR) < 1e3: with ``bandwidth_hz`` at most ``MAX_BANDWIDTH_HZ``
+    (1e12) a member's Shannon rate is below 1e15 bit/s, and with MCS bits
+    at most 1e3 its MCS rate below 108 * 1e3 / 3.6e-6 = 3e10 bit/s.  R(G),
+    summed over |G| <= Nt members and SC subcarriers before its mean, and
+    sum(|G| R(G)) over M users stay below 1e15 M Nt SC, finite for any
+    M Nt SC < 1e293.  ``rate_mode`` takes a ``RateMode`` or its value; the
+    MAC factor scales MCS rates only.  MCS rates use the 40 MHz numerology
+    (108 data tones, 3.6 us symbols) whatever ``bandwidth_hz`` says.
     ``mcs_rates``, not a field, is the MCS lookup (``_mcs_rates``) in MCS
     mode, else None.
     """
@@ -174,8 +185,10 @@ class PhyConfig:
                    for v in (self.bandwidth_hz, self.noise_power, self.total_power)):
             raise ValueError(
                 "bandwidth_hz, noise_power and total_power must be finite and positive")
-        if not (self.total_power <= MAX_POWER and self.noise_power <= MAX_POWER):
-            raise ValueError(f"noise_power and total_power must be at most {MAX_POWER:g}")
+        if not (self.bandwidth_hz <= MAX_BANDWIDTH_HZ
+                and self.total_power <= MAX_POWER and self.noise_power <= MAX_POWER):
+            raise ValueError(f"bandwidth_hz must be at most {MAX_BANDWIDTH_HZ:g}, "
+                             f"noise_power and total_power at most {MAX_POWER:g}")
         if not self.total_power / self.noise_power <= MAX_POWER_RATIO:
             raise ValueError(
                 f"total_power / noise_power must be at most {MAX_POWER_RATIO:g}")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mugroup.channel import ChannelSet, CorrelatedRicianSpec, generate_rician
+from mugroup.grouping import validate_partition
 from mugroup.phy import PhyConfig, RateMode, RateOracle, make_rate_oracle
 
 
@@ -9,7 +10,8 @@ class FixtureOracle:
     """Mapping-backed rate oracle for hand-built test instances.
 
     Unlisted groups fall back to a per-size default so solvers can query
-    any subset.
+    any subset within the cap; a group above it is refused, as
+    ``RateOracle`` refuses it.
     """
 
     def __init__(self, table, size_defaults=None, num_users=None, max_group_size=3):
@@ -22,6 +24,8 @@ class FixtureOracle:
     def rate(self, group):
         self.query_count += 1
         g = tuple(sorted(group))
+        if len(g) > self.max_group_size:
+            raise ValueError(f"group {g} exceeds max group size {self.max_group_size}")
         if g in self.table:
             return self.table[g]
         if len(g) in self.size_defaults:
@@ -34,6 +38,13 @@ class FixtureOracle:
     def precompute(self, groups, *, checked=False):
         """Nothing to fill: every rate is in the table already, and only
         queries count."""
+
+
+def assert_partition(groups, num_users, cap):
+    """``groups`` partition the users {0..num_users-1} into groups of at most
+    ``cap`` members: ``validate_partition``'s check, then the cap's."""
+    assert validate_partition(groups, num_users) is None
+    assert max(map(len, groups)) <= cap, f"a group of {groups} holds more than {cap} users"
 
 
 def vdot_correlation(channels, i, j):
@@ -119,7 +130,7 @@ def twelve_station_oracle():
 
 
 def identity_channels(n=2):
-    return ChannelSet(n, n, 1, np.eye(n, dtype=complex)[:, :, None])
+    return ChannelSet(np.eye(n, dtype=complex)[:, :, None])
 
 
 @pytest.fixture

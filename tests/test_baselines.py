@@ -7,12 +7,12 @@ from mugroup import baselines, phy
 from mugroup.baselines import SusParams, random_grouping, sus_grouping, zfs_grouping
 from mugroup.channel import ChannelSet, correlation_matrix
 from mugroup.gma import gma, optimal_mu2_su
-from mugroup.grouping import canonical_partition, objective, validate_partition
+from mugroup.grouping import canonical_partition, objective
 from mugroup.phy import PhyConfig, RateOracle, make_rate_oracle
 
 import reference
-from conftest import (MCS_WITH_MAC, FixtureOracle, identity_channels, o1, o2, random_oracle,
-                      rician_oracle, vdot_correlation)
+from conftest import (MCS_WITH_MAC, FixtureOracle, assert_partition, identity_channels, o1, o2,
+                      random_oracle, rician_oracle, vdot_correlation)
 
 
 class TestZfs:
@@ -41,7 +41,7 @@ class TestZfs:
             cap = int(rng.integers(1, 4))
             oracle = random_oracle(rng, m, cap)
             sol = zfs_grouping(oracle)
-            assert validate_partition(sol.groups, m, cap) is None
+            assert_partition(sol.groups, m, cap)
 
     def test_cold_solve_checks_singles_only(self, check_calls):
         # the singles query checks the user range; each step's candidates
@@ -132,7 +132,7 @@ class TestSus:
 
     def test_collinear_users_never_grouped(self):
         h = np.array([[1, 0, 0], [2, 0, 0], [0, 1, 0]], dtype=complex)[:, :, None]
-        channels = ChannelSet(3, 3, 1, h)
+        channels = ChannelSet(h)
         oracle = make_rate_oracle(channels, PhyConfig(), 3)
         sol = sus_grouping(oracle, SusParams(sweep=(0.3,)))
         for g in sol.groups:
@@ -191,7 +191,7 @@ class TestSus:
         with np.errstate(all="raise"):
             scores = baselines._Residuals(h)[(0, 1)][3]
         assert scores[2] == 1.0
-        channels = ChannelSet(3, 3, 2, h)
+        channels = ChannelSet(h)
         assert lstsq_orthogonal_norm(channels, 2, (0, 1)) == 1.0
         # the same on Rician channels where one member is zero on some
         # subcarriers and another on all of them
@@ -199,7 +199,7 @@ class TestSus:
         h = channels.entries.copy()
         h[1, :, [0, 2]] = 0
         h[3] = 0
-        channels = ChannelSet(10, 4, 4, h)
+        channels = ChannelSet(h)
         residuals = baselines._Residuals(h)
         for members in [(0, 1), (1, 0, 3), (3, 1, 2), (0, 3, 1, 2)]:
             with np.errstate(all="raise"):
@@ -214,7 +214,7 @@ class TestSus:
         channels, _ = rician_oracle(10, 4, seed=33, sc=4)
         h = channels.entries.copy()
         h[3, :, 1] = (2 - 1j) * h[0, :, 1]
-        channels = ChannelSet(10, 4, 4, h)
+        channels = ChannelSet(h)
         residuals = baselines._Residuals(h)
         for members in [(0, 3), (3, 0), (0, 3, 1), (2, 0, 3)]:
             scores = residuals[members][3]
@@ -254,7 +254,7 @@ class TestSus:
         for seed in range(5):
             _, oracle = rician_oracle(9, 3, seed=seed)
             sol = sus_grouping(oracle)
-            assert validate_partition(sol.groups, 9, 3) is None
+            assert_partition(sol.groups, 9, 3)
 
 
 def recording(monkeypatch, module, name) -> list:
@@ -345,7 +345,7 @@ class TestSusReference:
             sol = assert_sus_matches_reference(monkeypatch, identity_channels(n), cfg, cap)
             assert all(len(g) == cap for g in sol.groups)
         h = np.repeat(np.eye(8, dtype=complex)[:, :, None], 8, axis=2)
-        assert_sus_matches_reference(monkeypatch, ChannelSet(8, 8, 8, h), cfg, 8)
+        assert_sus_matches_reference(monkeypatch, ChannelSet(h), cfg, 8)
 
     @pytest.mark.parametrize("sc", [1, 8])
     def test_duplicated_users_tie_to_the_lowest_index(self, monkeypatch, sc):
@@ -355,7 +355,7 @@ class TestSusReference:
         h = channels.entries.copy()
         h[[5, 7]] = h[2]
         h[9] = h[1]
-        channels = ChannelSet(10, 4, sc, h)
+        channels = ChannelSet(h)
         for cap in (2, 3, 4):
             assert_sus_matches_reference(monkeypatch, channels, MCS_WITH_MAC, cap)
         residuals = baselines._Residuals(h)
@@ -370,7 +370,7 @@ class TestSusReference:
         h = channels.entries.copy()
         h[1, :, [0, 2]] = 0
         h[6, :, 1:5] = 0
-        channels = ChannelSet(12, 4, 6, h)
+        channels = ChannelSet(h)
         for cap in (2, 3, 4):
             assert_sus_matches_reference(monkeypatch, channels, cfg, cap)
 
@@ -383,7 +383,7 @@ class TestSusReference:
         h = channels.entries.copy()
         h[3, :, 1] = (2 - 1j) * h[0, :, 1]
         h[8] = 3 * h[4]
-        channels = ChannelSet(10, 4, 4, h)
+        channels = ChannelSet(h)
         for cap in (2, 3, 4):
             assert_sus_matches_reference(monkeypatch, channels, cfg, cap)
         for members in [(0, 3), (3, 0), (4, 8, 1), (2, 0, 3)]:
@@ -395,7 +395,7 @@ class TestSusReference:
         # may share a group at alpha 0.6 (not corr > alpha) and not below
         h = np.zeros((2, 4, 1), dtype=complex)
         h[0, 0, 0], h[1, :2, 0] = 1, (3, 4)
-        channels = ChannelSet(2, 4, 1, h)
+        channels = ChannelSet(h)
         assert correlation_matrix(channels)[0, 1] == 0.6
         for alpha, groups in [(0.6, ((0, 1),)), (0.5, ((0,), (1,)))]:
             sol = assert_sus_matches_reference(monkeypatch, channels, PhyConfig(), 2,
@@ -411,7 +411,7 @@ class TestSusReference:
         h[1, :, 0] = 0.2, 2, 0.1j
         h[2, :, 0] = 0.1, -0.1, 1
         h[3, :, 0] = 1, 0.1j, 0.1
-        channels = ChannelSet(4, 3, 1, h)
+        channels = ChannelSet(h)
         calls = extensions(monkeypatch, baselines._Residuals)
         ref_calls = extensions(monkeypatch, reference.StepwiseResiduals)
         sol = assert_sus_matches_reference(monkeypatch, channels, MCS_WITH_MAC, 3,
@@ -453,7 +453,7 @@ class TestRandomGrouping:
         oracle = chunk_oracle(11, 4)
         for seed in range(10):
             sol = random_grouping(oracle, seed=seed)
-            assert validate_partition(sol.groups, 11, 4) is None
+            assert_partition(sol.groups, 11, 4)
 
 
 class ScalarOracle(RateOracle):

@@ -371,8 +371,14 @@ class TestRefusedWhenBuilt:
         ({"channel": {"num_subcarriers": 0}}, "dimensions must be positive"),
         ({"phy": {"rate_mode": "mcs", "mcs_table": []}}, "MCS table must not be empty"),
         ({"phy": {"mcs_table": [[0, -1, 2.0]]}}, "MCS entry 0 needs finite values"),
+        # each of these once wrote an infinite rate or objective, or overflowed
+        ({"channel": {"k_factor_db": 4000}},
+         "k_factor_db must be finite and at most 3000 dB, got 4000.0"),
+        ({"phy": {"bandwidth_hz": 1e307}}, r"bandwidth_hz must be at most 1e\+12"),
+        ({"phy": {"rate_mode": "mcs", "mcs_table": [[0, 1e300, 2.0]]}},
+         "MCS entry 0 needs finite values and bits >= 0, at most 1000"),
     ], ids=["rho_above_one", "negative_correlated_users", "no_subcarriers", "empty_mcs_table",
-            "negative_mcs_bits"])
+            "negative_mcs_bits", "k_factor_overflow", "bandwidth_overflow", "mcs_bits_overflow"])
     def test_from_json(self, tmp_path, solves, patch, named):
         raw = {"scenario": "user_sweep", "m_values": [4, 6], "nu_values": [2],
                "algorithms": ["full_search", "gma", "random"], "seeds": [0, 1], **patch}
@@ -386,8 +392,9 @@ class TestRefusedWhenBuilt:
         (dict(num_subcarriers=0), "spec dimensions must be positive"),
         (dict(k_factor_db=math.inf), "k_factor_db must be finite"),
         (dict(k_factor_db=math.nan), "k_factor_db must be finite"),
+        (dict(k_factor_db=3000.5), "k_factor_db must be finite and at most 3000 dB, got 3000.5"),
     ], ids=["rho_above_one", "negative_correlated_users", "no_subcarriers", "infinite_k_factor",
-            "nan_k_factor"])
+            "nan_k_factor", "k_factor_above_limit"])
     def test_python_api(self, solves, overrides, named):
         # JSON holds no infinite number, so an infinite K factor comes only this way
         with pytest.raises(ConfigurationError, match=f"invalid channel model: {named}"):
@@ -430,6 +437,19 @@ class TestChannelFileConfig:
     def test_drawn_channel_options_refused(self, tmp_path, solves, raw):
         with pytest.raises(ConfigurationError, match="needs drawn channels"):
             self.run(tmp_path, channel_file=channel_file(tmp_path, 8, 4), **raw)
+        assert solves == []
+
+    @pytest.mark.parametrize("section", [
+        {"num_tx_antennas": 2, "num_subcarriers": 4, "k_factor_db": 30.0}, {}])
+    def test_channel_section_refused(self, tmp_path, solves, monkeypatch, section):
+        # the file fixes antennas, subcarriers and fading: a channel section
+        # beside it would be read and then ignored, so the reader refuses it
+        # before the file is opened
+        path = channel_file(tmp_path, 12, 8)
+        monkeypatch.setattr(bench, "load_channels", lambda path: pytest.fail("file read"))
+        with pytest.raises(ConfigurationError, match="a channel section needs drawn channels"):
+            self.run(tmp_path, channel_file=path, channel=section,
+                     m_values=[12], nu_values=[6])
         assert solves == []
 
     def test_directory_refused_when_built(self, tmp_path):

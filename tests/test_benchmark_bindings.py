@@ -81,7 +81,7 @@ def test_search_is_looked_up_as_a_module_global(monkeypatch):
     monkeypatch.setattr(grouping, "search_best_partition", wrapped)
     _, oracle = rician_oracle(5, 2, seed=0)
     grouping.exhaustive_search(oracle)
-    assert calls == [(5, 2)]
+    assert calls == [(2,)]
 
 
 def test_solvers_are_looked_up_as_module_globals(monkeypatch):

@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -52,34 +54,64 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="seed -1 must not be negative"):
             spec_with(seed=-1)
 
+    def test_k_factor_limit(self):
+        # K = 10**(k/10) overflowed above about 3,082 dB; 3000 dB is the limit
+        cs = generate_rician(spec_with(k_factor_db=3000.0))
+        assert np.isfinite(cs.entries).all()
+        for k_db in (np.nextafter(3000.0, math.inf), 4000.0, 1e300):
+            with pytest.raises(ValueError, match=re.escape(f"at most 3000 dB, got {k_db}")):
+                spec_with(k_factor_db=k_db)
+
+    def test_large_negative_k_factor_is_pure_scattering(self):
+        spec = spec_with(k_factor_db=-4000.0)
+        assert spec.k_linear == 0.0
+        assert np.array_equal(generate_rician(spec).entries, rician_components(spec)[1])
+
     def test_k_linear_positive(self):
         assert spec_with(k_factor_db=-30.0).k_linear > 0
 
 
 class TestChannelSetInvariants:
-    @pytest.mark.parametrize("dims", [(0, 2, 1), (2, 0, 1), (2, 2, -1)])
+    @pytest.mark.parametrize("dims", [(0, 2, 1), (2, 0, 1), (2, 2, 0)])
     def test_nonpositive_dimensions(self, dims):
-        with pytest.raises(ValueError, match="channel dimensions must be positive"):
-            ChannelSet(*dims, np.zeros((2, 2, 1), dtype=complex))
+        with pytest.raises(ValueError, match=re.escape(f"positive sides, got shape {dims}")):
+            ChannelSet(np.zeros(dims, dtype=complex))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            ChannelSet(2, 2, 1, np.zeros((2, 3, 1), dtype=complex))
+        # the sizes come from the array, which must be 3-D
+        for shape in ((2, 3), (2, 3, 1, 1), ()):
+            with pytest.raises(ValueError, match="3-D array"):
+                ChannelSet(np.zeros(shape, dtype=complex))
+
+    def test_sizes_come_from_the_shape(self):
+        entries = np.arange(2 * 3 * 4).reshape(2, 3, 4)  # integers, read as complex
+        cs = ChannelSet(entries)
+        assert (cs.num_users, cs.num_tx_antennas, cs.num_subcarriers) == (2, 3, 4)
+        assert cs.entries.dtype == np.complex128 and cs.entries.flags.c_contiguous
+        assert np.array_equal(cs.entries, entries)
+        entries[0, 0, 0] = 7  # the set holds a copy
+        assert cs.entries[0, 0, 0] == 0
+        # a non-contiguous view is stored C-ordered, with the view's shape
+        view = np.asfortranarray(np.ones((4, 2, 3), dtype=complex))[::2, :, ::-1]
+        cs = ChannelSet(view)
+        assert (cs.num_users, cs.num_tx_antennas, cs.num_subcarriers) == (2, 2, 3)
+        assert cs.entries.flags.c_contiguous
+        assert [f.name for f in dataclasses.fields(ChannelSet)] == ["entries"]
 
     def test_nonfinite_entries(self):
         bad = np.zeros((1, 2, 1), dtype=complex)
         bad[0, 0, 0] = complex(np.nan, 0)
         with pytest.raises(ValueError):
-            ChannelSet(1, 2, 1, bad)
+            ChannelSet(bad)
 
     def test_magnitude_bound(self):
         at_bound = np.full((1, 2, 1), complex(-MAX_CHANNEL_MAGNITUDE, MAX_CHANNEL_MAGNITUDE))
-        assert ChannelSet(1, 2, 1, at_bound).entries[0, 0, 0] == at_bound[0, 0, 0]
+        assert ChannelSet(at_bound).entries[0, 0, 0] == at_bound[0, 0, 0]
         for big in (1e155, 1e155j, -1e101):
             bad = np.zeros((1, 2, 1), dtype=complex)
             bad[0, 1, 0] = big
             with pytest.raises(ValueError, match="at most 1e\\+100"):
-                ChannelSet(1, 2, 1, bad)
+                ChannelSet(bad)
         with pytest.raises(ValueError, match="at most 1e\\+100"):
             load_channels(io.StringIO("chset v1 M=1 NT=1 SC=1\n0 0 0 1e155 0\n"))
 
@@ -150,16 +182,16 @@ class TestGenerateRician:
 
 class TestPairwiseCorrelation:
     def test_orthogonal(self):
-        cs = ChannelSet(2, 2, 1, np.array([[1, 0], [0, 1]], dtype=complex)[:, :, None])
+        cs = ChannelSet(np.array([[1, 0], [0, 1]], dtype=complex)[:, :, None])
         assert pairwise_correlation(cs, 0, 1) == 0.0
 
     def test_collinear(self):
-        cs = ChannelSet(2, 2, 1, np.array([[1, 1], [2, 2]], dtype=complex)[:, :, None])
+        cs = ChannelSet(np.array([[1, 1], [2, 2]], dtype=complex)[:, :, None])
         assert pairwise_correlation(cs, 0, 1) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_overlap(self):
         h = np.array([[1, 0], [1 / math.sqrt(2), 1 / math.sqrt(2)]], dtype=complex)
-        cs = ChannelSet(2, 2, 1, h[:, :, None])
+        cs = ChannelSet(h[:, :, None])
         assert pairwise_correlation(cs, 0, 1) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_same_user_rejected(self):
@@ -210,7 +242,7 @@ class TestCorrelationMatrix:
         h = np.zeros((3, 2, 2), dtype=complex)
         h[0, :, 0] = [1, 1j]
         h[1, :, :] = [[1, 2], [0, 1j]]  # user 2 stays zero; user 0 only on subcarrier 0
-        cs = ChannelSet(3, 2, 2, h)
+        cs = ChannelSet(h)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             c = correlation_matrix(cs)

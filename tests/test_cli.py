@@ -139,6 +139,8 @@ def test_gen_channels_wrong_typed_field(tmp_path, capsys, field, value):
 @pytest.mark.parametrize("spec, message", [
     ({"num_users": 6}, "error: channel spec is missing field 'num_tx_antennas'"),
     ({"num_users": 6, "num_tx_antennas": 4, "seed": -1}, "error: seed -1 must not be negative"),
+    ({"num_users": 6, "num_tx_antennas": 4, "k_factor_db": 4000},
+     "error: k_factor_db must be finite and at most 3000 dB, got 4000.0"),
 ])
 def test_gen_channels_refused_spec(tmp_path, capsys, spec, message):
     spec_path = tmp_path / "spec.json"
@@ -157,8 +159,12 @@ def test_gen_channels_refused_spec(tmp_path, capsys, spec, message):
     {"scenario": "rho_sweep", "rho_values": [0.0, 1.5]},
     {"phy": {"rate_mode": "mcs", "mcs_table": []}},
     {"channel_file": "."},
+    {"channel": {"k_factor_db": 4000}},
+    {"phy": {"bandwidth_hz": 1e307}},
+    {"phy": {"rate_mode": "mcs", "mcs_table": [[0, 1e300, 2.0]]}},
 ], ids=["nu_one_blossom", "mac_overhead_string", "two_rho_user_sweep", "negative_seed",
-        "rho_above_one", "empty_mcs_table", "channel_file_directory"])
+        "rho_above_one", "empty_mcs_table", "channel_file_directory", "k_factor_overflow",
+        "bandwidth_overflow", "mcs_bits_overflow"])
 def test_refused_config_runs_nothing(tmp_path, capsys, patch):
     # refused before the first grid point, so no CSV is written
     cfg_path = tmp_path / "cfg.json"
@@ -166,6 +172,22 @@ def test_refused_config_runs_nothing(tmp_path, capsys, patch):
         {**BASE_CONFIG, **patch, "output": str(tmp_path / "results.csv")}))
     assert main(["run", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_channel_section_beside_a_channel_file_runs_nothing(tmp_path, capsys):
+    # a 12-user, 8-antenna file with a section that states 2 antennas, 4
+    # subcarriers and K = 30 dB: one error line, no CSV
+    chan_path = tmp_path / "chan.txt"
+    write_channels(generate_rician(CorrelatedRicianSpec(12, 8)), chan_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(
+        {**BASE_CONFIG, "m_values": [12], "nu_values": [6], "channel_file": str(chan_path),
+         "channel": {"num_tx_antennas": 2, "num_subcarriers": 4, "k_factor_db": 30.0},
+         "output": str(tmp_path / "results.csv")}))
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: a channel section needs drawn channels, not a channel_file\n")
     assert not (tmp_path / "results.csv").exists()
 
 
@@ -236,7 +258,7 @@ def test_run_with_zero_channel_user(tmp_path, capsys):
     entries = np.array(channels.entries)
     entries[3] = 0.0
     chan_path = tmp_path / "chan.txt"
-    write_channels(ChannelSet(8, 4, 2, entries), chan_path)
+    write_channels(ChannelSet(entries), chan_path)
     cfg = {**BASE_CONFIG, "m_values": [8], "nu_values": [3], "channel_file": str(chan_path),
            "algorithms": ["full_search", "blossom", "gma", "zfs", "sus", "random"],
            "output": str(tmp_path / "results.csv")}

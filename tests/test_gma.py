@@ -8,7 +8,7 @@ from mugroup.gma import gma, optimal_mu2_su
 from mugroup.gma import _merge_pass, _split_and_balance
 
 gma_mod = sys.modules["mugroup.gma"]
-from mugroup.grouping import exhaustive_search, objective, validate_partition
+from mugroup.grouping import exhaustive_search, objective
 from mugroup.matching import hungarian
 from mugroup.phy import MAC_OVERHEAD_FACTOR, PhyConfig, RateMode
 
@@ -17,6 +17,7 @@ from conftest import (
     FixtureOracle,
     TWELVE_STATION_PAIRS,
     TWELVE_STATION_RESULT,
+    assert_partition,
     o2,
     random_oracle,
     rician_oracle,
@@ -178,7 +179,7 @@ class TestGma:
             cap = int(rng.integers(2, 5))
             oracle = random_oracle(rng, m, cap)
             sol = gma(oracle)
-            assert validate_partition(sol.groups, m, cap) is None
+            assert_partition(sol.groups, m, cap)
             assert sol.objective_value == pytest.approx(
                 objective(sol.groups, oracle), rel=1e-9)
 

@@ -21,7 +21,8 @@ from mugroup.grouping import (
 from mugroup import grouping
 from mugroup.phy import PhyConfig, RateOracle
 
-from conftest import MCS_WITH_MAC, FixtureOracle, o1, o2, random_oracle, rician_oracle
+from conftest import (MCS_WITH_MAC, FixtureOracle, assert_partition, o1, o2, random_oracle,
+                      rician_oracle)
 from reference import enumerate_partitions
 
 
@@ -45,26 +46,37 @@ class TestValidatePartition:
         assert group == (1, 3) and all(type(u) is int for u in group)
 
     def test_all_single_ok(self):
-        assert validate_partition([(0,), (1,), (2,)], 3, 1) is None
+        assert validate_partition([(0,), (1,), (2,)], 3) is None
 
     def test_duplicated_user(self):
-        assert validate_partition([(0, 1), (1, 2)], 3, 2) == "duplicated users [1]"
+        assert validate_partition([(0, 1), (1, 2)], 3) == "duplicated users [1]"
 
     def test_oversize_group(self):
-        report = validate_partition([(0, 1, 2, 3), (4,), (5,)], 6, 3)
-        assert report == "oversize groups [(0, 1, 2, 3)]"
+        # the cap is no part of a partition: the tests check it beside one
+        groups = [(0, 1, 2, 3), (4,), (5,)]
+        assert validate_partition(groups, 6) is None
+        assert_partition(groups, 6, 4)
+        with pytest.raises(AssertionError, match=r"holds more than 3 users"):
+            assert_partition(groups, 6, 3)
+        with pytest.raises(AssertionError):
+            assert_partition([(0, 1), (1,)], 2, 2)  # a duplicate within the cap
 
     def test_missing_user(self):
-        assert validate_partition([(0,), (2,)], 3, 2) == "missing users [1]"
+        assert validate_partition([(0,), (2,)], 3) == "missing users [1]"
 
     def test_out_of_range_user(self):
-        report = validate_partition([(0,), (1,), (5,), (-1,)], 3, 3)
+        report = validate_partition([(0,), (1,), (5,), (-1,)], 3)
         assert report == "missing users [2]; out-of-range users [-1, 5]"
 
     def test_every_violation_in_order(self):
-        report = validate_partition([(3, 2, 1, 0), (1,), (7,)], 3, 2)
-        assert report == ("duplicated users [1]; oversize groups [(0, 1, 2, 3)]; "
-                          "out-of-range users [3, 7]")
+        report = validate_partition([(3, 2, 1, 0), (1,), (7,)], 3)
+        assert report == "duplicated users [1]; out-of-range users [3, 7]"
+
+    def test_a_group_above_the_user_count_is_always_reported(self):
+        # with every group's size bounded by the user count alone, a group
+        # larger than that repeats a user or holds one out of range
+        for groups in ([(0, 1, 2, 0)], [(0, 1, 2, 3)], [(0, 1), (2, 0, 1, 2)]):
+            assert validate_partition(groups, 3) is not None
 
 
 class TestObjective:
@@ -154,7 +166,7 @@ class TestEnumeration:
     @settings(max_examples=25, deadline=None)
     def test_blocks_partition_everyone(self, m, smax):
         for parts in enumerate_partitions(m, smax):
-            assert validate_partition(parts, m, smax) is None
+            assert_partition(parts, m, smax)
 
 
 class TestExhaustiveSearch:
@@ -181,6 +193,18 @@ class TestExhaustiveSearch:
         with pytest.raises(SearchSpaceError):
             exhaustive_search(oracle)
         assert oracle.query_count == 0
+
+    def test_wrong_partition_count_fails_the_self_check(self, monkeypatch):
+        # the DP's count must match count_partitions(5, 2) = 26
+        search = grouping.search_best_partition
+
+        def miscounted(rates, max_block):
+            count, best, assign = search(rates, max_block)
+            return count - 1, best, assign
+
+        monkeypatch.setattr(grouping, "search_best_partition", miscounted)
+        with pytest.raises(AssertionError, match="visited 25 partitions, recurrence predicts 26"):
+            exhaustive_search(rician_oracle(5, 2, seed=0)[1])
 
     def test_all_single_at_any_size(self):
         oracle = FixtureOracle({}, size_defaults={1: 1.0}, num_users=40, max_group_size=1)
@@ -219,7 +243,7 @@ class TestExhaustiveSearch:
     def test_solution_invariants(self):
         _, oracle = rician_oracle(8, 3, seed=13)
         sol = exhaustive_search(oracle)
-        assert validate_partition(sol.groups, 8, 3) is None
+        assert_partition(sol.groups, 8, 3)
         assert sol.objective_value == pytest.approx(
             objective(sol.groups, oracle), rel=1e-9)
 
@@ -229,7 +253,7 @@ def assert_no_heuristic_beats_optimum(m, seed):
     best = exhaustive_search(oracle)
     for sol in (best, optimal_mu2_su(oracle), gma(oracle), zfs_grouping(oracle),
                 sus_grouping(oracle), random_grouping(oracle, seed)):
-        assert validate_partition(sol.groups, oracle.num_users, oracle.max_group_size) is None
+        assert_partition(sol.groups, oracle.num_users, oracle.max_group_size)
         assert sol.objective_value <= best.objective_value
 
 
@@ -319,7 +343,7 @@ class TestCompleteMatching:
     groups partition the users, which ``validate_partition`` decides."""
 
     def check(self, selected):
-        return validate_partition([FIG_EDGES[i] for i in selected], 12, 3)
+        return validate_partition([FIG_EDGES[i] for i in selected], 12)
 
     def test_tiling_selection_is_complete(self):
         assert self.check([0, 2, 3, 5, 6, 8]) is None
@@ -339,7 +363,7 @@ class TestCompleteMatching:
             oracle = random_oracle(rng, m, 3)
             rates = _rates_by_mask(oracle)
             for parts in enumerate_partitions(m, 3):
-                assert validate_partition(parts, m, 3) is None
+                assert_partition(parts, m, 3)
                 score = 0.0
                 for g in parts:
                     score += len(g) * rates[mask(g)]
@@ -363,6 +387,14 @@ class TestGroupingSolution:
         # 0.0 counts as user 0 in the partition check; its type is refused
         with pytest.raises(ValueError, match=r"members must be integers, got \(0.0, 1\)"):
             GroupingSolution([(0.0, 1), (2, 3, 4, 5)], 6)
+
+    def test_oracle_refuses_an_oversize_group_when_scored(self):
+        # the partition check leaves the cap to the oracle that scores it
+        _, oracle = rician_oracle(4, 2, seed=0)
+        assert GroupingSolution(((0, 1, 2), (3,)), 4).groups == ((0, 1, 2), (3,))
+        for scorer, groups in ((oracle, [(0, 1, 2), (3,)]), (o1(max_group_size=2), [(0, 1, 2)])):
+            with pytest.raises(ValueError, match=r"group \(0, 1, 2\) exceeds max group size 2"):
+                GroupingSolution.scored(groups, scorer)
 
     def test_canonicalizes(self):
         sol = GroupingSolution(((2,), (1, 0)), 3, 1.0)

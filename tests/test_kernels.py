@@ -49,7 +49,7 @@ def rate_table(rng, n, smax, kind):
 
 
 def assert_same_as_loop(rates, n, smax):
-    count, best, assign = search_best_partition(rates, n, smax)
+    count, best, assign = search_best_partition(rates, smax)
     ref_count, ref_best, ref_assign = loop_best_partition(rates, n, smax)
     assert count == ref_count
     assert best == ref_best
@@ -72,7 +72,7 @@ class TestKernel:
         rng = np.random.default_rng(0)
         for n, smax in [(1, 1), (4, 2), (6, 3), (8, 3), (9, 4), (10, 2)]:
             rates = random_rates(rng, n, smax)
-            count, _, _ = search_best_partition(rates, n, smax)
+            count, _, _ = search_best_partition(rates, smax)
             assert count == count_partitions(n, smax)
 
     def test_argmax_matches_enumeration(self):
@@ -81,7 +81,7 @@ class TestKernel:
             n = int(rng.integers(1, 9))
             smax = int(rng.integers(1, 5))
             rates = random_rates(rng, n, smax)
-            _, best, assign = search_best_partition(rates, n, smax)
+            _, best, assign = search_best_partition(rates, smax)
             ref = max(score(p, rates) for p in enumerate_partitions(n, smax))
             assert best == ref
             assert score(blocks_of(assign), rates) == ref
@@ -96,7 +96,7 @@ class TestKernel:
             for mask in range(1, 2 ** n):
                 if bin(mask).count("1") <= smax:
                     rates[mask] = float(rng.integers(0, 3))
-            _, best, assign = search_best_partition(rates, n, smax)
+            _, best, assign = search_best_partition(rates, smax)
             expected = next(p for p in enumerate_partitions(n, smax)
                             if score(p, rates) == best)
             assert blocks_of(assign) == expected
@@ -104,24 +104,33 @@ class TestKernel:
     def test_backend_validation(self):
         rates = np.zeros(4)
         rates[1] = rates[2] = 1.0
-        with pytest.raises(ValueError):
-            search_best_partition(rates, 3, 1)  # wrong table length
+        assert search_best_partition(rates, 1)[0] == 1  # n=2 read from the length
+        for length in (0, 1, 3, 5, 6, 7, 12, 2 ** 10 + 1):  # not 2**n with n >= 1
+            with pytest.raises(ValueError, match=f"2\\*\\*n with n in 1..16, got {length}"):
+                search_best_partition(np.zeros(length), 1)
         with pytest.raises(ValueError, match="max_block must be >= 1"):
-            search_best_partition(rates, 2, 0)
+            search_best_partition(rates, 0)
 
     def test_refuses_more_users_than_the_key_holds(self):
-        # checked before anything is allocated: the table is not even read
-        with pytest.raises(ValueError, match="1..16"):
-            search_best_partition(np.zeros(4), MAX_SEARCH_USERS + 1, 2)
+        # checked before anything is allocated: the 1 MB table is not even read
+        rates = np.full(2 ** (MAX_SEARCH_USERS + 1), np.nan)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="1..16, got 131072"):
+                search_best_partition(rates, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
 
     def test_digits_at_full_width(self):
         # n=16 fills all 16 base-16 digits of the key, the last one up to 15
         n = MAX_SEARCH_USERS
         sizes = np.array([bin(mask).count("1") for mask in range(2 ** n)])
         everywhere = (sizes >= 1) & (sizes <= 2)
-        _, _, assign = search_best_partition(everywhere.astype(float), n, 2)
+        _, _, assign = search_best_partition(everywhere.astype(float), 2)
         assert assign.tolist() == [u // 2 for u in range(n)]
-        _, _, assign = search_best_partition((sizes == 1).astype(float), n, 2)
+        _, _, assign = search_best_partition((sizes == 1).astype(float), 2)
         assert assign.tolist() == list(range(n))
 
     def test_active_backend_name(self):
@@ -272,14 +281,14 @@ class TestLimits:
         rates = random_rates(np.random.default_rng(0), 4, 2)
         rates[0b0011] = bad
         with pytest.raises(ValueError, match="finite"):
-            search_best_partition(rates, 4, 2)
+            search_best_partition(rates, 2)
 
     def test_memory_at_size_limit(self):
         # 16 users is the most full search takes (MAX_SEARCH_USERS)
         rates = np.random.default_rng(0).uniform(0.0, 10.0, 2 ** 16)
         tracemalloc.start()
         try:
-            count, _, _ = search_best_partition(rates, 16, 6)
+            count, _, _ = search_best_partition(rates, 6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -9,9 +9,12 @@ import pytest
 
 from mugroup.channel import ChannelSet
 from mugroup.errors import ConfigurationError
+from mugroup.gma import gma
+from mugroup.grouping import exhaustive_search
 from mugroup.phy import (
     DEFAULT_MCS_TABLE,
     MAC_OVERHEAD_FACTOR,
+    MAX_BANDWIDTH_HZ,
     MAX_POWER,
     MAX_POWER_RATIO,
     McsEntry,
@@ -32,7 +35,7 @@ from conftest import MCS_WITH_MAC, identity_channels, rician_oracle
 
 def flat_channels(rows):
     h = np.asarray(rows, dtype=complex)
-    return ChannelSet(h.shape[0], h.shape[1], 1, h[:, :, None])
+    return ChannelSet(h[:, :, None])
 
 
 def channels_with_duplicate(m, sc, seed, nt=4):
@@ -41,7 +44,7 @@ def channels_with_duplicate(m, sc, seed, nt=4):
     channels, _ = rician_oracle(m, 3, seed=seed, sc=sc, nt=nt)
     entries = np.array(channels.entries)
     entries[m - 1] = entries[m - 2]
-    return ChannelSet(m, channels.num_tx_antennas, sc, entries)
+    return ChannelSet(entries)
 
 
 def degenerate_channels(m, sc, seed, nt=4):
@@ -49,7 +52,7 @@ def degenerate_channels(m, sc, seed, nt=4):
     channels = channels_with_duplicate(m, sc, seed, nt=nt)
     entries = np.array(channels.entries)
     entries[0] = 0.0
-    return ChannelSet(m, nt, sc, entries)
+    return ChannelSet(entries)
 
 
 def conditioned_channels(conds, k=3, nt=4):
@@ -167,7 +170,7 @@ class TestZfSteering:
     def test_group_larger_than_antennas(self):
         cs = identity_channels(2)
         with pytest.raises(ValueError):
-            zf_steering(ChannelSet(3, 2, 1, np.ones((3, 2, 1), dtype=complex)), (0, 1, 2))
+            zf_steering(ChannelSet(np.ones((3, 2, 1), dtype=complex)), (0, 1, 2))
 
 
 class TestGroupRate:
@@ -215,7 +218,7 @@ class TestGroupRate:
         channels, _ = rician_oracle(3, 2, seed=6)
         cfg = PhyConfig(bandwidth_hz=1.0)
         c = 0.5 + 1.25j
-        scaled = ChannelSet(3, 4, 1, channels.entries * c)
+        scaled = ChannelSet(channels.entries * c)
         for u in range(3):
             sinr = 2 ** oracle_rate(channels, (u,), cfg) - 1
             sinr_scaled = 2 ** oracle_rate(scaled, (u,), cfg) - 1
@@ -226,7 +229,7 @@ class TestGroupRate:
         h = np.zeros((1, 2, 2), dtype=complex)
         h[0, :, 0] = [1.0, 0.0]
         h[0, :, 1] = [2.0, 0.0]
-        cs = ChannelSet(1, 2, 2, h)
+        cs = ChannelSet(h)
         cfg = PhyConfig(bandwidth_hz=1.0, noise_power=1.0, total_power=1.0)
         expected = (math.log2(2.0) + math.log2(5.0)) / 2
         assert oracle_rate(cs, (0,), cfg) == pytest.approx(expected)
@@ -588,7 +591,7 @@ class TestChannelScale:
     @pytest.mark.parametrize("scale", [1e-160, 1e99])
     def test_rates_finite(self, scale, cfg):
         channels, _ = rician_oracle(4, 2, seed=1, sc=8)
-        scaled = ChannelSet(4, 4, 8, channels.entries * scale)
+        scaled = ChannelSet(channels.entries * scale)
         groups = [g for s in (1, 2) for g in combinations(range(4), s)]
         oracle = make_rate_oracle(scaled, cfg, 2)
         values = [oracle.rate(g) for g in groups]
@@ -606,7 +609,7 @@ class TestChannelScale:
         channels, _ = rician_oracle(4, 4, seed=1, sc=8)
         h = channels.entries.copy()
         h[1] *= scale
-        oracle = make_rate_oracle(ChannelSet(4, 4, 8, h), cfg, 4)
+        oracle = make_rate_oracle(ChannelSet(h), cfg, 4)
         groups = [g for s in range(1, 5) for g in combinations(range(4), s)]
         values = oracle.rates(groups)
         assert all(math.isfinite(v) and v >= 0.0 for v in values)
@@ -625,7 +628,7 @@ class TestConditioningMask:
         import mugroup.phy as phy
 
         channels = degenerate_channels(10, 2, seed=18, nt=nt)
-        channels = ChannelSet(10, nt, 2, channels.entries * scale)
+        channels = ChannelSet(channels.entries * scale)
         for k in range(1, nt + 1):
             groups = list(combinations(range(10), k))
             ok = phy._zf_sinr(phy._user_gram(channels), groups, PhyConfig())[1]
@@ -708,7 +711,7 @@ class TestKernelReference:
         entries = np.array(channels.entries)
         entries[m - 1] = entries[m - 2]  # identical channels
         entries[0] = 0.0  # an all-zero channel
-        channels = ChannelSet(m, nt, sc, entries)
+        channels = ChannelSet(entries)
         gram = phy._user_gram(channels)
         rng = np.random.default_rng(26)
         rows = phy._MAX_BATCH_ROWS // sc
@@ -881,7 +884,7 @@ class TestPhyConfig:
         corner = dataclasses.replace(cfg, total_power=MAX_POWER, noise_power=noise)
         channels, _ = rician_oracle(8, 4, seed=24, sc=8, nt=4)
         h = channels.entries / np.abs(channels.entries.view(np.float64)).max() * 1e100
-        scaled = ChannelSet(8, 4, 8, h)
+        scaled = ChannelSet(h)
         assert np.abs(scaled.entries.view(np.float64)).max() == 1e100
         groups = [g for s in (1, 2, 3, 4) for g in combinations(range(8), s)]
         with np.errstate(all="raise"):
@@ -891,6 +894,35 @@ class TestPhyConfig:
                 assert np.isfinite(sinr).all() and ok.all()
             values = make_rate_oracle(scaled, corner, 4).rates(groups)
         assert all(math.isfinite(v) and v > 0.0 for v in values)
+
+    @pytest.mark.parametrize("mode", ["shannon", "mcs"])
+    def test_largest_accepted_rates_stay_finite(self, mode):
+        # the largest power ratio, bandwidth and MCS bits, on channels at the
+        # magnitude bound: every rate and the objective of every partition
+        # the solvers return stay finite
+        top = McsEntry(0, 1e3, -300.0)  # met by every SINR
+        cfg = PhyConfig(bandwidth_hz=MAX_BANDWIDTH_HZ, noise_power=MAX_POWER / MAX_POWER_RATIO,
+                        total_power=MAX_POWER, rate_mode=mode, mcs_table=(top,))
+        channels, _ = rician_oracle(8, 4, seed=24, sc=8, nt=4)
+        h = channels.entries / np.abs(channels.entries.view(np.float64)).max() * 1e100
+        oracle = make_rate_oracle(ChannelSet(h), cfg, 4)
+        with np.errstate(all="raise"):
+            rates = oracle.rates([g for s in (1, 2, 3, 4) for g in combinations(range(8), s)])
+            values = [solve(oracle).objective_value for solve in (exhaustive_search, gma)]
+        assert all(math.isfinite(v) and v > 0.0 for v in rates + values)
+        if mode == "mcs":  # 108 tones * 1000 bits / 3.6 us per member
+            assert oracle.rate((0,)) == pytest.approx(108 * 1e3 / 3.6e-6)
+
+    def test_bounds_on_bandwidth_and_mcs_bits(self):
+        # the bounds themselves are admitted; above them a rate could overflow
+        assert PhyConfig(bandwidth_hz=MAX_BANDWIDTH_HZ).bandwidth_hz == 1e12
+        assert McsEntry(0, 1e3, 2.0).bits_per_subcarrier == 1e3
+        for bandwidth in (np.nextafter(MAX_BANDWIDTH_HZ, math.inf), 1e307):
+            with pytest.raises(ValueError, match="bandwidth_hz must be at most 1e\\+12"):
+                PhyConfig(bandwidth_hz=bandwidth)
+        for bits in (np.nextafter(1e3, math.inf), 1e300):
+            with pytest.raises(ValueError, match="bits >= 0, at most 1000"):
+                McsEntry(0, bits, 2.0)
 
     def test_positive_parameters(self):
         with pytest.raises(ValueError):
