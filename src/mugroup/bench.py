@@ -303,9 +303,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     timed first as the 0 dB reference of ``runtime_db_vs_random``.
     Throughput is ``objective_value`` / M, as the solver scored it.
     ratio-to-optimal is the mean over seeds of the per-seed ratio against
-    full search.  Full search gets a row of empty cells, marked
-    ``skipped``, wherever ``search_refusal`` refuses the network size;
-    the config admits that case for a runtime sweep only.
+    full search.  p10 and p90 are numpy's linear-method percentiles of the
+    per-seed throughputs, computed by ``_percentile`` without
+    ``np.percentile``, whose first call imports ``numpy.ma`` (about 1 MB of
+    peak memory and 10 ms per process).  Full search gets a row of empty
+    cells, marked ``skipped``, wherever ``search_refusal`` refuses the
+    network size; the config admits that case for a runtime sweep only.
     """
     fresh = cfg.scenario is Scenario.RUNTIME_SWEEP
     first = "random" if fresh else "full_search"
@@ -336,14 +339,32 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                 scenario=cfg.scenario.value, m=m, nu=nu, rho=rho, algorithm=name,
                 seed_count=len(cfg.seeds),
                 mean_mbps=float(vals.mean()),
-                p10_mbps=float(np.percentile(vals, 10)),
-                p90_mbps=float(np.percentile(vals, 90)),
+                p10_mbps=_percentile(vals, 10),
+                p90_mbps=_percentile(vals, 90),
                 ratio_to_opt=float((vals / opt).mean()),
                 runtime_ms=mean_ms,
                 runtime_db_vs_random=10.0 * math.log10(mean_ms / base),
                 skipped=name not in tput,
             ))
     return rows
+
+
+def _percentile(values, q: float) -> float:
+    """``np.percentile(values, q)`` with its default linear method, bit for
+    bit: the sorted values at the virtual index (n - 1) * (q / 100), joined
+    by numpy's two-sided lerp; NaN if any value is NaN.  Only where zeros of
+    both signs tie may the sign of a zero result differ, since numpy's
+    partition leaves their order open; a throughput is never -0.0."""
+    xs = sorted(map(float, values))
+    if any(map(math.isnan, xs)):
+        return math.nan
+    pos = (len(xs) - 1) * (q / 100)
+    # at or past the last index numpy takes the last value at both ends,
+    # with the weight measured from index -1
+    lo = math.floor(pos) if pos < len(xs) - 1 else -1
+    a, b = xs[lo], xs[lo + 1 if lo >= 0 else -1]
+    g, d = pos - lo, b - a
+    return a + d * g if g < 0.5 else b - d * (1 - g)
 
 
 def _fmt(value: float, spec: str) -> str:

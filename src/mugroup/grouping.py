@@ -50,6 +50,12 @@ Group = tuple[int, ...]
 # its tie key spends 4 bits per user of an int64, which caps M at 16.
 MAX_SEARCH_USERS = 16
 
+# count_partitions makes at most M(M+1)/2 big-integer products, on numbers
+# no longer than the Bell number B(M); at M=500 its worst case, max_size >= M,
+# takes about 0.4 s (2-vCPU Xeon, Python 3.11) and B(500) has 844 digits,
+# under Python's 4,300-digit limit on int-to-str conversion.
+MAX_COUNT_USERS = 500
+
 
 def canonical_group(members: Iterable[int]) -> Group:
     """Sorted tuple of distinct integer member indices."""
@@ -126,11 +132,15 @@ def count_partitions(num_users: int, max_size: int) -> int:
 
     Recurrence on the block containing the last element:
     a(n) = sum_{j=1..max_size} C(n-1, j-1) * a(n-j).
+    Refuses num_users above ``MAX_COUNT_USERS`` before any work.
     """
     if num_users < 0:
         raise ValueError("num_users must be >= 0")
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
+    if num_users > MAX_COUNT_USERS:
+        raise ValueError(f"partition count over M={num_users} exceeds the limit of "
+                         f"{MAX_COUNT_USERS} users")
     a = [1] * (num_users + 1)
     for n in range(1, num_users + 1):
         a[n] = sum(

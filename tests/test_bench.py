@@ -2,6 +2,7 @@ import io
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +64,21 @@ def channel_file(tmp_path, num_users, num_tx_antennas, seed=5):
     write_channels(generate_rician(CorrelatedRicianSpec(
         num_users=num_users, num_tx_antennas=num_tx_antennas, seed=seed)), path)
     return str(path)
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads"
+
+
+def pinned_config(name, tmp_path):
+    """The benchmark workload ``name`` as pinned; a channel file is drawn
+    from its spec with the seed of its first seed, as the benchmark does."""
+    raw = json.loads((WORKLOADS / f"{name}.json").read_text())
+    if "channel_file" in raw:
+        spec = json.loads((WORKLOADS / f"{name}.channels.json").read_text())
+        spec["seed"] = raw["seeds"]["base"]
+        raw["channel_file"] = str(tmp_path / "channels.txt")
+        write_channels(generate_rician(CorrelatedRicianSpec(**spec)), raw["channel_file"])
+    return bench._config_from_dict(raw)
 
 
 def untimed(rows):
@@ -138,6 +154,56 @@ class TestRunExperiment:
         rows = run_experiment(cfg)
         assert {r.algorithm for r in rows} == {"gma", "random"}
         assert all(math.isnan(r.ratio_to_opt) for r in rows)
+
+
+def same_bits(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+class TestPercentile:
+    """``bench._percentile`` is ``np.percentile``'s default linear method, bit
+    for bit; np.percentile runs only here."""
+
+    def draws(self, rng, kind, n):
+        if kind == "normal":
+            return rng.normal(size=n)
+        if kind == "ties":  # few distinct values, zeros of one sign
+            return rng.choice([0.0, 1.5, -2.0, 3.0, 1e-300], size=n)
+        if kind == "magnitudes":
+            return rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-300, 300, size=n)
+        if kind == "negative_zeros":
+            return np.full(n, -0.0)
+        # NaN: alone, or mixed with numbers
+        return np.where((rng.random(n) < 0.3) | (n == 1), math.nan, rng.normal(size=n))
+
+    @pytest.mark.parametrize("kind", ["normal", "ties", "magnitudes", "negative_zeros", "nan"])
+    def test_matches_numpy(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for _ in range(3000):
+            values = self.draws(rng, kind, int(rng.integers(1, 13)))
+            for q in (10, 90):
+                assert same_bits(bench._percentile(values, q), np.percentile(values, q)), (
+                    values, q)
+
+    @pytest.mark.parametrize("workload", ["exact_m10", "wideband_m40"])
+    def test_rows_hold_numpy_percentiles_of_seed_throughputs(self, workload, tmp_path,
+                                                             monkeypatch):
+        solved = {}
+        for name, attr in SOLVER_BINDINGS.items():
+            def solve(oracle, *args, _fn=getattr(bench, attr), _name=name):
+                solution = _fn(oracle, *args)
+                solved.setdefault((oracle.num_users, _name), []).append(
+                    solution.objective_value / oracle.num_users / 1e6)
+                return solution
+            monkeypatch.setattr(bench, attr, solve)
+        cfg = pinned_config(workload, tmp_path)
+        rows = run_experiment(cfg)
+        assert len(rows) == len(cfg.algorithms)
+        for r in rows:
+            tput = solved[(r.m, r.algorithm)]
+            assert len(tput) == r.seed_count > 1
+            assert same_bits(r.p10_mbps, np.percentile(tput, 10))
+            assert same_bits(r.p90_mbps, np.percentile(tput, 90))
 
 
 class TestConfigValidation:

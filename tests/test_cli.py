@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import mugroup
 
 from mugroup.channel import (ChannelSet, CorrelatedRicianSpec, generate_rician,
                              load_channels, write_channels)
@@ -16,6 +22,41 @@ def test_partitions_count(capsys):
 def test_partitions_count_pairs(capsys):
     main(["partitions", "--m", "6", "--max-size", "2"])
     assert capsys.readouterr().out.strip() == "76"
+
+
+def test_partitions_above_the_limit_exit_with_an_error_line(capsys):
+    assert main(["partitions", "--m", "3200", "--max-size", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: partition count over M=3200 exceeds the limit of 500 users\n"
+
+
+def test_run_leaves_numpy_ma_scipy_and_networkx_unloaded(tmp_path):
+    # np.percentile's first call imports numpy.ma; a run must not make it
+    root = Path(mugroup.__file__).resolve().parents[2]
+    write_channels(generate_rician(CorrelatedRicianSpec(
+        num_users=12, num_tx_antennas=4, num_subcarriers=2, seed=1)), tmp_path / "chan.txt")
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({
+        "scenario": "runtime_sweep", "m_values": [8], "nu_values": [4],
+        "channel_file": str(tmp_path / "chan.txt"),
+        "phy": {"rate_mode": "mcs", "mac_overhead": True},
+        "algorithms": ["full_search", "blossom", "gma", "zfs", "sus", "random"],
+        "seeds": [0, 1]}))
+    code = ("import sys\n"
+            "from mugroup.cli import main\n"
+            "for config, out in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+            "    assert main(['run', '--config', config, '--out', out]) == 0\n"
+            "print(sorted(m for m in ('numpy.ma', 'scipy', 'networkx') if m in sys.modules))")
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code,
+         str(root / "benchmarks" / "workloads" / "exact_m10.json"), str(tmp_path / "exact.csv"),
+         str(sweep), str(tmp_path / "sweep.csv")],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert len((tmp_path / "exact.csv").read_text().splitlines()) == 7
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 7
 
 
 def test_gen_channels_round_trip(tmp_path, capsys):

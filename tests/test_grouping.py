@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,7 @@ from mugroup.baselines import random_grouping, sus_grouping, zfs_grouping
 from mugroup.errors import SearchSpaceError
 from mugroup.gma import gma, optimal_mu2_su
 from mugroup.grouping import (
+    MAX_COUNT_USERS,
     GroupingSolution,
     _rates_by_mask,
     canonical_group,
@@ -137,6 +139,19 @@ class TestEnumeration:
     def test_count_refuses_bad_sizes(self, m, smax, named):
         with pytest.raises(ValueError, match=f"{named} must be >= "):
             count_partitions(m, smax)
+
+    @pytest.mark.parametrize("m, smax", [(MAX_COUNT_USERS + 1, 2), (1600, 1600), (3200, 4)])
+    def test_count_refuses_sizes_above_the_limit_before_any_work(self, m, smax, monkeypatch):
+        def comb(*args):
+            raise AssertionError("the recurrence started")
+        monkeypatch.setattr(math, "comb", comb)
+        with pytest.raises(ValueError, match=f"^partition count over M={m} exceeds the "
+                                             f"limit of {MAX_COUNT_USERS} users$"):
+            count_partitions(m, smax)
+
+    def test_count_at_the_limit(self):
+        assert count_partitions(MAX_COUNT_USERS, 1) == 1
+        assert count_partitions(MAX_COUNT_USERS, 2) > 0
 
     def test_recurrence_matches_enumeration(self):
         for m in range(1, 10):
