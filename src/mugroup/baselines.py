@@ -61,23 +61,23 @@ def zfs_grouping(oracle) -> GroupingSolution:
     |g| * R(g), stopping when no addition strictly helps or the oracle's
     cap is reached.  Members are a sorted tuple and ``bisect`` insertion
     keeps each candidate canonical, so a step reads its candidates' rates
-    with one unchecked bulk query.
+    with one unchecked bulk query.  The remaining users stay an ascending
+    list, so a tie for the seed or a pick goes to the lowest index.
     """
     num_users, max_size = oracle.num_users, oracle.max_group_size
     singles = oracle.rates([(u,) for u in range(num_users)])
-    remaining = set(range(num_users))
+    remaining = list(range(num_users))  # ascending
     groups = []
     while remaining:
-        seed = max(sorted(remaining), key=lambda u: singles[u])
+        seed = max(remaining, key=singles.__getitem__)  # the first maximum
         members = (seed,)
         remaining.remove(seed)
         current = singles[seed]
         while len(members) < max_size and remaining:
-            order = sorted(remaining)
-            cands = [members[:(at := bisect(members, u))] + (u,) + members[at:] for u in order]
+            cands = [members[:(at := bisect(members, u))] + (u,) + members[at:] for u in remaining]
             size = len(members) + 1
             best, best_weighted = None, current
-            for u, cand, cand_rate in zip(order, cands, oracle.rates(cands, checked=True)):
+            for u, cand, cand_rate in zip(remaining, cands, oracle.rates(cands, checked=True)):
                 weighted = size * cand_rate
                 if weighted > best_weighted:
                     best, best_weighted = (u, cand), weighted

@@ -383,6 +383,9 @@ def _blossom_mates(n: int, edges) -> list[int]:
                 allowed[delta_edge[2]] = True
                 queue.append(delta_edge[0])
         if not augmented:
+            # these closures reach each other through their cells; unbound,
+            # they and the lists they hold go without the cycle collector
+            leaves = assign_label = relabel_expanded = augment_blossom = None
             return mate
         for b in list(blossom_dual):
             if b in blossom_dual and parent[b] < 0 and label[b] == 1 and blossom_dual[b] == 0:

@@ -44,8 +44,8 @@ tests hold it to the bits of one call per step, ``stepwise_batch_rates``).
 ``RateOracle.rate`` answers one group, ``RateOracle.rates`` a list of
 groups in one bulk query, and ``RateOracle.precompute`` fills the memo.
 Groups are checked and put in canonical order by
-``grouping.canonical_group``, except a tuple already in the memo (memo
-keys were checked when they were stored) and a batch that its caller
+``grouping.canonical_group``, except a tuple of ints already in the memo
+(memo keys were checked when they were stored) and a batch that its caller
 passes to ``rates`` or ``precompute`` as checked.  The MCS lookup
 (``_mcs_rates``) is built once per ``PhyConfig``, when the config is.
 """
@@ -88,6 +88,11 @@ _CERT_LIMIT = _COND_LIMIT / 100
 
 # most (group, subcarrier) rows that one ``_zf_sinr`` call gathers
 _MAX_BATCH_ROWS = 1024
+
+# the member types a memo hit takes unchecked: a tuple of ints that equals
+# a key is that key, while a float member compares equal to an int, so
+# (0.0,) equals the key (0,) and must be checked, and refused
+_INTS = frozenset((int,))
 
 # largest total_power or noise_power, largest total_power / noise_power
 # (600 dB) and largest bandwidth_hz; ``PhyConfig`` derives why every SINR
@@ -344,8 +349,8 @@ class RateOracle:
     ``_MAX_BATCH_ROWS`` (group, subcarrier) rows; ``rate(g)`` is a query
     of one.  Each query adds one to ``query_count`` and each computed
     group one to ``compute_count``.  A group is checked by ``_check``
-    unless it is a tuple already in the memo, whose keys were checked
-    when they were stored, or its caller passes it as checked.
+    unless it is a tuple of ints already in the memo, whose keys were
+    checked when they were stored, or its caller passes it as checked.
 
     The first computation builds the oracle's user Gram (``_user_gram``,
     SC*M^2*16 bytes), from which ``_zf_sinr`` gathers every group's Gram
@@ -384,16 +389,28 @@ class RateOracle:
         return members
 
     def _members(self, groups) -> list[tuple[int, ...]]:
-        """Each group checked, except a tuple already in the memo."""
+        """Each group checked, except a tuple of ints already in the memo."""
         memo, check = self._memo, self._check
-        return [g if type(g) is tuple and g in memo else check(g) for g in groups]
+        return [g if type(g) is tuple and g in memo and _INTS.issuperset(map(type, g)) else check(g)
+                for g in groups]
 
     def rate(self, group) -> float:
+        """``rates([group])[0]``, reading a tuple of ints from the memo
+        without building a batch."""
+        if type(group) is tuple and _INTS.issuperset(map(type, group)):
+            value = self._memo.get(group)
+            if value is not None:
+                with self._lock:
+                    self.query_count += 1
+                return value
         return self.rates([group])[0]
 
     def rates(self, groups, *, checked: bool = False) -> list[float]:
         """``[rate(g) for g in groups]`` as one bulk query, in one pass when
-        every group equals a memo key.  Otherwise every group is checked,
+        every group equals a memo key and has only int members (or
+        ``checked`` vouches for it): a float member such as ``(0.0,)``
+        equals and hashes like the key ``(0,)``, so it goes to the check
+        and is refused there, warm or cold.  Otherwise every group is checked,
         unless ``checked`` vouches for them as in ``precompute``, before
         anything is computed or counted (a bad group leaves the memo and
         both counters as they were) and goes to ``precompute`` unchecked,
@@ -404,9 +421,10 @@ class RateOracle:
         except (KeyError, TypeError):  # a miss, or an unhashable group
             pass
         else:
-            with self._lock:
-                self.query_count += len(values)
-            return values
+            if checked or _INTS.issuperset(map(type, chain.from_iterable(groups))):
+                with self._lock:
+                    self.query_count += len(values)
+                return values
         members = groups if checked else self._members(groups)
         with self._lock:
             self.query_count += len(members)

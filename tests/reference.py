@@ -21,11 +21,13 @@ arrays.  ``numpy_solve_assignment`` is the labeling solver of
 with its lexicographic rule found by Kuhn matchability checks per
 candidate column instead of alternating cycles.  ``loop_best_partition``
 is the subset DP of full search as a plain loop over the states.
-``stepwise_sus_grouping`` (with ``StepwiseResiduals`` and
-``stepwise_sus_single_alpha``) is the library's SUS with one numpy call
-per selection step, which the library must match bit for bit.  The others
-enumerate their whole search space, so they are only usable on small
-instances.
+``loop_correlation_matrix`` is ``correlation_matrix`` over every pair,
+one antenna at a time.  ``stepwise_sus_grouping`` (with
+``StepwiseResiduals`` and ``stepwise_sus_single_alpha``) is the library's
+SUS with one numpy call per selection step, on the correlations of
+``loop_correlation_matrix``; the library must match both bit for bit.
+The others enumerate their whole search space, so they are only usable
+on small instances.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import networkx as nx
 import numpy as np
 
 from mugroup.baselines import _RANK_TOL, SusParams
-from mugroup.channel import correlation_matrix
 from mugroup.errors import ConfigurationError, SearchSpaceError
 from mugroup.grouping import GroupingSolution, canonical_group, objective
 from mugroup.matching import WeightedGraph
@@ -699,6 +700,25 @@ def group_rate(channels, group, cfg) -> float:
     return float(zf_rates(h, w, ok, 1, cfg)[0])
 
 
+def loop_correlation_matrix(channels) -> np.ndarray:
+    """``correlation_matrix`` as it stood before its broadcast and pair
+    forms: every (i, j) of every subcarrier, one antenna at a time from
+    zeros, which the library must match bit for bit."""
+    h = channels.entries  # (M, Nt, SC)
+    n, sc = channels.num_users, channels.num_subcarriers
+    re = np.zeros((n, n, sc))
+    im = np.zeros((n, n, sc))
+    for a in range(channels.num_tx_antennas):
+        x = h[:, a].real
+        y = h[:, a].imag
+        re += x[:, None] * x[None] + y[:, None] * y[None]
+        im += x[:, None] * y[None] - y[:, None] * x[None]
+    power = np.diagonal(re).T  # (n, SC): squared norms
+    denom = np.sqrt(power[:, None] * power[None])
+    vals = np.divide(np.hypot(re, im), denom, out=np.zeros_like(re), where=denom > 0.0)
+    return np.minimum(vals.mean(axis=2), 1.0)
+
+
 # SUS as it stood before its selection moved to Python lists: one numpy
 # call per selection step and per elementwise Gram-Schmidt step, and each
 # alpha scored by ``objective``.  Bodies verbatim, names prefixed; the
@@ -765,7 +785,7 @@ def stepwise_sus_grouping(oracle, params: SusParams = SusParams()) -> GroupingSo
     is at most alpha, and the qualified user with the largest orthogonal
     component is added (the lowest index on a tie).  Each alpha of the
     sweep runs independently and the best objective wins (ties keep the
-    earlier alpha).  Each call builds one ``correlation_matrix``, the
+    earlier alpha).  Each call builds one ``loop_correlation_matrix``, the
     channel norms and one ``_Residuals`` cache (at most len(sweep) * M
     entries of M * Nt * SC values) shared by the sweep; each alpha
     thresholds the matrix once and each step reads its candidates' scores.
@@ -778,7 +798,7 @@ def stepwise_sus_grouping(oracle, params: SusParams = SusParams()) -> GroupingSo
     """
     channels, num_users, max_size = oracle.channels, oracle.num_users, oracle.max_group_size
     norms = np.linalg.norm(channels.entries, axis=1).mean(axis=1)
-    correlation = correlation_matrix(channels)
+    correlation = loop_correlation_matrix(channels)
     residuals = StepwiseResiduals(channels.entries)
     runs = [stepwise_sus_single_alpha(num_users, max_size, alpha, norms, correlation, residuals)
             for alpha in params.sweep]

@@ -43,6 +43,33 @@ class TestZfs:
             sol = zfs_grouping(oracle)
             assert_partition(sol.groups, m, cap)
 
+    def test_ties_go_to_the_lowest_index(self):
+        # rates on a coarse grid tie often, for the seed and for each pick;
+        # a plain greedy over sorted sets of users settles them the same way
+        def plain_greedy(oracle):
+            remaining, groups = set(range(oracle.num_users)), []
+            while remaining:
+                seed = min(remaining, key=lambda u: (-oracle.rate((u,)), u))
+                members = [seed]
+                remaining.remove(seed)
+                while len(members) < oracle.max_group_size and remaining:
+                    size, current = len(members) + 1, len(members) * oracle.rate(members)
+                    gains = [(size * oracle.rate(members + [u]), -u) for u in sorted(remaining)]
+                    weighted, neg_u = max(gains)
+                    if not weighted > current:
+                        break
+                    members.append(-neg_u)
+                    remaining.remove(-neg_u)
+                groups.append(members)
+            return canonical_partition(groups)
+
+        rng = np.random.default_rng(33)
+        for _ in range(60):
+            m, cap = int(rng.integers(2, 13)), int(rng.integers(1, 5))
+            oracle = random_oracle(rng, m, cap)
+            oracle.table = {g: round(r) for g, r in oracle.table.items()}
+            assert zfs_grouping(oracle).groups == plain_greedy(oracle)
+
     def test_cold_solve_checks_singles_only(self, check_calls):
         # the singles query checks the user range; each step's candidates
         # are canonical by construction and queried unchecked, and the

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mugroup import channel
 from mugroup.channel import (
     MAX_CHANNEL_MAGNITUDE,
     ChannelSet,
@@ -21,6 +22,7 @@ from mugroup.channel import (
 from mugroup.errors import ChannelFormatError
 
 from conftest import vdot_correlation
+from reference import loop_correlation_matrix
 
 
 def spec_with(**kw):
@@ -255,6 +257,50 @@ class TestCorrelationMatrix:
         for i, j in ((0, 4), (-1, 2)):
             with pytest.raises(ValueError, match="out of range"):
                 pairwise_correlation(cs, i, j)
+
+
+def correlation_grid(m):
+    """Channel sets of m users over Nt 1-16 and SC 1/2/8: Gaussian entries;
+    with users 0 and m - 1 zero (one user when m = 1); and with entries
+    set to zero, scaled so their squares are subnormal, or scaled so that
+    norm products overflow."""
+    rng = np.random.default_rng(m)
+    for nt in (1, 2, 3, 4, 8, 16):
+        for sc in (1, 2, 8):
+            h = rng.standard_normal((m, nt, sc, 2)) @ np.array([1.0, 1j])
+            zero_users = h.copy()
+            zero_users[[0, m - 1]] = 0.0
+            scales = rng.choice([0.0, 1.0, 1e-160, 1e90], size=h.shape, p=[0.3, 0.4, 0.15, 0.15])
+            for entries in (h, zero_users, h * scales):
+                yield ChannelSet(entries)
+
+
+class TestCorrelationReference:
+    """``correlation_matrix`` against ``reference.loop_correlation_matrix``,
+    the per-antenna sum over every (i, j), bit for bit: each form wherever
+    the size rule can pick it (the broadcast with one subcarrier), and the
+    rule, which picks both on the grid.  The SIMD-free CI step runs these
+    too, since numpy's SIMD and scalar loops round differently."""
+
+    SIZES = (1, 2, 3, 7, 16, 40, 100)
+
+    @pytest.mark.parametrize("m", SIZES)
+    @pytest.mark.parametrize("limit", [None, -1, math.inf], ids=["rule", "pairs", "broadcast"])
+    def test_matches_loop_reference(self, monkeypatch, m, limit):
+        if limit is not None:
+            monkeypatch.setattr(channel, "_BROADCAST_TERMS", limit)
+        with np.errstate(over="ignore", under="ignore"):
+            for cs in correlation_grid(m):
+                got, want = correlation_matrix(cs), loop_correlation_matrix(cs)
+                assert got.tobytes() == want.tobytes(), cs.entries.shape
+
+    def test_grid_covers_both_sides_of_the_rule(self):
+        terms = [cs.num_tx_antennas * m * m for m in self.SIZES
+                 for cs in correlation_grid(m) if cs.num_subcarriers == 1]
+        assert min(terms) <= channel._BROADCAST_TERMS < max(terms)
+        # the pinned benchmark sizes fall on either side: M=10 with one
+        # subcarrier broadcasts, M=40 with eight loops; both have Nt=4
+        assert 4 * 10 * 10 <= channel._BROADCAST_TERMS
 
 
 class TestInterchangeFormat:

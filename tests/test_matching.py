@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -162,6 +163,21 @@ class TestMaxWeightMatching:
             assert matching_weight(g, fast) == matching_weight(g, optima[0])
             if len(optima) == 1:
                 assert fast == optima[0]
+
+    def test_leaves_no_reference_cycles(self):
+        # the search's closures reach each other; a matching that returns
+        # them unbound leaves nothing for the cycle collector.  Tied graphs
+        # make, expand and augment through blossoms
+        rng = np.random.default_rng(7)
+        graphs = [tied_graph(rng) for _ in range(40)] + [random_graph(rng, 40)]
+        gc.collect()
+        gc.disable()
+        try:
+            for g in graphs:
+                max_weight_matching(g)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_many_vertices_few_edges(self):
         # state is O(V + E): a V x V table would not fit this in time or memory

@@ -547,17 +547,31 @@ class TestRateOracle:
         assert RateOracle(channels, PhyConfig(), np.int64(3)).rate((0, 1, 2)) == oracle.rate(
             (0, 1, 2))
 
-    @pytest.mark.parametrize("group", [(0.5,), (1, 2.0), (np.float64(3.0),), ("1",)])
+    @pytest.mark.parametrize("group", [(0.5,), (1, 2.0), (np.float64(3.0),), ("1",), (0.0,),
+                                       (np.float64(0.0),), (0, 1.0)])
     def test_refuses_non_integer_members(self, group):
-        # checked before anything is computed or counted, and never a memo key
+        # checked before anything is computed or counted, and never a memo
+        # key; (0.0,) and (0, 1.0) equal memo keys, which a warm oracle
+        # must not answer them from, in a query of one or of all hits
         _, oracle = rician_oracle(5, 2, seed=10)
-        oracle.rate((0,))
+        with pytest.raises(ValueError, match="members must be integers"):
+            oracle.rate(group)  # cold
+        oracle.rates([(0,), (0, 1)])
         memo, counts = dict(oracle._memo), (oracle.query_count, oracle.compute_count)
         with pytest.raises(ValueError, match="members must be integers"):
             oracle.rate(group)
-        with pytest.raises(ValueError, match="members must be integers"):
-            oracle.rates([(0, 1), group])
+        for groups in ([(0, 1), group], [(0,), group], [group, (1, 2)]):
+            with pytest.raises(ValueError, match="members must be integers"):
+                oracle.rates(groups)
         assert oracle._memo == memo and (oracle.query_count, oracle.compute_count) == counts
+
+    def test_memo_hits_of_numpy_integers_match_ints(self):
+        # not a built-in int, so checked, and then read from the memo
+        _, oracle = rician_oracle(5, 2, seed=10)
+        want = oracle.rates([(0,), (1, 3)])
+        computes = oracle.compute_count
+        assert oracle.rates([(np.int64(0),), (np.int32(1), np.int64(3))]) == want
+        assert oracle.rate((np.int64(1), 3)) == want[1] and oracle.compute_count == computes
 
 
 class TestZeroChannelUser:
