@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -36,13 +35,6 @@ __all__ = [
 # largest real or imaginary part of a channel entry; a rate sums products
 # of two entries over the antennas, which stays far from overflow below it
 MAX_CHANNEL_MAGNITUDE = 1e100
-
-# correlation_matrix broadcasts over every antenna and user pair when the
-# channels have one subcarrier and Nt * M^2 is at most this, and loops
-# over the antennas for the pairs i <= j otherwise.  On a 2-vCPU Xeon with
-# numpy 2.4.6 the broadcast was the faster form up to here for Nt 2-16
-# with one subcarrier; with 2 or 8, the loop was as fast from 8 users up
-_BROADCAST_TERMS = 4096
 
 
 @dataclass(frozen=True)
@@ -152,19 +144,6 @@ def generate_rician(spec: CorrelatedRicianSpec) -> ChannelSet:
     return ChannelSet(h)
 
 
-@lru_cache(maxsize=8)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs i <= j of n users in row order, as their rows i and
-    columns j, and the position of each (u, u) among them: row u starts
-    after the n - v pairs of every row v < u; read-only."""
-    i, j = np.triu_indices(n)
-    u = np.arange(n)
-    pairs = (i, j, u * n - u * (u - 1) // 2)
-    for x in pairs:
-        x.flags.writeable = False
-    return pairs
-
-
 def _pair_terms(r: np.ndarray, w: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """One antenna's terms x_i x_j + y_i y_j and x_i y_j + y_i (-x_j) of
     the pairs (i, j), (2, pairs, SC), from r = (x, y) and w = (y, -x),
@@ -175,15 +154,6 @@ def _pair_terms(r: np.ndarray, w: np.ndarray, i: np.ndarray, j: np.ndarray) -> n
     return terms
 
 
-def _normalized(re: np.ndarray, im: np.ndarray, power_i: np.ndarray,
-                power_j: np.ndarray) -> np.ndarray:
-    """min(1, the mean over subcarriers, the last axis, of |re + i im| /
-    sqrt(power_i power_j)), where a zero norm product contributes 0."""
-    denom = np.sqrt(power_i * power_j)
-    vals = np.divide(np.hypot(re, im), denom, out=np.zeros(denom.shape), where=denom > 0.0)
-    return np.minimum(vals.mean(axis=-1), 1.0)
-
-
 def correlation_matrix(channels: ChannelSet) -> np.ndarray:
     """Normalized inner-product magnitudes of all users' channels, (M, M).
 
@@ -192,37 +162,30 @@ def correlation_matrix(channels: ChannelSet) -> np.ndarray:
     contributes 0.  With entries x + iy, antenna a adds x_i x_j + y_i y_j
     to the real part of <h_i, h_j> and x_i y_j + y_i (-x_j) to the
     imaginary part, real products that swapping i and j keeps and negates
-    exactly, so the matrix is exactly symmetric.
-
-    Two forms add these terms in antenna order, so they give the same
-    bits.  With one subcarrier and Nt * M^2 at most ``_BROADCAST_TERMS``,
-    one broadcast forms every antenna's terms of every (i, j) and reduces
-    over the antenna axis, the outermost, which numpy sums one antenna
-    after another (never pairwise, as the inner block holds both parts).
-    Otherwise a loop adds one antenna's terms at a time for the pairs
-    i <= j, cached per M, and (j, i) takes the value of (i, j); with more
-    subcarriers the broadcast's inner loops would run along them alone,
-    too short to pay.  Starting from the first antenna's terms, not +0.0,
-    can change only the sign of a zero, which the magnitude drops.  Memory
-    is O(M^2) per subcarrier, times Nt in the broadcast.
+    exactly.  So the terms are formed only for the pairs i <= j, one
+    antenna at a time in antenna order, and (j, i) takes the value of
+    (i, j): the matrix is exactly symmetric, with the bits of the full
+    per-antenna sum over every (i, j).  Starting from the first antenna's
+    terms, not +0.0, can change only the sign of a zero, which the
+    magnitude drops.  Memory is O(M^2) per subcarrier.
     """
     h = channels.entries  # (M, Nt, SC)
     n, nt, sc = h.shape
     r = np.ascontiguousarray(h.view(np.float64).reshape(n, nt, sc, 2).transpose(1, 3, 0, 2))
     w = np.concatenate((r[:, 1:], -r[:, :1]), axis=1)  # r is (Nt, 2, M, SC): x, y; w is y, -x
-    if sc == 1 and nt * n * n <= _BROADCAST_TERMS:
-        ri = r[:, :, :, None]  # (Nt, 2, M, 1, SC): user i against every user j
-        re, im = np.add.reduce(ri[:, :1] * r[:, :, None] + ri[:, 1:] * w[:, :, None], axis=0)
-        power = np.diagonal(re).T  # (M, SC): squared norms
-        return _normalized(re, im, power[:, None], power[None])
-    i, j, own = _upper_pairs(n)
+    u = np.arange(n)
+    own = u * n - u * (u - 1) // 2  # pair (u, u) follows the n - v pairs of each row v < u
+    i = np.repeat(u, n - u)  # the pairs i <= j in row order
+    j = np.arange(i.size) - own.take(i) + i
     total = _pair_terms(r[0], w[0], i, j)
     for a in range(1, nt):
         total += _pair_terms(r[a], w[a], i, j)
     re, im = total
     power = re.take(own, axis=0)  # (M, SC): squared norms
+    denom = np.sqrt(power.take(i, axis=0) * power.take(j, axis=0))
+    vals = np.divide(np.hypot(re, im), denom, out=np.zeros(denom.shape), where=denom > 0.0)
     out = np.empty((n, n))
-    out[i, j] = out[j, i] = _normalized(re, im, power.take(i, axis=0), power.take(j, axis=0))
+    out[i, j] = out[j, i] = np.minimum(vals.mean(axis=1), 1.0)
     return out
 
 

@@ -120,9 +120,9 @@ def objective(groups, oracle) -> float:
     return _weighted_sum(GroupingSolution(parts, sum(len(g) for g in parts)).groups, oracle)
 
 
-def _weighted_sum(parts, oracle) -> float:
+def _weighted_sum(parts, oracle, checked: bool = False) -> float:
     total = 0.0  # added in order: sum() compensates float sums from Python 3.12 on
-    for g, rate in zip(parts, oracle.rates(parts)):
+    for g, rate in zip(parts, oracle.rates(parts, checked=checked)):
         total += len(g) * rate
     return total
 

@@ -701,8 +701,8 @@ def group_rate(channels, group, cfg) -> float:
 
 
 def loop_correlation_matrix(channels) -> np.ndarray:
-    """``correlation_matrix`` as it stood before its broadcast and pair
-    forms: every (i, j) of every subcarrier, one antenna at a time from
+    """``correlation_matrix`` as it stood before it formed only the pairs
+    i <= j: every (i, j) of every subcarrier, one antenna at a time from
     zeros, which the library must match bit for bit."""
     h = channels.entries  # (M, Nt, SC)
     n, sc = channels.num_users, channels.num_subcarriers

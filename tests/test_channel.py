@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 import pytest
 
-from mugroup import channel
 from mugroup.channel import (
     MAX_CHANNEL_MAGNITUDE,
     ChannelSet,
@@ -277,30 +276,16 @@ def correlation_grid(m):
 
 class TestCorrelationReference:
     """``correlation_matrix`` against ``reference.loop_correlation_matrix``,
-    the per-antenna sum over every (i, j), bit for bit: each form wherever
-    the size rule can pick it (the broadcast with one subcarrier), and the
-    rule, which picks both on the grid.  The SIMD-free CI step runs these
-    too, since numpy's SIMD and scalar loops round differently."""
+    the per-antenna sum over every (i, j), bit for bit.  The SIMD-free CI
+    step runs these too, since numpy's SIMD and scalar loops round
+    differently."""
 
-    SIZES = (1, 2, 3, 7, 16, 40, 100)
-
-    @pytest.mark.parametrize("m", SIZES)
-    @pytest.mark.parametrize("limit", [None, -1, math.inf], ids=["rule", "pairs", "broadcast"])
-    def test_matches_loop_reference(self, monkeypatch, m, limit):
-        if limit is not None:
-            monkeypatch.setattr(channel, "_BROADCAST_TERMS", limit)
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 16, 40, 100])
+    def test_matches_loop_reference(self, m):
         with np.errstate(over="ignore", under="ignore"):
             for cs in correlation_grid(m):
                 got, want = correlation_matrix(cs), loop_correlation_matrix(cs)
                 assert got.tobytes() == want.tobytes(), cs.entries.shape
-
-    def test_grid_covers_both_sides_of_the_rule(self):
-        terms = [cs.num_tx_antennas * m * m for m in self.SIZES
-                 for cs in correlation_grid(m) if cs.num_subcarriers == 1]
-        assert min(terms) <= channel._BROADCAST_TERMS < max(terms)
-        # the pinned benchmark sizes fall on either side: M=10 with one
-        # subcarrier broadcasts, M=40 with eight loops; both have Nt=4
-        assert 4 * 10 * 10 <= channel._BROADCAST_TERMS
 
 
 class TestInterchangeFormat:
