@@ -19,9 +19,10 @@ from __future__ import annotations
 from bisect import bisect
 
 from .grouping import Group, GroupingSolution
-# Unused here; kept because the benchmark trace wraps ``gma.objective`` by name.
+from .matching import blossom_mates, hungarian
+# Unused here; kept because the benchmark trace wraps these by name.
 from .grouping import objective  # noqa: F401
-from .matching import WeightedGraph, hungarian, max_weight_matching
+from .matching import max_weight_matching  # noqa: F401
 
 __all__ = ["optimal_mu2_su", "gma"]
 
@@ -40,22 +41,18 @@ def optimal_mu2_su(oracle) -> GroupingSolution:
 
 
 def _pairing(oracle) -> list[Group]:
-    """The groups of ``optimal_mu2_su``, unscored, which ``gma`` refines; the
-    pairs are canonical, in range and within the cap, so queried unchecked."""
+    """The groups of ``optimal_mu2_su``, unscored, which ``gma`` refines, pairs before singles;
+    pairs and gain edges are canonical by construction, so queried and matched unchecked."""
     if oracle.max_group_size < 2:
         raise ValueError(f"pairing needs a group cap of at least 2, got {oracle.max_group_size}")
     num_users = oracle.num_users
     singles = oracle.rates([(u,) for u in range(num_users)])
     pairs = [(i, j) for i in range(num_users) for j in range(i + 1, num_users)]
-    edges = [
-        (i, j, gain)
-        for (i, j), pair_rate in zip(pairs, oracle.rates(pairs, checked=True))
-        if (gain := 2.0 * pair_rate - singles[i] - singles[j]) > 0.0
-    ]
-    groups = list(max_weight_matching(WeightedGraph(num_users, tuple(edges))))
-    paired = {u for pair in groups for u in pair}
-    groups.extend((u,) for u in range(num_users) if u not in paired)
-    return groups
+    edges = [(i, j, gain) for (i, j), pair_rate in zip(pairs, oracle.rates(pairs, checked=True))
+             if (gain := 2.0 * pair_rate - singles[i] - singles[j]) > 0.0]
+    mate = blossom_mates(num_users, edges) if edges else [-1] * num_users
+    matched = [(u, m) for u, m in enumerate(mate) if u < m]
+    return matched + [(u,) for u, m in enumerate(mate) if m < 0]
 
 
 def _group_metric(g: Group, oracle) -> float:

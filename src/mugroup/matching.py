@@ -1,10 +1,8 @@
 """Exact matching and assignment solvers.
 
-``max_weight_matching`` solves maximum-weight matching on general
-weighted graphs (vertices may stay unmatched, negative weights allowed)
-with Edmonds' primal-dual blossom algorithm, in Galil's O(V^3) form,
-and breaks ties as van Rantwijk's implementation does (tests pin it);
-it returns the matched pairs, and ``WeightedGraph`` validates its input.
+``max_weight_matching`` solves maximum-weight matching on general weighted
+graphs that ``WeightedGraph`` validates, by Edmonds' blossom algorithm in its
+core, ``blossom_mates``, which ``gma``'s pairing calls on its own edges.
 ``hungarian`` solves the square assignment problem by maximization
 with an O(n^3) labeling algorithm; its contract pins the tie-break, the
 lexicographically smallest optimum, which alternating cycles over the
@@ -18,7 +16,7 @@ from itertools import chain
 from numbers import Integral
 from operator import index
 
-__all__ = ["WeightedGraph", "max_weight_matching", "hungarian"]
+__all__ = ["WeightedGraph", "max_weight_matching", "blossom_mates", "hungarian"]
 
 
 @dataclass(frozen=True)
@@ -64,9 +62,7 @@ def max_weight_matching(graph: WeightedGraph) -> tuple[tuple[int, int], ...]:
     last-in first-out queue, strict ``<`` on every least-slack and delta
     comparison), whatever order ``graph.edges`` comes in.
     """
-    if not graph.edges:
-        return ()
-    mate = _blossom_mates(graph.num_vertices, sorted(graph.edges))
+    mate = blossom_mates(graph.num_vertices, sorted(graph.edges)) if graph.edges else ()
     return tuple((v, m) for v, m in enumerate(mate) if v < m)
 
 
@@ -83,9 +79,9 @@ def _child_edge(ed, j: int, jstep: int):
     return p, q, k
 
 
-def _blossom_mates(n: int, edges) -> list[int]:
-    """Partner of each vertex (-1 if single) in a maximum-weight matching
-    of the ``n``-vertex graph on ``edges`` ((u, v, weight), u < v, sorted).
+def blossom_mates(n: int, edges) -> list[int]:
+    """Partner of each vertex (-1 if single) in a maximum-weight matching on
+    ``n`` vertices and ``edges``: sorted, nonempty, unchecked, as ``WeightedGraph`` keeps them.
 
     Ids 0..n-1 are vertices and n..2n-1 slots for nontrivial blossoms,
     so lists indexed by id have 2n entries; live blossoms sit in

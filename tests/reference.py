@@ -1,6 +1,7 @@
 """Reference solvers that the tests check the library against.
 
-``networkx_matching`` is networkx's blossom matching, and
+``networkx_matching`` is networkx's blossom matching, ``networkx_mates``
+the same as the partner list ``blossom_mates`` returns, and
 ``matching_weight`` the total weight of a matching whose pairs it checks
 are disjoint.
 ``closed_form_rate`` is the library's closed-form zero-forcing rate for
@@ -107,6 +108,15 @@ def networkx_matching(graph: WeightedGraph) -> Pairs:
     for u, v, w in sorted(graph.edges):
         g.add_edge(u, v, weight=w)
     return sorted_pairs(nx.max_weight_matching(g, maxcardinality=False))
+
+
+def networkx_mates(n: int, edges) -> list[int]:
+    """``networkx_matching`` in the form of ``blossom_mates``: the partner of
+    each of the ``n`` vertices, -1 if single."""
+    mate = [-1] * n
+    for u, v in networkx_matching(WeightedGraph(n, tuple(edges))):
+        mate[u], mate[v] = v, u
+    return mate
 
 
 def optimal_matchings(graph: WeightedGraph) -> list[Pairs]:
@@ -703,7 +713,9 @@ def group_rate(channels, group, cfg) -> float:
 def loop_correlation_matrix(channels) -> np.ndarray:
     """``correlation_matrix`` as it stood before it formed only the pairs
     i <= j: every (i, j) of every subcarrier, one antenna at a time from
-    zeros, which the library must match bit for bit."""
+    zeros, which the library must match bit for bit.  Where the product of
+    two squared norms is not a normal float, the norms' product is the
+    product of their roots, the library's rule at extreme scales."""
     h = channels.entries  # (M, Nt, SC)
     n, sc = channels.num_users, channels.num_subcarriers
     re = np.zeros((n, n, sc))
@@ -714,7 +726,11 @@ def loop_correlation_matrix(channels) -> np.ndarray:
         re += x[:, None] * x[None] + y[:, None] * y[None]
         im += x[:, None] * y[None] - y[:, None] * x[None]
     power = np.diagonal(re).T  # (n, SC): squared norms
-    denom = np.sqrt(power[:, None] * power[None])
+    with np.errstate(over="ignore"):
+        prod = power[:, None] * power[None]
+    root = np.sqrt(power)
+    normal = (np.finfo(np.float64).tiny <= prod) & (prod < math.inf)
+    denom = np.where(normal, np.sqrt(prod), root[:, None] * root[None])
     vals = np.divide(np.hypot(re, im), denom, out=np.zeros_like(re), where=denom > 0.0)
     return np.minimum(vals.mean(axis=2), 1.0)
 

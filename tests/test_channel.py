@@ -251,6 +251,23 @@ class TestCorrelationMatrix:
         assert c[0, 1] == pytest.approx(vdot_correlation(cs, 0, 1), abs=1e-12)
         assert c[0, 1] == pytest.approx(0.5 / math.sqrt(2), abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-85, 1e-78, 1.0, 1e76, 1e78, 1e95])
+    def test_every_scale_up_to_the_channel_bound(self, scale):
+        # p_i p_j of the squared norms overflows from about 1e77 and
+        # underflows below about 1e-80; the correlations must not move
+        rng = np.random.default_rng(4)
+        h = rng.standard_normal((5, 4, 3)) + 1j * rng.standard_normal((5, 4, 3))
+        h[1] = h[0]  # identical users
+        h[2:4] = 0.0
+        h[2, 0], h[3, 1] = 1.0, 1j  # orthogonal users
+        base = correlation_matrix(ChannelSet(h))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = correlation_matrix(ChannelSet(h * scale))
+        assert c[0, 1] == pytest.approx(1.0, rel=1e-12)
+        assert c[2, 3] == 0.0
+        np.testing.assert_allclose(c, base, rtol=1e-12)
+
     def test_user_out_of_range(self):
         cs = generate_rician(spec_with())
         for i, j in ((0, 4), (-1, 2)):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -29,6 +30,24 @@ def test_partitions_above_the_limit_exit_with_an_error_line(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: partition count over M=3200 exceeds the limit of 500 users\n"
+
+
+def untimed_rows(path):
+    """The CSV's header and rows, each row without its ``runtime_ms`` cell."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = [{k: v for k, v in row.items() if k != "runtime_ms"} for row in reader]
+    return reader.fieldnames, rows
+
+
+def test_exact_m10_workload_reproduces_its_golden_csv(tmp_path):
+    # the pinned benchmark workload through the command line: every cell of
+    # the golden CSV but the timing column, which the benchmark ignores too
+    bench_dir = Path(__file__).resolve().parents[1] / "benchmarks"
+    out = tmp_path / "exact_m10.csv"
+    config = bench_dir / "workloads" / "exact_m10.json"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert untimed_rows(out) == untimed_rows(bench_dir / "golden" / "exact_m10.csv")
 
 
 def test_run_leaves_numpy_ma_scipy_and_networkx_unloaded(tmp_path):

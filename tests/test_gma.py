@@ -5,11 +5,11 @@ import pytest
 
 import mugroup.gma  # noqa: F401  (register the submodule)
 from mugroup.gma import gma, optimal_mu2_su
-from mugroup.gma import _merge_pass, _split_and_balance
+from mugroup.gma import _merge_pass, _pairing, _split_and_balance
 
 gma_mod = sys.modules["mugroup.gma"]
 from mugroup.grouping import exhaustive_search, objective
-from mugroup.matching import hungarian
+from mugroup.matching import WeightedGraph, hungarian, max_weight_matching
 from mugroup.phy import MAC_OVERHEAD_FACTOR, PhyConfig, RateMode
 
 from conftest import (
@@ -18,11 +18,12 @@ from conftest import (
     TWELVE_STATION_PAIRS,
     TWELVE_STATION_RESULT,
     assert_partition,
+    o1,
     o2,
     random_oracle,
     rician_oracle,
 )
-from reference import brute_force_assignment, networkx_matching
+from reference import brute_force_assignment, networkx_mates
 
 
 class TestOptimalMu2Su:
@@ -227,16 +228,64 @@ class TestGma:
 ], ids=["exact_m10_shannon", "m40_mcs_mac"])
 def test_solves_unchanged_with_networkx_matching(monkeypatch, m, seeds, sc, phy):
     # the blossom port picks networkx's pairs among tied optima, so no
-    # solve may move when the networkx reference stands in for it
+    # solve may move when the networkx reference stands in for the core
+    calls = []
+
+    def reference_mates(n, edges):
+        calls.append(n)
+        return networkx_mates(n, edges)
+
     for seed in seeds:
         _, oracle = rician_oracle(m, 4, seed, sc=sc, phy=phy)
         ours = optimal_mu2_su(oracle), gma(oracle)
         with monkeypatch.context() as patch:
-            patch.setattr(gma_mod, "max_weight_matching", networkx_matching)
+            patch.setattr(gma_mod, "blossom_mates", reference_mates)
             ref = optimal_mu2_su(oracle), gma(oracle)
         for a, b in zip(ours, ref):
             assert a.groups == b.groups
             assert a.objective_value == b.objective_value
+    assert calls  # the reference did stand in
+
+
+def gain_graph(oracle) -> WeightedGraph:
+    """The pairing's gain graph through the validated public entry, from
+    scalar queries; after a pairing they read its memoized rates."""
+    m = oracle.num_users
+    singles = [oracle.rate((u,)) for u in range(m)]
+    edges = [(i, j, gain) for i in range(m) for j in range(i + 1, m)
+             if (gain := 2.0 * oracle.rate((i, j)) - singles[i] - singles[j]) > 0.0]
+    return WeightedGraph(m, tuple(edges))
+
+
+def assert_pairing_is_public_matching(oracle) -> WeightedGraph:
+    """The pairing calls the blossom core on its own edge list: its groups
+    must be the pairs of ``max_weight_matching`` on the same gain graph,
+    validated, then the singles, each ascending.  Returns the graph."""
+    groups = _pairing(oracle)
+    g = gain_graph(oracle)
+    pairs = max_weight_matching(g)
+    paired = {u for pair in pairs for u in pair}
+    assert groups == list(pairs) + [(u,) for u in range(oracle.num_users) if u not in paired]
+    return g
+
+
+@pytest.mark.parametrize("m, seeds, sc, phy", [
+    (10, range(50), 1, None),
+    (40, range(20), 8, MCS_WITH_MAC),
+], ids=["exact_m10_shannon", "m40_mcs_mac"])
+def test_pairing_groups_are_the_public_matchings(m, seeds, sc, phy):
+    weights = []
+    for seed in seeds:
+        _, oracle = rician_oracle(m, 4, seed, sc=sc, phy=phy)
+        weights.extend(w for _, _, w in assert_pairing_is_public_matching(oracle).edges)
+    if phy is not None:  # quantized MCS rates: the gains tie
+        assert len(set(weights)) < len(weights)
+
+
+def test_pairing_without_positive_gain_serves_everyone_alone():
+    oracle = o1()
+    assert assert_pairing_is_public_matching(oracle).edges == ()
+    assert _pairing(oracle) == [(0,), (1,), (2,)]
 
 
 class TestMcsTieBreak:

@@ -17,6 +17,7 @@ from mugroup.gma import optimal_mu2_su
 from mugroup.matching import (
     WeightedGraph,
     _solve_assignment,
+    blossom_mates,
     hungarian,
     max_weight_matching,
 )
@@ -208,11 +209,11 @@ class TestSameMatchingAsNetworkx:
         # the pairing graphs optimal_mu2_su builds from quantized MCS rates
         graphs = []
 
-        def recording(g):
-            graphs.append(g)
-            return max_weight_matching(g)
+        def recording(n, edges):
+            graphs.append(graph(n, edges))
+            return blossom_mates(n, edges)
 
-        monkeypatch.setattr(gma_mod, "max_weight_matching", recording)
+        monkeypatch.setattr(gma_mod, "blossom_mates", recording)
         for seed in range(20):
             _, oracle = rician_oracle(40, 4, seed, sc=8, phy=MCS_WITH_MAC)
             optimal_mu2_su(oracle)
