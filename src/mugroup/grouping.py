@@ -85,10 +85,10 @@ class GroupingSolution:
     objective_value: float | None = None
 
     def __post_init__(self):
-        report = validate_partition(self.groups, self.num_users)
-        if report is not None:
-            raise ValueError(f"invalid partition: {report}")
-        object.__setattr__(self, "groups", canonical_partition(self.groups))
+        # canonical first: it refuses a member that is no integer, such as
+        # [0] or 0.0, before the partition check hashes it or counts it
+        parts = canonical_partition(self.groups)
+        object.__setattr__(self, "groups", _checked_partition(parts, self.num_users))
 
     @classmethod
     def scored(cls, groups, oracle) -> "GroupingSolution":
@@ -113,11 +113,19 @@ def validate_partition(groups, num_users: int) -> str | None:
     return "; ".join(f"{what} {items}" for what, items in found if items) or None
 
 
+def _checked_partition(parts, num_users: int) -> tuple[Group, ...]:
+    """``parts``, canonical, if they partition {0..num_users-1}; else ValueError."""
+    report = validate_partition(parts, num_users)
+    if report is not None:
+        raise ValueError(f"invalid partition: {report}")
+    return parts
+
+
 def objective(groups, oracle) -> float:
     """sum(|G| * rate(G)) over a partition of the users the groups hold,
     summed in canonical order from one bulk ``oracle.rates`` query."""
     parts = canonical_partition(groups)
-    return _weighted_sum(GroupingSolution(parts, sum(len(g) for g in parts)).groups, oracle)
+    return _weighted_sum(_checked_partition(parts, sum(map(len, parts))), oracle)
 
 
 def _weighted_sum(parts, oracle, checked: bool = False) -> float:

@@ -91,7 +91,8 @@ _MAX_BATCH_ROWS = 1024
 
 # the member types a memo hit takes unchecked: a tuple of ints that equals
 # a key is that key, while a float member compares equal to an int, so
-# (0.0,) equals the key (0,) and must be checked, and refused
+# (0.0,) equals the key (0,) and must be checked, and refused; the types
+# are read before the memo lookup, which would hash a member such as [0]
 _INTS = frozenset((int,))
 
 # largest total_power or noise_power, largest total_power / noise_power
@@ -391,7 +392,7 @@ class RateOracle:
     def _members(self, groups) -> list[tuple[int, ...]]:
         """Each group checked, except a tuple of ints already in the memo."""
         memo, check = self._memo, self._check
-        return [g if type(g) is tuple and g in memo and _INTS.issuperset(map(type, g)) else check(g)
+        return [g if type(g) is tuple and _INTS.issuperset(map(type, g)) and g in memo else check(g)
                 for g in groups]
 
     def rate(self, group) -> float:

@@ -399,9 +399,16 @@ class TestGroupingSolution:
         assert str(err.value) == "invalid partition: missing users [2]; out-of-range users [3]"
 
     def test_rejects_non_integer_users(self):
-        # 0.0 counts as user 0 in the partition check; its type is refused
-        with pytest.raises(ValueError, match=r"members must be integers, got \(0.0, 1\)"):
-            GroupingSolution([(0.0, 1), (2, 3, 4, 5)], 6)
+        # 0.0 would count as user 0 in the partition check, and [0] cannot be
+        # hashed there: each is refused by its type, when built and when scored
+        _, oracle = rician_oracle(6, 4, seed=0)
+        for first, named in (((0.0, 1), r"\(0.0, 1\)"), (([0], 1), r"\(\[0\], 1\)")):
+            groups = [first, (2, 3, 4, 5)]
+            for build in (lambda: GroupingSolution(groups, 6),
+                          lambda: GroupingSolution.scored(groups, oracle)):
+                with pytest.raises(ValueError, match=f"members must be integers, got {named}$"):
+                    build()
+        assert oracle.query_count == 0
 
     def test_oracle_refuses_an_oversize_group_when_scored(self):
         # the partition check leaves the cap to the oracle that scores it
@@ -435,6 +442,8 @@ class TestGroupingSolution:
             for oracle in (RateOracle(channels, cfg, 4), shared):
                 calls.clear()
                 sol = solve(oracle)
-                assert calls == ["validate_partition", "canonical_partition"], solver
+                assert calls == ["canonical_partition", "validate_partition"], solver
+                calls.clear()
                 fresh = RateOracle(channels, cfg, 4)
                 assert sol.objective_value == objective(sol.groups, fresh), solver
+                assert calls == ["canonical_partition", "validate_partition"], solver

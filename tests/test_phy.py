@@ -548,22 +548,23 @@ class TestRateOracle:
             (0, 1, 2))
 
     @pytest.mark.parametrize("group", [(0.5,), (1, 2.0), (np.float64(3.0),), ("1",), (0.0,),
-                                       (np.float64(0.0),), (0, 1.0)])
+                                       (np.float64(0.0),), (0, 1.0), ([0], 1), [[0], 1]])
     def test_refuses_non_integer_members(self, group):
         # checked before anything is computed or counted, and never a memo
         # key; (0.0,) and (0, 1.0) equal memo keys, which a warm oracle
-        # must not answer them from, in a query of one or of all hits
+        # must not answer them from, in a query of one or of all hits, and
+        # ([0], 1) cannot be looked up at all
         _, oracle = rician_oracle(5, 2, seed=10)
-        with pytest.raises(ValueError, match="members must be integers"):
-            oracle.rate(group)  # cold
-        oracle.rates([(0,), (0, 1)])
-        memo, counts = dict(oracle._memo), (oracle.query_count, oracle.compute_count)
-        with pytest.raises(ValueError, match="members must be integers"):
-            oracle.rate(group)
-        for groups in ([(0, 1), group], [(0,), group], [group, (1, 2)]):
+        for warm_up in ([], [(0,), (0, 1)]):  # cold, then warm
+            oracle.rates(warm_up)
+            memo, counts = dict(oracle._memo), (oracle.query_count, oracle.compute_count)
             with pytest.raises(ValueError, match="members must be integers"):
-                oracle.rates(groups)
-        assert oracle._memo == memo and (oracle.query_count, oracle.compute_count) == counts
+                oracle.rate(group)
+            for groups in ([group], [(0, 1), group], [(0,), group], [group, (1, 2)]):
+                for query in (oracle.rates, oracle.precompute):
+                    with pytest.raises(ValueError, match="members must be integers"):
+                        query(groups)
+            assert oracle._memo == memo and (oracle.query_count, oracle.compute_count) == counts
 
     def test_memo_hits_of_numpy_integers_match_ints(self):
         # not a built-in int, so checked, and then read from the memo
