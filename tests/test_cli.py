@@ -409,25 +409,14 @@ def test_runtime_sweep_prints_db_table(tmp_path, capsys):
 def test_runtime_sweep_marks_skipped_full_search(tmp_path, capsys):
     # across the full-search limit: M=16 is solved, M=18 gets a row of
     # empty cells and the refusal on its skipped line
-    cfg = {
-        "scenario": "runtime_sweep",
-        "m_values": [16, 18],
-        "nu_values": [4],
-        "channel": {"num_tx_antennas": 4, "num_subcarriers": 1, "k_factor_db": 8.0},
-        "algorithms": ["full_search", "gma"],
-        "seeds": {"count": 1, "base": 0},
-        "output": str(tmp_path / "rt.csv"),
-    }
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    assert main(["run", "--config", str(cfg_path)]) == 0
+    rows = run_rows(tmp_path, {**SWEEP, "scenario": "runtime_sweep", "m_values": [16, 18],
+                               "nu_values": [4], "algorithms": ["full_search", "gma"]})
     assert ("  M=18   full_search  skipped (full search over M=18, Nu=4 exceeds the limit of "
             "16 users)" in capsys.readouterr().out.splitlines())
-    lines = (tmp_path / "rt.csv").read_text().splitlines()
-    assert len(lines) == 5
-    assert lines[1].startswith("runtime_sweep,16,4,0,full_search,1,")
-    assert lines[1].split(",")[9] == "1.000000"
-    assert lines[3] == "runtime_sweep,18,4,0,full_search,1,,,,,"
+    assert [(row["M"], row["algorithm"]) for row in rows] == [
+        ("16", "full_search"), ("16", "gma"), ("18", "full_search"), ("18", "gma")]
+    assert rows[0]["ratio_to_opt"] == "1.000000"
+    assert list(rows[2].values()) == ["runtime_sweep", "18", "4", "0", "full_search", "1"] + [""] * 5
 
 
 def test_run_with_zero_channel_user(tmp_path, capsys):
