@@ -153,7 +153,7 @@ def sus_grouping(oracle, params: SusParams = SusParams()) -> GroupingSolution:
     users' scores, and for its prefixes.  One unchecked ``oracle.precompute``
     of the sweep's groups, sorted tuples within the oracle's users and
     cap, fills the memo (one rate-kernel call per group size); each alpha
-    is then scored by one unchecked ``oracle.rates`` query of its groups.
+    is then scored by one ``oracle.rates`` query of its groups (memo hits).
     """
     norms = np.linalg.norm(oracle.channels.entries, axis=1).mean(axis=1).tolist()
     correlation = correlation_matrix(oracle.channels)
@@ -161,8 +161,8 @@ def sus_grouping(oracle, params: SusParams = SusParams()) -> GroupingSolution:
     runs = [sorted(_sus_single_alpha(oracle.max_group_size, alpha, norms, correlation, residuals))
             for alpha in params.sweep]
     oracle.precompute([g for parts in runs for g in parts], checked=True)
-    # as ``objective`` adds, without checking the groups a second time
-    values = [_weighted_sum(parts, oracle, checked=True) for parts in runs]
+    # as ``objective`` adds; the groups are memo hits, so none is checked again
+    values = [_weighted_sum(parts, oracle) for parts in runs]
     best = values.index(max(values))  # the earlier alpha wins a tie
     return GroupingSolution(runs[best], oracle.num_users, values[best])
 

@@ -183,13 +183,11 @@ def correlation_matrix(channels: ChannelSet) -> np.ndarray:
     re, im = total
     power = re.take(own, axis=0)  # (M, SC): squared norms
     p_i, p_j = power.take(i, axis=0), power.take(j, axis=0)
-    if 2.0 ** -511 <= power.min() and power.max() < 2.0 ** 511:  # every p_i p_j a normal float
-        denom = np.sqrt(p_i * p_j)
-    else:  # sqrt(p_i) sqrt(p_j) where p_i p_j overflows or underflows
-        with np.errstate(over="ignore"):
-            prod = p_i * p_j
-        normal = (prod >= 2.0 ** -1022) & (prod < math.inf)
-        denom = np.where(normal, np.sqrt(prod), np.sqrt(p_i) * np.sqrt(p_j))
+    # sqrt(p_i p_j), or sqrt(p_i) sqrt(p_j) where p_i p_j overflows or underflows
+    with np.errstate(over="ignore"):
+        prod = p_i * p_j
+    normal = (prod >= 2.0 ** -1022) & (prod < math.inf)
+    denom = np.where(normal, np.sqrt(prod), np.sqrt(p_i) * np.sqrt(p_j))
     vals = np.divide(np.hypot(re, im), denom, out=np.zeros(denom.shape), where=denom > 0.0)
     out = np.empty((n, n))
     out[i, j] = out[j, i] = np.minimum(vals.mean(axis=1), 1.0)

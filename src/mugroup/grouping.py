@@ -128,9 +128,9 @@ def objective(groups, oracle) -> float:
     return _weighted_sum(_checked_partition(parts, sum(map(len, parts))), oracle)
 
 
-def _weighted_sum(parts, oracle, checked: bool = False) -> float:
+def _weighted_sum(parts, oracle) -> float:
     total = 0.0  # added in order: sum() compensates float sums from Python 3.12 on
-    for g, rate in zip(parts, oracle.rates(parts, checked=checked)):
+    for g, rate in zip(parts, oracle.rates(parts)):
         total += len(g) * rate
     return total
 

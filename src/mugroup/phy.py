@@ -41,13 +41,13 @@ each numpy call applies one real operation to all rows alike, and sums
 over members run in member order on an axis that numpy does not sum
 pairwise, so a rate does not depend on the batch it was computed in (the
 tests hold it to the bits of one call per step, ``stepwise_batch_rates``).
-``RateOracle.rate`` answers one group, ``RateOracle.rates`` a list of
-groups in one bulk query, and ``RateOracle.precompute`` fills the memo.
-Groups are checked and put in canonical order by
-``grouping.canonical_group``, except a tuple of ints already in the memo
-(memo keys were checked when they were stored) and a batch that its caller
-passes to ``rates`` or ``precompute`` as checked.  The MCS lookup
-(``_mcs_rates``) is built once per ``PhyConfig``, when the config is.
+``RateOracle.rates`` answers every query, a list of groups at a time
+(``RateOracle.rate`` is its query of one), and ``RateOracle.precompute``
+fills the memo.  A query of int tuples all in the memo (whose keys were
+checked when stored) is read as it is; in any other query every group is
+checked and put in canonical order by ``grouping.canonical_group``, unless
+its caller passes it as checked.  The MCS lookup (``_mcs_rates``) is built
+once per ``PhyConfig``, when the config is.
 """
 
 from __future__ import annotations
@@ -89,10 +89,9 @@ _CERT_LIMIT = _COND_LIMIT / 100
 # most (group, subcarrier) rows that one ``_zf_sinr`` call gathers
 _MAX_BATCH_ROWS = 1024
 
-# the member types a memo hit takes unchecked: a tuple of ints that equals
-# a key is that key, while a float member compares equal to an int, so
-# (0.0,) equals the key (0,) and must be checked, and refused; the types
-# are read before the memo lookup, which would hash a member such as [0]
+# the member types of a query of memo hits read unchecked: a tuple of ints
+# that equals a key is that key, while a float member compares equal to an
+# int, so (0.0,) equals the key (0,) and must be checked, and refused
 _INTS = frozenset((int,))
 
 # largest total_power or noise_power, largest total_power / noise_power
@@ -348,10 +347,10 @@ class RateOracle:
     list in one bulk query and computes its misses through ``precompute``,
     which batches them per group size in chunks of at most
     ``_MAX_BATCH_ROWS`` (group, subcarrier) rows; ``rate(g)`` is a query
-    of one.  Each query adds one to ``query_count`` and each computed
-    group one to ``compute_count``.  A group is checked by ``_check``
-    unless it is a tuple of ints already in the memo, whose keys were
-    checked when they were stored, or its caller passes it as checked.
+    of one.  Each group queried adds one to ``query_count`` and each
+    computed group one to ``compute_count``.  A query of int tuples all in
+    the memo, whose keys were checked when stored, is read as it is; in any
+    other query ``_check`` checks each group, unless its caller vouches.
 
     The first computation builds the oracle's user Gram (``_user_gram``,
     SC*M^2*16 bytes), from which ``_zf_sinr`` gathers every group's Gram
@@ -389,33 +388,21 @@ class RateOracle:
             raise ValueError(f"group {members} out of range for {self.num_users} users")
         return members
 
-    def _members(self, groups) -> list[tuple[int, ...]]:
-        """Each group checked, except a tuple of ints already in the memo."""
-        memo, check = self._memo, self._check
-        return [g if type(g) is tuple and _INTS.issuperset(map(type, g)) and g in memo else check(g)
-                for g in groups]
-
     def rate(self, group) -> float:
-        """``rates([group])[0]``, reading a tuple of ints from the memo
-        without building a batch."""
-        if type(group) is tuple and _INTS.issuperset(map(type, group)):
-            value = self._memo.get(group)
-            if value is not None:
-                with self._lock:
-                    self.query_count += 1
-                return value
-        return self.rates([group])[0]
+        """``rates([group])[0]``."""
+        return self.rates((group,))[0]
 
     def rates(self, groups, *, checked: bool = False) -> list[float]:
-        """``[rate(g) for g in groups]`` as one bulk query, in one pass when
-        every group equals a memo key and has only int members (or
-        ``checked`` vouches for it): a float member such as ``(0.0,)``
-        equals and hashes like the key ``(0,)``, so it goes to the check
-        and is refused there, warm or cold.  Otherwise every group is checked,
-        unless ``checked`` vouches for them as in ``precompute``, before
-        anything is computed or counted (a bad group leaves the memo and
-        both counters as they were) and goes to ``precompute`` unchecked,
-        which computes the misses."""
+        """``[rate(g) for g in groups]`` as one bulk query that reads
+        ``groups`` once, in one pass when every group equals a memo key and
+        has only int members (or ``checked`` vouches for it): a float member
+        such as ``(0.0,)`` equals and hashes like the key ``(0,)``, so it
+        goes to the check and is refused there, warm or cold.  Otherwise
+        every group is checked, unless ``checked`` vouches for them as in
+        ``precompute``, before anything is computed or counted (a bad group
+        leaves the memo and both counters as they were) and goes to
+        ``precompute`` unchecked, which computes the misses."""
+        groups = list(groups)
         memo = self._memo  # entries are never removed or changed
         try:
             values = [memo[g] for g in groups]
@@ -426,7 +413,7 @@ class RateOracle:
                 with self._lock:
                     self.query_count += len(values)
                 return values
-        members = groups if checked else self._members(groups)
+        members = groups if checked else [self._check(g) for g in groups]
         with self._lock:
             self.query_count += len(members)
         self.precompute(members, checked=True)
@@ -443,7 +430,7 @@ class RateOracle:
         and ``baselines.zfs_grouping`` pass to ``rates`` as checked and
         ``baselines.sus_grouping`` passes here.
         """
-        members = groups if checked else self._members(groups)
+        members = groups if checked else [self._check(g) for g in groups]
         memo = self._memo
         with self._lock:
             todo: dict[int, dict[tuple[int, ...], None]] = {}

@@ -100,3 +100,16 @@ def test_solvers_are_looked_up_as_module_globals(monkeypatch):
         scenario=bench.Scenario.USER_SWEEP, m_values=(5,), nu_values=(2,),
         algorithms=("gma", "random"), seeds=(0, 1)))
     assert calls == [(5, 2), (5, 2)]
+
+
+def test_gma_makes_scalar_rate_queries(monkeypatch):
+    # the worker's phy.rate_queries counts ``RateOracle.rate`` calls alone,
+    # and the benchmark self-test needs it above 0 on each workload: a gma
+    # solve above a cap of two sorts its merge candidates by scalar queries
+    calls = []
+    rate = RateOracle.rate
+    monkeypatch.setattr(RateOracle, "rate",
+                        lambda self, group: calls.append(group) or rate(self, group))
+    _, oracle = rician_oracle(10, 3, seed=0)
+    module("gma").gma(oracle)
+    assert calls

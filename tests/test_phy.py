@@ -412,9 +412,10 @@ class TestRateOracle:
                 sinr = np.array([[0.5, 10.0, 1e3]])
                 assert twin.mcs_rates(sinr).tolist() == cfg.mcs_rates(sinr).tolist()
 
-    def test_memo_hits_skip_the_check_only_when_valid(self):
-        # a memoized tuple skips the check; any other group is checked as
-        # before, so every query returns the value or raises the error it did
+    def test_every_form_of_a_group_reads_one_entry_and_bad_groups_change_nothing(self):
+        # a group given as a list, out of order or with numpy members reads
+        # the memo entry of its canonical tuple; a bad group is refused by
+        # every query that holds it, before anything is counted or stored
         _, oracle = rician_oracle(6, 3, seed=23, sc=8)
         value = oracle.rate((0, 1, 2))
         same = [[2, 0, 1], (2, 0, 1), (np.int64(0), 1, 2), (0, 1, 2)]
@@ -431,22 +432,40 @@ class TestRateOracle:
                 assert (oracle.query_count, oracle.compute_count) == (1 + len(same), 1)
         assert list(oracle._memo) == [(0, 1, 2)]
 
-    def test_all_hit_query_is_read_in_one_pass(self, monkeypatch):
-        # a query of memo keys only is counted and read without the
-        # check-and-scan of ``_members``; any other query still takes it
+    def test_all_hit_query_is_read_in_one_pass(self, check_calls):
+        # a query of int tuples that are all memo keys is counted and read
+        # with no check; any other query checks each of its groups in order
         _, oracle = rician_oracle(6, 3, seed=24, sc=8)
         oracle.precompute([(0, 1), (2,), (3, 4, 5)])
-        walked = []
-        members = RateOracle._members
-        monkeypatch.setattr(RateOracle, "_members",
-                            lambda self, groups: walked.append(groups) or members(self, groups))
+        check_calls.clear()
         hits = [(0, 1), (2,), (3, 4, 5), (2,)]
         assert oracle.rates(hits) == [oracle._memo[g] for g in hits]
-        assert walked == [] and oracle.query_count == 4
-        for query in ([(2,), [1, 0]], [(2,), (1, 0)], [(2,), (0, 1, 2)]):
+        assert check_calls == [] and oracle.query_count == 4
+        queries = ([(2,), [1, 0]], [(2,), (1, 0)], [(2,), (0, 1, 2)])
+        for query in queries:
             oracle.rates(query)
-        assert walked == [[(2,), [1, 0]], [(2,), (1, 0)], [(2,), (0, 1, 2)]]
+        assert check_calls == [g for query in queries for g in query]
         assert (oracle.query_count, oracle.compute_count) == (10, 4)
+
+    @pytest.mark.parametrize("checked", [False, True], ids=["default", "checked"])
+    def test_generator_query_matches_list_query(self, checked):
+        # the groups are read once, so a one-shot iterable gets the values,
+        # the counters and the memo of the same groups in a list, cold and
+        # warm, and (0.0,) is refused from either unless vouched for
+        by_list, by_gen = (rician_oracle(6, 3, seed=28, sc=8)[1] for _ in range(2))
+        groups = [(0,), (1, 2), (0, 3, 4), (1, 2)]
+        for _ in ("cold", "warm"):
+            if not checked:
+                for oracle, query in ((by_list, [(0.0,)]), (by_gen, (g for g in [(0.0,)]))):
+                    with pytest.raises(ValueError, match="members must be integers"):
+                        oracle.rates(query)
+            want = by_list.rates(groups, checked=checked)
+            assert len(want) == len(groups)
+            assert by_gen.rates((g for g in groups), checked=checked) == want
+            assert ((by_gen.query_count, by_gen.compute_count)
+                    == (by_list.query_count, by_list.compute_count))
+        assert by_list.query_count == 2 * len(groups)
+        assert list(by_gen._memo.items()) == list(by_list._memo.items())
 
     @pytest.mark.parametrize("cfg", [PhyConfig(), MCS_WITH_MAC], ids=["shannon", "mcs_mac"])
     def test_checked_query_equals_checked_fill_then_query(self, cfg):
@@ -512,12 +531,20 @@ class TestRateOracle:
         assert np.array_equal(first._gram, second._gram)
 
     def test_concurrent_queries_identical(self):
-        channels, oracle = rician_oracle(6, 3, seed=9)
-        groups = [(0, 1, 2), (3, 4), (5,), (0, 5), (1, 3, 5)] * 8
+        # eight threads of scalar and bulk queries: identical values, each
+        # group queried counted once and each distinct group computed once
+        _, oracle = rician_oracle(6, 3, seed=9)
+        distinct = [(0, 1, 2), (3, 4), (5,), (0, 5), (1, 3, 5)]
+        groups = distinct * 8
+        batches = [groups[i:i + 3] for i in range(0, len(groups), 3)]
         with ThreadPoolExecutor(max_workers=8) as pool:
-            values = list(pool.map(oracle.rate, groups))
-        for g, v in zip(groups, values):
-            assert v == oracle.rate(g)
+            singles = [pool.submit(oracle.rate, g) for g in groups]
+            bulk = [pool.submit(oracle.rates, b) for b in batches]
+            values = [f.result() for f in singles] + [v for f in bulk for v in f.result()]
+        assert oracle.query_count == 2 * len(groups)  # the batches hold each group once
+        assert oracle.compute_count == len(distinct)
+        want = dict(zip(distinct, rician_oracle(6, 3, seed=9)[1].rates(distinct)))
+        assert values == [want[g] for g in groups * 2]
 
     def test_rejects_oversize_queries(self):
         _, oracle = rician_oracle(5, 2, seed=10)
