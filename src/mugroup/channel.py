@@ -240,14 +240,14 @@ def load_channels(source) -> ChannelSet:
         with open(source, "r", encoding="ascii") as fh:
             return load_channels(fh)
 
-    raw = list(map(str.strip, source))
-    lines = [line for line in raw if line]
+    # each nonblank line with its physical line number, blank lines counted
+    lines = [(n, text) for n, line in enumerate(source, 1) if (text := line.strip())]
     if not lines:
         raise ChannelFormatError("empty channel stream")
 
-    parts, dims = lines[0].split(), []
+    parts, dims = lines[0][1].split(), []
     if len(parts) != 5 or parts[0] != "chset" or parts[1] != "v1":
-        raise ChannelFormatError(f"bad header line: {lines[0]!r}")
+        raise ChannelFormatError(f"bad header line: {lines[0][1]!r}")
     for token, key in zip(parts[2:], ("M", "NT", "SC")):
         name, _, value = token.partition("=")
         if name != key or not value:
@@ -267,7 +267,7 @@ def load_channels(source) -> ChannelSet:
     entries = np.empty(expected, dtype=np.complex128)
     indices = np.ndindex(m, nt, sc)
     try:
-        for idx, (line, (u, a, s)) in enumerate(zip(records, indices)):
+        for idx, ((number, line), (u, a, s)) in enumerate(zip(records, indices)):
             parts = line.split()
             if len(parts) != 5:
                 raise ChannelFormatError(f"expected 5 fields, got {line!r}")
@@ -282,7 +282,6 @@ def load_channels(source) -> ChannelSet:
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise ChannelFormatError(f"non-finite value in {line!r}")
             entries[idx] = complex(re, im)
-    except ChannelFormatError as err:  # name the physical line, blank lines counted
-        number = [n for n, text in enumerate(raw, 1) if text][idx + 1]
+    except ChannelFormatError as err:  # name the physical line
         raise ChannelFormatError(f"line {number}: {err}") from None
     return ChannelSet(entries.reshape(m, nt, sc))

@@ -50,7 +50,7 @@ def _pairing(oracle) -> list[Group]:
     pairs = [(i, j) for i in range(num_users) for j in range(i + 1, num_users)]
     edges = [(i, j, gain) for (i, j), pair_rate in zip(pairs, oracle.rates(pairs, checked=True))
              if (gain := 2.0 * pair_rate - singles[i] - singles[j]) > 0.0]
-    mate = blossom_mates(num_users, edges) if edges else [-1] * num_users
+    mate = blossom_mates(num_users, edges)
     matched = [(u, m) for u, m in enumerate(mate) if u < m]
     return matched + [(u,) for u, m in enumerate(mate) if m < 0]
 

@@ -176,10 +176,8 @@ def _rates_by_mask(oracle):
 
 def _subsets(n, max_block):
     """Subsets of {0..n-1} with 1..max_block members, and their bitmasks."""
-    sizes = range(1, max_block + 1)
-    subsets = tuple([s for size in sizes for s in combinations(range(n), size)])
-    bits = [1 << u for u in range(n)]  # the sums of combinations in the same order
-    return subsets, np.array([sum(s) for size in sizes for s in combinations(bits, size)])
+    subsets = tuple([s for size in range(1, max_block + 1) for s in combinations(range(n), size)])
+    return subsets, np.array([sum(1 << u for u in s) for s in subsets])
 
 
 def active_backend() -> str:

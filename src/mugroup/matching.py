@@ -62,7 +62,7 @@ def max_weight_matching(graph: WeightedGraph) -> tuple[tuple[int, int], ...]:
     last-in first-out queue, strict ``<`` on every least-slack and delta
     comparison), whatever order ``graph.edges`` comes in.
     """
-    mate = blossom_mates(graph.num_vertices, sorted(graph.edges)) if graph.edges else ()
+    mate = blossom_mates(graph.num_vertices, sorted(graph.edges))
     return tuple((v, m) for v, m in enumerate(mate) if v < m)
 
 
@@ -81,7 +81,7 @@ def _child_edge(ed, j: int, jstep: int):
 
 def blossom_mates(n: int, edges) -> list[int]:
     """Partner of each vertex (-1 if single) in a maximum-weight matching on
-    ``n`` vertices and ``edges``: sorted, nonempty, unchecked, as ``WeightedGraph`` keeps them.
+    ``n`` vertices and ``edges``: sorted, unchecked, as ``WeightedGraph`` keeps them.
 
     Ids 0..n-1 are vertices and n..2n-1 slots for nontrivial blossoms,
     so lists indexed by id have 2n entries; live blossoms sit in
@@ -100,7 +100,7 @@ def blossom_mates(n: int, edges) -> list[int]:
     for k, (u, v, _) in enumerate(edges):
         nbrs[u].append((v, k, twice[k]))
         nbrs[v].append((u, k, twice[k]))
-    dual = [max(0.0, max(w for _, _, w in edges))] * n
+    dual = [max(0.0, max((w for _, _, w in edges), default=0.0))] * n
     mate, mate_edge = [-1] * n, [-1] * n
     # label of a top-level blossom: 0 free, 1 S, 2 T, 5 S with a breadcrumb;
     # a vertex inside a T-blossom has label 2 once reached from outside it
@@ -355,7 +355,7 @@ def blossom_mates(n: int, edges) -> list[int]:
                 break
             # delta types: 1 a vertex dual hits zero (optimum), 2 an S-free
             # edge, 3 an S-S edge turns tight, 4 a T-blossom dual hits zero
-            delta_type, delta, delta_edge, delta_blossom = 1, min(dual), None, -1
+            delta_type, delta, delta_edge, delta_blossom = 1, min(dual, default=0.0), None, -1
             for v in range(n):
                 if bslack[v] < delta and label[inblossom[v]] == 0:
                     delta_type, delta, delta_edge = 2, bslack[v], bestedge[v]

@@ -46,8 +46,9 @@ tests hold it to the bits of one call per step, ``stepwise_batch_rates``).
 fills the memo.  A query of int tuples all in the memo (whose keys were
 checked when stored) is read as it is; in any other query every group is
 checked and put in canonical order by ``grouping.canonical_group``, unless
-its caller passes it as checked.  The MCS lookup (``_mcs_rates``) is built
-once per ``PhyConfig``, when the config is.
+its caller passes it as checked.  A query is counted once, after its
+values are read, so a query whose check or fill raises is not.  The MCS
+lookup (``_mcs_rates``) is built once per ``PhyConfig``, when the config is.
 """
 
 from __future__ import annotations
@@ -347,10 +348,11 @@ class RateOracle:
     list in one bulk query and computes its misses through ``precompute``,
     which batches them per group size in chunks of at most
     ``_MAX_BATCH_ROWS`` (group, subcarrier) rows; ``rate(g)`` is a query
-    of one.  Each group queried adds one to ``query_count`` and each
-    computed group one to ``compute_count``.  A query of int tuples all in
-    the memo, whose keys were checked when stored, is read as it is; in any
-    other query ``_check`` checks each group, unless its caller vouches.
+    of one.  Each answered query adds its length to ``query_count``, once,
+    and each computed group one to ``compute_count``.  A query of int
+    tuples all in the memo, whose keys were checked when stored, is read as
+    it is; in any other query ``_check`` checks each group, unless its
+    caller vouches.
 
     The first computation builds the oracle's user Gram (``_user_gram``,
     SC*M^2*16 bytes), from which ``_zf_sinr`` gathers every group's Gram
@@ -399,36 +401,32 @@ class RateOracle:
         such as ``(0.0,)`` equals and hashes like the key ``(0,)``, so it
         goes to the check and is refused there, warm or cold.  Otherwise
         every group is checked, unless ``checked`` vouches for them as in
-        ``precompute``, before anything is computed or counted (a bad group
-        leaves the memo and both counters as they were) and goes to
-        ``precompute`` unchecked, which computes the misses."""
+        ``precompute``, before anything is computed (a bad group leaves the
+        memo and both counters as they were) and goes to ``precompute``
+        unchecked, which computes the misses.  The query is counted once,
+        after its values are read, so a query whose fill raises is not."""
         groups = list(groups)
         memo = self._memo  # entries are never removed or changed
         try:
             values = [memo[g] for g in groups]
+            read = checked or _INTS.issuperset(map(type, chain.from_iterable(groups)))
         except (KeyError, TypeError):  # a miss, or an unhashable group
-            pass
-        else:
-            if checked or _INTS.issuperset(map(type, chain.from_iterable(groups))):
-                with self._lock:
-                    self.query_count += len(values)
-                return values
-        members = groups if checked else [self._check(g) for g in groups]
+            read = False
+        if not read:
+            members = groups if checked else [self._check(g) for g in groups]
+            self.precompute(members, checked=True)
+            values = [memo[m] for m in members]
         with self._lock:
-            self.query_count += len(members)
-        self.precompute(members, checked=True)
-        return [memo[m] for m in members]
+            self.query_count += len(values)
+        return values
 
     def precompute(self, groups, *, checked: bool = False) -> None:
         """Batch-fill the memo: vectorized computations per group size,
         each of at most ``_MAX_BATCH_ROWS`` (group, subcarrier) rows.
 
-        Every group is checked first, unless ``checked`` says the groups
-        are canonical, in range and within the cap already: the groups
-        ``rates`` passes on, and those built from the oracle's users and cap
-        that ``grouping._rates_by_mask``, ``gma._pairing``, ``gma._merge_pass``
-        and ``baselines.zfs_grouping`` pass to ``rates`` as checked and
-        ``baselines.sus_grouping`` passes here.
+        Every group is checked first, unless ``checked`` vouches that each
+        is canonical (a sorted tuple of distinct int members), in range for
+        the oracle's users and within its group cap.
         """
         members = groups if checked else [self._check(g) for g in groups]
         memo = self._memo

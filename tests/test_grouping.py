@@ -262,6 +262,21 @@ class TestExhaustiveSearch:
         assert sol.objective_value == pytest.approx(
             objective(sol.groups, oracle), rel=1e-9)
 
+    @pytest.mark.parametrize("total_power, mixes", [
+        (1.0, [[2, 2, 6, 0], [2, 2, 6, 0], [1, 6, 3, 0], [1, 6, 3, 0]]),
+        (1000.0, [[0, 2, 0, 8], [0, 2, 0, 8], [0, 0, 6, 4], [0, 2, 0, 8]]),
+    ], ids=["0dB", "30dB"])
+    def test_optimum_mix_by_snr(self, total_power, mixes):
+        # users in groups of 1/2/3/4 at M=10, Nu=4 on 4 antennas, Shannon
+        # rates, seeds 0-3: at 0 dB the optimum mixes singles, pairs and
+        # triples; at 30 dB it serves most users in groups of four
+        cfg = PhyConfig(total_power=total_power)
+        for seed, mix in enumerate(mixes):
+            _, oracle = rician_oracle(10, 4, seed=seed, phy=cfg)
+            sizes = [len(g) for g in exhaustive_search(oracle).groups]
+            found = [k * sizes.count(k) for k in (1, 2, 3, 4)]
+            assert sum(found) == 10 and found == mix
+
 
 def assert_no_heuristic_beats_optimum(m, seed):
     _, oracle = rician_oracle(m, 4, seed=seed)

@@ -131,7 +131,9 @@ class TestWeightedGraphInvariants:
 
 class TestMaxWeightMatching:
     def test_empty_graph(self):
-        assert max_weight_matching(graph(3, [])) == ()
+        for n in (0, 1, 3, 5):
+            assert max_weight_matching(graph(n, [])) == ()
+            assert blossom_mates(n, []) == [-1] * n
 
     def test_triangle(self):
         assert max_weight_matching(graph(3, [(0, 1, 3.0), (1, 2, 4.0), (0, 2, 5.0)])) == ((0, 2),)

@@ -514,7 +514,22 @@ class TestRateOracle:
             or precompute(self, groups, checked=checked))
         groups = [(1,), [3, 2], (0, 4, 5)]
         assert oracle.rates(groups) == oracle.rates([(1,), (2, 3), (0, 4, 5)])
-        assert seen[0] == (groups, 3)  # all three checked and counted before the fill
+        assert seen[0] == (groups, 0)  # all three checked before the fill, counted after it
+
+    @pytest.mark.parametrize("checked", [False, True], ids=["default", "checked"])
+    def test_a_failed_fill_is_not_a_query(self, checked, monkeypatch):
+        # a cold query whose fill raises leaves both counters and the memo
+        # as they were: the query is counted after its values are read
+        import mugroup.phy as phy
+
+        def fail(gram, groups, cfg):
+            raise RuntimeError("fill failed")
+
+        _, oracle = rician_oracle(6, 3, seed=29, sc=8)
+        monkeypatch.setattr(phy, "_batch_rates", fail)
+        with pytest.raises(RuntimeError, match="fill failed"):
+            oracle.rates([(0,), (1, 2), (0, 3, 4)], checked=checked)
+        assert (oracle.query_count, oracle.compute_count, oracle._memo) == (0, 0, {})
 
     def test_each_oracle_builds_its_own_gram(self):
         channels, _ = rician_oracle(6, 3, seed=21, sc=8)
